@@ -1,0 +1,605 @@
+"""Builders for the Z_N-symmetric elliptic R-matrix and its trigonometric kin.
+
+Six families share one entry point, :func:`build_r`:
+
+* ``ELLIPTIC``      - the N^2 x N^2 elliptic R-matrix R(z) with entries
+                      eta(z) * S_{a,c}^{b}(z) * (-1)^{(a+c-b-d)/N} on the
+                      positions a + c = b + d (mod N), zero elsewhere;
+* ``ELLIPTIC_HAT``  - tau_N(q^{1/2} z^{-1}) R(z), the normalization whose
+                      exchange relations close without extra scalars;
+* ``EIGHT_VERTEX``  - the explicit N = 2 matrix written directly in terms of
+                      theta functions with base p^2 (an independent route
+                      kept for cross-validation against ``ELLIPTIC``);
+* ``HOMOGENEOUS``   - the trigonometric R-matrix in the homogeneous
+                      gradation, spectral variable x;
+* ``PRINCIPAL``     - its principal-gradation gauge transform, spectral
+                      variable z with x = z^2 inside;
+* ``NON_ELLIPTIC``  - the twisted principal matrix that the elliptic family
+                      reaches in the p -> 0 limit.
+
+All spectral arguments are logarithms (:class:`LogComplex`), so fractional
+powers such as z^{2/N} are single-valued by construction.
+"""
+
+from __future__ import annotations
+
+import cmath
+import enum
+import hashlib
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from typing import Iterable
+
+import numpy as np
+
+from .errors import DomainError, KindError, PoleError
+from .special_functions import (
+    DEFAULT_POLICY,
+    LogComplex,
+    TruncationPolicy,
+    pochhammer_inf,
+    theta,
+)
+from .tensor_algebra import TensorOperator
+
+__all__ = [
+    "RKind",
+    "ModelParams",
+    "s_coeff",
+    "s_theta_ratio",
+    "kappa_inv",
+    "eta",
+    "tau",
+    "u_scalar",
+    "rho",
+    "build_r",
+    "build_v",
+    "alpha",
+    "alpha_exponent",
+    "build_f",
+    "build_g",
+    "build_h",
+    "build_g_half",
+]
+
+# Denominator values below POLE_GUARD times the natural theta scale raise PoleError.
+POLE_GUARD = 1e-12
+
+
+class RKind(enum.Enum):
+    """R-matrix family selector; values double as CLI tags."""
+
+    ELLIPTIC = "elliptic"
+    ELLIPTIC_HAT = "elliptic-hat"
+    EIGHT_VERTEX = "eightvertex"
+    HOMOGENEOUS = "homogeneous"
+    PRINCIPAL = "principal"
+    NON_ELLIPTIC = "nonelliptic"
+
+    @classmethod
+    def from_tag(cls, tag: str) -> "RKind":
+        for kind in cls:
+            if kind.value == tag:
+                return kind
+        raise KindError(f"unknown R-matrix kind {tag!r}; choose from "
+                        f"{[k.value for k in cls]}")
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Model parameters (N, q, p) plus numerical policy.
+
+    q and p are carried as logarithms.  Construction enforces the hard
+    domain conditions |q| < 1 and |p| < 1 needed by every infinite product;
+    :meth:`genericity_warnings` reports soft violations (parameters too
+    close to roots of unity or to the lattice p^a q^b = 1), which shrink
+    theta denominators without invalidating the formulas.
+    """
+
+    n: int
+    log_q: LogComplex
+    log_p: LogComplex
+    central_charge: float = 0.0
+    policy: TruncationPolicy = field(default=DEFAULT_POLICY)
+    genericity_margin: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 2:
+            raise DomainError(f"N must be an integer >= 2, got {self.n!r}")
+        if self.log_q.magnitude() >= 1.0:
+            raise DomainError(f"|q| must be < 1, got {self.log_q.magnitude():.6f}")
+        if self.log_p.magnitude() >= 1.0:
+            raise DomainError(f"|p| must be < 1, got {self.log_p.magnitude():.6f}")
+
+    @property
+    def q(self) -> complex:
+        return self.log_q.to_complex()
+
+    @property
+    def p(self) -> complex:
+        return self.log_p.to_complex()
+
+    def omega(self) -> complex:
+        return cmath.exp(2j * cmath.pi / self.n)
+
+    def with_p_star(self) -> "ModelParams":
+        """Shift p -> p* = p q^{-2c}; the central charge enters only here."""
+        shifted = self.log_p / (self.log_q ** (2.0 * self.central_charge))
+        return replace(self, log_p=shifted)
+
+    def genericity_warnings(self) -> list[str]:
+        warnings: list[str] = []
+        margin = self.genericity_margin
+        q, p = self.q, self.p
+        for k in range(1, 2 * self.n + 1):
+            if abs(q ** (2 * k) - 1.0) <= margin:
+                warnings.append(f"q^{2 * k} within {margin:g} of 1")
+        for a in range(-2 * self.n, 2 * self.n + 1):
+            for b in range(-2 * self.n, 2 * self.n + 1):
+                if a == 0 and b == 0:
+                    continue
+                try:
+                    val = (p**a) * (q**b)
+                except OverflowError:
+                    continue
+                if abs(val - 1.0) <= margin:
+                    warnings.append(f"p^{a} q^{b} within {margin:g} of 1")
+        return warnings
+
+    def digest(self) -> str:
+        raw = (
+            f"N={self.n};q={self.q.real!r},{self.q.imag!r};"
+            f"p={self.p.real!r},{self.p.imag!r};c={self.central_charge!r}"
+        )
+        return hashlib.sha256(raw.encode()).hexdigest()[:16]
+
+
+def _theta_den(
+    log_arg: LogComplex,
+    log_base: LogComplex,
+    policy: TruncationPolicy,
+    what: str,
+) -> complex:
+    """Theta value destined for a denominator; PoleError when it vanishes."""
+    val = theta(log_arg, log_base, policy)
+    scale = abs(pochhammer_inf(log_base, (log_base,), policy))
+    if abs(val) < POLE_GUARD * max(scale, 1e-300):
+        raise PoleError(
+            f"denominator theta vanished in {what}", argument=log_arg.to_complex()
+        )
+    return val
+
+
+def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
+    """Theta-ratio core of the entry coefficient, for arbitrary integer indices.
+
+    Theta_{p^N}(p^{N+c-a} q^2 z^2) /
+        [Theta_{p^N}(p^{N+c-b} z^2) Theta_{p^N}(p^{N+b-a} q^2)]
+
+    The integer offsets enter the p-powers directly, with no modular
+    reduction; this is the form the quantum-determinant sum needs.
+    """
+    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
+    base = lp**n
+    z2 = log_z**2
+    q2 = lq**2
+    num = theta((lp ** (n + c - a)) * q2 * z2, base, policy)
+    den1 = _theta_den((lp ** (n + c - b)) * z2, base, policy, "S (z-dependent theta)")
+    den2 = _theta_den((lp ** (n + b - a)) * q2, base, policy, "S (q-dependent theta)")
+    return num / (den1 * den2)
+
+
+def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
+    """Entry coefficient S_{a,c}^{b}(z) of the elliptic R-matrix.
+
+    S_{a,c}^{b}(z) = z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} *
+        s_theta_ratio(a, b, c, z)
+
+    a, b label rows/columns in 1..N; c may be any integer (the value is
+    N-periodic in c and invariant under a common shift of a, b, c).
+    """
+    n = params.n
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
+    prefactor = (
+        (log_z ** Fraction(2 * (b - a), n))
+        * (params.log_q ** Fraction(2 * (c - b), n))
+        * (params.log_p ** Fraction((b - a) * (c - b), n))
+    ).to_complex()
+    return prefactor * s_theta_ratio(params, a, b, c, log_z)
+
+
+def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
+    """1/kappa_N evaluated at z^2 (the argument is the log of z^2).
+
+    A ratio of four double-base Pochhammer symbols with bases (p, q^{2N})
+    over the same four with z^2 inverted.
+    """
+    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
+    big_q = lq ** (2 * n)
+    if big_q.magnitude() >= 1.0:
+        raise DomainError(f"|q^{2 * n}| must be < 1, got {big_q.magnitude():.6f}")
+    bases = (lp, big_q)
+    q2 = lq**2
+    mixed = lp * (lq ** (2 * n - 2))
+
+    def quad(log_x2: LogComplex) -> complex:
+        inv = log_x2.inv()
+        return (
+            pochhammer_inf(big_q * inv, bases, policy)
+            * pochhammer_inf(q2 * log_x2, bases, policy)
+            * pochhammer_inf(lp * inv, bases, policy)
+            * pochhammer_inf(mixed * log_x2, bases, policy)
+        )
+
+    num = quad(log_z2)
+    den = quad(log_z2.inv())
+    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+        raise PoleError("kappa denominator vanished", argument=log_z2.to_complex())
+    return num / den
+
+
+def eta(params: ModelParams, log_z: LogComplex) -> complex:
+    """Overall normalization eta(z) of the elliptic R-matrix."""
+    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
+    z2 = log_z**2
+    q2 = lq**2
+    pn = lp**n
+    poch_ratio = (
+        pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
+    ) ** 3
+    theta_part = (
+        theta(q2, lp, policy)
+        * theta(lp * z2, lp, policy)
+        / _theta_den(q2 * z2, lp, policy, "eta")
+    )
+    return (
+        (log_z ** Fraction(2, n)).to_complex()
+        * kappa_inv(params, z2)
+        * poch_ratio
+        * theta_part
+    )
+
+
+def tau(params: ModelParams, log_x: LogComplex) -> complex:
+    """tau_N(x) = x^{2/N - 2} Theta_{q^{2N}}(q x^2) / Theta_{q^{2N}}(q x^{-2}).
+
+    q^N-periodic in x; relates the two elliptic normalizations through
+    R_hat(z) = tau_N(q^{1/2} z^{-1}) R(z).
+    """
+    n, lq, policy = params.n, params.log_q, params.policy
+    big_q = lq ** (2 * n)
+    x2 = log_x**2
+    num = theta(lq * x2, big_q, policy)
+    den = _theta_den(lq * x2.inv(), big_q, policy, "tau")
+    return (log_x ** (Fraction(2, n) - 2)).to_complex() * num / den
+
+
+def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
+    """Unitarity scalar U(z) of the hat normalization.
+
+    U(z) = q^{2/N - 2} Theta_{q^{2N}}(q^2 z^2) Theta_{q^{2N}}(q^2 z^{-2}) /
+           [Theta_{q^{2N}}(z^2) Theta_{q^{2N}}(z^{-2})]
+
+    and satisfies U(z) = tau_N(q^{1/2} z) tau_N(q^{1/2} z^{-1}).
+    """
+    n, lq, policy = params.n, params.log_q, params.policy
+    big_q = lq ** (2 * n)
+    z2 = log_z**2
+    q2 = lq**2
+    num = theta(q2 * z2, big_q, policy) * theta(q2 * z2.inv(), big_q, policy)
+    den = _theta_den(z2, big_q, policy, "U") * _theta_den(z2.inv(), big_q, policy, "U")
+    return (lq ** (Fraction(2, n) - 2)).to_complex() * num / den
+
+
+def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
+    """tau_N(q^{1/2} z^{-1}) / kappa_N(z^2) with their z = q degeneracy cancelled.
+
+    tau's theta numerator Theta_{q^{2N}}(q^2 z^{-2}) and kappa's denominator
+    factor (q^2 z^{-2}; p, q^{2N}) share the single-base Pochhammer
+    (q^2 z^{-2}; q^{2N}), which vanishes at z = q.  Forming the quotient with
+    that factor removed keeps the hat matrix finite there, which is exactly
+    where its kernel is probed.
+    """
+    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
+    big_q = lq ** (2 * n)
+    if big_q.magnitude() >= 1.0:
+        raise DomainError(f"|q^{2 * n}| must be < 1, got {big_q.magnitude():.6f}")
+    z2 = log_z**2
+    z2inv = z2.inv()
+    q2 = lq**2
+    bases = (lp, big_q)
+    mixed = lp * (lq ** (2 * n - 2))
+    pref = (((lq**0.5) / log_z) ** Fraction(2 - 2 * n, n)).to_complex()
+    num = (
+        pochhammer_inf((lq ** (2 * n - 2)) * z2, (big_q,), policy)
+        * pochhammer_inf(big_q, (big_q,), policy)
+        * pochhammer_inf(big_q * z2inv, bases, policy)
+        * pochhammer_inf(q2 * z2, bases, policy)
+        * pochhammer_inf(lp * z2inv, bases, policy)
+        * pochhammer_inf(mixed * z2, bases, policy)
+    )
+    den = (
+        theta(z2, big_q, policy)
+        * pochhammer_inf(lp * q2 * z2inv, bases, policy)
+        * pochhammer_inf(big_q * z2, bases, policy)
+        * pochhammer_inf(lp * z2, bases, policy)
+        * pochhammer_inf(mixed * z2inv, bases, policy)
+    )
+    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+        raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
+    return pref * num / den
+
+
+def rho(params: ModelParams, log_x: LogComplex) -> complex:
+    """Trigonometric normalization rho_N(x).
+
+    rho_N(x) = q^{1/N - 1} (q^2 x; q^{2N}) (q^{2N-2} x; q^{2N}) /
+               [(x; q^{2N}) (q^{2N} x; q^{2N})]
+    """
+    n, lq, policy = params.n, params.log_q, params.policy
+    big_q = lq ** (2 * n)
+    bases = (big_q,)
+    num = pochhammer_inf((lq**2) * log_x, bases, policy) * pochhammer_inf(
+        (lq ** (2 * n - 2)) * log_x, bases, policy
+    )
+    den = pochhammer_inf(log_x, bases, policy) * pochhammer_inf(
+        big_q * log_x, bases, policy
+    )
+    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+        raise PoleError("rho denominator vanished", argument=log_x.to_complex())
+    return (lq ** (Fraction(1, n) - 1)).to_complex() * num / den
+
+
+# ---------------------------------------------------------------------------
+# diagonal/cyclic dressing matrices
+
+
+def build_g(params: ModelParams) -> TensorOperator:
+    """g = diag(omega^i), i = 1..N, omega = exp(2 i pi / N)."""
+    n = params.n
+    diag = [cmath.exp(2j * cmath.pi * i / n) for i in range(1, n + 1)]
+    return TensorOperator(n, 1, np.diag(diag))
+
+
+def build_g_half(params: ModelParams, alternate: bool = False) -> TensorOperator:
+    """Square root diag(e^{i pi i / N}) of g; g_half @ g_half == g.
+
+    ``alternate`` flips the branch of every omega^{i/2}, multiplying entry i
+    by (-1)^i.  The principal branch is the default convention; the
+    quasi-periodicity check retries on the alternate one and reports which
+    branch held.
+    """
+    n = params.n
+    diag = [cmath.exp(1j * cmath.pi * i / n) * ((-1.0) ** i if alternate else 1.0)
+            for i in range(1, n + 1)]
+    return TensorOperator(n, 1, np.diag(diag))
+
+
+def build_h(params: ModelParams) -> TensorOperator:
+    """Cyclic shift h with entries h_{ij} = delta_{i+1, j} (indices mod N)."""
+    n = params.n
+    mat = np.zeros((n, n), dtype=np.complex128)
+    for i in range(1, n + 1):
+        mat[i - 1, i % n] = 1.0
+    return TensorOperator(n, 1, mat)
+
+
+def build_v(params: ModelParams, log_z: LogComplex) -> TensorOperator:
+    """Gauge matrix V(z) = diag(z^{(N+1-2i)/N}) linking the two gradations."""
+    n = params.n
+    diag = [(log_z ** Fraction(n + 1 - 2 * i, n)).to_complex() for i in range(1, n + 1)]
+    return TensorOperator(n, 1, np.diag(diag))
+
+
+def alpha_exponent(n: int, i: int, j: int) -> Fraction:
+    """Twist exponent alpha_{ij}: 1/2 + (i-j)/N above the diagonal, antisymmetric."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DomainError(f"indices must lie in 1..{n}, got ({i}, {j})")
+    if i == j:
+        return Fraction(0)
+    if i < j:
+        return Fraction(1, 2) + Fraction(i - j, n)
+    return -alpha_exponent(n, j, i)
+
+
+def alpha(params: ModelParams, i: int, j: int) -> Fraction:
+    """Twist exponent for the model's N; see :func:`alpha_exponent`."""
+    return alpha_exponent(params.n, i, j)
+
+
+def build_f(params: ModelParams) -> TensorOperator:
+    """Diagonal twist F with q^{alpha_{ij}} on e_ii x e_jj; F = identity at N = 2."""
+    n, lq = params.n, params.log_q
+    dim = n * n
+    diag = np.ones(dim, dtype=np.complex128)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                diag[(i - 1) * n + (j - 1)] = (lq ** alpha(params, i, j)).to_complex()
+    return TensorOperator(n, 2, np.diag(diag))
+
+
+# ---------------------------------------------------------------------------
+# the R-matrices themselves
+
+
+def _build_elliptic(
+    params: ModelParams, log_z: LogComplex, hat_scalar: complex | None = None
+) -> np.ndarray:
+    # Entries are eta(z) * S_{a,c}^{b}(z) * (-1)^{(a+c-b-d)/N}, but eta and S
+    # are not multiplied as black boxes: eta's factor Theta_p(p z^2) and the
+    # b = c denominator Theta_{p^N}(p^N z^2) share a simple zero at z^2 = 1,
+    # so that quotient is formed with the common (1 - z^{-2}) cancelled and
+    # R(1) comes out as the exact permutation matrix.  When ``hat_scalar`` is
+    # given it stands in for tau(q^{1/2}/z)/kappa(z^2) jointly (see
+    # _hat_scalar_kappa); otherwise 1/kappa(z^2) enters on its own.
+    n = params.n
+    lq, lp, policy = params.log_q, params.log_p, params.policy
+    dim = n * n
+    z2 = log_z**2
+    q2 = lq**2
+    pn = lp**n
+
+    poch_ratio = (
+        pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
+    ) ** 3
+    scalar_kappa = kappa_inv(params, z2) if hat_scalar is None else hat_scalar
+    common = (
+        (log_z ** Fraction(2, n)).to_complex()
+        * scalar_kappa
+        * poch_ratio
+        * theta(q2, lp, policy)
+        / _theta_den(q2 * z2, lp, policy, "elliptic R")
+    )
+    theta_p_z = theta(lp * z2, lp, policy)
+
+    def cancelled_diag_ratio() -> complex:
+        z2inv = z2.inv()
+        num = (
+            pochhammer_inf(lp * z2, (lp,), policy)
+            * pochhammer_inf(lp * z2inv, (lp,), policy)
+            * pochhammer_inf(lp, (lp,), policy)
+        )
+        den = (
+            pochhammer_inf(pn * z2, (pn,), policy)
+            * pochhammer_inf(pn * z2inv, (pn,), policy)
+            * pochhammer_inf(pn, (pn,), policy)
+        )
+        if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+            raise PoleError("elliptic diagonal theta ratio vanished",
+                            argument=z2.to_complex())
+        return num / den
+
+    diag_ratio: complex | None = None
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for a in range(1, n + 1):
+        for c in range(1, n + 1):
+            row = (a - 1) * n + (c - 1)
+            for b in range(1, n + 1):
+                d = ((a + c - b - 1) % n) + 1
+                col = (b - 1) * n + (d - 1)
+                k = (a + c - b - d) // n  # exact: a+c-b-d is a multiple of N
+                sign = -1.0 if k & 1 else 1.0
+                prefactor = (
+                    (log_z ** Fraction(2 * (b - a), n))
+                    * (lq ** Fraction(2 * (c - b), n))
+                    * (lp ** Fraction((b - a) * (c - b), n))
+                ).to_complex()
+                num = theta((lp ** (n + c - a)) * q2 * z2, pn, policy)
+                den_q = _theta_den((lp ** (n + b - a)) * q2, pn, policy,
+                                   "elliptic R (q-dependent theta)")
+                if b == c:
+                    if diag_ratio is None:
+                        diag_ratio = cancelled_diag_ratio()
+                    z_ratio = diag_ratio
+                else:
+                    den_z = _theta_den((lp ** (n + c - b)) * z2, pn, policy,
+                                       "elliptic R (z-dependent theta)")
+                    z_ratio = theta_p_z / den_z
+                mat[row, col] = common * sign * prefactor * num * z_ratio / den_q
+    return mat
+
+
+def _build_eight_vertex(params: ModelParams, log_z: LogComplex) -> np.ndarray:
+    if params.n != 2:
+        raise KindError("the explicit eight-vertex form exists only for N = 2")
+    lq, lp, policy = params.log_q, params.log_p, params.policy
+    lp2 = lp**2
+    z2 = log_z**2
+    q2 = lq**2
+
+    def th(arg: LogComplex) -> complex:
+        return theta(arg, lp2, policy)
+
+    den_a = _theta_den(lp * q2 * z2, lp2, policy, "eight-vertex a/d")
+    den_b = _theta_den(q2 * z2, lp2, policy, "eight-vertex b/c")
+    a_val = log_z.inv().to_complex() * th(lp * z2) * th(lp * q2) / den_a
+    b_val = (lq / log_z).to_complex() * th(z2) * th(lp * q2) / den_b
+    c_val = th(lp * z2) * th(q2) / den_b
+    # Corner entries carry -sqrt(p); the root must be -exp(log(p)/2), the
+    # same branch the fractional p-powers of the generic builder produce.
+    # The opposite root flips the corners and breaks the p-shift relation.
+    d_val = ((lp**0.5) / (lq * z2)).to_complex() * th(z2) * th(q2) / den_a
+
+    prefactor = (
+        kappa_inv(params, z2)
+        * pochhammer_inf(lp2, (lp2,), policy)
+        / pochhammer_inf(lp, (lp,), policy) ** 2
+    )
+    mat = np.array(
+        [
+            [a_val, 0.0, 0.0, d_val],
+            [0.0, b_val, c_val, 0.0],
+            [0.0, c_val, b_val, 0.0],
+            [d_val, 0.0, 0.0, a_val],
+        ],
+        dtype=np.complex128,
+    )
+    return prefactor * mat
+
+
+def _rational_pole_guard(q2x: complex, where: str) -> complex:
+    den = 1.0 - q2x
+    if abs(den) < POLE_GUARD * max(1.0, abs(q2x)):
+        raise PoleError(f"trigonometric denominator 1 - q^2 x vanished in {where}",
+                        argument=q2x)
+    return den
+
+
+def _build_trigonometric(params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
+    n, lq = params.n, params.log_q
+    q = lq.to_complex()
+    if kind is RKind.HOMOGENEOUS:
+        log_x = log_z
+    else:
+        log_x = log_z**2
+    x = log_x.to_complex()
+    den = _rational_pole_guard(q * q * x, kind.value)
+    diag_base = q * (1.0 - x) / den
+    exch_base = (1.0 - q * q) / den
+    scalar = rho(params, log_x)
+
+    dim = n * n
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(1, n + 1):
+        mat[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            pos_d = (i - 1) * n + (j - 1)  # e_ii x e_jj
+            row_e = (i - 1) * n + (j - 1)  # e_ij x e_ji: row (i,j), column (j,i)
+            col_e = (j - 1) * n + (i - 1)
+            shift = -n if i < j else n
+            if kind is RKind.HOMOGENEOUS:
+                mat[pos_d, pos_d] = diag_base
+                mat[row_e, col_e] = exch_base * (x if i > j else 1.0)
+            else:
+                exponent = Fraction(2 * (j - i) + shift, n)
+                mat[row_e, col_e] = exch_base * (log_z ** (1 + exponent)).to_complex()
+                if kind is RKind.NON_ELLIPTIC:
+                    mat[pos_d, pos_d] = diag_base * (lq**exponent).to_complex()
+                else:
+                    mat[pos_d, pos_d] = diag_base
+    return scalar * mat
+
+
+def build_r(params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperator:
+    """Assemble the requested R-matrix at spectral point z (given as a log).
+
+    Rows and columns are composite indices over (C^N)^{x2} with slot 1 most
+    significant; the entry at row (a, c), column (b, d) is the coefficient
+    of e_{a,b} x e_{c,d}.
+    """
+    if kind is RKind.ELLIPTIC:
+        mat = _build_elliptic(params, log_z)
+    elif kind is RKind.ELLIPTIC_HAT:
+        mat = _build_elliptic(params, log_z, hat_scalar=_hat_scalar_kappa(params, log_z))
+    elif kind is RKind.EIGHT_VERTEX:
+        mat = _build_eight_vertex(params, log_z)
+    elif kind in (RKind.HOMOGENEOUS, RKind.PRINCIPAL, RKind.NON_ELLIPTIC):
+        mat = _build_trigonometric(params, kind, log_z)
+    else:  # pragma: no cover - exhaustive over the enum
+        raise KindError(f"unhandled kind {kind!r}")
+    return TensorOperator(params.n, 2, mat)

@@ -1,0 +1,261 @@
+"""Dense operators on tensor powers (C^N)^{\\otimes k}.
+
+Composite indices are row-major with slot 1 most significant: the basis
+vector e_{i_1} x ... x e_{i_k} (1-based labels) sits at flat position
+sum_j (i_j - 1) N^{k-j}.  Everything is dense complex128; the largest
+object the package ever builds is (C^N)^{(N+1)} for the quantum
+determinant, so no sparse machinery is warranted.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .errors import ConvergenceError, DimensionError, SizeError
+
+__all__ = [
+    "TensorOperator",
+    "SpectralReport",
+    "identity_operator",
+    "embed",
+    "permutation_op",
+    "permutation_sign",
+    "antisymmetrizer",
+    "partial_transpose",
+    "partial_trace",
+    "spectral",
+    "matrix_dump_rows",
+]
+
+
+@dataclass(frozen=True)
+class TensorOperator:
+    """A linear operator on (C^N)^{\\otimes k}, stored as its full matrix.
+
+    Immutable after construction: the entry array is frozen.
+    """
+
+    local_dim: int
+    arity: int
+    entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.local_dim < 1 or self.arity < 0:
+            raise DimensionError(
+                f"invalid shape parameters N={self.local_dim}, k={self.arity}"
+            )
+        dim = self.local_dim**self.arity
+        arr = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        if arr.shape != (dim, dim):
+            raise DimensionError(
+                f"entries shape {arr.shape} does not match N^k = {dim} for "
+                f"N={self.local_dim}, k={self.arity}"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.local_dim**self.arity
+
+    def tensor_view(self) -> np.ndarray:
+        """Entries reshaped to 2k axes (out_1..out_k, in_1..in_k)."""
+        shape = (self.local_dim,) * (2 * self.arity)
+        return self.entries.reshape(shape)
+
+    def frobenius(self) -> float:
+        return float(np.linalg.norm(self.entries))
+
+    def trace(self) -> complex:
+        return complex(np.trace(self.entries))
+
+    def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
+        self._check_compatible(other)
+        return TensorOperator(self.local_dim, self.arity, self.entries @ other.entries)
+
+    def __add__(self, other: "TensorOperator") -> "TensorOperator":
+        self._check_compatible(other)
+        return TensorOperator(self.local_dim, self.arity, self.entries + other.entries)
+
+    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
+        self._check_compatible(other)
+        return TensorOperator(self.local_dim, self.arity, self.entries - other.entries)
+
+    def __mul__(self, scalar: complex) -> "TensorOperator":
+        return TensorOperator(self.local_dim, self.arity, self.entries * scalar)
+
+    __rmul__ = __mul__
+
+    def _check_compatible(self, other: "TensorOperator") -> None:
+        if (self.local_dim, self.arity) != (other.local_dim, other.arity):
+            raise DimensionError(
+                f"operators live on different spaces: (N={self.local_dim}, k={self.arity}) "
+                f"vs (N={other.local_dim}, k={other.arity})"
+            )
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    """Eigenvalues, numerical rank and kernel of an operator."""
+
+    eigenvalues: np.ndarray
+    rank: int
+    kernel_basis: np.ndarray  # columns form an orthonormal kernel basis
+    sv_threshold: float
+
+
+def identity_operator(local_dim: int, arity: int) -> TensorOperator:
+    return TensorOperator(local_dim, arity, np.eye(local_dim**arity, dtype=np.complex128))
+
+
+def _validate_slots(slots: Sequence[int], arity_in: int, arity_out: int) -> None:
+    if len(slots) != arity_in:
+        raise DimensionError(
+            f"slot list {tuple(slots)} has length {len(slots)}, operator arity is {arity_in}"
+        )
+    if len(set(slots)) != len(slots):
+        raise DimensionError(f"slot list {tuple(slots)} has repeats")
+    for s in slots:
+        if not 1 <= s <= arity_out:
+            raise DimensionError(f"slot {s} outside 1..{arity_out}")
+
+
+def embed(op: TensorOperator, slots: Sequence[int], arity: int) -> TensorOperator:
+    """Act with ``op`` on the given slots of a k-fold space, identity elsewhere.
+
+    ``slots`` is ordered: the t-th tensor slot of ``op`` lands on target slot
+    ``slots[t]``.  In particular embed(R, (2, 1), 2) is the slot swap
+    P R P of a two-site operator.
+    """
+    _validate_slots(slots, op.arity, arity)
+    n = op.local_dim
+    rest = arity - op.arity
+    big = np.kron(op.entries, np.eye(n**rest, dtype=np.complex128))
+    # axis t of `big` is op slot t for t < op.arity, then identity slots
+    free = [s for s in range(1, arity + 1) if s not in set(slots)]
+    source_of_target = {}
+    for t, s in enumerate(slots):
+        source_of_target[s] = t
+    for t, s in enumerate(free):
+        source_of_target[s] = op.arity + t
+    perm = [source_of_target[s] for s in range(1, arity + 1)]
+    axes = perm + [p + arity for p in perm]
+    tensor = big.reshape((n,) * (2 * arity)).transpose(axes)
+    return TensorOperator(n, arity, tensor.reshape(n**arity, n**arity))
+
+
+def permutation_sign(sigma: Sequence[int]) -> int:
+    """Sign of a permutation given in one-line notation (1-based images)."""
+    sign = 1
+    for i, j in itertools.combinations(range(len(sigma)), 2):
+        if sigma[i] > sigma[j]:
+            sign = -sign
+    return sign
+
+
+def permutation_op(sigma: Sequence[int], local_dim: int) -> TensorOperator:
+    """The operator sending the vector in slot s to slot sigma(s).
+
+    sigma is one-line notation, 1-based: sigma[s-1] is the image of slot s.
+    With this convention permutation_op(sigma) @ permutation_op(tau) equals
+    permutation_op(sigma o tau).
+    """
+    k = len(sigma)
+    if sorted(sigma) != list(range(1, k + 1)):
+        raise DimensionError(f"{tuple(sigma)} is not a permutation of 1..{k}")
+    n = local_dim
+    dim = n**k
+    inverse = [0] * k
+    for s, image in enumerate(sigma, start=1):
+        inverse[image - 1] = s
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for col, labels in enumerate(itertools.product(range(n), repeat=k)):
+        # e_{i_1} x ... x e_{i_k}  ->  slot s of the image holds i_{sigma^{-1}(s)}
+        out = tuple(labels[inverse[s] - 1] for s in range(k))
+        row = 0
+        for lab in out:
+            row = row * n + lab
+        mat[row, col] = 1.0
+    return TensorOperator(n, k, mat)
+
+
+def antisymmetrizer(local_dim: int, arity: int) -> TensorOperator:
+    """Projector (1/k!) sum_sigma sgn(sigma) P_sigma onto the antisymmetric subspace."""
+    if arity > local_dim:
+        raise SizeError(
+            f"antisymmetrizer arity {arity} exceeds local dimension {local_dim} "
+            "(the antisymmetric subspace is zero)"
+        )
+    if arity < 2:
+        raise SizeError(f"antisymmetrizer arity must be >= 2, got {arity}")
+    dim = local_dim**arity
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for sigma in itertools.permutations(range(1, arity + 1)):
+        acc += permutation_sign(sigma) * permutation_op(sigma, local_dim).entries
+    return TensorOperator(local_dim, arity, acc / math.factorial(arity))
+
+
+def partial_transpose(op: TensorOperator, slot: int) -> TensorOperator:
+    """Transpose a single tensor slot."""
+    if not 1 <= slot <= op.arity:
+        raise DimensionError(f"slot {slot} outside 1..{op.arity}")
+    k = op.arity
+    axes = list(range(2 * k))
+    axes[slot - 1], axes[k + slot - 1] = axes[k + slot - 1], axes[slot - 1]
+    tensor = op.tensor_view().transpose(axes)
+    return TensorOperator(op.local_dim, k, tensor.reshape(op.dim, op.dim))
+
+
+def partial_trace(op: TensorOperator, slots: Iterable[int]) -> TensorOperator:
+    """Trace out the given slots, keeping the remaining ones in order.
+
+    Tracing every slot yields an arity-0 operator (a 1x1 matrix); use
+    ``.trace()`` directly when only the scalar is wanted.
+    """
+    traced = sorted(set(slots))
+    for s in traced:
+        if not 1 <= s <= op.arity:
+            raise DimensionError(f"slot {s} outside 1..{op.arity}")
+    k = op.arity
+    tensor = op.tensor_view()
+    for s in reversed(traced):  # high slots first so axis numbers stay valid
+        offset = tensor.ndim // 2
+        tensor = np.trace(tensor, axis1=s - 1, axis2=offset + s - 1)
+    kept = k - len(traced)
+    dim = op.local_dim**kept
+    return TensorOperator(op.local_dim, kept, tensor.reshape(dim, dim))
+
+
+def spectral(op: TensorOperator, sv_threshold: float = 1e-8) -> SpectralReport:
+    """Eigenvalues, numerical rank and orthonormal kernel basis.
+
+    Rank counts singular values above sv_threshold * max_sv (relative);
+    the kernel basis collects the right singular vectors of the rest.
+    """
+    try:
+        eigenvalues = np.linalg.eigvals(op.entries)
+        _, sv, vh = np.linalg.svd(op.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"spectral decomposition failed: {exc}") from exc
+    cutoff = sv_threshold * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+    rank = int(np.count_nonzero(sv > cutoff))
+    kernel = vh[rank:].conj().T
+    return SpectralReport(
+        eigenvalues=eigenvalues,
+        rank=rank,
+        kernel_basis=np.ascontiguousarray(kernel),
+        sv_threshold=sv_threshold,
+    )
+
+
+def matrix_dump_rows(op: TensorOperator) -> Iterator[str]:
+    """Entry rows "i, j, re, im" with 1-based composite indices, 17 significant digits."""
+    for i in range(op.dim):
+        for j in range(op.dim):
+            v = op.entries[i, j]
+            yield f"{i + 1}, {j + 1}, {v.real:.17g}, {v.imag:.17g}"
