@@ -44,7 +44,6 @@ from .tensor_algebra import (
 from .rmatrix_builders import (
     ModelParams,
     RKind,
-    alpha,
     alpha_exponent,
     build_f,
     build_g,
@@ -61,7 +60,8 @@ from .rmatrix_builders import (
     u_scalar,
 )
 from .property_suite import (
-    DEFAULT_TOLERANCES,
+    CHECKS,
+    Check,
     PropertyReport,
     check_antisymmetry,
     check_crossing,
@@ -80,7 +80,9 @@ from .property_suite import (
     check_unitarity,
     check_ybe,
     effective_pass,
+    error_report,
     run_suite,
+    tolerance_for,
 )
 from .qdet_engine import (
     QdetResult,

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,34 +37,22 @@ from .errors import (
     SizeError,
     TruncationError,
 )
-from .special_functions import DEFAULT_POLICY, LogComplex
+from .special_functions import LogComplex
 from .tensor_algebra import matrix_dump_rows
 from .rmatrix_builders import ModelParams, RKind, build_r
 from .property_suite import (
     CANARY_MARGIN,
-    DEFAULT_TOLERANCES,
+    CHECKS,
     P_MODULUS,
     Q_MODULUS,
     PropertyReport,
-    check_antisymmetry,
-    check_crossing,
-    check_crossing_unitarity,
-    check_evaluated_ll,
-    check_gauge_relation,
-    check_h_invariance,
-    check_kernel_structure,
     check_p_to_zero,
-    check_quasi_periodicity,
-    check_regularity,
-    check_spectrum_nonelliptic,
-    check_transpose_symmetry,
-    check_twist_relation,
-    check_unitarity,
-    check_ybe,
     draw_log,
     draw_params,
     effective_pass,
+    error_report,
     run_suite,
+    tolerance_for,
 )
 from .qdet_engine import centrality_witness, verify_qdet
 
@@ -89,7 +78,6 @@ class RunConfig:
     grid: tuple[int, int] = (4, 4)
     check: str = "ybe"
     points: int | None = None
-    central_charge: float = 0.0
     timings: bool = False
 
 
@@ -125,12 +113,16 @@ def _jsonable(obj):
 
 def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
     overrides: dict[str, float] = {}
+    names = sorted([*CHECKS, "qdet"])
     for item in pairs or []:
         name, sep, value = item.partition("=")
+        name = name.strip()
         if not sep:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
+        if name not in names:
+            raise ConfigError(f"unknown --tol name {name!r}; choose from {', '.join(names)}")
         try:
-            overrides[name.strip()] = float(value)
+            overrides[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"--tol value is not a number: {item!r}") from exc
     return overrides
@@ -140,9 +132,7 @@ def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
     """Build ModelParams from literals or seeded draws; validate early."""
     if config.q is None and config.p is None:
         # redraw until clean of near-degeneracies, like the test suite does
-        return draw_params(
-            rng, config.n, central_charge=config.central_charge, policy=DEFAULT_POLICY
-        )
+        return draw_params(rng, config.n)
     if config.q is None:
         log_q = draw_log(rng, Q_MODULUS)
     else:
@@ -158,14 +148,7 @@ def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
     if log_q.magnitude() ** (2 * config.n) >= 1.0:
         raise ConfigError(f"|q^(2N)| must be < 1 for N = {config.n}")
     # user-pinned parameters get a coarse margin: warn loudly, still run
-    params = ModelParams(
-        config.n,
-        log_q,
-        log_p,
-        central_charge=config.central_charge,
-        policy=DEFAULT_POLICY,
-        genericity_margin=0.05,
-    )
+    params = ModelParams(config.n, log_q, log_p, genericity_margin=0.05)
     for warning in params.genericity_warnings():
         print(f"warning: {warning}", file=sys.stderr)
     return params
@@ -180,7 +163,6 @@ def _params_payload(params: ModelParams) -> dict:
         "N": params.n,
         "q": [params.q.real, params.q.imag],
         "p": [params.p.real, params.p.imag],
-        "c": params.central_charge,
     }
 
 
@@ -233,8 +215,8 @@ def _emit_reports(rows: list[dict], config: RunConfig) -> None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(
-            ["check", "N", "q", "p", "c", "sample_points", "residual",
-             "tolerance", "passed", "runtime_ms", "seed", "version"]
+            ["check", "N", "q", "p", "sample_points", "residual",
+             "tolerance", "passed", "runtime_ms", "seed", "version", "detail"]
         )
         for row in rows:
             params = row["params"]
@@ -244,7 +226,6 @@ def _emit_reports(rows: list[dict], config: RunConfig) -> None:
                     params["N"],
                     _format_complex(complex(*params["q"])),
                     _format_complex(complex(*params["p"])),
-                    params["c"],
                     ";".join(_format_complex(complex(*pt)) for pt in row["sample_points"]),
                     f"{row['residual']:.17g}",
                     f"{row['tolerance']:.17g}",
@@ -252,6 +233,7 @@ def _emit_reports(rows: list[dict], config: RunConfig) -> None:
                     f"{row['runtime_ms']:.17g}",
                     row["seed"],
                     row["version"],
+                    json.dumps(row["detail"], sort_keys=True),
                 ]
             )
         _emit_text(buffer.getvalue(), config)
@@ -274,107 +256,54 @@ def _emit_reports(rows: list[dict], config: RunConfig) -> None:
     _emit_text("\n".join(lines) + "\n", config)
 
 
-def _rows_ok(rows: list[dict]) -> bool:
-    for row in rows:
-        if row.get("detail", {}).get("canary"):
-            if row["residual"] <= CANARY_MARGIN:
-                return False
-        elif not row["passed"]:
-            return False
-    return True
-
-
-# per-deviation tolerances for the quantum determinant block
-def _qdet_tolerances(n: int, overrides: dict) -> dict[str, float]:
-    three_way = 1e-8 if n == 2 else 1e-7
-    defaults = {
-        "product_internal_consistency": three_way,
-        "product_vs_identity": three_way,
-        "closed_form_vs_identity": 1e-8,
-        "closed_form_spread": 1e-9,
-        "product_vs_closed_form": three_way,
-        "product_vs_sum_formula": three_way,
-        "sum_formula_vs_closed_form": three_way,
-        "nonelliptic_sum_vs_identity": 1e-9,
-        "inverse_product": 1e-8,
-        "z_spread": 1e-8,
-    }
-    for key in defaults:
-        if f"qdet.{key}" in overrides:
-            defaults[key] = overrides[f"qdet.{key}"]
-        elif "qdet" in overrides:
-            defaults[key] = overrides["qdet"]
-    return defaults
-
-
-def _qdet_rows(
-    params: ModelParams,
-    config: RunConfig,
-    rng: np.random.Generator,
-    n_points: int,
-    payload: dict,
-) -> list[dict]:
-    tols = _qdet_tolerances(params.n, config.tolerances)
-    rows: list[dict] = []
+def _qdet_reports(
+    params: ModelParams, config: RunConfig, rng: np.random.Generator, n_points: int
+) -> list[PropertyReport]:
+    """The qdet deviation rows of each point, then the spread of m over the points."""
+    reports: list[PropertyReport] = []
     m_means: list[complex] = []
+    total_ms = 0.0
     for _ in range(n_points):
-        log_z = _resolve_point(config.z, rng) if config.z is not None else draw_log(rng)
+        log_z = _resolve_point(config.z, rng)
+        started = time.perf_counter()
         result = verify_qdet(params, log_z, rng=rng)
+        runtime_ms = (time.perf_counter() - started) * 1000.0
+        total_ms += runtime_ms
         m_means.append(sum(result.m_k_values) / len(result.m_k_values))
-        z_used = result.z_point.to_complex()
+        z_used = (result.z_point.to_complex(),)
+        detail = {"m_k_values": list(result.m_k_values)}
         for key, value in result.deviations.items():
-            rows.append(
-                {
-                    "check": f"qdet[{key}]",
-                    "params": payload,
-                    "sample_points": [[z_used.real, z_used.imag]],
-                    "residual": float(value),
-                    "tolerance": tols[key],
-                    "passed": bool(value <= tols[key]),
-                    "runtime_ms": 0.0,
-                    "seed": config.seed,
-                    "version": __version__,
-                    "detail": {"m_k_values": _jsonable(list(result.m_k_values))},
-                }
-            )
-    spread = max(abs(m - m_means[0]) for m in m_means) if m_means else 0.0
-    rows.append(
-        {
-            "check": "qdet[z_spread]",
-            "params": payload,
-            "sample_points": [],
-            "residual": float(spread),
-            "tolerance": tols["z_spread"],
-            "passed": bool(spread <= tols["z_spread"]),
-            "runtime_ms": 0.0,
-            "seed": config.seed,
-            "version": __version__,
-            "detail": {"points": n_points},
-        }
-    )
-    return rows
+            tolerance = tolerance_for(f"qdet.{key}", params.n, config.tolerances)
+            reports.append(PropertyReport.from_residual(
+                f"qdet[{key}]", result.params_digest, z_used, value, tolerance, runtime_ms, detail
+            ))
+    spread = max(abs(m - m_means[0]) for m in m_means)
+    tolerance = tolerance_for("qdet.z_spread", params.n, config.tolerances)
+    reports.append(PropertyReport.from_residual(
+        "qdet[z_spread]", params.digest(), (), spread, tolerance, total_ms, {"points": n_points}
+    ))
+    return reports
 
 
 def run_verify(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
-    payload = _params_payload(params)
     reports = run_suite(
         config.n,
         config.seed,
-        n_points=config.points or 10,
+        n_points=config.points,
         tolerances=config.tolerances,
         params=params,
-        central_charge=config.central_charge,
-        include_ybe_n4=False,
         safe=True,
     )
-    rows = [_report_row(r, payload, config) for r in reports]
-    rows.extend(_qdet_rows(params, config, rng, 2, payload))
-    witness = centrality_witness(params, draw_log(rng), draw_log(rng), rng=rng)
-    rows.append(_report_row(witness, payload, config))
-    _emit_reports(rows, config)
-    return 0 if _rows_ok(rows) else 1
+    reports.extend(_qdet_reports(params, config, rng, 2))
+    tolerance = config.tolerances.get("centrality-witness")
+    reports.append(
+        centrality_witness(params, draw_log(rng), draw_log(rng), tolerance=tolerance, rng=rng)
+    )
+    payload = _params_payload(params)
+    _emit_reports([_report_row(r, payload, config) for r in reports], config)
+    return 0 if all(effective_pass(r) for r in reports) else 1
 
 
 def run_matrix(config: RunConfig) -> int:
@@ -402,11 +331,11 @@ def run_matrix(config: RunConfig) -> int:
 def run_qdet(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
+    n_points = 1 if config.z is not None else config.points
+    reports = _qdet_reports(params, config, rng, n_points)
     payload = _params_payload(params)
-    n_points = 1 if config.z is not None else (config.points or 5)
-    rows = _qdet_rows(params, config, rng, n_points, payload)
-    _emit_reports(rows, config)
-    return 0 if _rows_ok(rows) else 1
+    _emit_reports([_report_row(r, payload, config) for r in reports], config)
+    return 0 if all(effective_pass(r) for r in reports) else 1
 
 
 def run_limits(config: RunConfig) -> int:
@@ -441,87 +370,40 @@ def run_limits(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-# checks the scan command can sweep; each draws its own spectral points
-_SCAN_CHECKS = {
-    "ybe": lambda params, rng, kind: check_ybe(
-        params, kind, draw_log(rng), draw_log(rng), draw_log(rng), rng=rng
-    ),
-    "unitarity": lambda params, rng, kind: check_unitarity(params, kind, draw_log(rng), rng=rng),
-    "regularity": lambda params, rng, kind: check_regularity(params),
-    "crossing": lambda params, rng, kind: check_crossing(params, draw_log(rng), rng=rng),
-    "antisymmetry": lambda params, rng, kind: check_antisymmetry(params, draw_log(rng), rng=rng),
-    "quasi-periodicity": lambda params, rng, kind: check_quasi_periodicity(
-        params, draw_log(rng), rng=rng
-    ),
-    "h-invariance": lambda params, rng, kind: check_h_invariance(params, draw_log(rng), rng=rng),
-    "crossing-unitarity": lambda params, rng, kind: check_crossing_unitarity(
-        params, draw_log(rng), rng=rng
-    ),
-    "kernel-structure": lambda params, rng, kind: check_kernel_structure(params),
-    "spectrum-nonelliptic": lambda params, rng, kind: check_spectrum_nonelliptic(params),
-    "gauge-relation": lambda params, rng, kind: check_gauge_relation(
-        params, draw_log(rng), draw_log(rng), rng=rng
-    ),
-    "twist-relation": lambda params, rng, kind: check_twist_relation(params, draw_log(rng), rng=rng),
-    "evaluated-ll": lambda params, rng, kind: check_evaluated_ll(params, draw_log(rng), rng=rng),
-    "p-to-zero": lambda params, rng, kind: check_p_to_zero(params, draw_log(rng), rng=rng),
-    "transpose-symmetry": lambda params, rng, kind: check_transpose_symmetry(
-        params, draw_log(rng), rng=rng
-    ),
-}
-
-
 def run_scan(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     kind = RKind.from_tag(config.kind)
-    checker = _SCAN_CHECKS[config.check]
+    check = CHECKS[config.check]
+    if kind not in check.kinds:
+        accepted = ", ".join(k.value for k in check.kinds)
+        raise ConfigError(f"--check {config.check} takes --kind {accepted}, not {kind.value}")
+    tolerance = config.tolerances.get(config.check)
     rows_q, rows_p = config.grid
     q_lo, q_hi = Q_MODULUS
     p_lo, p_hi = P_MODULUS
     rows: list[dict] = []
+    passed = True
     for iq in range(rows_q):
         for ip in range(rows_p):
             # one (q, p) drawn per rectangle of the modulus grid
             q_mod = q_lo + (q_hi - q_lo) * (iq + rng.uniform(0, 1)) / rows_q
             p_mod = p_lo + (p_hi - p_lo) * (ip + rng.uniform(0, 1)) / rows_p
-            log_q = draw_log(rng, (q_mod, q_mod))
-            log_p = draw_log(rng, (p_mod, p_mod))
-            try:
+            for _ in range(9):  # re-spin phases if the cell drew a degenerate pair
                 params = ModelParams(
-                    config.n, log_q, log_p, central_charge=config.central_charge
+                    config.n, draw_log(rng, (q_mod, q_mod)), draw_log(rng, (p_mod, p_mod))
                 )
-                for _ in range(8):  # re-spin phases if the cell drew a degenerate pair
-                    if not params.genericity_warnings():
-                        break
-                    log_q = draw_log(rng, (q_mod, q_mod))
-                    log_p = draw_log(rng, (p_mod, p_mod))
-                    params = ModelParams(
-                        config.n, log_q, log_p, central_charge=config.central_charge
-                    )
-                report = checker(params, rng, kind)
+                if not params.genericity_warnings():
+                    break
+            points = tuple(draw_log(rng) for _ in check.points)
+            try:
+                report = check.run(params, kind, points, tolerance, rng)
             except EllipticRMatrixError as exc:
-                rows.append(
-                    {
-                        "check": f"{config.check}:error",
-                        "params": {"N": config.n, "q": [log_q.to_complex().real, log_q.to_complex().imag],
-                                   "p": [log_p.to_complex().real, log_p.to_complex().imag],
-                                   "c": config.central_charge},
-                        "sample_points": [],
-                        "residual": float("inf"),
-                        "tolerance": 0.0,
-                        "passed": False,
-                        "runtime_ms": 0.0,
-                        "seed": config.seed,
-                        "version": __version__,
-                        "detail": {"error": f"{type(exc).__name__}: {exc}", "cell": [iq, ip]},
-                    }
-                )
-                continue
-            row = _report_row(report, _params_payload(params), config)
-            row["detail"]["cell"] = [iq, ip]
-            rows.append(row)
+                report = error_report(config.check, exc)
+            report.detail["cell"] = [iq, ip]
+            passed = passed and effective_pass(report)
+            rows.append(_report_row(report, _params_payload(params), config))
     _emit_reports(rows, config)
-    return 0 if _rows_ok(rows) else 1
+    return 0 if passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -536,8 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--q", default="random", help='complex literal "a+bi" or "random"')
         cmd.add_argument("--p", default="random", help='complex literal "a+bi" or "random"')
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--c", type=float, default=0.0, dest="central_charge",
-                         help="central charge (reports only; evaluation uses level 0)")
         cmd.add_argument("--tol", action="append", metavar="NAME=VALUE",
                          help="tolerance override, repeatable")
         cmd.add_argument("--out", dest="output_path", help="output file (write-once)")
@@ -568,7 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="re-run a named check over a (|q|,|p|) grid")
     common(scan)
-    scan.add_argument("--check", choices=sorted(_SCAN_CHECKS), default="ybe")
+    scan.add_argument("--check", choices=sorted(k for k, c in CHECKS.items() if c.kinds),
+                      default="ybe")
     scan.add_argument("--kind", choices=[k.value for k in RKind], default="elliptic")
     scan.add_argument("--grid", default="4x4", help="ROWSxCOLS rectangles")
     return parser
@@ -578,7 +459,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     config.n = args.n
     config.seed = args.seed
-    config.central_charge = args.central_charge
     config.tolerances = _parse_tolerances(args.tol)
     config.output_path = args.output_path
     config.fmt = args.fmt
@@ -590,6 +470,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "kind"):
         config.kind = args.kind
     if hasattr(args, "points"):
+        if args.points < 1:
+            raise ConfigError(f"--points must be positive, got {args.points}")
         config.points = args.points
     if hasattr(args, "check"):
         config.check = args.check

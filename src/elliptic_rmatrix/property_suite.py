@@ -12,8 +12,10 @@ outcome in a :class:`PropertyReport`.  Conventions shared by all checks:
 * a PoleError triggers resampling (when an ``rng`` is supplied) and the
   report lists the points actually used, never the discarded ones.
 
-``run_suite`` orchestrates every check over seeded random draws and is the
-engine behind the CLI ``verify`` command.
+``CHECKS`` is the one table that names a check: how to call it, the spectral
+points it takes, its tolerance, whether it is a canary and the kinds it
+accepts.  ``run_suite`` drives it over seeded random draws and is the engine
+behind the CLI ``verify`` command.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import EllipticRMatrixError, PoleError, SingularError
-from .special_functions import DEFAULT_POLICY, LogComplex, TruncationPolicy
+from .special_functions import LogComplex
 from .tensor_algebra import (
     TensorOperator,
     antisymmetrizer,
@@ -54,7 +56,8 @@ from .rmatrix_builders import (
 
 __all__ = [
     "PropertyReport",
-    "DEFAULT_TOLERANCES",
+    "Check",
+    "CHECKS",
     "CANARY_MARGIN",
     "draw_log",
     "draw_params",
@@ -75,6 +78,8 @@ __all__ = [
     "check_nsigma",
     "check_transpose_symmetry",
     "effective_pass",
+    "error_report",
+    "tolerance_for",
     "run_suite",
 ]
 
@@ -103,25 +108,30 @@ class PropertyReport:
         if self.passed != (self.residual <= self.tolerance):
             raise ValueError("passed flag inconsistent with residual vs tolerance")
 
+    @classmethod
+    def from_residual(
+        cls,
+        name: str,
+        params_digest: str,
+        points: Iterable[complex],
+        residual: float,
+        tolerance: float,
+        runtime_ms: float,
+        detail: dict | None = None,
+    ) -> "PropertyReport":
+        """Report whose verdict is residual <= tolerance."""
+        residual = float(residual)
+        return cls(
+            name=name,
+            params_digest=params_digest,
+            sample_points=tuple(points),
+            residual=residual,
+            tolerance=tolerance,
+            passed=residual <= tolerance,
+            runtime_ms=runtime_ms,
+            detail=dict(detail or {}),
+        )
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "ybe": 1e-8,
-    "unitarity": 1e-8,
-    "regularity": 1e-8,
-    "crossing": 1e-8,
-    "antisymmetry": 1e-8,
-    "quasi-periodicity": 1e-8,
-    "h-invariance": 1e-8,
-    "crossing-unitarity": 1e-8,
-    "kernel-structure": 1e-9,
-    "spectrum-nonelliptic": 1e-9,
-    "gauge-relation": 1e-10,
-    "twist-relation": 1e-10,
-    "p-to-zero": 1e-5,
-    "evaluated-ll": 1e-9,
-    "nsigma": 0.0,
-    "transpose-symmetry": 1e-8,
-}
 
 # A must-fail canary counts as discriminating only above this residual.
 CANARY_MARGIN = 1e-3
@@ -139,24 +149,16 @@ def draw_log(rng: np.random.Generator, modulus: tuple[float, float] = Z_MODULUS)
     return LogComplex(complex(math.log(rng.uniform(lo, hi)), rng.uniform(-math.pi, math.pi)))
 
 
-def draw_params(
-    rng: np.random.Generator,
-    n: int,
-    *,
-    central_charge: float = 0.0,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> ModelParams:
+def draw_params(rng: np.random.Generator, n: int) -> ModelParams:
     """Draw generic (q, p): redraw until no genericity warning fires."""
     while True:
-        params = ModelParams(
-            n, draw_log(rng, Q_MODULUS), draw_log(rng, P_MODULUS), central_charge, policy
-        )
+        params = ModelParams(n, draw_log(rng, Q_MODULUS), draw_log(rng, P_MODULUS))
         if not params.genericity_warnings():
             return params
 
 
 def _tol(name: str, override: float | None) -> float:
-    return DEFAULT_TOLERANCES[name] if override is None else float(override)
+    return CHECKS[name].tolerance if override is None else float(override)
 
 
 def _report(
@@ -168,16 +170,9 @@ def _report(
     started: float,
     detail: dict | None = None,
 ) -> PropertyReport:
-    residual = float(residual)
-    return PropertyReport(
-        name=name,
-        params_digest=params_digest,
-        sample_points=tuple(points),
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
-        runtime_ms=(time.perf_counter() - started) * 1000.0,
-        detail=dict(detail or {}),
+    runtime_ms = (time.perf_counter() - started) * 1000.0
+    return PropertyReport.from_residual(
+        name, params_digest, points, residual, tolerance, runtime_ms, detail
     )
 
 
@@ -854,7 +849,7 @@ def check_transpose_symmetry(
         residual,
         _tol("transpose-symmetry", tolerance),
         started,
-        {"canary": params.n >= 3},
+        {"canary": params.n >= CHECKS["transpose-symmetry"].canary_from},
     )
 
 
@@ -863,6 +858,153 @@ def effective_pass(report: PropertyReport) -> bool:
     if report.detail.get("canary"):
         return report.residual > CANARY_MARGIN
     return report.passed
+
+
+def error_report(name: str, exc: Exception) -> PropertyReport:
+    """Failed report standing in for a check that raised."""
+    return PropertyReport.from_residual(
+        f"{name}:error", "", (), math.inf, 0.0, 0.0, {"error": f"{type(exc).__name__}: {exc}"}
+    )
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+@dataclass(frozen=True)
+class Check:
+    """One entry of :data:`CHECKS`.
+
+    ``run(params, kind, points, tolerance, rng)`` calls the check through its
+    module-level name, so rebinding that name reaches every caller; entries
+    without ``run`` are rows that ``qdet_engine`` produces.  ``points``
+    picks the spectral points from ``run_suite``'s four shared draws per
+    point (z1, z2, z3, w); elsewhere the check draws that many fresh.
+    ``scope`` is "point" (once per suite point), "once" (once per suite) or
+    None (not in ``run_suite``).  ``tolerance`` is the default, tightened to
+    ``n2_tolerance`` at N = 2 where one is given.  ``canary_from`` is the N
+    from which the check must fail.  ``kinds`` are the R-matrix kinds it
+    accepts, in ``run_suite`` order; none means ``scan`` cannot sweep it.
+    """
+
+    tolerance: float
+    n2_tolerance: float | None = None
+    run: Callable[..., PropertyReport] | None = None
+    scope: str | None = None
+    points: tuple[int, ...] = ()
+    kinds: tuple[RKind, ...] = ()
+    canary_from: int | None = None
+
+    def tolerance_at(self, n: int) -> float:
+        if n == 2 and self.n2_tolerance is not None:
+            return self.n2_tolerance
+        return self.tolerance
+
+
+_ELLIPTIC = (RKind.ELLIPTIC,)
+# the eight-vertex kind exists at N = 2 only, so it comes last
+_ALL_KINDS = (
+    RKind.ELLIPTIC,
+    RKind.ELLIPTIC_HAT,
+    RKind.HOMOGENEOUS,
+    RKind.PRINCIPAL,
+    RKind.NON_ELLIPTIC,
+    RKind.EIGHT_VERTEX,
+)
+
+# Keys are the tolerance names of ``--tol``; report names are the key, with
+# "[kind]" for the multi-kind checks and "qdet[x]" for key "qdet.x".
+CHECKS: dict[str, Check] = {
+    "ybe": Check(
+        1e-8, run=lambda pr, k, z, tol, rng: check_ybe(pr, k, *z, tolerance=tol, rng=rng),
+        scope="point", points=(0, 1, 2), kinds=_ALL_KINDS,
+    ),
+    "unitarity": Check(
+        1e-8, run=lambda pr, k, z, tol, rng: check_unitarity(pr, k, *z, tolerance=tol, rng=rng),
+        scope="point", points=(0,), kinds=_ALL_KINDS,
+    ),
+    "regularity": Check(
+        1e-8, run=lambda pr, k, z, tol, rng: check_regularity(pr, tolerance=tol),
+        scope="point", kinds=_ELLIPTIC,
+    ),
+    "crossing": Check(
+        1e-8, run=lambda pr, k, z, tol, rng: check_crossing(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(0,), kinds=_ELLIPTIC,
+    ),
+    "antisymmetry": Check(
+        1e-8, run=lambda pr, k, z, tol, rng: check_antisymmetry(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(1,), kinds=_ELLIPTIC,
+    ),
+    "quasi-periodicity": Check(
+        1e-8,
+        run=lambda pr, k, z, tol, rng: check_quasi_periodicity(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(0,), kinds=_ELLIPTIC,
+    ),
+    "h-invariance": Check(
+        1e-8, run=lambda pr, k, z, tol, rng: check_h_invariance(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(1,), kinds=_ELLIPTIC,
+    ),
+    "crossing-unitarity": Check(
+        1e-8,
+        run=lambda pr, k, z, tol, rng: check_crossing_unitarity(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(2,), kinds=_ELLIPTIC,
+    ),
+    "evaluated-ll": Check(
+        1e-9, run=lambda pr, k, z, tol, rng: check_evaluated_ll(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(0,), kinds=_ELLIPTIC,
+    ),
+    "gauge-relation": Check(
+        1e-10,
+        run=lambda pr, k, z, tol, rng: check_gauge_relation(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(1, 3), kinds=_ELLIPTIC,
+    ),
+    "twist-relation": Check(
+        1e-10,
+        run=lambda pr, k, z, tol, rng: check_twist_relation(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(2,), kinds=_ELLIPTIC,
+    ),
+    "transpose-symmetry": Check(
+        1e-8,
+        run=lambda pr, k, z, tol, rng: check_transpose_symmetry(pr, *z, tolerance=tol, rng=rng),
+        scope="point", points=(0,), kinds=_ELLIPTIC, canary_from=3,
+    ),
+    "kernel-structure": Check(
+        1e-9, run=lambda pr, k, z, tol, rng: check_kernel_structure(pr, tolerance=tol),
+        scope="point", kinds=_ELLIPTIC,
+    ),
+    "spectrum-nonelliptic": Check(
+        1e-9, run=lambda pr, k, z, tol, rng: check_spectrum_nonelliptic(pr, tolerance=tol),
+        scope="point", kinds=_ELLIPTIC,
+    ),
+    "p-to-zero": Check(
+        1e-5, run=lambda pr, k, z, tol, rng: check_p_to_zero(pr, *z, tolerance=tol, rng=rng),
+        scope="once", points=(0,), kinds=_ELLIPTIC,
+    ),
+    "nsigma": Check(
+        0.0, run=lambda pr, k, z, tol, rng: check_nsigma(tolerance=tol), scope="once"
+    ),
+    # rows of the qdet block, computed in qdet_engine
+    "centrality-witness": Check(1e-8, 1e-9),
+    "qdet.product_internal_consistency": Check(1e-7, 1e-8),
+    "qdet.product_vs_identity": Check(1e-7, 1e-8),
+    "qdet.closed_form_vs_identity": Check(1e-8),
+    "qdet.closed_form_spread": Check(1e-9),
+    "qdet.product_vs_closed_form": Check(1e-7, 1e-8),
+    "qdet.product_vs_sum_formula": Check(1e-7, 1e-8),
+    "qdet.sum_formula_vs_closed_form": Check(1e-7, 1e-8),
+    "qdet.nonelliptic_sum_vs_identity": Check(1e-9),
+    "qdet.inverse_product": Check(1e-8),
+    "qdet.z_spread": Check(1e-8),
+}
+
+
+def tolerance_for(key: str, n: int, overrides: dict[str, float]) -> float:
+    """Tolerance of table entry ``key`` at N: an override by key, then by its
+    group ("qdet" for "qdet.x"), else the table's default."""
+    for name in (key, key.partition(".")[0]):
+        if name in overrides:
+            return float(overrides[name])
+    return CHECKS[key].tolerance_at(n)
 
 
 # ---------------------------------------------------------------------------
@@ -876,88 +1018,46 @@ def run_suite(
     n_points: int = 10,
     tolerances: dict[str, float] | None = None,
     params: ModelParams | None = None,
-    central_charge: float = 0.0,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    include_ybe_n4: bool = True,
     safe: bool = False,
 ) -> list[PropertyReport]:
-    """Run every applicable check at ``n_points`` seeded random draws.
+    """Run every ``CHECKS`` entry of scope "point" at ``n_points`` seeded
+    random draws, then those of scope "once".
 
     When ``params`` is given the same (q, p) is reused at every point and
     only the spectral arguments are redrawn; otherwise each point draws a
-    fresh generic parameter set.  YBE is additionally spot-checked at N = 4
-    (once) when requested, matching the acceptance bar.  With ``safe`` a
-    check that raises is recorded as a failed report instead of aborting
-    the suite.
+    fresh generic parameter set.  Checks that accept several kinds run
+    first, interleaved kind by kind.  With ``safe`` a check that raises is
+    recorded as a failed report instead of aborting the suite.
     """
     overrides = tolerances or {}
     rng = np.random.default_rng(seed)
     reports: list[PropertyReport] = []
 
-    def tol(name: str) -> float | None:
-        return overrides.get(name)
-
-    def add(fn: Callable, *args, **kwargs) -> None:
+    def add(name: str, pt_params: ModelParams, kind: RKind, points: tuple) -> None:
         try:
-            reports.append(fn(*args, **kwargs))
+            reports.append(CHECKS[name].run(pt_params, kind, points, overrides.get(name), rng))
         except EllipticRMatrixError as exc:
             if not safe:
                 raise
-            name = fn.__name__.removeprefix("check_").replace("_", "-")
-            reports.append(
-                PropertyReport(
-                    name=f"{name}:error",
-                    params_digest="",
-                    sample_points=(),
-                    residual=math.inf,
-                    tolerance=0.0,
-                    passed=False,
-                    runtime_ms=0.0,
-                    detail={"error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
+            reports.append(error_report(name, exc))
 
-    kinds = [RKind.ELLIPTIC, RKind.ELLIPTIC_HAT, RKind.HOMOGENEOUS, RKind.PRINCIPAL, RKind.NON_ELLIPTIC]
-    if n == 2:
-        kinds.append(RKind.EIGHT_VERTEX)
+    per_point = [(name, c) for name, c in CHECKS.items() if c.scope == "point"]
+    battery = [
+        (name, kind)
+        for kind in _ALL_KINDS
+        if n == 2 or kind is not RKind.EIGHT_VERTEX
+        for name, c in per_point
+        if len(c.kinds) > 1 and kind in c.kinds
+    ] + [(name, c.kinds[0]) for name, c in per_point if len(c.kinds) == 1]
 
     for _ in range(n_points):
-        pt_params = params if params is not None else draw_params(
-            rng, n, central_charge=central_charge, policy=policy
-        )
-        z1, z2, z3, zw = (draw_log(rng) for _ in range(4))
-        for kind in kinds:
-            add(check_ybe, pt_params, kind, z1, z2, z3, tolerance=tol("ybe"), rng=rng)
-            add(check_unitarity, pt_params, kind, z1, tolerance=tol("unitarity"), rng=rng)
-        add(check_regularity, pt_params, tolerance=tol("regularity"))
-        add(check_crossing, pt_params, z1, tolerance=tol("crossing"), rng=rng)
-        add(check_antisymmetry, pt_params, z2, tolerance=tol("antisymmetry"), rng=rng)
-        add(check_quasi_periodicity, pt_params, z1, tolerance=tol("quasi-periodicity"), rng=rng)
-        add(check_h_invariance, pt_params, z2, tolerance=tol("h-invariance"), rng=rng)
-        add(check_crossing_unitarity, pt_params, z3, tolerance=tol("crossing-unitarity"), rng=rng)
-        add(check_evaluated_ll, pt_params, z1, tolerance=tol("evaluated-ll"), rng=rng)
-        add(check_gauge_relation, pt_params, z2, zw, tolerance=tol("gauge-relation"), rng=rng)
-        add(check_twist_relation, pt_params, z3, tolerance=tol("twist-relation"), rng=rng)
-        add(check_transpose_symmetry, pt_params, z1, tolerance=tol("transpose-symmetry"), rng=rng)
-        add(check_kernel_structure, pt_params, tolerance=tol("kernel-structure"))
-        add(check_spectrum_nonelliptic, pt_params, tolerance=tol("spectrum-nonelliptic"))
+        pt_params = params if params is not None else draw_params(rng, n)
+        draws = tuple(draw_log(rng) for _ in range(4))
+        for name, kind in battery:
+            add(name, pt_params, kind, tuple(draws[i] for i in CHECKS[name].points))
 
-    limit_params = params if params is not None else draw_params(
-        rng, n, central_charge=central_charge, policy=policy
-    )
-    add(check_p_to_zero, limit_params, draw_log(rng), tolerance=tol("p-to-zero"), rng=rng)
-    add(check_nsigma, tolerance=tol("nsigma"))
-
-    if include_ybe_n4:
-        n4_params = draw_params(rng, 4, central_charge=central_charge, policy=policy)
-        add(
-            check_ybe,
-            n4_params,
-            RKind.ELLIPTIC,
-            draw_log(rng),
-            draw_log(rng),
-            draw_log(rng),
-            tolerance=tol("ybe"),
-            rng=rng,
-        )
+    limit_params = params if params is not None else draw_params(rng, n)
+    for name, c in CHECKS.items():
+        if c.scope == "once":
+            add(name, limit_params, RKind.ELLIPTIC, tuple(draw_log(rng) for _ in c.points))
     return reports

@@ -35,10 +35,11 @@ from .tensor_algebra import (
 )
 from .rmatrix_builders import ModelParams, RKind, build_r, s_theta_ratio
 from .property_suite import (
-    DEFAULT_TOLERANCES,
+    CHECKS,
     MAX_RESAMPLES,
     PropertyReport,
     _report,
+    _resample,
     draw_log,
 )
 
@@ -101,11 +102,6 @@ def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]
     return [
         build_r(params, RKind.ELLIPTIC_HAT, log_z / (lq ** j)) for j in range(params.n)
     ]
-
-
-def _blocks(op: TensorOperator) -> np.ndarray:
-    """Lax-evaluation blocks: blocks[i, j] acts on the second slot."""
-    return op.tensor_view()
 
 
 def _product_with_residual(
@@ -224,9 +220,8 @@ def qdet_sum_formula(
             f"permutation-sum route is defined for the hat and non-elliptic kinds, got {kind.value}"
         )
     lq = params.log_q
-    views = [
-        _blocks(build_r(params, kind, log_z / (lq**j))) for j in range(n)
-    ]
+    # Lax-evaluation blocks: views[l][i, :, j, :] acts on the second slot
+    views = [build_r(params, kind, log_z / (lq**j)).tensor_view() for j in range(n)]
     acc = _CompensatedSum((n, n))
     for sigma in permutations(range(1, n + 1)):
         term = views[0][0, :, sigma[0] - 1, :]
@@ -252,12 +247,12 @@ def centrality_witness(
     """
     started = time.perf_counter()
     if tolerance is None:
-        tolerance = 1e-9 if params.n == 2 else 1e-8
+        tolerance = CHECKS["centrality-witness"].tolerance_at(params.n)
     n = params.n
 
     def compute(lz: LogComplex, lw: LogComplex) -> float:
         m = qdet_product(params, lz).entries
-        view = _blocks(build_r(params, RKind.ELLIPTIC_HAT, lw))
+        view = build_r(params, RKind.ELLIPTIC_HAT, lw).tensor_view()
         scale = float(np.linalg.norm(m)) * max(
             float(np.linalg.norm(view[i, :, j, :])) for i in range(n) for j in range(n)
         )
@@ -268,17 +263,8 @@ def centrality_witness(
                 worst = max(worst, float(np.linalg.norm(m @ block - block @ m)))
         return worst / max(scale, 1e-300)
 
-    attempts = 0
-    points = (log_z, log_w)
-    while True:
-        try:
-            residual = compute(*points)
-            break
-        except PoleError:
-            attempts += 1
-            if rng is None or attempts > MAX_RESAMPLES:
-                raise
-            points = (draw_log(rng), draw_log(rng))
+    redraw = lambda gen: (draw_log(gen), draw_log(gen))
+    residual, points = _resample(compute, (log_z, log_w), redraw, rng)
     return _report(
         "centrality-witness",
         params.digest(),

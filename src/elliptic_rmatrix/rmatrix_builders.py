@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -54,7 +54,6 @@ __all__ = [
     "rho",
     "build_r",
     "build_v",
-    "alpha",
     "alpha_exponent",
     "build_f",
     "build_g",
@@ -99,7 +98,6 @@ class ModelParams:
     n: int
     log_q: LogComplex
     log_p: LogComplex
-    central_charge: float = 0.0
     policy: TruncationPolicy = field(default=DEFAULT_POLICY)
     genericity_margin: float = 1e-4
 
@@ -121,11 +119,6 @@ class ModelParams:
 
     def omega(self) -> complex:
         return cmath.exp(2j * cmath.pi / self.n)
-
-    def with_p_star(self) -> "ModelParams":
-        """Shift p -> p* = p q^{-2c}; the central charge enters only here."""
-        shifted = self.log_p / (self.log_q ** (2.0 * self.central_charge))
-        return replace(self, log_p=shifted)
 
     def genericity_warnings(self) -> list[str]:
         warnings: list[str] = []
@@ -149,7 +142,7 @@ class ModelParams:
     def digest(self) -> str:
         raw = (
             f"N={self.n};q={self.q.real!r},{self.q.imag!r};"
-            f"p={self.p.real!r},{self.p.imag!r};c={self.central_charge!r}"
+            f"p={self.p.real!r},{self.p.imag!r}"
         )
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
@@ -403,11 +396,6 @@ def alpha_exponent(n: int, i: int, j: int) -> Fraction:
     return -alpha_exponent(n, j, i)
 
 
-def alpha(params: ModelParams, i: int, j: int) -> Fraction:
-    """Twist exponent for the model's N; see :func:`alpha_exponent`."""
-    return alpha_exponent(params.n, i, j)
-
-
 def build_f(params: ModelParams) -> TensorOperator:
     """Diagonal twist F with q^{alpha_{ij}} on e_ii x e_jj; F = identity at N = 2."""
     n, lq = params.n, params.log_q
@@ -416,7 +404,7 @@ def build_f(params: ModelParams) -> TensorOperator:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                diag[(i - 1) * n + (j - 1)] = (lq ** alpha(params, i, j)).to_complex()
+                diag[(i - 1) * n + (j - 1)] = (lq ** alpha_exponent(n, i, j)).to_complex()
     return TensorOperator(n, 2, np.diag(diag))
 
 

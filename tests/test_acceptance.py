@@ -84,7 +84,7 @@ def test_criterion_3_identity_suite():
     worst = 0.0
     counted = {f: 0 for f in families}
     for n in (2, 3):
-        for report in run_suite(n, seed=303, n_points=10, include_ybe_n4=False):
+        for report in run_suite(n, seed=303, n_points=10):
             for family in families:
                 if report.name.startswith(family):
                     if family == "crossing" and report.name.startswith("crossing-unitarity"):

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, report serialization."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -50,6 +52,47 @@ class TestExitCodes:
 
     def test_n_below_two(self, capsys):
         assert main(["verify", "--n", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "qdet"])
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_non_positive_points_rejected(self, capsys, command, points):
+        assert main([command, "--n", "2", "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert "--points must be positive" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_tol_name_rejected(self, capsys):
+        assert main(["verify", "--n", "2", "--points", "1", "--tol", "ybee=1e-30"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown --tol name 'ybee'" in err
+        for name in ("ybe", "centrality-witness", "qdet", "qdet.z_spread"):
+            assert name in err
+
+    def test_witness_tolerance_override(self, tmp_path):
+        target = tmp_path / "r.json"
+        code = main(["verify", "--n", "2", "--seed", "1", "--points", "1", "--format", "json",
+                     "--tol", "centrality-witness=1e-30", "--out", str(target)])
+        assert code == 1
+        rows = json.loads(target.read_text())["reports"]
+        witness = [r for r in rows if r["check"] == "centrality-witness"]
+        assert [r["tolerance"] for r in witness] == [1e-30]
+        assert not witness[0]["passed"]
+
+    def test_qdet_group_tolerance_yields_to_its_key(self, capsys):
+        assert main(["qdet", "--n", "2", "--seed", "3", "--points", "1", "--format", "json",
+                     "--tol", "qdet=1e-30", "--tol", "qdet.z_spread=1.0"]) == 1
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        tolerances = {r["check"]: r["tolerance"] for r in rows}
+        assert tolerances.pop("qdet[z_spread]") == 1.0
+        assert set(tolerances.values()) == {1e-30}
+
+    def test_scan_refuses_kind_the_check_does_not_take(self, capsys):
+        code = main(["scan", "--n", "2", "--check", "crossing", "--kind", "homogeneous",
+                     "--grid", "1x1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "takes --kind elliptic, not homogeneous" in captured.err
+        assert captured.out == ""
 
     def test_forced_tolerance_failure(self, capsys, tmp_path):
         code = main(
@@ -127,7 +170,7 @@ class TestJsonReports:
         assert document["config"]["seed"] == 21
         for report in document["reports"]:
             assert set(report) == REPORT_FIELDS
-            assert set(report["params"]) == {"N", "q", "p", "c"}
+            assert set(report["params"]) == {"N", "q", "p"}
             assert report["runtime_ms"] == 0.0  # zeroed without --timings
         names = {r["check"] for r in document["reports"]}
         assert any(name.startswith("ybe") for name in names)
@@ -141,6 +184,21 @@ class TestJsonReports:
         main(["verify", "--n", "2", "--seed", "33", "--points", "1",
               "--format", "json", "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_qdet_rows_carry_timings_only_when_asked(self, capsys):
+        argv = ["qdet", "--n", "2", "--seed", "8", "--points", "2", "--format", "json"]
+        assert main(argv) == 0
+        untimed = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["runtime_ms"] for r in untimed] == [0.0] * 19
+        assert main(argv + ["--timings"]) == 0
+        timed = json.loads(capsys.readouterr().out)["reports"]
+        first, second, spread = timed[:9], timed[9:18], timed[18]
+        for call in (first, second):
+            assert call[0]["runtime_ms"] > 0.0
+            assert {r["runtime_ms"] for r in call} == {call[0]["runtime_ms"]}
+        assert spread["check"] == "qdet[z_spread]"
+        total = first[0]["runtime_ms"] + second[0]["runtime_ms"]
+        assert spread["runtime_ms"] == pytest.approx(total)
 
     def test_embedded_config_reproduces_residuals(self, tmp_path):
         # a report file names its own seed/params: re-running must agree
@@ -165,8 +223,17 @@ class TestCsvReports:
              "--seed", "12", "--format", "csv"]
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("check,N,q,p,c,sample_points,residual")
+        assert lines[0].startswith("check,N,q,p,sample_points,residual")
         assert len(lines) == 1 + 4
+
+    def test_detail_column_matches_json(self, capsys):
+        argv = ["scan", "--n", "2", "--check", "h-invariance", "--grid", "1x2", "--seed", "4"]
+        assert main(argv + ["--format", "csv"]) == 0
+        records = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert "c" not in records[0]
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        assert [json.loads(r["detail"]) for r in records] == [r["detail"] for r in rows]
 
 
 class TestScan:
@@ -183,6 +250,13 @@ class TestScan:
         assert cells == {(i, j) for i in range(4) for j in range(4)}
         moduli = sorted(abs(complex(*r["params"]["q"])) for r in document["reports"])
         assert moduli[0] < 0.45 and moduli[-1] > 0.65  # spread across the range
+
+
+    def test_kind_applies_to_multi_kind_checks(self, capsys):
+        assert main(["scan", "--n", "2", "--check", "ybe", "--kind", "homogeneous",
+                     "--grid", "1x2", "--seed", "2", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["check"] for r in rows] == ["ybe[homogeneous]"] * 2
 
 
 class TestLimits:

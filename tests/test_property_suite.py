@@ -1,5 +1,6 @@
 """Identity battery: every check passes at generic points, canaries fail."""
 
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from elliptic_rmatrix import (
     effective_pass,
     run_suite,
 )
+from elliptic_rmatrix.cli import _build_parser, main
 from elliptic_rmatrix.property_suite import draw_log, draw_params
 
 lc = LogComplex.from_complex
@@ -226,34 +228,31 @@ class TestReportInvariants:
 class TestRunSuite:
     def test_everything_passes_at_n2_and_n3(self):
         for n in (2, 3):
-            reports = run_suite(n, seed=20, n_points=2, include_ybe_n4=(n == 3))
+            reports = run_suite(n, seed=20, n_points=2)
             assert reports
             bad = [r for r in reports if not effective_pass(r)]
             assert bad == []
             names = {r.name for r in reports}
             assert "p-to-zero" in names
             assert "nsigma" in names
-            if n == 3:
-                assert any(r.name.startswith("ybe") and "N4" in str(r.detail.get("n", "")) or True for r in reports)
 
     def test_shared_params_reuse_digest(self):
         params = draw_params(np.random.default_rng(31), 2)
-        reports = run_suite(2, seed=32, n_points=2, params=params, include_ybe_n4=False)
+        reports = run_suite(2, seed=32, n_points=2, params=params)
         digests = {r.params_digest for r in reports if r.params_digest and ":" not in r.params_digest}
         assert digests == {params.digest()}
 
     def test_deterministic_for_fixed_seed(self):
-        a = run_suite(2, seed=9, n_points=1, include_ybe_n4=False)
-        b = run_suite(2, seed=9, n_points=1, include_ybe_n4=False)
+        a = run_suite(2, seed=9, n_points=1)
+        b = run_suite(2, seed=9, n_points=1)
         assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
 
     def test_safe_mode_converts_errors(self, monkeypatch):
         def boom(*args, **kwargs):
             raise PoleError("synthetic failure")
 
-        boom.__name__ = "check_crossing"  # error-report names come from here
-        monkeypatch.setattr(ps, "check_crossing", boom)
-        reports = ps.run_suite(2, seed=4, n_points=1, include_ybe_n4=False, safe=True)
+        monkeypatch.setattr(ps, "check_crossing", boom)  # the table calls it by this name
+        reports = ps.run_suite(2, seed=4, n_points=1, safe=True)
         errors = [r for r in reports if r.name == "crossing:error"]
         assert errors and not errors[0].passed
         assert math.isinf(errors[0].residual)
@@ -265,11 +264,47 @@ class TestRunSuite:
 
         monkeypatch.setattr(ps, "check_crossing", boom)
         with pytest.raises(PoleError):
-            ps.run_suite(2, seed=4, n_points=1, include_ybe_n4=False, safe=False)
+            ps.run_suite(2, seed=4, n_points=1, safe=False)
 
     def test_tolerance_override_forces_failure(self):
-        reports = run_suite(2, seed=6, n_points=1, include_ybe_n4=False,
-                            tolerances={"ybe": 1e-30})
+        reports = run_suite(2, seed=6, n_points=1, tolerances={"ybe": 1e-30})
         ybe = [r for r in reports if r.name.startswith("ybe")]
         assert ybe and all(not r.passed for r in ybe)
         assert all(r.tolerance == 1e-30 for r in ybe)
+
+
+def _table_key(report_name: str) -> str:
+    """The CHECKS key of a report name: "ybe[elliptic]" -> "ybe", "qdet[x]" -> "qdet.x"."""
+    head, _, inner = report_name.partition("[")
+    return f"qdet.{inner.rstrip(']')}" if head == "qdet" else head
+
+
+class TestCheckTable:
+    def test_scan_choices_are_the_entries_with_kinds(self, capsys):
+        parser = _build_parser()
+        for key, check in ps.CHECKS.items():
+            if check.kinds:
+                assert parser.parse_args(["scan", "--check", key]).check == key
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(["scan", "--check", key])
+
+    def test_suite_report_names_resolve_to_scoped_entries(self):
+        names = [r.name for n in (2, 3) for r in run_suite(n, seed=5, n_points=1)]
+        scoped = {key for key, check in ps.CHECKS.items() if check.scope is not None}
+        assert {_table_key(name) for name in names} == scoped
+
+    def test_each_tolerance_key_reaches_its_own_rows(self, capsys):
+        overrides = {key: 10.0 ** -(20 + i) for i, key in enumerate(ps.CHECKS)}
+        argv = ["verify", "--n", "3", "--seed", "5", "--points", "1", "--format", "json"]
+        argv += [f"--tol={key}={value!r}" for key, value in overrides.items()]
+        assert main(argv) == 1
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        assert {_table_key(row["check"]) for row in rows} == set(ps.CHECKS)
+        for row in rows:
+            assert row["tolerance"] == overrides[_table_key(row["check"])], row["check"]
+
+    def test_entries_are_consistent(self):
+        for key, check in ps.CHECKS.items():
+            assert all(0 <= i < 4 for i in check.points), key
+            assert (check.run is None) == (check.scope is None), key

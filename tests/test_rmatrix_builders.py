@@ -79,11 +79,6 @@ class TestModelParams:
         dirty = ModelParams(2, lc(0.99), lc(0.2), genericity_margin=0.05)
         assert any("q^2" in w for w in dirty.genericity_warnings())
 
-    def test_p_star_shift(self):
-        params = ModelParams(2, lc(0.4), lc(0.2), central_charge=0.5)
-        shifted = params.with_p_star()
-        assert shifted.p == pytest.approx(0.2 / 0.4, rel=1e-14)
-
     def test_kind_tags_round_trip(self):
         for kind in RKind:
             assert RKind.from_tag(kind.value) is kind
