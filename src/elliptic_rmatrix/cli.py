@@ -111,16 +111,30 @@ def _jsonable(obj):
     return obj
 
 
-def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
+def _tolerance_names(args: argparse.Namespace) -> list[str]:
+    """The ``--tol`` names the command reads."""
+    if args.command == "verify":
+        return sorted([*CHECKS, "qdet"])
+    if args.command == "qdet":
+        return ["qdet", *sorted(k for k in CHECKS if k.startswith("qdet."))]
+    if args.command == "limits":
+        return ["p-to-zero"]
+    if args.command == "scan":
+        return [args.check]
+    return []  # matrix reads no tolerance
+
+
+def _parse_tolerances(args: argparse.Namespace) -> dict[str, float]:
     overrides: dict[str, float] = {}
-    names = sorted([*CHECKS, "qdet"])
-    for item in pairs or []:
+    names = _tolerance_names(args)
+    for item in args.tol or []:
         name, sep, value = item.partition("=")
         name = name.strip()
         if not sep:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
         if name not in names:
-            raise ConfigError(f"unknown --tol name {name!r}; choose from {', '.join(names)}")
+            raise ConfigError(f"unknown --tol name {name!r} for {args.command}; "
+                              f"choose from {', '.join(names) or 'none'}")
         try:
             overrides[name] = float(value)
         except ValueError as exc:
@@ -377,6 +391,8 @@ def run_scan(config: RunConfig) -> int:
     if kind not in check.kinds:
         accepted = ", ".join(k.value for k in check.kinds)
         raise ConfigError(f"--check {config.check} takes --kind {accepted}, not {kind.value}")
+    if not kind.exists_at(config.n):
+        raise ConfigError(f"--kind {kind.value} has no matrix at N = {config.n}")
     tolerance = config.tolerances.get(config.check)
     rows_q, rows_p = config.grid
     q_lo, q_hi = Q_MODULUS
@@ -459,7 +475,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     config.n = args.n
     config.seed = args.seed
-    config.tolerances = _parse_tolerances(args.tol)
+    config.tolerances = _parse_tolerances(args)
     config.output_path = args.output_path
     config.fmt = args.fmt
     config.timings = args.timings

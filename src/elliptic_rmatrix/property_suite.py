@@ -1045,7 +1045,7 @@ def run_suite(
     battery = [
         (name, kind)
         for kind in _ALL_KINDS
-        if n == 2 or kind is not RKind.EIGHT_VERTEX
+        if kind.exists_at(n)
         for name, c in per_point
         if len(c.kinds) > 1 and kind in c.kinds
     ] + [(name, c.kinds[0]) for name, c in per_point if len(c.kinds) == 1]

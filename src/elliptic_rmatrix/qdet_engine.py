@@ -7,7 +7,9 @@ Three independent routes to the same scalar:
   antisymmetrizer on slots 1..N and read off the auxiliary-slot factor;
 * the permutation-sum route: the signed sum over S_N of products of
   evaluated Lax blocks E_{1,sigma(1)}(z) ... E_{N,sigma(N)}(z q^{1-N});
-* the closed form: a theta-quotient expression for each diagonal value m_k.
+* the closed form: a theta-quotient expression for each diagonal value m_k,
+  reading S from one theta table per q-shifted z, so each theta of S is
+  computed once per index offset per z.
 
 All three equal the identity (respectively 1); ``verify_qdet`` computes the
 pairwise deviations.  N!-term sums run in fixed lexicographic order with
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KindError, PoleError, SizeError
-from .special_functions import LogComplex, pochhammer_inf, theta
+from .special_functions import LogComplex, theta
 from .tensor_algebra import (
     TensorOperator,
     antisymmetrizer,
@@ -33,7 +35,7 @@ from .tensor_algebra import (
     partial_trace,
     permutation_sign,
 )
-from .rmatrix_builders import ModelParams, RKind, build_r, s_theta_ratio
+from .rmatrix_builders import ModelParams, RKind, _poch_ratio, _SThetas, build_r
 from .property_suite import (
     CHECKS,
     MAX_RESAMPLES,
@@ -175,18 +177,15 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
     q = params.q
     z2 = log_z**2
     q2 = lq**2
-    pn = lp**n
 
-    poch_ratio = -(
-        pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
-    )
+    poch_ratio = -_poch_ratio(params)
     theta_q2 = theta(q2, lp, policy)
     theta_den = theta(q2 * z2, lp, policy)
     if abs(theta_den) < 1e-300:
         raise PoleError("closed form denominator vanished", argument=(q2 * z2).to_complex())
     prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
 
-    shifted_logs = [log_z / (lq**j) for j in range(n)]
+    tables = [_SThetas(params, log_z / (lq**j)) for j in range(n)]
     values: list[complex] = []
     for k in range(1, n + 1):
         acc = _CompensatedSum(())
@@ -194,7 +193,7 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
             term = complex(permutation_sign(sigma))
             shift = 0
             for ell in range(1, n + 1):
-                term *= s_theta_ratio(params, ell, sigma[ell - 1], k + shift, shifted_logs[ell - 1])
+                term *= tables[ell - 1].ratio(ell, sigma[ell - 1], k + shift)
                 shift += ell - sigma[ell - 1]
             acc.add(np.asarray(term, dtype=np.complex128))
         values.append(complex(acc.value) * prefactor_z * q ** (2 * k - 2 * n))

@@ -19,6 +19,11 @@ Six families share one entry point, :func:`build_r`:
 
 All spectral arguments are logarithms (:class:`LogComplex`), so fractional
 powers such as z^{2/N} are single-valued by construction.
+
+The entry coefficient S_{a,c}^{b}(z), which the elliptic builder, s_coeff
+and the closed-form determinant share, depends on the indices of its thetas
+only through c - a, b - a and c - b, so each is computed once per index
+offset per z (``_SThetas``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from functools import cache
 
 import numpy as np
 
@@ -82,6 +87,10 @@ class RKind(enum.Enum):
                 return kind
         raise KindError(f"unknown R-matrix kind {tag!r}; choose from "
                         f"{[k.value for k in cls]}")
+
+    def exists_at(self, n: int) -> bool:
+        """False only for the explicit eight-vertex form, which needs N = 2."""
+        return self is not RKind.EIGHT_VERTEX or n == 2
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,36 @@ def _theta_den(
     return val
 
 
+class _SThetas:
+    """The thetas of :func:`s_theta_ratio` at one z, keyed by index offset:
+    num(c - a), den_z(c - b) and den_q(b - a), each computed once per offset
+    and kept by this table only.  The denominators raise PoleError at zero.
+    """
+
+    def __init__(self, params: ModelParams, log_z: LogComplex):
+        n, lp, policy = params.n, params.log_p, params.policy
+        base, z2, q2 = lp**n, log_z**2, params.log_q**2
+        self.num = cache(lambda d: theta((lp ** (n + d)) * q2 * z2, base, policy))
+        self.den_z = cache(lambda d: _theta_den(
+            (lp ** (n + d)) * z2, base, policy, "S (z-dependent theta)"))
+        self.den_q = cache(lambda d: _theta_den(
+            (lp ** (n + d)) * q2, base, policy, "S (q-dependent theta)"))
+
+    def ratio(self, a: int, b: int, c: int) -> complex:
+        """The theta quotient of S_{a,c}^{b}(z), for arbitrary integer indices."""
+        return self.num(c - a) / (self.den_z(c - b) * self.den_q(b - a))
+
+
+def _s_prefactor(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
+    """Power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z)."""
+    n = params.n
+    return (
+        (log_z ** Fraction(2 * (b - a), n))
+        * (params.log_q ** Fraction(2 * (c - b), n))
+        * (params.log_p ** Fraction((b - a) * (c - b), n))
+    ).to_complex()
+
+
 def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
     """Theta-ratio core of the entry coefficient, for arbitrary integer indices.
 
@@ -172,14 +211,7 @@ def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex
     The integer offsets enter the p-powers directly, with no modular
     reduction; this is the form the quantum-determinant sum needs.
     """
-    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
-    base = lp**n
-    z2 = log_z**2
-    q2 = lq**2
-    num = theta((lp ** (n + c - a)) * q2 * z2, base, policy)
-    den1 = _theta_den((lp ** (n + c - b)) * z2, base, policy, "S (z-dependent theta)")
-    den2 = _theta_den((lp ** (n + b - a)) * q2, base, policy, "S (q-dependent theta)")
-    return num / (den1 * den2)
+    return _SThetas(params, log_z).ratio(a, b, c)
 
 
 def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
@@ -194,12 +226,7 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
     n = params.n
     if not (1 <= a <= n and 1 <= b <= n):
         raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
-    prefactor = (
-        (log_z ** Fraction(2 * (b - a), n))
-        * (params.log_q ** Fraction(2 * (c - b), n))
-        * (params.log_p ** Fraction((b - a) * (c - b), n))
-    ).to_complex()
-    return prefactor * s_theta_ratio(params, a, b, c, log_z)
+    return _s_prefactor(params, a, b, c, log_z) * s_theta_ratio(params, a, b, c, log_z)
 
 
 def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
@@ -232,26 +259,29 @@ def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
     return num / den
 
 
+def _poch_ratio(params: ModelParams) -> complex:
+    """(p^N; p^N)_inf / (p; p)_inf."""
+    lp, pn, policy = params.log_p, params.log_p**params.n, params.policy
+    return pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
+
+
+def _eta_common(params: ModelParams, log_z: LogComplex, scalar_kappa: complex) -> complex:
+    """eta(z) / Theta_p(p z^2) with ``scalar_kappa`` in place of 1/kappa(z^2)."""
+    lp, q2, policy = params.log_p, params.log_q**2, params.policy
+    return (
+        (log_z ** Fraction(2, params.n)).to_complex()
+        * scalar_kappa
+        * _poch_ratio(params) ** 3
+        * theta(q2, lp, policy)
+        / _theta_den(q2 * log_z**2, lp, policy, "eta")
+    )
+
+
 def eta(params: ModelParams, log_z: LogComplex) -> complex:
     """Overall normalization eta(z) of the elliptic R-matrix."""
-    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
-    z2 = log_z**2
-    q2 = lq**2
-    pn = lp**n
-    poch_ratio = (
-        pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
-    ) ** 3
-    theta_part = (
-        theta(q2, lp, policy)
-        * theta(lp * z2, lp, policy)
-        / _theta_den(q2 * z2, lp, policy, "eta")
-    )
-    return (
-        (log_z ** Fraction(2, n)).to_complex()
-        * kappa_inv(params, z2)
-        * poch_ratio
-        * theta_part
-    )
+    lp, z2 = params.log_p, log_z**2
+    scale = _eta_common(params, log_z, kappa_inv(params, z2))
+    return scale * theta(lp * z2, lp, params.policy)
 
 
 def tau(params: ModelParams, log_x: LogComplex) -> complex:
@@ -413,54 +443,36 @@ def build_f(params: ModelParams) -> TensorOperator:
 
 
 def _build_elliptic(
-    params: ModelParams, log_z: LogComplex, hat_scalar: complex | None = None
+    params: ModelParams, log_z: LogComplex, scalar_kappa: complex
 ) -> np.ndarray:
     # Entries are eta(z) * S_{a,c}^{b}(z) * (-1)^{(a+c-b-d)/N}, but eta and S
     # are not multiplied as black boxes: eta's factor Theta_p(p z^2) and the
     # b = c denominator Theta_{p^N}(p^N z^2) share a simple zero at z^2 = 1,
     # so that quotient is formed with the common (1 - z^{-2}) cancelled and
-    # R(1) comes out as the exact permutation matrix.  When ``hat_scalar`` is
-    # given it stands in for tau(q^{1/2}/z)/kappa(z^2) jointly (see
-    # _hat_scalar_kappa); otherwise 1/kappa(z^2) enters on its own.
+    # R(1) comes out as the exact permutation matrix.  ``scalar_kappa`` is
+    # 1/kappa(z^2), or for the hat kind tau(q^{1/2}/z)/kappa(z^2) formed
+    # jointly (see _hat_scalar_kappa).
     n = params.n
-    lq, lp, policy = params.log_q, params.log_p, params.policy
-    dim = n * n
+    lp, policy = params.log_p, params.policy
     z2 = log_z**2
-    q2 = lq**2
-    pn = lp**n
 
-    poch_ratio = (
-        pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
-    ) ** 3
-    scalar_kappa = kappa_inv(params, z2) if hat_scalar is None else hat_scalar
-    common = (
-        (log_z ** Fraction(2, n)).to_complex()
-        * scalar_kappa
-        * poch_ratio
-        * theta(q2, lp, policy)
-        / _theta_den(q2 * z2, lp, policy, "elliptic R")
-    )
+    def theta_without_zero(base: LogComplex) -> complex:
+        # Theta_base(base z^2) / (1 - z^{-2}), finite at z^2 = 1
+        return (
+            pochhammer_inf(base * z2, (base,), policy)
+            * pochhammer_inf(base * z2.inv(), (base,), policy)
+            * pochhammer_inf(base, (base,), policy)
+        )
+
+    common = _eta_common(params, log_z, scalar_kappa)
     theta_p_z = theta(lp * z2, lp, policy)
+    diag_num, diag_den = theta_without_zero(lp), theta_without_zero(lp**n)
+    if abs(diag_den) < POLE_GUARD * max(abs(diag_num), 1e-300):
+        raise PoleError("elliptic diagonal theta ratio vanished", argument=z2.to_complex())
+    diag_ratio = diag_num / diag_den
 
-    def cancelled_diag_ratio() -> complex:
-        z2inv = z2.inv()
-        num = (
-            pochhammer_inf(lp * z2, (lp,), policy)
-            * pochhammer_inf(lp * z2inv, (lp,), policy)
-            * pochhammer_inf(lp, (lp,), policy)
-        )
-        den = (
-            pochhammer_inf(pn * z2, (pn,), policy)
-            * pochhammer_inf(pn * z2inv, (pn,), policy)
-            * pochhammer_inf(pn, (pn,), policy)
-        )
-        if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
-            raise PoleError("elliptic diagonal theta ratio vanished",
-                            argument=z2.to_complex())
-        return num / den
-
-    diag_ratio: complex | None = None
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    thetas = _SThetas(params, log_z)
+    mat = np.zeros((n * n, n * n), dtype=np.complex128)
     for a in range(1, n + 1):
         for c in range(1, n + 1):
             row = (a - 1) * n + (c - 1)
@@ -469,29 +481,15 @@ def _build_elliptic(
                 col = (b - 1) * n + (d - 1)
                 k = (a + c - b - d) // n  # exact: a+c-b-d is a multiple of N
                 sign = -1.0 if k & 1 else 1.0
-                prefactor = (
-                    (log_z ** Fraction(2 * (b - a), n))
-                    * (lq ** Fraction(2 * (c - b), n))
-                    * (lp ** Fraction((b - a) * (c - b), n))
-                ).to_complex()
-                num = theta((lp ** (n + c - a)) * q2 * z2, pn, policy)
-                den_q = _theta_den((lp ** (n + b - a)) * q2, pn, policy,
-                                   "elliptic R (q-dependent theta)")
-                if b == c:
-                    if diag_ratio is None:
-                        diag_ratio = cancelled_diag_ratio()
-                    z_ratio = diag_ratio
-                else:
-                    den_z = _theta_den((lp ** (n + c - b)) * z2, pn, policy,
-                                       "elliptic R (z-dependent theta)")
-                    z_ratio = theta_p_z / den_z
-                mat[row, col] = common * sign * prefactor * num * z_ratio / den_q
+                z_ratio = diag_ratio if b == c else theta_p_z / thetas.den_z(c - b)
+                mat[row, col] = (
+                    common * sign * _s_prefactor(params, a, b, c, log_z)
+                    * thetas.num(c - a) * z_ratio / thetas.den_q(b - a)
+                )
     return mat
 
 
 def _build_eight_vertex(params: ModelParams, log_z: LogComplex) -> np.ndarray:
-    if params.n != 2:
-        raise KindError("the explicit eight-vertex form exists only for N = 2")
     lq, lp, policy = params.log_q, params.log_p, params.policy
     lp2 = lp**2
     z2 = log_z**2
@@ -580,10 +578,12 @@ def build_r(params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperat
     significant; the entry at row (a, c), column (b, d) is the coefficient
     of e_{a,b} x e_{c,d}.
     """
+    if not kind.exists_at(params.n):
+        raise KindError(f"the {kind.value} kind has no matrix at N = {params.n}")
     if kind is RKind.ELLIPTIC:
-        mat = _build_elliptic(params, log_z)
+        mat = _build_elliptic(params, log_z, kappa_inv(params, log_z**2))
     elif kind is RKind.ELLIPTIC_HAT:
-        mat = _build_elliptic(params, log_z, hat_scalar=_hat_scalar_kappa(params, log_z))
+        mat = _build_elliptic(params, log_z, _hat_scalar_kappa(params, log_z))
     elif kind is RKind.EIGHT_VERTEX:
         mat = _build_eight_vertex(params, log_z)
     elif kind in (RKind.HOMOGENEOUS, RKind.PRINCIPAL, RKind.NON_ELLIPTIC):

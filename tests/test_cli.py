@@ -94,6 +94,32 @@ class TestExitCodes:
         assert "takes --kind elliptic, not homogeneous" in captured.err
         assert captured.out == ""
 
+    def test_scan_refuses_kind_without_matrix_at_n(self, capsys):
+        code = main(["scan", "--n", "3", "--check", "ybe", "--kind", "eightvertex",
+                     "--grid", "1x1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "eightvertex has no matrix at N = 3" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, valid", [
+        (["limits", "--n", "2"], "p-to-zero"),
+        (["matrix", "--n", "2"], "none"),
+        (["qdet", "--n", "2", "--points", "1"], "qdet, qdet.closed_form_spread"),
+        (["scan", "--n", "2", "--check", "unitarity", "--grid", "1x1"], "unitarity"),
+    ])
+    def test_tol_name_the_command_does_not_read_rejected(self, capsys, argv, valid):
+        assert main([*argv, "--seed", "1", "--tol", "ybe=1e-30"]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown --tol name 'ybe' for {argv[0]}; choose from {valid}" in captured.err
+        assert captured.out == ""
+
+    def test_limits_reads_its_tol_name(self, capsys):
+        assert main(["limits", "--n", "2", "--seed", "1", "--format", "json",
+                     "--tol", "p-to-zero=1e-30"]) == 1
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["tolerance"] for r in rows] == [1e-30]
+
     def test_forced_tolerance_failure(self, capsys, tmp_path):
         code = main(
             ["verify", "--n", "2", "--seed", "1", "--points", "1",

@@ -193,6 +193,42 @@ class TestBuildR:
                         if (a + c - b - d) % n != 0:
                             assert view[a, c, b, d] == 0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_entries_are_eta_times_s_coeff(self, n):
+        # the builder cancels the z^2 = 1 zero of the b = c entries; away
+        # from z^2 = 1 every entry must still match the generic formula
+        params = ModelParams(n, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
+        z = lc(1.3 + 0.2j)
+        view = build_r(params, RKind.ELLIPTIC, z).tensor_view()
+        scale = eta(params, z)
+        for a in range(1, n + 1):
+            for c in range(1, n + 1):
+                for b in range(1, n + 1):
+                    d = (a + c - b - 1) % n + 1
+                    sign = (-1) ** ((a + c - b - d) // n)
+                    want = scale * s_coeff(params, a, b, c, z) * sign
+                    assert abs(view[a - 1, c - 1, b - 1, d - 1] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind", [RKind.ELLIPTIC, RKind.ELLIPTIC_HAT])
+    def test_theta_calls_per_build_linear_in_n(self, monkeypatch, kind):
+        # the S thetas depend on the indices only through their differences,
+        # so one build evaluates O(N) thetas, not O(N^3)
+        from elliptic_rmatrix import rmatrix_builders
+
+        calls = []
+        real_theta = rmatrix_builders.theta
+
+        def counting_theta(*args, **kwargs):
+            calls.append(args)
+            return real_theta(*args, **kwargs)
+
+        monkeypatch.setattr(rmatrix_builders, "theta", counting_theta)
+        for n in range(2, 9):
+            params = ModelParams(n, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
+            calls.clear()
+            build_r(params, kind, lc(1.3 + 0.2j))
+            assert len(calls) <= 6 * n, (n, len(calls))
+
     def test_regularity_elliptic_kinds(self, params_n2, params_n3):
         # the trigonometric family is normalized by rho, which itself has
         # a pole at x = 1, so regularity is an elliptic-side statement
