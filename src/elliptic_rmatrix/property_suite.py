@@ -9,8 +9,10 @@ outcome in a :class:`PropertyReport`.  Conventions shared by all checks:
   use ||LHS - RHS|| / max(1, ||RHS||), so residuals stay scale-free;
 * sampling happens on fixed annuli (|z| in [0.5, 2], |q| in [0.3, 0.8],
   |p| in [0.05, 0.5]) with uniform phases;
-* a PoleError triggers resampling (when an ``rng`` is supplied) and the
-  report lists the points actually used, never the discarded ones.
+* one helper, ``_sampled``, evaluates every identity that takes spectral
+  points: it times the check, redraws all its points from the z annulus on
+  a PoleError (when an ``rng`` is supplied) and builds the report, which
+  lists the points actually used, never the discarded ones.
 
 ``CHECKS`` is the one table that names a check: how to call it, the spectral
 points it takes, its tolerance, whether it is a canary and the kinds it
@@ -25,12 +27,12 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import EllipticRMatrixError, PoleError, SingularError
-from .special_functions import LogComplex
+from .errors import DomainError, EllipticRMatrixError, PoleError, SingularError
+from .special_functions import LOG_ONE, LogComplex
 from .tensor_algebra import (
     TensorOperator,
     antisymmetrizer,
@@ -142,6 +144,8 @@ P_MODULUS = (0.05, 0.5)
 MAX_RESAMPLES = 8
 COND_LIMIT = 1e12
 
+T = TypeVar("T")
+
 
 def draw_log(rng: np.random.Generator, modulus: tuple[float, float] = Z_MODULUS) -> LogComplex:
     """Draw log(x) with |x| uniform on the annulus and uniform phase."""
@@ -193,20 +197,39 @@ def _inv(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _resample(
-    compute: Callable[..., float],
+    compute: Callable[..., T],
     points: tuple[LogComplex, ...],
-    redraw: Callable[[np.random.Generator], tuple[LogComplex, ...]] | None,
     rng: np.random.Generator | None,
-) -> tuple[float, tuple[LogComplex, ...]]:
+) -> tuple[T, tuple[LogComplex, ...]]:
+    """``compute(*points)``; on a PoleError redraw every point from the z
+    annulus and retry, at most MAX_RESAMPLES times and only with an ``rng``."""
     attempts = 0
     while True:
         try:
             return compute(*points), points
         except PoleError:
             attempts += 1
-            if rng is None or redraw is None or attempts > MAX_RESAMPLES:
+            if rng is None or attempts > MAX_RESAMPLES:
                 raise
-            points = redraw(rng)
+            points = tuple(draw_log(rng) for _ in points)
+
+
+def _sampled(
+    name: str,
+    params: ModelParams,
+    compute: Callable[..., float],
+    points: tuple[LogComplex, ...],
+    tolerance: float,
+    rng: np.random.Generator | None,
+    started: float,
+    detail: dict | None = None,
+) -> PropertyReport:
+    """Report of the residual ``compute(*points)``, resampled by :func:`_resample`."""
+    residual, points = _resample(compute, points, rng)
+    return _report(
+        name, params.digest(), [p.to_complex() for p in points], residual, tolerance, started,
+        detail,
+    )
 
 
 def _r21(params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
@@ -239,15 +262,9 @@ def check_ybe(
         r23 = emb((2, 3), lz2 / lz3)
         return _rel(r12 @ r13 @ r23, r23 @ r13 @ r12)
 
-    redraw = lambda gen: (draw_log(gen), draw_log(gen), draw_log(gen))
-    residual, pts = _resample(compute, (log_z1, log_z2, log_z3), redraw, rng)
-    return _report(
-        f"ybe[{kind.value}]",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("ybe", tolerance),
-        started,
+    return _sampled(
+        f"ybe[{kind.value}]", params, compute, (log_z1, log_z2, log_z3),
+        _tol("ybe", tolerance), rng, started,
     )
 
 
@@ -287,36 +304,23 @@ def check_unitarity(
             rhs = rho(params, lx) * rho(params, lx.inv()) * eye
         return _rel_identity(prod, rhs)
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        f"unitarity[{kind.value}]",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("unitarity", tolerance),
-        started,
-        detail,
+    return _sampled(
+        f"unitarity[{kind.value}]", params, compute, (log_z,), _tol("unitarity", tolerance),
+        rng, started, detail,
     )
 
 
-def check_regularity(
-    params: ModelParams,
-    kind: RKind = RKind.ELLIPTIC,
-    *,
-    tolerance: float | None = None,
-) -> PropertyReport:
-    """R(1) equals the permutation matrix (elliptic family only)."""
+def check_regularity(params: ModelParams, *, tolerance: float | None = None) -> PropertyReport:
+    """The plain elliptic matrix at z = 1 equals the permutation matrix."""
     started = time.perf_counter()
-    r_one = build_r(params, kind, LogComplex(0j)).entries
     perm = permutation_op((2, 1), params.n).entries
-    residual = _rel_identity(r_one, perm)
-    return _report(
-        f"regularity[{kind.value}]",
-        params.digest(),
-        [1.0 + 0j],
-        residual,
-        _tol("regularity", tolerance),
-        started,
+
+    def compute(lz: LogComplex) -> float:
+        return _rel_identity(build_r(params, RKind.ELLIPTIC, lz).entries, perm)
+
+    return _sampled(
+        f"regularity[{RKind.ELLIPTIC.value}]", params, compute, (LOG_ONE,),
+        _tol("regularity", tolerance), None, started,
     )
 
 
@@ -337,14 +341,8 @@ def check_crossing(
         r21_t2 = partial_transpose(TensorOperator(n, 2, _r21(params, RKind.ELLIPTIC, arg)), 2).entries
         return _rel_identity(lhs @ r21_t2, np.eye(n * n))
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "crossing",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("crossing", tolerance),
-        started,
+    return _sampled(
+        "crossing", params, compute, (log_z,), _tol("crossing", tolerance), rng, started
     )
 
 
@@ -371,14 +369,8 @@ def check_antisymmetry(
         )
         return _rel(lhs, rhs)
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "antisymmetry",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("antisymmetry", tolerance),
-        started,
+    return _sampled(
+        "antisymmetry", params, compute, (log_z,), _tol("antisymmetry", tolerance), rng, started
     )
 
 
@@ -417,58 +409,35 @@ def check_quasi_periodicity(
                 break
         return best
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "quasi-periodicity",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        tol,
-        started,
-        detail,
-    )
+    return _sampled("quasi-periodicity", params, compute, (log_z,), tol, rng, started, detail)
 
 
 def check_h_invariance(
     params: ModelParams,
     log_z: LogComplex,
-    kind: RKind = RKind.ELLIPTIC,
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> PropertyReport:
-    """(H x H) R(z) = R(z) (H x H) with H the cyclic symmetry generator.
+    """(H x H) R(z) = R(z) (H x H) for the plain elliptic matrix.
 
-    For the kinds carrying the corner sign factor (elliptic and hat) the
-    generator is h conjugated by the same half-power diagonal that produces
-    that factor, H = g^{1/2} h g^{-1/2}; the bare h commutes only with the
-    matrix written without the sign factor.  The explicit eight-vertex route
-    (N = 2) uses bare h, where the two coincide in effect.
+    H is the cyclic symmetry generator h conjugated by the half-power
+    diagonal that produces the matrix's corner sign factor,
+    H = g^{1/2} h g^{-1/2}; the bare h commutes only with the matrix written
+    without that factor.
     """
     started = time.perf_counter()
-    h = build_h(params).entries
-    if kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT):
-        gh = build_g_half(params).entries
-        gen = gh @ h @ np.linalg.inv(gh)
-        gen_name = "g^{1/2} h g^{-1/2}"
-    else:
-        gen = h
-        gen_name = "h"
+    gh = build_g_half(params).entries
+    gen = gh @ build_h(params).entries @ np.linalg.inv(gh)
 
     def compute(lz: LogComplex) -> float:
-        r = build_r(params, kind, lz).entries
+        r = build_r(params, RKind.ELLIPTIC, lz).entries
         hh = np.kron(gen, gen)
         return _rel(hh @ r, r @ hh)
 
-    residual, pts = _resample(compute, (log_z,), lambda gen_: (draw_log(gen_),), rng)
-    return _report(
-        f"h-invariance[{kind.value}]",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("h-invariance", tolerance),
-        started,
-        {"generator": gen_name},
+    return _sampled(
+        f"h-invariance[{RKind.ELLIPTIC.value}]", params, compute, (log_z,),
+        _tol("h-invariance", tolerance), rng, started, {"generator": "g^{1/2} h g^{-1/2}"},
     )
 
 
@@ -498,69 +467,59 @@ def check_crossing_unitarity(
             worst = max(worst, res)
         return worst
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "crossing-unitarity",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("crossing-unitarity", tolerance),
-        started,
-        detail,
+    return _sampled(
+        "crossing-unitarity", params, compute, (log_z,), _tol("crossing-unitarity", tolerance),
+        rng, started, detail,
     )
 
 
 def check_kernel_structure(
-    params: ModelParams,
-    *,
-    tolerance: float | None = None,
-    sv_threshold: float = 1e-8,
+    params: ModelParams, *, tolerance: float | None = None
 ) -> PropertyReport:
     """At z = q the hat matrix kills exactly the antisymmetric subspace.
 
     Folds four sub-residuals: (i) ||Rhat(q) A2|| / ||Rhat(q)||; (ii) the
-    rank defect vs N^2 - N(N-1)/2; (iii) the column-symmetry residual
+    rank defect vs N^2 - N(N-1)/2, counting singular values above
+    ``spectral``'s default threshold; (iii) the column-symmetry residual
     max |R^{j,l} - R^{l,j}| (weighted by 100 = the ratio of its tighter
     tolerance to this report's); (iv) the SVD kernel basis lying inside the
     antisymmetric subspace.
     """
     started = time.perf_counter()
     n = params.n
-    r_hat = build_r(params, RKind.ELLIPTIC_HAT, params.log_q)
     a2 = antisymmetrizer(n, 2).entries
-    scale = np.linalg.norm(r_hat.entries)
-
-    res_kernel = float(np.linalg.norm(r_hat.entries @ a2) / scale)
-
-    report = spectral(r_hat, sv_threshold=sv_threshold)
     expected_rank = n * n - n * (n - 1) // 2
-    rank_defect = abs(report.rank - expected_rank)
+    detail: dict = {}
 
-    view = r_hat.tensor_view()
-    sym = view - view.transpose(0, 1, 3, 2)
-    res_colsym = float(np.max(np.abs(sym)) / np.max(np.abs(r_hat.entries)))
+    def compute(lz: LogComplex) -> float:
+        r_hat = build_r(params, RKind.ELLIPTIC_HAT, lz)
+        scale = np.linalg.norm(r_hat.entries)
+        res_kernel = float(np.linalg.norm(r_hat.entries @ a2) / scale)
 
-    kernel = report.kernel_basis
-    res_basis = 0.0
-    if kernel.size:
-        res_basis = float(np.linalg.norm(a2 @ kernel - kernel) / np.linalg.norm(kernel))
+        report = spectral(r_hat)
+        rank_defect = abs(report.rank - expected_rank)
 
-    residual = max(res_kernel, 100.0 * res_colsym, float(rank_defect), res_basis)
-    detail = {
-        "kernel_residual": res_kernel,
-        "rank": report.rank,
-        "expected_rank": expected_rank,
-        "column_symmetry_residual": res_colsym,
-        "kernel_in_antisymmetric_subspace": res_basis,
-    }
-    return _report(
-        "kernel-structure",
-        params.digest(),
-        [params.q],
-        residual,
-        _tol("kernel-structure", tolerance),
-        started,
-        detail,
+        view = r_hat.tensor_view()
+        sym = view - view.transpose(0, 1, 3, 2)
+        res_colsym = float(np.max(np.abs(sym)) / np.max(np.abs(r_hat.entries)))
+
+        kernel = report.kernel_basis
+        res_basis = 0.0
+        if kernel.size:
+            res_basis = float(np.linalg.norm(a2 @ kernel - kernel) / np.linalg.norm(kernel))
+
+        detail.update(
+            kernel_residual=res_kernel,
+            rank=report.rank,
+            expected_rank=expected_rank,
+            column_symmetry_residual=res_colsym,
+            kernel_in_antisymmetric_subspace=res_basis,
+        )
+        return max(res_kernel, 100.0 * res_colsym, float(rank_defect), res_basis)
+
+    return _sampled(
+        "kernel-structure", params, compute, (params.log_q,),
+        _tol("kernel-structure", tolerance), None, started, detail,
     )
 
 
@@ -577,35 +536,32 @@ def check_spectrum_nonelliptic(
     in decreasing magnitude order; residual = max pair distance / max |eig|.
     """
     started = time.perf_counter()
-    n, lq = params.n, params.log_q
-    q = params.q
-    r = build_r(params, RKind.NON_ELLIPTIC, lq)
-    computed = list(np.linalg.eigvals(r.entries))
+    n = params.n
+    detail: dict = {}
 
-    rho_q2 = rho(params, lq**2)
-    big_q = q / (1.0 + q * q)
-    expected: list[complex] = [rho_q2] * n + [0.0j] * (n * (n - 1) // 2)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            power = (lq ** Fraction(2 * i - 2 * j + n, n)).to_complex()
-            expected.append(rho_q2 * big_q * (power + 1.0 / power))
+    def compute(lq: LogComplex) -> float:
+        q = lq.to_complex()
+        computed = list(np.linalg.eigvals(build_r(params, RKind.NON_ELLIPTIC, lq).entries))
+        rho_q2 = rho(params, lq**2)
+        big_q = q / (1.0 + q * q)
+        expected: list[complex] = [rho_q2] * n + [0.0j] * (n * (n - 1) // 2)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                power = (lq ** Fraction(2 * i - 2 * j + n, n)).to_complex()
+                expected.append(rho_q2 * big_q * (power + 1.0 / power))
 
-    scale = max(abs(v) for v in computed)
-    worst = 0.0
-    remaining = computed[:]
-    for want in sorted(expected, key=abs, reverse=True):
-        best_idx = min(range(len(remaining)), key=lambda k: abs(remaining[k] - want))
-        worst = max(worst, abs(remaining.pop(best_idx) - want))
-    residual = worst / max(scale, 1e-300)
-    detail = {"eigenvalues": [complex(v) for v in computed]}
-    return _report(
-        "spectrum-nonelliptic",
-        params.digest(),
-        [q],
-        residual,
-        _tol("spectrum-nonelliptic", tolerance),
-        started,
-        detail,
+        scale = max(abs(v) for v in computed)
+        worst = 0.0
+        remaining = computed[:]
+        for want in sorted(expected, key=abs, reverse=True):
+            best_idx = min(range(len(remaining)), key=lambda k: abs(remaining[k] - want))
+            worst = max(worst, abs(remaining.pop(best_idx) - want))
+        detail["eigenvalues"] = [complex(v) for v in computed]
+        return worst / max(scale, 1e-300)
+
+    return _sampled(
+        "spectrum-nonelliptic", params, compute, (params.log_q,),
+        _tol("spectrum-nonelliptic", tolerance), None, started, detail,
     )
 
 
@@ -626,15 +582,9 @@ def check_gauge_relation(
         hom = build_r(params, RKind.HOMOGENEOUS, (lz**2) / (lw**2)).entries
         return _rel(lhs, conj @ hom @ np.linalg.inv(conj))
 
-    redraw = lambda gen: (draw_log(gen), draw_log(gen))
-    residual, pts = _resample(compute, (log_z, log_w), redraw, rng)
-    return _report(
-        "gauge-relation",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("gauge-relation", tolerance),
-        started,
+    return _sampled(
+        "gauge-relation", params, compute, (log_z, log_w), _tol("gauge-relation", tolerance),
+        rng, started,
     )
 
 
@@ -657,14 +607,9 @@ def check_twist_relation(
         rhs = f21 @ build_r(params, RKind.PRINCIPAL, lz).entries @ np.linalg.inv(f12)
         return _rel(lhs, rhs)
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "twist-relation",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("twist-relation", tolerance),
-        started,
+    return _sampled(
+        "twist-relation", params, compute, (log_z,), _tol("twist-relation", tolerance),
+        rng, started,
     )
 
 
@@ -672,12 +617,12 @@ def check_p_to_zero(
     params: ModelParams,
     log_z: LogComplex,
     p_sequence: Sequence[float] = (1e-2, 1e-4, 1e-6, 1e-8),
-    kind_target: RKind = RKind.NON_ELLIPTIC,
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> PropertyReport:
-    """The hat matrix approaches the twisted principal matrix as p -> 0.
+    """The hat matrix approaches the non-elliptic (twisted principal) matrix
+    as p -> 0.
 
     For each p in the sequence the best scalar multiple s of the target is
     fitted by least squares over entries.  Two convergence speeds coexist:
@@ -687,17 +632,18 @@ def check_p_to_zero(
     residual 1.0); the reported residual is the final support-restricted
     one, which is what the threshold can meaningfully bound.  The fitted s
     at the smallest p is recorded; it converges to 1 for the hat
-    normalization used here.
+    normalization used here.  A sequence that is empty, not strictly
+    decreasing or not inside (0, 1) raises DomainError.
     """
     started = time.perf_counter()
     if not p_sequence or any(
         p2 >= p1 for p1, p2 in zip(p_sequence, list(p_sequence)[1:])
     ) or any(not 0.0 < p < 1.0 for p in p_sequence):
-        raise ValueError("p_sequence must decrease strictly within (0, 1)")
+        raise DomainError("p_sequence must decrease strictly within (0, 1)")
     detail: dict = {"elliptic_kind": RKind.ELLIPTIC_HAT.value, "p_sequence": list(p_sequence)}
 
     def compute(lz: LogComplex) -> float:
-        target = build_r(params, kind_target, lz).entries
+        target = build_r(params, RKind.NON_ELLIPTIC, lz).entries
         target_norm = np.linalg.norm(target)
         support = np.abs(target) > 1e-13 * np.max(np.abs(target))
         residuals: list[float] = []
@@ -717,15 +663,8 @@ def check_p_to_zero(
         detail["monotone"] = all(b < a for a, b in zip(residuals, residuals[1:]))
         return support_residuals[-1] if detail["monotone"] else 1.0
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "p-to-zero",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("p-to-zero", tolerance),
-        started,
-        detail,
+    return _sampled(
+        "p-to-zero", params, compute, (log_z,), _tol("p-to-zero", tolerance), rng, started, detail
     )
 
 
@@ -775,14 +714,8 @@ def check_evaluated_ll(
                     worst = max(worst, float(np.linalg.norm(combo)))
         return worst / max(scale, 1e-300)
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "evaluated-ll",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("evaluated-ll", tolerance),
-        started,
+    return _sampled(
+        "evaluated-ll", params, compute, (log_z,), _tol("evaluated-ll", tolerance), rng, started
     )
 
 
@@ -841,15 +774,9 @@ def check_transpose_symmetry(
         flipped = partial_transpose(partial_transpose(r, 1), 2).entries
         return _rel(flipped, r.entries)
 
-    residual, pts = _resample(compute, (log_z,), lambda gen: (draw_log(gen),), rng)
-    return _report(
-        "transpose-symmetry",
-        params.digest(),
-        [p.to_complex() for p in pts],
-        residual,
-        _tol("transpose-symmetry", tolerance),
-        started,
-        {"canary": params.n >= CHECKS["transpose-symmetry"].canary_from},
+    return _sampled(
+        "transpose-symmetry", params, compute, (log_z,), _tol("transpose-symmetry", tolerance),
+        rng, started, {"canary": params.n >= CHECKS["transpose-symmetry"].canary_from},
     )
 
 

@@ -36,14 +36,7 @@ from .tensor_algebra import (
     permutation_sign,
 )
 from .rmatrix_builders import ModelParams, RKind, _poch_ratio, _SThetas, build_r
-from .property_suite import (
-    CHECKS,
-    MAX_RESAMPLES,
-    PropertyReport,
-    _report,
-    _resample,
-    draw_log,
-)
+from .property_suite import CHECKS, PropertyReport, _resample, _sampled
 
 __all__ = [
     "QdetResult",
@@ -262,16 +255,7 @@ def centrality_witness(
                 worst = max(worst, float(np.linalg.norm(m @ block - block @ m)))
         return worst / max(scale, 1e-300)
 
-    redraw = lambda gen: (draw_log(gen), draw_log(gen))
-    residual, points = _resample(compute, (log_z, log_w), redraw, rng)
-    return _report(
-        "centrality-witness",
-        params.digest(),
-        [p.to_complex() for p in points],
-        residual,
-        tolerance,
-        started,
-    )
+    return _sampled("centrality-witness", params, compute, (log_z, log_w), tolerance, rng, started)
 
 
 def closed_form_q_spread(
@@ -297,21 +281,18 @@ def verify_qdet(
     single factor), so all routes always see the same point.
     """
     n = params.n
-    attempts = 0
-    while True:
-        try:
-            m_op, internal = _product_with_residual(params, log_z)
-            m_values = qdet_closed_form(params, log_z)
-            sum_op = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, log_z)
-            nonell_op = qdet_sum_formula(params, RKind.NON_ELLIPTIC, log_z)
-            inverse_res = inverse_product_residual(params, log_z)
-            break
-        except PoleError:
-            attempts += 1
-            if rng is None or attempts > MAX_RESAMPLES:
-                raise
-            log_z = draw_log(rng)
 
+    def compute(lz: LogComplex) -> tuple:
+        return (
+            *_product_with_residual(params, lz),
+            qdet_closed_form(params, lz),
+            qdet_sum_formula(params, RKind.ELLIPTIC_HAT, lz),
+            qdet_sum_formula(params, RKind.NON_ELLIPTIC, lz),
+            inverse_product_residual(params, lz),
+        )
+
+    routes, (log_z,) = _resample(compute, (log_z,), rng)
+    m_op, internal, m_values, sum_op, nonell_op, inverse_res = routes
     eye = np.eye(n)
     diag_closed = np.diag(np.asarray(m_values, dtype=np.complex128))
     scale = float(np.sqrt(n))

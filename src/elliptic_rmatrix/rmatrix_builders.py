@@ -156,6 +156,21 @@ class ModelParams:
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
+def _guard_den(
+    val: complex,
+    log_base: LogComplex,
+    policy: TruncationPolicy,
+    message: str,
+    log_arg: LogComplex,
+) -> complex:
+    """``val``, a theta denominator of base b at ``log_arg``; PoleError when
+    |val| < POLE_GUARD |(b; b)|, the rule for every theta denominator."""
+    scale = abs(pochhammer_inf(log_base, (log_base,), policy))
+    if abs(val) < POLE_GUARD * max(scale, 1e-300):
+        raise PoleError(message, argument=log_arg.to_complex())
+    return val
+
+
 def _theta_den(
     log_arg: LogComplex,
     log_base: LogComplex,
@@ -163,13 +178,10 @@ def _theta_den(
     what: str,
 ) -> complex:
     """Theta value destined for a denominator; PoleError when it vanishes."""
-    val = theta(log_arg, log_base, policy)
-    scale = abs(pochhammer_inf(log_base, (log_base,), policy))
-    if abs(val) < POLE_GUARD * max(scale, 1e-300):
-        raise PoleError(
-            f"denominator theta vanished in {what}", argument=log_arg.to_complex()
-        )
-    return val
+    return _guard_den(
+        theta(log_arg, log_base, policy), log_base, policy,
+        f"denominator theta vanished in {what}", log_arg,
+    )
 
 
 class _SThetas:
@@ -466,9 +478,10 @@ def _build_elliptic(
 
     common = _eta_common(params, log_z, scalar_kappa)
     theta_p_z = theta(lp * z2, lp, policy)
-    diag_num, diag_den = theta_without_zero(lp), theta_without_zero(lp**n)
-    if abs(diag_den) < POLE_GUARD * max(abs(diag_num), 1e-300):
-        raise PoleError("elliptic diagonal theta ratio vanished", argument=z2.to_complex())
+    diag_num = theta_without_zero(lp)
+    diag_den = _guard_den(
+        theta_without_zero(lp**n), lp**n, policy, "elliptic diagonal theta ratio vanished", z2
+    )
     diag_ratio = diag_num / diag_den
 
     thetas = _SThetas(params, log_z)

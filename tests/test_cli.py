@@ -61,6 +61,13 @@ class TestExitCodes:
         assert "--points must be positive" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("p_seq", ["1e-4,1e-2", "1e-2,1e-2", "1.5,1e-2", "1e-2,0"])
+    def test_bad_p_sequence_rejected(self, capsys, p_seq):
+        assert main(["limits", "--n", "2", "--seed", "1", "--p-seq", p_seq]) == 2
+        captured = capsys.readouterr()
+        assert "p_sequence must decrease strictly within (0, 1)" in captured.err
+        assert captured.out == ""
+
     def test_unknown_tol_name_rejected(self, capsys):
         assert main(["verify", "--n", "2", "--points", "1", "--tol", "ybee=1e-30"]) == 2
         err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 
 import elliptic_rmatrix.property_suite as ps
 from elliptic_rmatrix import (
+    DomainError,
     LogComplex,
     ModelParams,
     PoleError,
@@ -136,7 +137,7 @@ class TestPToZero:
         assert abs(report.detail["fitted_scalar"] - 1.0) < 1e-6
 
     def test_rejects_non_decreasing_sequence(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             check_p_to_zero(params, lc(1.2), p_sequence=(1e-4, 1e-2))
 
     def test_non_monotone_would_fail(self, params, rng):
@@ -197,6 +198,59 @@ class TestResampling:
         report = check_unitarity(params, RKind.ELLIPTIC, pole, rng=np.random.default_rng(0))
         assert report.passed
         assert report.sample_points[0] != pytest.approx(pole.to_complex())
+
+
+def _pole_on_first_build(monkeypatch) -> list:
+    """Make ``property_suite.build_r`` raise PoleError on its first call only."""
+    real = ps.build_r
+    calls = []
+
+    def build_r(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PoleError("synthetic pole")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ps, "build_r", build_r)
+    return calls
+
+
+_RUNNABLE = [key for key, check in ps.CHECKS.items() if check.run is not None]
+
+
+class TestSampledHelper:
+    """Every table entry resamples, or refuses to, through the one helper, ``_sampled``."""
+
+    @staticmethod
+    def _run(key, rng):
+        check = ps.CHECKS[key]
+        params = draw_params(np.random.default_rng(7), 2)
+        points = tuple(draw_log(np.random.default_rng(8)) for _ in check.points)
+        kind = check.kinds[0] if check.kinds else RKind.ELLIPTIC
+        return points, check.run(params, kind, points, None, rng)
+
+    @pytest.mark.parametrize("key", _RUNNABLE)
+    def test_pole_propagates_without_rng(self, monkeypatch, key):
+        calls = _pole_on_first_build(monkeypatch)
+        if key == "nsigma":  # exact arithmetic, no matrix to build
+            assert self._run(key, None)[1].passed and calls == []
+            return
+        with pytest.raises(PoleError):
+            self._run(key, None)
+
+    @pytest.mark.parametrize("key", _RUNNABLE)
+    def test_pole_resampled_with_rng(self, monkeypatch, key):
+        calls = _pole_on_first_build(monkeypatch)
+        if key == "nsigma":
+            assert self._run(key, np.random.default_rng(0))[1].passed and calls == []
+        elif ps.CHECKS[key].points:
+            points, report = self._run(key, np.random.default_rng(0))
+            assert len(report.sample_points) == len(points)
+            for old, new in zip(points, report.sample_points):
+                assert new != pytest.approx(old.to_complex())
+        else:  # a fixed point (z = 1 or z = q) has nothing to redraw
+            with pytest.raises(PoleError):
+                self._run(key, np.random.default_rng(0))
 
 
 class TestReportInvariants:

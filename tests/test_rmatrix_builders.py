@@ -193,12 +193,18 @@ class TestBuildR:
                         if (a + c - b - d) % n != 0:
                             assert view[a, c, b, d] == 0
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_entries_are_eta_times_s_coeff(self, n):
+    @pytest.mark.parametrize("n, q, p, z", [
+        (2, 0.41 + 0.13j, 0.17 - 0.06j, 1.3 + 0.2j),
+        (3, 0.41 + 0.13j, 0.17 - 0.06j, 1.3 + 0.2j),
+        (4, 0.41 + 0.13j, 0.17 - 0.06j, 1.3 + 0.2j),
+        # |z^2| near 3e4: the cancelled diagonal quotient is large, not a pole
+        (6, 0.273 + 0.303j, 0.174 + 0.389j, 170 + 30j),
+    ], ids=["2", "3", "4", "6-large-z"])
+    def test_entries_are_eta_times_s_coeff(self, n, q, p, z):
         # the builder cancels the z^2 = 1 zero of the b = c entries; away
         # from z^2 = 1 every entry must still match the generic formula
-        params = ModelParams(n, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
-        z = lc(1.3 + 0.2j)
+        params = ModelParams(n, lc(q), lc(p))
+        z = lc(z)
         view = build_r(params, RKind.ELLIPTIC, z).tensor_view()
         scale = eta(params, z)
         for a in range(1, n + 1):
