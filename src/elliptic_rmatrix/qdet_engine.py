@@ -12,30 +12,23 @@ Three independent routes to the same scalar:
   computed once per index offset per z.
 
 All three equal the identity (respectively 1); ``verify_qdet`` computes the
-pairwise deviations.  N!-term sums run in fixed lexicographic order with
-Neumaier-compensated accumulation so results are bit-reproducible and do not
-lose the cancellation structure.
+pairwise deviations.  The closed form and the permutation sum share one
+signed sum over S_N, a recursion over subsets of used values in O(2^N N)
+steps, evaluated in a fixed order so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import permutations
-from typing import Sequence
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import KindError, PoleError, SizeError
+from .errors import KindError, SizeError
 from .special_functions import LogComplex, theta
-from .tensor_algebra import (
-    TensorOperator,
-    antisymmetrizer,
-    embed,
-    partial_trace,
-    permutation_sign,
-)
-from .rmatrix_builders import ModelParams, RKind, _poch_ratio, _SThetas, build_r
+from .tensor_algebra import TensorOperator, antisymmetrizer, embed, partial_trace
+from .rmatrix_builders import ModelParams, RKind, _poch_ratio, _SThetas, _theta_den, build_r
 from .property_suite import CHECKS, PropertyReport, _resample, _sampled
 
 __all__ = [
@@ -49,8 +42,10 @@ __all__ = [
     "verify_qdet",
 ]
 
-MAX_PRODUCT_SLOTS = 5
+MAX_PRODUCT_SLOTS = 4
 MAX_SUM_TERMS_N = 6
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -71,24 +66,29 @@ class QdetResult:
     params_digest: str = ""
 
 
-class _CompensatedSum:
-    """Neumaier-compensated elementwise accumulation of complex arrays."""
+def _signed_sum(n: int, start: _T, step: Callable[[_T, int, int, int], _T]) -> _T:
+    """sum_sigma sgn(sigma) step(... step(start, 1, sigma(1), 0) ..., N, sigma(N), used).
 
-    def __init__(self, shape: tuple[int, ...]):
-        self._total = np.zeros(shape, dtype=np.complex128)
-        self._comp = np.zeros(shape, dtype=np.complex128)
-
-    def add(self, term: np.ndarray) -> None:
-        new_total = self._total + term
-        total_bigger = np.abs(self._total) >= np.abs(term)
-        self._comp = self._comp + np.where(
-            total_bigger, (self._total - new_total) + term, (term - new_total) + self._total
-        )
-        self._total = new_total
-
-    @property
-    def value(self) -> np.ndarray:
-        return self._total + self._comp
+    ``step(acc, ell, v, used)`` appends value v at row ell, where ``used`` is
+    the sum of the values already placed; it must be linear in ``acc``.  Each
+    layer maps the bitmask of used values to the signed sum over their
+    orderings, and appending v flips the sign once per used value above v.
+    """
+    layer = {0: start}
+    for ell in range(1, n + 1):
+        nxt: dict[int, _T] = {}
+        for mask, acc in layer.items():
+            used = sum(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+            for v in range(1, n + 1):
+                if mask >> (v - 1) & 1:
+                    continue
+                term = step(acc, ell, v, used)
+                if bin(mask >> v).count("1") % 2:
+                    term = -term
+                key = mask | 1 << (v - 1)
+                nxt[key] = nxt[key] + term if key in nxt else term
+        layer = nxt
+    return layer[(1 << n) - 1]
 
 
 def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]:
@@ -99,18 +99,25 @@ def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]
     ]
 
 
-def _product_with_residual(
-    params: ModelParams, log_z: LogComplex
-) -> tuple[TensorOperator, float]:
-    n = params.n
+def _embedded_antisymmetrizer(n: int) -> np.ndarray:
+    """The antisymmetrizer on slots 1..N of N + 1, as a dense matrix.
+
+    SizeError above MAX_PRODUCT_SLOTS, before anything is allocated.
+    """
     if n > MAX_PRODUCT_SLOTS:
         raise SizeError(
             f"product route needs a dense operator on {n ** (n + 1)} dimensions; "
             f"N is capped at {MAX_PRODUCT_SLOTS}"
         )
+    return embed(antisymmetrizer(n, n), tuple(range(1, n + 1)), n + 1).entries
+
+
+def _product_with_residual(
+    params: ModelParams, log_z: LogComplex
+) -> tuple[TensorOperator, float]:
+    n = params.n
     arity = n + 1
-    a_big = embed(antisymmetrizer(n, n), tuple(range(1, n + 1)), arity).entries
-    x = a_big.copy()
+    x = _embedded_antisymmetrizer(n)
     # Right-to-left: X = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) A.
     for j, factor in reversed(list(enumerate(_hat_factors(params, log_z), start=1))):
         x = embed(factor, (j, arity), arity).entries @ x
@@ -139,12 +146,8 @@ def inverse_product_residual(params: ModelParams, log_z: LogComplex) -> float:
     the inverses in reverse order must fix it too:
     Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} A = A.
     """
-    n = params.n
-    if n > MAX_PRODUCT_SLOTS:
-        raise SizeError(f"N is capped at {MAX_PRODUCT_SLOTS} for the product route")
-    arity = n + 1
-    a_big = embed(antisymmetrizer(n, n), tuple(range(1, n + 1)), arity).entries
-    y = a_big.copy()
+    arity = params.n + 1
+    y = a_big = _embedded_antisymmetrizer(params.n)
     # Left-multiplying successively by Rhat_{1,0}^{-1}, Rhat_{2,0}^{-1}, ...
     # composes to Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} applied to A.
     for j, factor in enumerate(_hat_factors(params, log_z), start=1):
@@ -165,7 +168,7 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
     """
     n = params.n
     if n > MAX_SUM_TERMS_N:
-        raise SizeError(f"N! sum capped at N = {MAX_SUM_TERMS_N}")
+        raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
     lq, lp, policy = params.log_q, params.log_p, params.policy
     q = params.q
     z2 = log_z**2
@@ -173,24 +176,17 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
 
     poch_ratio = -_poch_ratio(params)
     theta_q2 = theta(q2, lp, policy)
-    theta_den = theta(q2 * z2, lp, policy)
-    if abs(theta_den) < 1e-300:
-        raise PoleError("closed form denominator vanished", argument=(q2 * z2).to_complex())
+    theta_den = _theta_den(q2 * z2, lp, policy, "closed form")
     prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
 
     tables = [_SThetas(params, log_z / (lq**j)) for j in range(n)]
-    values: list[complex] = []
-    for k in range(1, n + 1):
-        acc = _CompensatedSum(())
-        for sigma in permutations(range(1, n + 1)):
-            term = complex(permutation_sign(sigma))
-            shift = 0
-            for ell in range(1, n + 1):
-                term *= tables[ell - 1].ratio(ell, sigma[ell - 1], k + shift)
-                shift += ell - sigma[ell - 1]
-            acc.add(np.asarray(term, dtype=np.complex128))
-        values.append(complex(acc.value) * prefactor_z * q ** (2 * k - 2 * n))
-    return tuple(values)
+
+    def core(k: int) -> complex:
+        # shift_l = l(l-1)/2 - (sum of the values placed in rows 1..l-1)
+        return _signed_sum(n, 1.0, lambda acc, ell, v, used: acc * tables[ell - 1].ratio(
+            ell, v, k + ell * (ell - 1) // 2 - used))
+
+    return tuple(core(k) * prefactor_z * q ** (2 * k - 2 * n) for k in range(1, n + 1))
 
 
 def qdet_sum_formula(
@@ -206,7 +202,7 @@ def qdet_sum_formula(
     """
     n = params.n
     if n > MAX_SUM_TERMS_N:
-        raise SizeError(f"N! sum capped at N = {MAX_SUM_TERMS_N}")
+        raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
     if kind not in (RKind.ELLIPTIC_HAT, RKind.NON_ELLIPTIC):
         raise KindError(
             f"permutation-sum route is defined for the hat and non-elliptic kinds, got {kind.value}"
@@ -214,13 +210,10 @@ def qdet_sum_formula(
     lq = params.log_q
     # Lax-evaluation blocks: views[l][i, :, j, :] acts on the second slot
     views = [build_r(params, kind, log_z / (lq**j)).tensor_view() for j in range(n)]
-    acc = _CompensatedSum((n, n))
-    for sigma in permutations(range(1, n + 1)):
-        term = views[0][0, :, sigma[0] - 1, :]
-        for ell in range(2, n + 1):
-            term = term @ views[ell - 1][ell - 1, :, sigma[ell - 1] - 1, :]
-        acc.add(permutation_sign(sigma) * term)
-    return TensorOperator(n, 1, acc.value)
+    total = _signed_sum(
+        n, np.eye(n), lambda acc, ell, v, used: acc @ views[ell - 1][ell - 1, :, v - 1, :]
+    )
+    return TensorOperator(n, 1, total)
 
 
 def centrality_witness(

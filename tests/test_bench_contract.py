@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from elliptic_rmatrix import qdet_engine
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -43,3 +45,7 @@ def test_traced_names_are_public_functions(bench_run):
         module = importlib.import_module(f"elliptic_rmatrix.{short}")
         assert name in module.__all__, key
         assert inspect.isfunction(getattr(module, name)), key
+
+
+def test_bench_size_guard_matches_product_cap(bench_run):
+    assert bench_run.MAX_DENSE_QDET_N == qdet_engine.MAX_PRODUCT_SLOTS

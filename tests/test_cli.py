@@ -53,6 +53,10 @@ class TestExitCodes:
     def test_n_below_two(self, capsys):
         assert main(["verify", "--n", "1"]) == 2
 
+    def test_qdet_above_product_cap(self, capsys):
+        assert main(["qdet", "--n", "5", "--points", "1"]) == 2
+        assert "N is capped at 4" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "qdet"])
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_non_positive_points_rejected(self, capsys, command, points):

@@ -1,5 +1,7 @@
 """Quantum determinant: product route, permutation sum, closed form."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from elliptic_rmatrix import (
     KindError,
     LogComplex,
     ModelParams,
+    PoleError,
     RKind,
     SizeError,
     build_r,
     centrality_witness,
     closed_form_q_spread,
     inverse_product_residual,
+    permutation_sign,
     qdet_closed_form,
+    qdet_engine,
     qdet_product,
     qdet_sum_formula,
     verify_qdet,
@@ -91,6 +96,49 @@ class TestHandExpansionN2:
         np.testing.assert_allclose(hand, np.eye(2), atol=1e-10)
 
 
+def leibniz(n, start, step):
+    """The signed sum of ``qdet_engine._signed_sum``, term by term over S_N."""
+    total = 0
+    for sigma in permutations(range(1, n + 1)):
+        acc, used = start, 0
+        for ell, v in enumerate(sigma, start=1):
+            acc, used = step(acc, ell, v, used), used + v
+        total = total + permutation_sign(sigma) * acc
+    return total
+
+
+class TestSignedSum:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_integer_determinant_is_exact(self, n):
+        x = np.random.default_rng(n).integers(-9, 10, (n, n)).tolist()
+        step = lambda acc, ell, v, used: acc * x[ell - 1][v - 1]
+        assert qdet_engine._signed_sum(n, 1, step) == leibniz(n, 1, step)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_routes_match_permutation_reference(self, n, monkeypatch):
+        rng = np.random.default_rng(300 + n)
+        params = draw_params(rng, n)
+        z = draw_log(rng)
+        kinds = (RKind.ELLIPTIC_HAT, RKind.NON_ELLIPTIC)
+        closed = qdet_closed_form(params, z)
+        sums = [qdet_sum_formula(params, kind, z).entries for kind in kinds]
+        monkeypatch.setattr(qdet_engine, "_signed_sum", leibniz)
+        reference = qdet_closed_form(params, z)
+        assert max(abs(a - b) for a, b in zip(closed, reference)) <= 1e-10
+        for kind, got in zip(kinds, sums):
+            want = qdet_sum_formula(params, kind, z).entries
+            assert np.max(np.abs(got - want)) <= 1e-10, kind
+
+    @pytest.mark.parametrize("seed, n", [(503, 5), (602, 6)])
+    def test_identity_at_large_n(self, seed, n):
+        rng = np.random.default_rng(seed)
+        params = draw_params(rng, n)
+        z = draw_log(rng)
+        assert max(abs(v - 1.0) for v in qdet_closed_form(params, z)) < 2e-9
+        hat = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, z).entries
+        assert np.max(np.abs(hat - np.eye(n))) < 2e-9
+
+
 class TestCentrality:
     def test_witness_commutes(self, params, rng):
         report = centrality_witness(params, draw_log(rng), draw_log(rng), rng=rng)
@@ -100,9 +148,11 @@ class TestCentrality:
 
 class TestGuards:
     def test_product_size_limit(self):
-        params = ModelParams(6, lc(0.4), lc(0.2))
-        with pytest.raises(SizeError):
-            qdet_product(params, lc(1.2 + 0.1j))
+        for n in (6, 5):
+            params = ModelParams(n, lc(0.4), lc(0.2))
+            for route in (qdet_product, inverse_product_residual):
+                with pytest.raises(SizeError):
+                    route(params, lc(1.2 + 0.1j))
 
     def test_closed_form_size_limit(self):
         params = ModelParams(7, lc(0.4), lc(0.2))
@@ -112,6 +162,14 @@ class TestGuards:
     def test_sum_formula_kind_restriction(self, params):
         with pytest.raises(KindError):
             qdet_sum_formula(params, RKind.HOMOGENEOUS, lc(1.2 + 0.1j))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_pole_guard(self, n):
+        # q^2 z^2 = exp(2e-14) sits next to the zero of Theta_p(q^2 z^2) at 1,
+        # where eta's guard on the same theta already raises
+        params = draw_params(np.random.default_rng(7), n)
+        with pytest.raises(PoleError):
+            qdet_closed_form(params, LogComplex(-params.log_q.value + 1e-14))
 
     def test_pole_resample_needs_rng(self):
         from elliptic_rmatrix import PoleError
