@@ -54,7 +54,7 @@ from .property_suite import (
     run_suite,
     tolerance_for,
 )
-from .qdet_engine import centrality_witness, verify_qdet
+from .qdet_engine import _check_product_cap, centrality_witness, verify_qdet
 
 __all__ = ["RunConfig", "main", "parse_complex_literal"]
 
@@ -159,8 +159,6 @@ def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
         if abs(config.p) >= 1.0 or config.p == 0:
             raise ConfigError(f"|p| must lie in (0, 1), got {abs(config.p):.6g}")
         log_p = LogComplex.from_complex(config.p)
-    if log_q.magnitude() ** (2 * config.n) >= 1.0:
-        raise ConfigError(f"|q^(2N)| must be < 1 for N = {config.n}")
     # user-pinned parameters get a coarse margin: warn loudly, still run
     params = ModelParams(config.n, log_q, log_p, genericity_margin=0.05)
     for warning in params.genericity_warnings():
@@ -300,6 +298,7 @@ def _qdet_reports(
 
 
 def run_verify(config: RunConfig) -> int:
+    _check_product_cap(config.n)
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
     reports = run_suite(

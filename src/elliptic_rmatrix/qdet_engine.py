@@ -91,24 +91,23 @@ def _signed_sum(n: int, start: _T, step: Callable[[_T, int, int, int], _T]) -> _
     return layer[(1 << n) - 1]
 
 
-def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]:
-    """Hat matrices at the q-shifted arguments z, z/q, ..., z q^{1-N}."""
-    lq = params.log_q
-    return [
-        build_r(params, RKind.ELLIPTIC_HAT, log_z / (lq ** j)) for j in range(params.n)
-    ]
+def _q_shifted(params: ModelParams, log_z: LogComplex) -> list[LogComplex]:
+    """The q-shifted arguments w_j = z q^{1-j}, j = 1..N, read by every route."""
+    return [log_z / (params.log_q**j) for j in range(params.n)]
 
 
-def _embedded_antisymmetrizer(n: int) -> np.ndarray:
-    """The antisymmetrizer on slots 1..N of N + 1, as a dense matrix.
-
-    SizeError above MAX_PRODUCT_SLOTS, before anything is allocated.
-    """
+def _check_product_cap(n: int) -> None:
+    """SizeError above MAX_PRODUCT_SLOTS, before anything is allocated."""
     if n > MAX_PRODUCT_SLOTS:
         raise SizeError(
             f"product route needs a dense operator on {n ** (n + 1)} dimensions; "
             f"N is capped at {MAX_PRODUCT_SLOTS}"
         )
+
+
+def _embedded_antisymmetrizer(n: int) -> np.ndarray:
+    """The antisymmetrizer on slots 1..N of N + 1, as a dense matrix."""
+    _check_product_cap(n)
     return embed(antisymmetrizer(n, n), tuple(range(1, n + 1)), n + 1).entries
 
 
@@ -119,8 +118,8 @@ def _product_with_residual(
     arity = n + 1
     x = _embedded_antisymmetrizer(n)
     # Right-to-left: X = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) A.
-    for j, factor in reversed(list(enumerate(_hat_factors(params, log_z), start=1))):
-        x = embed(factor, (j, arity), arity).entries @ x
+    for j, w in reversed(list(enumerate(_q_shifted(params, log_z), start=1))):
+        x = embed(build_r(params, RKind.ELLIPTIC_HAT, w), (j, arity), arity).entries @ x
 
     x_op = TensorOperator(n, arity, x)
     # tr A = 1 (rank-one projector), so tracing out slots 1..N isolates the
@@ -150,7 +149,8 @@ def inverse_product_residual(params: ModelParams, log_z: LogComplex) -> float:
     y = a_big = _embedded_antisymmetrizer(params.n)
     # Left-multiplying successively by Rhat_{1,0}^{-1}, Rhat_{2,0}^{-1}, ...
     # composes to Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} applied to A.
-    for j, factor in enumerate(_hat_factors(params, log_z), start=1):
+    for j, w in enumerate(_q_shifted(params, log_z), start=1):
+        factor = build_r(params, RKind.ELLIPTIC_HAT, w)
         y = np.linalg.inv(embed(factor, (j, arity), arity).entries) @ y
     return float(np.linalg.norm(y - a_big) / max(np.linalg.norm(a_big), 1e-300))
 
@@ -179,7 +179,7 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
     theta_den = _theta_den(q2 * z2, lp, policy, "closed form")
     prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
 
-    tables = [_SThetas(params, log_z / (lq**j)) for j in range(n)]
+    tables = [_SThetas(params, w) for w in _q_shifted(params, log_z)]
 
     def core(k: int) -> complex:
         # shift_l = l(l-1)/2 - (sum of the values placed in rows 1..l-1)
@@ -207,9 +207,8 @@ def qdet_sum_formula(
         raise KindError(
             f"permutation-sum route is defined for the hat and non-elliptic kinds, got {kind.value}"
         )
-    lq = params.log_q
     # Lax-evaluation blocks: views[l][i, :, j, :] acts on the second slot
-    views = [build_r(params, kind, log_z / (lq**j)).tensor_view() for j in range(n)]
+    views = [build_r(params, kind, w).tensor_view() for w in _q_shifted(params, log_z)]
     total = _signed_sum(
         n, np.eye(n), lambda acc, ell, v, used: acc @ views[ell - 1][ell - 1, :, v - 1, :]
     )

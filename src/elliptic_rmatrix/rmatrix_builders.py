@@ -249,8 +249,6 @@ def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
     """
     n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
     big_q = lq ** (2 * n)
-    if big_q.magnitude() >= 1.0:
-        raise DomainError(f"|q^{2 * n}| must be < 1, got {big_q.magnitude():.6f}")
     bases = (lp, big_q)
     q2 = lq**2
     mixed = lp * (lq ** (2 * n - 2))
@@ -338,8 +336,6 @@ def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
     """
     n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
     big_q = lq ** (2 * n)
-    if big_q.magnitude() >= 1.0:
-        raise DomainError(f"|q^{2 * n}| must be < 1, got {big_q.magnitude():.6f}")
     z2 = log_z**2
     z2inv = z2.inv()
     q2 = lq**2

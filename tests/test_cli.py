@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from elliptic_rmatrix import ConfigError
+from elliptic_rmatrix import ConfigError, cli
 from elliptic_rmatrix.cli import main, parse_complex_literal
 
 REPORT_FIELDS = {
@@ -56,6 +56,22 @@ class TestExitCodes:
     def test_qdet_above_product_cap(self, capsys):
         assert main(["qdet", "--n", "5", "--points", "1"]) == 2
         assert "N is capped at 4" in capsys.readouterr().err
+
+    def test_verify_above_product_cap_runs_no_checks(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args) or [])
+        assert main(["verify", "--n", "5", "--points", "1"]) == 2
+        assert calls == []
+        assert "N is capped at 4" in capsys.readouterr().err
+
+    def test_numerical_error_exits_three(self, capsys):
+        # the terms of (p; p)_inf at |p| = 0.999 stay above the floor past 4096 terms
+        assert main(["matrix", "--n", "2", "--p", "0.999", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("numerical error:")
+        assert "after 4096 terms" in last
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["verify", "qdet"])
     @pytest.mark.parametrize("points", ["0", "-3"])
