@@ -35,7 +35,6 @@ from .tensor_algebra import (
     embed,
     identity_operator,
     matrix_dump_rows,
-    partial_trace,
     partial_transpose,
     permutation_op,
     permutation_sign,

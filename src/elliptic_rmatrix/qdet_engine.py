@@ -2,9 +2,11 @@
 
 Three independent routes to the same scalar:
 
-* the product route: sandwich the N-fold product of hat matrices
-  Rhat_{1,0}(z) Rhat_{2,0}(z/q) ... Rhat_{N,0}(z q^{1-N}) with the rank-one
-  antisymmetrizer on slots 1..N and read off the auxiliary-slot factor;
+* the product route: apply the N-fold product of hat matrices
+  Rhat_{1,0}(z) Rhat_{2,0}(z/q) ... Rhat_{N,0}(z q^{1-N}) to the N columns
+  |a> x e_j of A x I, where A = |a><a| is the rank-one antisymmetrizer on
+  slots 1..N, and read off the auxiliary-slot factor (the inverse route
+  solves the same factors against those columns);
 * the permutation-sum route: the signed sum over S_N of products of
   evaluated Lax blocks E_{1,sigma(1)}(z) ... E_{N,sigma(N)}(z q^{1-N});
 * the closed form: a theta-quotient expression for each diagonal value m_k,
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import KindError, SizeError
 from .special_functions import LogComplex, theta
-from .tensor_algebra import TensorOperator, antisymmetrizer, embed, partial_trace
+from .tensor_algebra import TensorOperator, antisymmetrizer, embed
 from .rmatrix_builders import ModelParams, RKind, _poch_ratio, _SThetas, _theta_den, build_r
 from .property_suite import CHECKS, PropertyReport, _resample, _sampled
 
@@ -105,32 +107,28 @@ def _check_product_cap(n: int) -> None:
         )
 
 
-def _embedded_antisymmetrizer(n: int) -> np.ndarray:
-    """The antisymmetrizer on slots 1..N of N + 1, as a dense matrix."""
+def _antisymmetric_columns(n: int) -> np.ndarray:
+    """The D x N matrix V of columns |a> x e_j, D = N^(N+1), so A x I = V V^dagger.
+
+    A = |a><a| is the rank-one antisymmetrizer on slots 1..N and |a> its
+    normalised column at e_1 x ... x e_N; the auxiliary slot comes last.
+    """
     _check_product_cap(n)
-    return embed(antisymmetrizer(n, n), tuple(range(1, n + 1)), n + 1).entries
+    a = antisymmetrizer(n, n).entries[:, np.ravel_multi_index(tuple(range(n)), (n,) * n)]
+    return np.kron((a / np.linalg.norm(a))[:, None], np.eye(n))
 
 
-def _product_with_residual(
-    params: ModelParams, log_z: LogComplex
-) -> tuple[TensorOperator, float]:
+def _product_with_residual(params: ModelParams, log_z: LogComplex) -> tuple[TensorOperator, float]:
     n = params.n
     arity = n + 1
-    x = _embedded_antisymmetrizer(n)
-    # Right-to-left: X = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) A.
+    x = v = _antisymmetric_columns(n)
+    # Right-to-left: x = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) V.
     for j, w in reversed(list(enumerate(_q_shifted(params, log_z), start=1))):
         x = embed(build_r(params, RKind.ELLIPTIC_HAT, w), (j, arity), arity).entries @ x
-
-    x_op = TensorOperator(n, arity, x)
-    # tr A = 1 (rank-one projector), so tracing out slots 1..N isolates the
-    # auxiliary factor.
-    m_op = partial_trace(x_op, tuple(range(1, n + 1)))
-    a_small = antisymmetrizer(n, n).entries
-    reassembled = np.kron(a_small, m_op.entries)
-    residual = float(
-        np.linalg.norm(x - reassembled) / max(np.linalg.norm(x), 1e-300)
-    )
-    return m_op, residual
+    # X = A x M gives x = V M; V's columns are orthonormal, so this is ||X - A x M|| / ||X||.
+    m = v.conj().T @ x
+    residual = float(np.linalg.norm(x - v @ m) / max(np.linalg.norm(x), 1e-300))
+    return TensorOperator(n, 1, m), residual
 
 
 def qdet_product(params: ModelParams, log_z: LogComplex) -> TensorOperator:
@@ -143,16 +141,16 @@ def inverse_product_residual(params: ModelParams, log_z: LogComplex) -> float:
 
     Since the forward product maps the antisymmetrizer to itself, applying
     the inverses in reverse order must fix it too:
-    Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} A = A.
+    Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} A = A.  The factors are solved against
+    the N columns V of A x I, and ||Y V - V|| / ||V|| = ||Y - A x I|| / ||A x I||.
     """
     arity = params.n + 1
-    y = a_big = _embedded_antisymmetrizer(params.n)
-    # Left-multiplying successively by Rhat_{1,0}^{-1}, Rhat_{2,0}^{-1}, ...
-    # composes to Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} applied to A.
+    y = v = _antisymmetric_columns(params.n)
+    # Solving against Rhat_{1,0}, then Rhat_{2,0}, ... gives Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} V.
     for j, w in enumerate(_q_shifted(params, log_z), start=1):
         factor = build_r(params, RKind.ELLIPTIC_HAT, w)
-        y = np.linalg.inv(embed(factor, (j, arity), arity).entries) @ y
-    return float(np.linalg.norm(y - a_big) / max(np.linalg.norm(a_big), 1e-300))
+        y = np.linalg.solve(embed(factor, (j, arity), arity).entries, y)
+    return float(np.linalg.norm(y - v) / max(np.linalg.norm(v), 1e-300))
 
 
 def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, ...]:
@@ -294,15 +292,9 @@ def verify_qdet(
         "closed_form_vs_identity": max(abs(v - 1.0) for v in m_values),
         "closed_form_spread": max(abs(v - m_values[0]) for v in m_values),
         "product_vs_closed_form": float(np.linalg.norm(m_op.entries - diag_closed) / scale),
-        "product_vs_sum_formula": float(
-            np.linalg.norm(m_op.entries - sum_op.entries) / scale
-        ),
-        "sum_formula_vs_closed_form": float(
-            np.linalg.norm(sum_op.entries - diag_closed) / scale
-        ),
-        "nonelliptic_sum_vs_identity": float(
-            np.linalg.norm(nonell_op.entries - eye) / scale
-        ),
+        "product_vs_sum_formula": float(np.linalg.norm(m_op.entries - sum_op.entries) / scale),
+        "sum_formula_vs_closed_form": float(np.linalg.norm(sum_op.entries - diag_closed) / scale),
+        "nonelliptic_sum_vs_identity": float(np.linalg.norm(nonell_op.entries - eye) / scale),
         "inverse_product": inverse_res,
     }
     return QdetResult(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "permutation_sign",
     "antisymmetrizer",
     "partial_transpose",
-    "partial_trace",
     "spectral",
     "matrix_dump_rows",
 ]
@@ -209,26 +208,6 @@ def partial_transpose(op: TensorOperator, slot: int) -> TensorOperator:
     axes[slot - 1], axes[k + slot - 1] = axes[k + slot - 1], axes[slot - 1]
     tensor = op.tensor_view().transpose(axes)
     return TensorOperator(op.local_dim, k, tensor.reshape(op.dim, op.dim))
-
-
-def partial_trace(op: TensorOperator, slots: Iterable[int]) -> TensorOperator:
-    """Trace out the given slots, keeping the remaining ones in order.
-
-    Tracing every slot yields an arity-0 operator (a 1x1 matrix); use
-    ``.trace()`` directly when only the scalar is wanted.
-    """
-    traced = sorted(set(slots))
-    for s in traced:
-        if not 1 <= s <= op.arity:
-            raise DimensionError(f"slot {s} outside 1..{op.arity}")
-    k = op.arity
-    tensor = op.tensor_view()
-    for s in reversed(traced):  # high slots first so axis numbers stay valid
-        offset = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=s - 1, axis2=offset + s - 1)
-    kept = k - len(traced)
-    dim = op.local_dim**kept
-    return TensorOperator(op.local_dim, kept, tensor.reshape(dim, dim))
 
 
 def spectral(op: TensorOperator, sv_threshold: float = 1e-8) -> SpectralReport:

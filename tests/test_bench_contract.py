@@ -1,14 +1,16 @@
-"""The names the benchmark's traced run requires exist as public functions.
+"""The names the benchmark's traced run requires exist and are called.
 
 ``bench/run.py --trace 1`` wraps every function a module lists in
-``__all__`` and fails when a function it must see called is missing.  This
-test reads the same names from ``bench/run.py``, so renaming or removing one
-fails here rather than in a benchmark run.
+``__all__`` and fails when a function it must see called is missing.  These
+tests read the same names from ``bench/run.py``, so renaming, removing or no
+longer reaching one fails here rather than in a benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +51,29 @@ def test_traced_names_are_public_functions(bench_run):
 
 def test_bench_size_guard_matches_product_cap(bench_run):
     assert bench_run.MAX_DENSE_QDET_N == qdet_engine.MAX_PRODUCT_SLOTS
+
+
+def one_point(argv: tuple[str, ...]) -> tuple[str, ...]:
+    """A workload's arguments with one sample point or one grid cell."""
+    out = list(argv)
+    for flag, value in (("--points", "1"), ("--grid", "1x1")):
+        if flag in out:
+            out[out.index(flag) + 1] = value
+    return tuple(out)
+
+
+def test_traced_run_calls_every_required_name(bench_run):
+    prefix = bench_run.worker.RECORD_PREFIX
+    missed = {}
+    for name, workload in bench_run.WORKLOADS.items():
+        argv, _ = bench_run.ellr_argv(name, 1, 0)
+        proc = subprocess.run(
+            [sys.executable, str(bench_run.WORKER), "--trace", "1", "--", *one_point(argv)],
+            capture_output=True, text=True, env=bench_run._worker_env(), cwd=bench_run.ROOT,
+            timeout=bench_run.INVOCATION_TIMEOUT_S,
+        )
+        records = [line for line in proc.stderr.splitlines() if line.startswith(prefix)]
+        assert records, (name, proc.stderr[-500:])
+        calls = json.loads(records[-1][len(prefix):])["calls"]
+        missed[name] = [key for key in workload.must_call if calls.get(key, 0) < 1]
+    assert missed == {name: [] for name in bench_run.WORKLOADS}

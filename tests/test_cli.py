@@ -73,6 +73,14 @@ class TestExitCodes:
         assert "after 4096 terms" in last
         assert captured.out == ""
 
+    def test_pole_exits_three(self, capsys):
+        # the hat prefactor's Theta_{q^{2N}}(z^2) vanishes at z = 1
+        argv = ["matrix", "--n", "3", "--kind", "elliptic-hat", "--z", "1+0i", "--seed", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "numerical error: hat prefactor denominator vanished"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["verify", "qdet"])
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_non_positive_points_rejected(self, capsys, command, points):

@@ -14,6 +14,7 @@ from elliptic_rmatrix import (
     PoleError,
     PropertyReport,
     RKind,
+    SingularError,
     check_antisymmetry,
     check_crossing,
     check_crossing_unitarity,
@@ -183,6 +184,12 @@ class TestCanary:
             detail={"canary": True},
         )
         assert not effective_pass(report)
+
+
+class TestInversionGuard:
+    def test_singular_matrix_refused(self):
+        with pytest.raises(SingularError, match="matrix inversion in x"):
+            ps._inv(np.zeros((4, 4)), "x")
 
 
 class TestResampling:

@@ -12,9 +12,11 @@ from elliptic_rmatrix import (
     PoleError,
     RKind,
     SizeError,
+    antisymmetrizer,
     build_r,
     centrality_witness,
     closed_form_q_spread,
+    embed,
     inverse_product_residual,
     permutation_sign,
     qdet_closed_form,
@@ -137,6 +139,55 @@ class TestSignedSum:
         assert max(abs(v - 1.0) for v in qdet_closed_form(params, z)) < 2e-9
         hat = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, z).entries
         assert np.max(np.abs(hat - np.eye(n))) < 2e-9
+
+
+def dense_routes(params, z):
+    """The product and inverse routes on the full N^(N+1)-square A x I.
+
+    Returns M = tr_{1..N} X for X = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) (A x I),
+    the internal residual ||X - A x M|| / ||X|| and the inverse residual
+    ||Y - A x I|| / ||A x I|| for Y = Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} (A x I).
+    """
+    n, arity = params.n, params.n + 1
+
+    def factor(j):
+        w = z / params.log_q ** (j - 1)
+        return embed(build_r(params, RKind.ELLIPTIC_HAT, w), (j, arity), arity).entries
+
+    a_small = antisymmetrizer(n, n).entries
+    a_big = np.kron(a_small, np.eye(n))
+    x = a_big
+    for j in range(n, 0, -1):
+        x = factor(j) @ x
+    m = np.einsum("sisj->ij", x.reshape(n**n, n, n**n, n))
+    internal = np.linalg.norm(x - np.kron(a_small, m)) / np.linalg.norm(x)
+    y = a_big
+    for j in range(1, n + 1):
+        y = np.linalg.inv(factor(j)) @ y
+    return m, internal, np.linalg.norm(y - a_big) / np.linalg.norm(a_big)
+
+
+class TestRankOneColumns:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_routes_match_dense_reference(self, n):
+        rng = np.random.default_rng(400 + n)
+        params = draw_params(rng, n)
+        z = draw_log(rng)
+        m, internal = qdet_engine._product_with_residual(params, z)
+        want_m, want_internal, want_inverse = dense_routes(params, z)
+        assert np.max(np.abs(m.entries - want_m)) <= 1e-12
+        assert abs(internal - want_internal) <= 1e-13
+        assert abs(inverse_product_residual(params, z) - want_inverse) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unshifted_factors_fail_both_residuals(self, n, monkeypatch):
+        # every factor at z instead of z q^{1-j}: the product no longer fuses
+        rng = np.random.default_rng(400 + n)
+        params = draw_params(rng, n)
+        z = draw_log(rng)
+        monkeypatch.setattr(qdet_engine, "_q_shifted", lambda params, log_z: [log_z] * params.n)
+        assert qdet_engine._product_with_residual(params, z)[1] > 1e-3
+        assert inverse_product_residual(params, z) > 1e-3
 
 
 class TestCentrality:

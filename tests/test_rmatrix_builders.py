@@ -109,6 +109,18 @@ class TestScalars:
         with pytest.raises(PoleError):
             eta(params_n2, params_n2.log_q.inv())
 
+    def test_kappa_inv_pole_at_q_squared(self, params_n3):
+        # the denominator's (q^2 z^{-2}; p, q^{2N}) vanishes at z^2 = q^2
+        with pytest.raises(PoleError, match="kappa denominator vanished"):
+            kappa_inv(params_n3, params_n3.log_q**2)
+
+    def test_hat_prefactor_pole_at_one(self, params_n3):
+        from elliptic_rmatrix import LOG_ONE, rmatrix_builders
+
+        # the denominator's Theta_{q^{2N}}(z^2) vanishes at z = 1
+        with pytest.raises(PoleError, match="hat prefactor denominator vanished"):
+            rmatrix_builders._hat_scalar_kappa(params_n3, LOG_ONE)
+
     def test_rho_pole_at_lattice_point(self, params_n3):
         from elliptic_rmatrix import LOG_ONE
 

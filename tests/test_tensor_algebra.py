@@ -12,7 +12,6 @@ from elliptic_rmatrix import (
     embed,
     identity_operator,
     matrix_dump_rows,
-    partial_trace,
     partial_transpose,
     permutation_op,
     permutation_sign,
@@ -147,24 +146,6 @@ class TestPartialOps:
         op = random_op(3, 2, 22)
         both = partial_transpose(partial_transpose(op, 1), 2)
         np.testing.assert_allclose(both.entries, op.entries.T, atol=1e-14)
-
-    def test_partial_trace_of_kron(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        op = TensorOperator(2, 2, np.kron(a, b))
-        np.testing.assert_allclose(
-            partial_trace(op, (1,)).entries, np.trace(a) * b, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            partial_trace(op, (2,)).entries, np.trace(b) * a, atol=1e-14
-        )
-
-    def test_partial_trace_everything(self):
-        op = random_op(2, 3, 23)
-        scalar = partial_trace(op, (1, 2, 3))
-        assert scalar.entries.shape == (1, 1)
-        assert scalar.entries[0, 0] == pytest.approx(op.trace())
 
 
 class TestSpectral:
