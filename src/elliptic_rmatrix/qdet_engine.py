@@ -6,7 +6,8 @@ Three independent routes to the same scalar:
   Rhat_{1,0}(z) Rhat_{2,0}(z/q) ... Rhat_{N,0}(z q^{1-N}) to the N columns
   |a> x e_j of A x I, where A = |a><a| is the rank-one antisymmetrizer on
   slots 1..N, and read off the auxiliary-slot factor (the inverse route
-  solves the same factors against those columns);
+  solves the same factors against those columns, each as an N^2 x N^2
+  matrix on its own two slots);
 * the permutation-sum route: the signed sum over S_N of products of
   evaluated Lax blocks E_{1,sigma(1)}(z) ... E_{N,sigma(N)}(z q^{1-N});
 * the closed form: a theta-quotient expression for each diagonal value m_k,
@@ -143,13 +144,20 @@ def inverse_product_residual(params: ModelParams, log_z: LogComplex) -> float:
     the inverses in reverse order must fix it too:
     Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} A = A.  The factors are solved against
     the N columns V of A x I, and ||Y V - V|| / ||V|| = ||Y - A x I|| / ||A x I||.
+    Rhat_{j,0} acts on slots j and 0 alone, so each solve is one N^2 x N^2
+    system with every other slot's index among its right-hand sides, not a
+    dense system on all N + 1 slots.
     """
-    arity = params.n + 1
-    y = v = _antisymmetric_columns(params.n)
+    n = params.n
+    arity = n + 1
+    y = v = _antisymmetric_columns(n)
     # Solving against Rhat_{1,0}, then Rhat_{2,0}, ... gives Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} V.
     for j, w in enumerate(_q_shifted(params, log_z), start=1):
         factor = build_r(params, RKind.ELLIPTIC_HAT, w)
-        y = np.linalg.solve(embed(factor, (j, arity), arity).entries, y)
+        # slots j and 0 of every column to the front, the rest as right-hand sides
+        t = np.moveaxis(y.reshape((n,) * arity + (-1,)), (j - 1, arity - 1), (0, 1))
+        t = np.linalg.solve(factor.entries, t.reshape(n * n, -1)).reshape(t.shape)
+        y = np.moveaxis(t, (0, 1), (j - 1, arity - 1)).reshape(y.shape)
     return float(np.linalg.norm(y - v) / max(np.linalg.norm(v), 1e-300))
 
 

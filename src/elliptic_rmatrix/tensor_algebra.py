@@ -133,19 +133,16 @@ def embed(op: TensorOperator, slots: Sequence[int], arity: int) -> TensorOperato
     """
     _validate_slots(slots, op.arity, arity)
     n = op.local_dim
-    rest = arity - op.arity
-    big = np.kron(op.entries, np.eye(n**rest, dtype=np.complex128))
-    # axis t of `big` is op slot t for t < op.arity, then identity slots
     free = [s for s in range(1, arity + 1) if s not in set(slots)]
-    source_of_target = {}
-    for t, s in enumerate(slots):
-        source_of_target[s] = t
-    for t, s in enumerate(free):
-        source_of_target[s] = op.arity + t
-    perm = [source_of_target[s] for s in range(1, arity + 1)]
-    axes = perm + [p + arity for p in perm]
-    tensor = big.reshape((n,) * (2 * arity)).transpose(axes)
-    return TensorOperator(n, arity, tensor.reshape(n**arity, n**arity))
+    order = [s - 1 for s in (*slots, *free)]
+    out = np.zeros((n,) * (2 * arity), dtype=np.complex128)
+    # axes (slots, free slots, slots', free slots'); each free index repeated
+    # on both sides picks out the identity's diagonal
+    view = out.transpose(order + [arity + t for t in order])
+    diag = tuple(np.indices((n,) * len(free)))
+    whole = (slice(None),) * op.arity
+    view[whole + diag + whole + diag] = op.tensor_view()
+    return TensorOperator(n, arity, out.reshape(n**arity, n**arity))
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:
@@ -167,20 +164,11 @@ def permutation_op(sigma: Sequence[int], local_dim: int) -> TensorOperator:
     k = len(sigma)
     if sorted(sigma) != list(range(1, k + 1)):
         raise DimensionError(f"{tuple(sigma)} is not a permutation of 1..{k}")
-    n = local_dim
-    dim = n**k
-    inverse = [0] * k
-    for s, image in enumerate(sigma, start=1):
-        inverse[image - 1] = s
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col, labels in enumerate(itertools.product(range(n), repeat=k)):
-        # e_{i_1} x ... x e_{i_k}  ->  slot s of the image holds i_{sigma^{-1}(s)}
-        out = tuple(labels[inverse[s] - 1] for s in range(k))
-        row = 0
-        for lab in out:
-            row = row * n + lab
-        mat[row, col] = 1.0
-    return TensorOperator(n, k, mat)
+    dim = local_dim**k
+    # input axis sigma(s) of the identity tensor becomes input axis s
+    axes = list(range(k)) + [k + s - 1 for s in sigma]
+    mat = np.eye(dim, dtype=np.complex128).reshape((local_dim,) * (2 * k)).transpose(axes)
+    return TensorOperator(local_dim, k, mat.reshape(dim, dim))
 
 
 def antisymmetrizer(local_dim: int, arity: int) -> TensorOperator:

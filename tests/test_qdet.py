@@ -12,6 +12,7 @@ from elliptic_rmatrix import (
     PoleError,
     RKind,
     SizeError,
+    TensorOperator,
     antisymmetrizer,
     build_r,
     centrality_witness,
@@ -188,6 +189,49 @@ class TestRankOneColumns:
         monkeypatch.setattr(qdet_engine, "_q_shifted", lambda params, log_z: [log_z] * params.n)
         assert qdet_engine._product_with_residual(params, z)[1] > 1e-3
         assert inverse_product_residual(params, z) > 1e-3
+
+
+def scale_off_diagonal(build):
+    """``build`` with every hat matrix's b != c entries scaled by 1 + 1e-4.
+
+    Entry (a, c; b, d) is tensor_view()[a, c, b, d], so b != c compares axes 2 and 1.
+    """
+
+    def mutated(params, kind, log_z):
+        op = build(params, kind, log_z)
+        if kind is not RKind.ELLIPTIC_HAT:
+            return op
+        view = op.tensor_view().copy()
+        view[:, ~np.eye(params.n, dtype=bool)] *= 1 + 1e-4
+        return TensorOperator(params.n, 2, view.reshape(op.dim, op.dim))
+
+    return mutated
+
+
+class TestTwoSlotSolve:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_perturbed_builder_fails_like_dense_solve(self, n, monkeypatch):
+        # a residual far above roundoff: each two-slot solve must act on the
+        # slots the dense solve of the embedded factor acts on
+        rng = np.random.default_rng(400 + n)
+        params = draw_params(rng, n)
+        z = draw_log(rng)
+        mutated = scale_off_diagonal(build_r)
+        monkeypatch.setattr(qdet_engine, "build_r", mutated)
+        monkeypatch.setitem(globals(), "build_r", mutated)
+        residual = inverse_product_residual(params, z)
+        assert residual > 1e-6
+        assert abs(residual - dense_routes(params, z)[2]) <= 1e-9 * residual
+
+    def test_factors_are_not_embedded(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inverse route must not build a dense operator")
+
+        rng = np.random.default_rng(503)
+        params = draw_params(rng, 3)
+        z = draw_log(rng)
+        monkeypatch.setattr(qdet_engine, "embed", refuse)
+        assert inverse_product_residual(params, z) < 1e-8
 
 
 class TestCentrality:

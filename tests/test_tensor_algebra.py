@@ -82,6 +82,50 @@ class TestEmbed:
             embed(op, (1, 1), 3)
 
 
+def kron_embed(op, slots, arity):
+    """The kron-and-transpose embedding that ``embed`` replaced."""
+    n = op.local_dim
+    big = np.kron(op.entries, np.eye(n ** (arity - op.arity), dtype=np.complex128))
+    free = [s for s in range(1, arity + 1) if s not in slots]
+    source = {s: t for t, s in enumerate((*slots, *free))}
+    perm = [source[s] for s in range(1, arity + 1)]
+    tensor = big.reshape((n,) * (2 * arity)).transpose(perm + [p + arity for p in perm])
+    return tensor.reshape(n**arity, n**arity)
+
+
+def loop_permutation_op(sigma, n):
+    """The basis-vector loop that ``permutation_op`` replaced."""
+    k = len(sigma)
+    inverse = [0] * k
+    for s, image in enumerate(sigma, start=1):
+        inverse[image - 1] = s
+    mat = np.zeros((n**k, n**k), dtype=np.complex128)
+    for col, labels in enumerate(itertools.product(range(n), repeat=k)):
+        row = 0
+        for lab in (labels[inverse[s] - 1] for s in range(k)):
+            row = row * n + lab
+        mat[row, col] = 1.0
+    return mat
+
+
+class TestInPlacePrimitives:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_embed_matches_kron_reference(self, n):
+        two = random_op(n, 2, 30 + n)
+        for arity in range(2, n + 2):  # arity 2 has no free slot
+            for slots in itertools.permutations(range(1, arity + 1), 2):
+                assert np.array_equal(embed(two, slots, arity).entries, kron_embed(two, slots, arity))
+        one = random_op(n, 1, 40 + n)
+        for slot in (1, 3):
+            assert np.array_equal(embed(one, (slot,), 3).entries, kron_embed(one, (slot,), 3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_permutation_op_matches_loop_reference(self, n):
+        for k in range(1, 5):
+            for sigma in itertools.permutations(range(1, k + 1)):
+                assert np.array_equal(permutation_op(sigma, n).entries, loop_permutation_op(sigma, n))
+
+
 class TestPermutations:
     def test_sign_matches_inversion_parity(self):
         for sigma in itertools.permutations(range(1, 5)):
