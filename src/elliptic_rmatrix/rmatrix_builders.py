@@ -205,13 +205,15 @@ class _SThetas:
 
 
 def _s_prefactor(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
-    """Power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z)."""
+    """Power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z), as
+    one exp of float logs; int/int division rounds correctly, so each exponent is the
+    float nearest its exact rational."""
     n = params.n
-    return (
-        (log_z ** Fraction(2 * (b - a), n))
-        * (params.log_q ** Fraction(2 * (c - b), n))
-        * (params.log_p ** Fraction((b - a) * (c - b), n))
-    ).to_complex()
+    return cmath.exp(
+        (2 * (b - a) / n) * log_z.value
+        + (2 * (c - b) / n) * params.log_q.value
+        + ((b - a) * (c - b) / n) * params.log_p.value
+    )
 
 
 def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
@@ -419,7 +421,7 @@ def build_h(params: ModelParams) -> TensorOperator:
 def build_v(params: ModelParams, log_z: LogComplex) -> TensorOperator:
     """Gauge matrix V(z) = diag(z^{(N+1-2i)/N}) linking the two gradations."""
     n = params.n
-    diag = [(log_z ** Fraction(n + 1 - 2 * i, n)).to_complex() for i in range(1, n + 1)]
+    diag = [cmath.exp(((n + 1 - 2 * i) / n) * log_z.value) for i in range(1, n + 1)]
     return TensorOperator(n, 1, np.diag(diag))
 
 
@@ -442,7 +444,7 @@ def build_f(params: ModelParams) -> TensorOperator:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                diag[(i - 1) * n + (j - 1)] = (lq ** alpha_exponent(n, i, j)).to_complex()
+                diag[(i - 1) * n + (j - 1)] = cmath.exp(float(alpha_exponent(n, i, j)) * lq.value)
     return TensorOperator(n, 2, np.diag(diag))
 
 
@@ -457,11 +459,10 @@ def _build_elliptic(
     # are not multiplied as black boxes: eta's factor Theta_p(p z^2) and the
     # b = c denominator Theta_{p^N}(p^N z^2) share a simple zero at z^2 = 1,
     # so that quotient is formed with the common (1 - z^{-2}) cancelled and
-    # R(1) comes out as the exact permutation matrix.  ``scalar_kappa`` is
+    # R(1) comes out as P with exact zeros off P.  ``scalar_kappa`` is
     # 1/kappa(z^2), or for the hat kind tau(q^{1/2}/z)/kappa(z^2) formed
     # jointly (see _hat_scalar_kappa).
-    n = params.n
-    lp, policy = params.log_p, params.policy
+    n, lp, policy = params.n, params.log_p, params.policy
     z2 = log_z**2
 
     def theta_without_zero(base: LogComplex) -> complex:
@@ -474,26 +475,25 @@ def _build_elliptic(
 
     common = _eta_common(params, log_z, scalar_kappa)
     theta_p_z = theta(lp * z2, lp, policy)
-    diag_num = theta_without_zero(lp)
-    diag_den = _guard_den(
+    diag_ratio = theta_without_zero(lp) / _guard_den(
         theta_without_zero(lp**n), lp**n, policy, "elliptic diagonal theta ratio vanished", z2
     )
-    diag_ratio = diag_num / diag_den
 
+    # every offset in 1-N..N-1 occurs in the entries; den_z(0) is never evaluated
     thetas = _SThetas(params, log_z)
+    offsets = range(1 - n, n)
+    num = {o: thetas.num(o) for o in offsets}
+    den_q = {o: thetas.den_q(o) for o in offsets}
+    z_ratio = {o: diag_ratio if o == 0 else theta_p_z / thetas.den_z(o) for o in offsets}
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     for a in range(1, n + 1):
         for c in range(1, n + 1):
-            row = (a - 1) * n + (c - 1)
             for b in range(1, n + 1):
                 d = ((a + c - b - 1) % n) + 1
-                col = (b - 1) * n + (d - 1)
-                k = (a + c - b - d) // n  # exact: a+c-b-d is a multiple of N
-                sign = -1.0 if k & 1 else 1.0
-                z_ratio = diag_ratio if b == c else theta_p_z / thetas.den_z(c - b)
-                mat[row, col] = (
+                sign = -1.0 if ((a + c - b - d) // n) & 1 else 1.0  # a+c-b-d is a multiple of N
+                mat[(a - 1) * n + c - 1, (b - 1) * n + d - 1] = (
                     common * sign * _s_prefactor(params, a, b, c, log_z)
-                    * thetas.num(c - a) * z_ratio / thetas.den_q(b - a)
+                    * num[c - a] * z_ratio[c - b] / den_q[b - a]
                 )
     return mat
 
@@ -555,10 +555,7 @@ def _build_trigonometric(params: ModelParams, kind: RKind, log_z: LogComplex) ->
     exch_base = (1.0 - q * q) / den
     scalar = rho(params, log_x)
 
-    dim = n * n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(1, n + 1):
-        mat[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
+    mat = np.eye(n * n, dtype=np.complex128)  # the i != j diagonal entries are overwritten
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -566,15 +563,14 @@ def _build_trigonometric(params: ModelParams, kind: RKind, log_z: LogComplex) ->
             pos_d = (i - 1) * n + (j - 1)  # e_ii x e_jj
             row_e = (i - 1) * n + (j - 1)  # e_ij x e_ji: row (i,j), column (j,i)
             col_e = (j - 1) * n + (i - 1)
-            shift = -n if i < j else n
             if kind is RKind.HOMOGENEOUS:
                 mat[pos_d, pos_d] = diag_base
                 mat[row_e, col_e] = exch_base * (x if i > j else 1.0)
             else:
-                exponent = Fraction(2 * (j - i) + shift, n)
-                mat[row_e, col_e] = exch_base * (log_z ** (1 + exponent)).to_complex()
+                offset = 2 * (j - i) + (-n if i < j else n)
+                mat[row_e, col_e] = exch_base * cmath.exp(((n + offset) / n) * log_z.value)
                 if kind is RKind.NON_ELLIPTIC:
-                    mat[pos_d, pos_d] = diag_base * (lq**exponent).to_complex()
+                    mat[pos_d, pos_d] = diag_base * cmath.exp((offset / n) * lq.value)
                 else:
                     mat[pos_d, pos_d] = diag_base
     return scalar * mat

@@ -172,7 +172,8 @@ def permutation_op(sigma: Sequence[int], local_dim: int) -> TensorOperator:
 
 
 def antisymmetrizer(local_dim: int, arity: int) -> TensorOperator:
-    """Projector (1/k!) sum_sigma sgn(sigma) P_sigma onto the antisymmetric subspace."""
+    """Projector (1/k!) sum_sigma sgn(sigma) P_sigma onto the antisymmetric subspace;
+    sgn(sigma) is scattered at the one column per row that P_sigma reaches."""
     if arity > local_dim:
         raise SizeError(
             f"antisymmetrizer arity {arity} exceeds local dimension {local_dim} "
@@ -180,10 +181,12 @@ def antisymmetrizer(local_dim: int, arity: int) -> TensorOperator:
         )
     if arity < 2:
         raise SizeError(f"antisymmetrizer arity must be >= 2, got {arity}")
-    dim = local_dim**arity
+    dim, shape = local_dim**arity, (local_dim,) * arity
+    idx, rows = np.indices(shape).reshape(arity, -1), np.arange(dim)
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for sigma in itertools.permutations(range(1, arity + 1)):
-        acc += permutation_sign(sigma) * permutation_op(sigma, local_dim).entries
+        cols = np.ravel_multi_index(tuple(idx[t - 1] for t in sigma), shape)
+        acc[rows, cols] += permutation_sign(sigma)
     return TensorOperator(local_dim, arity, acc / math.factorial(arity))
 
 

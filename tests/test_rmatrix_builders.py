@@ -330,3 +330,176 @@ class TestBuildR:
         bad = params_n2.log_q ** (-2)  # x = q^{-2} makes 1 - q^2 x vanish
         with pytest.raises(PoleError):
             build_r(params_n2, RKind.HOMOGENEOUS, bad)
+
+
+# ---------------------------------------------------------------------------
+# the entry loops as they were written with LogComplex ** Fraction powers,
+# kept as references: the float-log forms must reproduce them bit for bit
+
+
+def fraction_s_prefactor(params, a, b, c, log_z):
+    n = params.n
+    return (
+        (log_z ** Fraction(2 * (b - a), n))
+        * (params.log_q ** Fraction(2 * (c - b), n))
+        * (params.log_p ** Fraction((b - a) * (c - b), n))
+    ).to_complex()
+
+
+def fraction_build_elliptic(params, log_z, scalar_kappa):
+    from elliptic_rmatrix.rmatrix_builders import (
+        _eta_common, _guard_den, _SThetas, pochhammer_inf, theta,
+    )
+
+    n, lp, policy = params.n, params.log_p, params.policy
+    z2 = log_z**2
+
+    def theta_without_zero(base):
+        return (
+            pochhammer_inf(base * z2, (base,), policy)
+            * pochhammer_inf(base * z2.inv(), (base,), policy)
+            * pochhammer_inf(base, (base,), policy)
+        )
+
+    common = _eta_common(params, log_z, scalar_kappa)
+    theta_p_z = theta(lp * z2, lp, policy)
+    diag_ratio = theta_without_zero(lp) / _guard_den(
+        theta_without_zero(lp**n), lp**n, policy, "diagonal", z2
+    )
+    thetas = _SThetas(params, log_z)
+    mat = np.zeros((n * n, n * n), dtype=np.complex128)
+    for a in range(1, n + 1):
+        for c in range(1, n + 1):
+            for b in range(1, n + 1):
+                d = ((a + c - b - 1) % n) + 1
+                sign = -1.0 if ((a + c - b - d) // n) & 1 else 1.0
+                z_ratio = diag_ratio if b == c else theta_p_z / thetas.den_z(c - b)
+                mat[(a - 1) * n + (c - 1), (b - 1) * n + (d - 1)] = (
+                    common * sign * fraction_s_prefactor(params, a, b, c, log_z)
+                    * thetas.num(c - a) * z_ratio / thetas.den_q(b - a)
+                )
+    return mat
+
+
+def fraction_build_trigonometric(params, kind, log_z):
+    from elliptic_rmatrix.rmatrix_builders import _rational_pole_guard
+
+    n, lq = params.n, params.log_q
+    q = lq.to_complex()
+    log_x = log_z if kind is RKind.HOMOGENEOUS else log_z**2
+    x = log_x.to_complex()
+    den = _rational_pole_guard(q * q * x, kind.value)
+    diag_base, exch_base = q * (1.0 - x) / den, (1.0 - q * q) / den
+    mat = np.eye(n * n, dtype=np.complex128)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            pos_d, row_e, col_e = (i - 1) * n + (j - 1), (i - 1) * n + (j - 1), (j - 1) * n + (i - 1)
+            if kind is RKind.HOMOGENEOUS:
+                mat[pos_d, pos_d] = diag_base
+                mat[row_e, col_e] = exch_base * (x if i > j else 1.0)
+            else:
+                exponent = Fraction(2 * (j - i) + (-n if i < j else n), n)
+                mat[row_e, col_e] = exch_base * (log_z ** (1 + exponent)).to_complex()
+                mat[pos_d, pos_d] = diag_base * (
+                    (lq**exponent).to_complex() if kind is RKind.NON_ELLIPTIC else 1.0
+                )
+    return rho(params, log_x) * mat
+
+
+class TestFloatLogEntriesBitIdentical:
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(2024)
+        for n in range(2, 7):
+            for _ in range(2):
+                q = lc(rng.uniform(0.3, 0.8) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+                p = lc(rng.uniform(0.05, 0.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+                yield ModelParams(n, q, p), draw_z(rng)
+
+    def test_elliptic_kinds_match_fraction_loop(self):
+        from elliptic_rmatrix.rmatrix_builders import _hat_scalar_kappa
+
+        for params, z in self.draws():
+            old = fraction_build_elliptic(params, z, kappa_inv(params, z**2))
+            assert np.array_equal(build_r(params, RKind.ELLIPTIC, z).entries, old)
+            for point in (z, params.log_q):  # z = q: the hat's cancelled degeneracy
+                old_hat = fraction_build_elliptic(params, point, _hat_scalar_kappa(params, point))
+                new_hat = build_r(params, RKind.ELLIPTIC_HAT, point).entries
+                assert np.all(np.isfinite(new_hat))
+                assert np.array_equal(new_hat, old_hat)
+
+    def test_regularity_at_z_one(self):
+        # R(1) = P: the cancelled z^2 = 1 zero leaves every off-P entry an
+        # exact zero; the unit entries carry the rounding of eta's factors
+        from elliptic_rmatrix import LOG_ONE
+
+        for n in range(2, 7):
+            params = ModelParams(n, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
+            perm = permutation_op((2, 1), n).entries
+            got = build_r(params, RKind.ELLIPTIC, LOG_ONE).entries
+            assert np.array_equal(got, fraction_build_elliptic(
+                params, LOG_ONE, kappa_inv(params, LOG_ONE)))
+            assert np.array_equal(got[perm == 0], perm[perm == 0])
+            assert np.max(np.abs(got - perm)) < 1e-15
+
+    def test_s_coeff_matches_fraction_prefactor(self):
+        from elliptic_rmatrix.rmatrix_builders import s_theta_ratio
+
+        for params, z in self.draws():
+            n = params.n
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    for c in range(-n, 2 * n + 1):
+                        old = fraction_s_prefactor(params, a, b, c, z) * s_theta_ratio(
+                            params, a, b, c, z)
+                        assert s_coeff(params, a, b, c, z) == old
+
+    def test_trigonometric_and_dressing_match_fraction_powers(self):
+        for params, z in self.draws():
+            n, lq = params.n, params.log_q
+            for kind in (RKind.HOMOGENEOUS, RKind.PRINCIPAL, RKind.NON_ELLIPTIC):
+                old = fraction_build_trigonometric(params, kind, z)
+                assert np.array_equal(build_r(params, kind, z).entries, old)
+            old_v = [(z ** Fraction(n + 1 - 2 * i, n)).to_complex() for i in range(1, n + 1)]
+            assert np.array_equal(build_v(params, z).entries, np.diag(old_v))
+            old_f = [
+                (lq ** alpha_exponent(n, i, j)).to_complex() if i != j else 1.0
+                for i in range(1, n + 1) for j in range(1, n + 1)
+            ]
+            assert np.array_equal(build_f(params).entries, np.diag(old_f))
+
+    def test_pole_error_when_an_s_denominator_vanishes(self):
+        # den_q(-1) = Theta_{p^N}(p^{N-1} q^2) vanishes at q^2 = p, and
+        # den_z(-1) = Theta_{p^N}(p^{N-1} z^2) at z^2 = p
+        lp = lc(0.17 - 0.06j)
+        for n in (2, 3, 6):
+            with pytest.raises(PoleError, match="q-dependent"):
+                build_r(ModelParams(n, lp**0.5, lp), RKind.ELLIPTIC, lc(1.3 + 0.2j))
+            with pytest.raises(PoleError, match="z-dependent"):
+                build_r(ModelParams(n, lc(0.41 + 0.13j), lp), RKind.ELLIPTIC, lp**0.5)
+
+    def test_n6_build_cost_budget(self, monkeypatch):
+        # a counter, not a timer: the entry loop makes no LogComplex per
+        # entry (1,224 per build with Fraction powers) and O(N) thetas
+        from elliptic_rmatrix import rmatrix_builders
+
+        made, thetas = [0], [0]
+        real_post_init, real_theta = LogComplex.__post_init__, rmatrix_builders.theta
+
+        def counting_post_init(self):
+            made[0] += 1
+            real_post_init(self)
+
+        def counting_theta(*args, **kwargs):
+            thetas[0] += 1
+            return real_theta(*args, **kwargs)
+
+        params = ModelParams(6, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
+        z = lc(1.3 + 0.2j)
+        monkeypatch.setattr(LogComplex, "__post_init__", counting_post_init)
+        monkeypatch.setattr(rmatrix_builders, "theta", counting_theta)
+        build_r(params, RKind.ELLIPTIC, z)
+        assert made[0] <= 200
+        assert thetas[0] <= 6 * params.n - 1

@@ -1,6 +1,7 @@
 """Slot-indexed tensor operators: embedding, permutations, antisymmetrizers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ def loop_permutation_op(sigma, n):
     return mat
 
 
+def permutation_sum_antisymmetrizer(n, k):
+    """The N!-term sum of dense permutation matrices ``antisymmetrizer`` replaced."""
+    acc = np.zeros((n**k, n**k), dtype=np.complex128)
+    for sigma in itertools.permutations(range(1, k + 1)):
+        acc += permutation_sign(sigma) * permutation_op(sigma, n).entries
+    return acc / math.factorial(k)
+
+
 class TestInPlacePrimitives:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_embed_matches_kron_reference(self, n):
@@ -178,6 +187,22 @@ class TestAntisymmetrizer:
         sym = np.zeros(9)
         sym[0 * 3 + 0] = 1.0  # |00>
         np.testing.assert_allclose(a.entries @ sym, 0.0, atol=1e-14)
+
+    def test_matches_permutation_sum(self):
+        for n in range(2, 5):
+            for k in range(2, n + 1):
+                assert np.array_equal(antisymmetrizer(n, k).entries,
+                                      permutation_sum_antisymmetrizer(n, k))
+
+    def test_builds_no_permutation_matrix(self, monkeypatch):
+        from elliptic_rmatrix import tensor_algebra
+
+        calls = []
+        real = tensor_algebra.permutation_op
+        monkeypatch.setattr(tensor_algebra, "permutation_op",
+                            lambda *args: calls.append(args) or real(*args))
+        antisymmetrizer(4, 4)
+        assert calls == []
 
 
 class TestPartialOps:
