@@ -24,6 +24,7 @@ from .special_functions import (
     LOG_ONE,
     LogComplex,
     TruncationPolicy,
+    elliptic_gamma_ratio,
     pochhammer_inf,
     theta,
     theta_shift_residual,

@@ -42,6 +42,7 @@ from .special_functions import (
     DEFAULT_POLICY,
     LogComplex,
     TruncationPolicy,
+    elliptic_gamma_ratio,
     pochhammer_inf,
     theta,
 )
@@ -246,29 +247,21 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
 def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
     """1/kappa_N evaluated at z^2 (the argument is the log of z^2).
 
-    A ratio of four double-base Pochhammer symbols with bases (p, q^{2N})
-    over the same four with z^2 inverted.
+    1/kappa(z^2) = Gamma(p z^2) Gamma(Q z^2) Gamma(p q^{2N-2} z^{-2}) Gamma(q^2 z^{-2})
+
+    with Gamma = Gamma(.; p, Q) the elliptic gamma function and Q = q^{2N}.
+    Reflection, Gamma(x) Gamma(pQ/x) = 1, pairs it as
+    [Gamma(p z^2) / Gamma(p z^{-2})] [Gamma(q^2 z^{-2}) / Gamma(q^2 z^2)],
+    which is exactly 1 at z^2 = 1.
     """
-    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
-    big_q = lq ** (2 * n)
-    bases = (lp, big_q)
-    q2 = lq**2
-    mixed = lp * (lq ** (2 * n - 2))
-
-    def quad(log_x2: LogComplex) -> complex:
-        inv = log_x2.inv()
-        return (
-            pochhammer_inf(big_q * inv, bases, policy)
-            * pochhammer_inf(q2 * log_x2, bases, policy)
-            * pochhammer_inf(lp * inv, bases, policy)
-            * pochhammer_inf(mixed * log_x2, bases, policy)
-        )
-
-    num = quad(log_z2)
-    den = quad(log_z2.inv())
-    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+    lp, q2, z2inv = params.log_p, params.log_q**2, log_z2.inv()
+    zeros, poles = elliptic_gamma_ratio(
+        (lp * log_z2, q2 * z2inv), (lp * z2inv, q2 * log_z2),
+        lp, params.log_q ** (2 * params.n), params.policy,
+    )
+    if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
         raise PoleError("kappa denominator vanished", argument=log_z2.to_complex())
-    return num / den
+    return zeros / poles
 
 
 def _poch_ratio(params: ModelParams) -> complex:
@@ -328,37 +321,28 @@ def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
 
 
 def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
-    """tau_N(q^{1/2} z^{-1}) / kappa_N(z^2) with their z = q degeneracy cancelled.
+    """tau_N(q^{1/2} z^{-1}) / kappa_N(z^2), finite at z = q.
 
-    tau's theta numerator Theta_{q^{2N}}(q^2 z^{-2}) and kappa's denominator
-    factor (q^2 z^{-2}; p, q^{2N}) share the single-base Pochhammer
-    (q^2 z^{-2}; q^{2N}), which vanishes at z = q.  Forming the quotient with
-    that factor removed keeps the hat matrix finite there, which is exactly
-    where its kernel is probed.
+    tau's numerator theta_Q(q^2 z^{-2}) vanishes at z = q, where kappa's
+    factor Gamma(q^2 z^{-2}) has a pole; Gamma(p x) = theta_Q(x) Gamma(x)
+    joins the two, so the product is
+
+        pref (Q; Q) Gamma(p z^2) Gamma(Q z^2) Gamma(p q^{2N-2} z^{-2}) Gamma(p q^2 z^{-2})
+            / Theta_Q(z^2),
+
+    finite at z = q, which is exactly where the hat matrix's kernel is probed.
     """
     n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
     big_q = lq ** (2 * n)
     z2 = log_z**2
     z2inv = z2.inv()
     q2 = lq**2
-    bases = (lp, big_q)
-    mixed = lp * (lq ** (2 * n - 2))
     pref = (((lq**0.5) / log_z) ** Fraction(2 - 2 * n, n)).to_complex()
-    num = (
-        pochhammer_inf((lq ** (2 * n - 2)) * z2, (big_q,), policy)
-        * pochhammer_inf(big_q, (big_q,), policy)
-        * pochhammer_inf(big_q * z2inv, bases, policy)
-        * pochhammer_inf(q2 * z2, bases, policy)
-        * pochhammer_inf(lp * z2inv, bases, policy)
-        * pochhammer_inf(mixed * z2, bases, policy)
-    )
-    den = (
-        theta(z2, big_q, policy)
-        * pochhammer_inf(lp * q2 * z2inv, bases, policy)
-        * pochhammer_inf(big_q * z2, bases, policy)
-        * pochhammer_inf(lp * z2, bases, policy)
-        * pochhammer_inf(mixed * z2inv, bases, policy)
-    )
+    # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
+    zeros, poles = elliptic_gamma_ratio(
+        (lp * z2, lp * q2 * z2inv), (lp * z2inv, q2 * z2), lp, big_q, policy)
+    num = pochhammer_inf(big_q, (big_q,), policy) * zeros
+    den = theta(z2, big_q, policy) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
     return pref * num / den

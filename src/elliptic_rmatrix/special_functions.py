@@ -1,4 +1,5 @@
-"""Log-parametrized q-Pochhammer products and Jacobi theta functions.
+"""Log-parametrized q-Pochhammer products, Jacobi theta functions and the
+elliptic gamma function.
 
 Every nonzero complex parameter (z, q, p and any fractional power of them)
 is carried as a logarithm: a :class:`LogComplex` with ``value = u`` stands
@@ -10,21 +11,28 @@ argument of a Pochhammer symbol) takes ``None`` as an explicit flag.
 
 Conventions::
 
-    pochhammer_inf(z, (b_1, ..., b_m)) = prod_{n_i >= 0} (1 - z b_1^{n_1} ... b_m^{n_m})
+    pochhammer_inf(z, (b,)) = prod_{n >= 0} (1 - z b^n)
     theta(z, p) = (z; p) (p z^{-1}; p) (p; p)
+    Gamma(x; p, Q) = (p Q / x; p, Q) / (x; p, Q)
 
-with all |b_i| < 1 strictly.  Infinite products are truncated where the
-factor deviation |z * prod b_i^{n_i}| drops below ``abs_floor``; the
-dropped factors each differ from 1 by less than the floor.
+with |b|, |p|, |Q| < 1 strictly, and (x; p, Q) = prod_{i, j >= 0} (1 - x p^i Q^j).
+Pochhammer products are truncated where the factor deviation |z b^n|
+drops below ``abs_floor``; the dropped factors each differ from 1 by less
+than the floor.  The elliptic gamma function is summed as a log series
+(:func:`elliptic_gamma_ratio`), so no double product is ever formed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, TruncationError
 
@@ -35,6 +43,7 @@ __all__ = [
     "LOG_ONE",
     "pochhammer_inf",
     "theta",
+    "elliptic_gamma_ratio",
     "theta_shift_residual",
 ]
 
@@ -73,8 +82,6 @@ class LogComplex:
 
     def magnitude(self) -> float:
         """|exp(value)| without evaluating the phase."""
-        import math
-
         return math.exp(self.value.real)
 
     def __mul__(self, other: "LogComplex") -> "LogComplex":
@@ -121,22 +128,18 @@ DEFAULT_POLICY = TruncationPolicy()
 
 
 @lru_cache(maxsize=262144)
-def _poch(z: complex, bases: tuple[complex, ...], floor: float, max_terms: int) -> complex:
-    """prod over the lattice box {|z * prod b_i^{n_i}| >= floor} of (1 - ...)."""
-    head, rest = bases[0], bases[1:]
+def _poch(z: complex, base: complex, floor: float, max_terms: int) -> complex:
+    """prod over {n >= 0 : |z base^n| >= floor} of (1 - z base^n)."""
     result = 1.0 + 0j
     t = z
     for _ in range(max_terms):
         if abs(t) < floor:
             return result
-        if rest:
-            result *= _poch(t, rest, floor, max_terms)
-        else:
-            result *= 1.0 - t
-        t *= head
+        result *= 1.0 - t
+        t *= base
     raise TruncationError(
         f"Pochhammer product not below floor {floor:g} after {max_terms} terms "
-        f"(|base| = {abs(head):.6f})"
+        f"(|base| = {abs(base):.6f})"
     )
 
 
@@ -145,20 +148,117 @@ def pochhammer_inf(
     log_bases: Sequence[LogComplex],
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Multi-base infinite Pochhammer symbol (z; b_1, ..., b_m)_inf.
+    """Infinite Pochhammer symbol (z; b)_inf, with the base given as ``(log_b,)``.
 
-    ``log_z is None`` is the explicit z = 0 flag (every factor is 1).
-    All bases must satisfy |b_i| < 1 strictly; m in {1, 2, 3}.
+    ``log_z is None`` is the explicit z = 0 flag (every factor is 1).  The
+    base must satisfy |b| < 1 strictly.  Products over two bases are
+    elliptic gamma functions (:func:`elliptic_gamma_ratio`).
     """
-    if not 1 <= len(log_bases) <= 3:
-        raise DomainError(f"expected 1..3 bases, got {len(log_bases)}")
-    bases = tuple(b.to_complex() for b in log_bases)
-    for b in bases:
-        if abs(b) >= 1.0:
-            raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {abs(b):.6f}")
+    if len(log_bases) != 1:
+        raise DomainError(f"expected one base, got {len(log_bases)}")
+    base = log_bases[0].to_complex()
+    if abs(base) >= 1.0:
+        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {abs(base):.6f}")
     if log_z is None:
         return 1.0 + 0j
-    return _poch(log_z.to_complex(), bases, policy.abs_floor, policy.max_terms)
+    return _poch(log_z.to_complex(), base, policy.abs_floor, policy.max_terms)
+
+
+# Series rate accepted without a p-shift (56 terms at abs_floor 1e-17): a
+# shift costs theta_Q evaluations, and can bring the rate no lower than |Q|^{1/2}.
+_GAMMA_RATE = 0.5
+
+
+def elliptic_gamma_ratio(
+    numer: Sequence[LogComplex],
+    denom: Sequence[LogComplex],
+    log_p: LogComplex,
+    log_big_q: LogComplex,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> tuple[complex, complex]:
+    """prod_i Gamma(x_i) / prod_j Gamma(y_j) with Gamma = Gamma(.; p, Q), as
+    ``(zeros, poles)``: the value is zeros / poles.
+
+    One log series serves the whole quotient (Gamma(x) Gamma(pQ/x) = 1):
+
+        log Gamma(x) = sum_{k >= 1} (x^k - (pQ/x)^k) / (k (1 - p^k)(1 - Q^k)).
+
+    An argument whose rate max(|x|, |pQ/x|) exceeds max(|Q|^{1/2}, 0.5) is
+    first moved by m powers of p, into |p|^{1/2} of |pQ|^{1/2} where the
+    rate is at most |Q|^{1/2}, with Gamma(p x) = theta_Q(x) Gamma(x) and
+    theta_Q(x) = (x; Q)(Q/x; Q).  The thetas that move brings go to
+    ``zeros`` when they are zeros of the quotient and to ``poles`` when
+    they are poles, so a caller divides only by the latter.
+    Where x_i = y_i the series terms and the theta factors of the pair
+    cancel exactly, so such a quotient is exactly 1.  The term count follows
+    from the largest rate r and ``abs_floor``: the first dropped term is at
+    most abs_floor (1 - r).  TruncationError when that count, the shift or
+    a base's own products (|b|^max_terms >= abs_floor) exceed ``max_terms``.
+    """
+    lp, lbq = log_p.value, log_big_q.value
+    big_q = cmath.exp(lbq)
+    for log_b in (lp, lbq):
+        # the products that Gamma stands for run over p^i Q^j, as far as pochhammer_inf would
+        if log_b.real >= 0.0:
+            raise DomainError(f"elliptic gamma base must satisfy |b| < 1, got |b| = {math.exp(log_b.real):.6f}")
+        if policy.max_terms * log_b.real >= math.log(policy.abs_floor):
+            raise TruncationError(
+                f"elliptic gamma base |b| = {math.exp(log_b.real):.6f}: its products stay above "
+                f"floor {policy.abs_floor:g} after {policy.max_terms} terms"
+            )
+    log_pq = lp + lbq
+    log_limit = max(lbq.real / 2, math.log(_GAMMA_RATE))
+
+    def shift(u: complex) -> tuple[complex, complex, complex]:
+        """(u', zeros, poles) with Gamma(e^u) = Gamma(e^u') zeros / poles."""
+        if max(u.real, log_pq.real - u.real) <= log_limit:
+            return u, 1.0 + 0j, 1.0 + 0j
+        m = round((log_pq.real / 2 - u.real) / lp.real)
+        if abs(m) > policy.max_terms:
+            raise TruncationError(
+                f"elliptic gamma shift of {abs(m)} p-steps exceeds {policy.max_terms}")
+        thetas = 1.0 + 0j
+        for j in range(min(m, 0), max(m, 0)):  # theta_Q at x p^j, between x and x p^m
+            w = cmath.exp(u + j * lp)
+            thetas *= (_poch(w, big_q, policy.abs_floor, policy.max_terms)
+                       * _poch(big_q / w, big_q, policy.abs_floor, policy.max_terms))
+        if m > 0:
+            return u + m * lp, 1.0 + 0j, thetas
+        return u + m * lp, thetas, 1.0 + 0j
+
+    xs: list[complex] = []
+    ys: list[complex] = []
+    zeros = poles = 1.0 + 0j
+    for log_x, log_y in zip_longest(numer, denom):
+        # one pair's factors multiply first, so a pair with x = y adds equal factors to both
+        pair_zeros = pair_poles = 1.0 + 0j
+        if log_x is not None:
+            x, pair_zeros, pair_poles = shift(log_x.value)
+            xs.append(x)
+        if log_y is not None:
+            y, y_zeros, y_poles = shift(log_y.value)
+            ys.append(y)
+            pair_zeros, pair_poles = pair_zeros * y_poles, pair_poles * y_zeros
+        zeros *= pair_zeros
+        poles *= pair_poles
+    # the powers of plus enter the series with +, those of minus with -; the two
+    # lists match entry by entry where x_i = y_i
+    plus = xs + [log_pq - y for y in ys]
+    minus = ys + [log_pq - x for x in xs]
+    log_rate = max(max(u.real, log_pq.real - u.real) for u in plus)
+    rate = math.exp(log_rate)
+    terms = math.ceil(math.log(policy.abs_floor * (1.0 - rate)) / log_rate)
+    if terms > policy.max_terms:
+        raise TruncationError(
+            f"elliptic gamma series needs {terms} terms at rate {rate:.6f}, "
+            f"more than {policy.max_terms}"
+        )
+    k = np.arange(1, terms + 1)
+    powers = np.exp(np.outer(k, np.array(plus + minus + [lp, lbq])))
+    n = len(plus)
+    series = powers[:, :n].sum(axis=1) - powers[:, n:-2].sum(axis=1)
+    series /= k * (1.0 - powers[:, -2]) * (1.0 - powers[:, -1])
+    return cmath.exp(complex(series.sum())) * zeros, poles
 
 
 def theta(

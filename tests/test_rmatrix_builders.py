@@ -503,3 +503,107 @@ class TestFloatLogEntriesBitIdentical:
         build_r(params, RKind.ELLIPTIC, z)
         assert made[0] <= 200
         assert thetas[0] <= 6 * params.n - 1
+
+
+# ---------------------------------------------------------------------------
+# kappa and the hat scalar as they were written with double-base Pochhammer
+# products, kept as references for the elliptic gamma forms
+
+
+def double_poch(log_z, log_a, log_b, policy):
+    """(z; a, b)_inf = prod_i (z a^i; b)_inf, the lattice loop pochhammer_inf ran for two bases."""
+    from elliptic_rmatrix.special_functions import _poch
+
+    a, b = log_a.to_complex(), log_b.to_complex()
+    result, t = 1.0 + 0j, log_z.to_complex()
+    while abs(t) >= policy.abs_floor:
+        result *= _poch(t, b, policy.abs_floor, policy.max_terms)
+        t *= a
+    return result
+
+
+def double_base_kappa_inv(params, log_z2):
+    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
+    big_q = lq ** (2 * n)
+    q2 = lq**2
+    mixed = lp * (lq ** (2 * n - 2))
+
+    def quad(log_x2):
+        inv = log_x2.inv()
+        return (
+            double_poch(big_q * inv, lp, big_q, policy)
+            * double_poch(q2 * log_x2, lp, big_q, policy)
+            * double_poch(lp * inv, lp, big_q, policy)
+            * double_poch(mixed * log_x2, lp, big_q, policy)
+        )
+
+    return quad(log_z2) / quad(log_z2.inv())
+
+
+def double_base_hat_scalar_kappa(params, log_z):
+    from elliptic_rmatrix import pochhammer_inf, theta
+
+    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
+    big_q = lq ** (2 * n)
+    z2 = log_z**2
+    z2inv = z2.inv()
+    q2 = lq**2
+    mixed = lp * (lq ** (2 * n - 2))
+    pref = (((lq**0.5) / log_z) ** Fraction(2 - 2 * n, n)).to_complex()
+    num = (
+        pochhammer_inf((lq ** (2 * n - 2)) * z2, (big_q,), policy)
+        * pochhammer_inf(big_q, (big_q,), policy)
+        * double_poch(big_q * z2inv, lp, big_q, policy)
+        * double_poch(q2 * z2, lp, big_q, policy)
+        * double_poch(lp * z2inv, lp, big_q, policy)
+        * double_poch(mixed * z2, lp, big_q, policy)
+    )
+    den = (
+        theta(z2, big_q, policy)
+        * double_poch(lp * q2 * z2inv, lp, big_q, policy)
+        * double_poch(big_q * z2, lp, big_q, policy)
+        * double_poch(lp * z2, lp, big_q, policy)
+        * double_poch(mixed * z2inv, lp, big_q, policy)
+    )
+    return pref * num / den
+
+
+class TestEllipticGammaScalars:
+    @staticmethod
+    def draws(count=240):
+        rng = np.random.default_rng(16)
+        for i in range(count):
+            q = lc(rng.uniform(0.3, 0.8) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+            p = lc(rng.uniform(0.05, 0.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+            yield ModelParams(2 + i % 4, q, p), draw_z(rng)
+
+    def test_match_double_base_products_240_draws(self):
+        from elliptic_rmatrix.rmatrix_builders import _hat_scalar_kappa
+
+        def rel(new, old):
+            return abs(new - old) / abs(old)
+
+        worst_kappa = worst_hat = worst_hat_q = 0.0
+        for params, z in self.draws():
+            worst_kappa = max(worst_kappa, rel(kappa_inv(params, z**2),
+                                               double_base_kappa_inv(params, z**2)))
+            worst_hat = max(worst_hat, rel(_hat_scalar_kappa(params, z),
+                                           double_base_hat_scalar_kappa(params, z)))
+            q = params.log_q  # the hat's cancelled degeneracy
+            worst_hat_q = max(worst_hat_q, rel(_hat_scalar_kappa(params, q),
+                                               double_base_hat_scalar_kappa(params, q)))
+        # measured over these draws: 1.2e-14, 1.2e-14 and 1.3e-14
+        assert worst_kappa < 2e-14
+        assert worst_hat < 2e-14
+        assert worst_hat_q < 2e-14
+
+    def test_kappa_inv_exactly_one_at_z_one(self):
+        from elliptic_rmatrix import LOG_ONE
+
+        for n in range(2, 6):
+            for p in (0.17 - 0.06j, 0.85 + 0.3j):  # no shift, and a p-shifted series
+                assert kappa_inv(ModelParams(n, lc(0.41 + 0.13j), lc(p)), LOG_ONE) == 1.0
+
+    def test_kappa_inv_zero_at_p(self, params_n3):
+        # the numerator's (p z^{-2}; p, q^{2N}) vanishes at z^2 = p: a value, not a pole
+        assert kappa_inv(params_n3, params_n3.log_p) == 0

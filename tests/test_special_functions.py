@@ -1,4 +1,4 @@
-"""Log-scale arithmetic, Pochhammer symbols, theta functions."""
+"""Log-scale arithmetic, Pochhammer symbols, theta and elliptic gamma functions."""
 
 import cmath
 import math
@@ -10,11 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elliptic_rmatrix import (
+    DEFAULT_POLICY,
     DomainError,
     LogComplex,
     LOG_ONE,
     TruncationError,
     TruncationPolicy,
+    elliptic_gamma_ratio,
     pochhammer_inf,
     theta,
     theta_shift_residual,
@@ -27,6 +29,12 @@ THETA_2_BASE_009 = -0.6906413144877037
 
 def lc(w: complex) -> LogComplex:
     return LogComplex.from_complex(w)
+
+
+def elliptic_gamma(x, p, big_q, policy=DEFAULT_POLICY) -> complex:
+    """Gamma(x; p, Q) alone: the quotient with an empty denominator."""
+    zeros, poles = elliptic_gamma_ratio((x,), (), p, big_q, policy)
+    return zeros / poles
 
 
 class TestLogComplex:
@@ -81,16 +89,20 @@ class TestPochhammer:
         got = pochhammer_inf(lc(z), (lc(b),))
         assert got == pytest.approx(expected, rel=1e-14)
 
-    def test_two_base_splits_as_iterated_single_base(self):
-        # (z; a, b) = prod_j (z a^j; b) for |a|, |b| < 1
-        z, a, b = 0.2 + 0.1j, 0.3, 0.4
-        expected = 1.0 + 0j
-        j = 0
-        while abs(z) * a**j > 1e-18:
-            expected *= pochhammer_inf(lc(z * a**j), (lc(b),))
-            j += 1
-        got = pochhammer_inf(lc(z), (lc(a), lc(b)))
-        assert got == pytest.approx(expected, rel=1e-13)
+    def test_gamma_is_a_quotient_of_iterated_single_base_products(self):
+        # (x; p, Q) = prod_j (x p^j; Q), so Gamma(x) = (pQ/x; p, Q) / (x; p, Q)
+        x, p, big_q = 0.2 + 0.1j, 0.3, 0.4
+
+        def double(w):
+            out = 1.0 + 0j
+            j = 0
+            while abs(w) * p**j > 1e-18:
+                out *= pochhammer_inf(lc(w * p**j), (lc(big_q),))
+                j += 1
+            return out
+
+        got = elliptic_gamma(lc(x), lc(p), lc(big_q))
+        assert got == pytest.approx(double(p * big_q / x) / double(x), rel=1e-13)
 
     def test_zero_argument_flag(self):
         assert pochhammer_inf(None, (lc(0.5),)) == 1.0 + 0j
@@ -99,9 +111,10 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer_inf(lc(0.5), (lc(1.05),))
 
-    def test_too_many_bases_rejected(self):
+    def test_more_than_one_base_rejected(self):
+        # two-base products are elliptic gamma functions
         with pytest.raises(DomainError):
-            pochhammer_inf(lc(0.5), (lc(0.2), lc(0.2), lc(0.2), lc(0.2)))
+            pochhammer_inf(lc(0.5), (lc(0.2), lc(0.3)))
 
     def test_truncation_budget_enforced(self):
         tight = TruncationPolicy(abs_floor=1e-17, max_terms=5)
@@ -156,3 +169,79 @@ class TestTheta:
         # vanishes and the relative residual is 0/0; skip those draws
         assume(abs(theta(z, p)) > 1e-3)
         assert theta_shift_residual(z, p, 2) < 1e-12
+
+
+def theta_q(x: LogComplex, base: LogComplex) -> complex:
+    """theta_b(x) = (x; b)(b/x; b), the factor of Gamma's functional equations."""
+    return pochhammer_inf(x, (base,)) * pochhammer_inf(base / x, (base,))
+
+
+class TestEllipticGamma:
+    gamma_draws = dict(
+        mod_x=st.floats(0.2, 5.0),
+        arg_x=st.floats(-3.1, 3.1),
+        mod_q=st.floats(0.3, 0.9),
+        arg_q=st.floats(-3.1, 3.1),
+        mod_p=st.floats(0.05, 0.9),
+        arg_p=st.floats(-3.1, 3.1),
+        n=st.integers(2, 5),
+    )
+
+    @staticmethod
+    def bases(mod_q, arg_q, mod_p, arg_p, n):
+        return lc(mod_p * cmath.exp(1j * arg_p)), lc(mod_q * cmath.exp(1j * arg_q)) ** (2 * n)
+
+    @staticmethod
+    def relative(lhs: complex, rhs: complex) -> float:
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**gamma_draws)
+    def test_p_shift(self, mod_x, arg_x, mod_q, arg_q, mod_p, arg_p, n):
+        # Gamma(p x) = theta_Q(x) Gamma(x)
+        p, big_q = self.bases(mod_q, arg_q, mod_p, arg_p, n)
+        x = lc(mod_x * cmath.exp(1j * arg_x))
+        assume(abs(theta_q(x, big_q)) > 1e-6 and abs(theta_q(p * x, big_q)) > 1e-6)
+        lhs = elliptic_gamma(p * x, p, big_q)
+        assert self.relative(lhs, theta_q(x, big_q) * elliptic_gamma(x, p, big_q)) < 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(**gamma_draws)
+    def test_q_shift(self, mod_x, arg_x, mod_q, arg_q, mod_p, arg_p, n):
+        # Gamma(Q x) = theta_p(x) Gamma(x)
+        p, big_q = self.bases(mod_q, arg_q, mod_p, arg_p, n)
+        x = lc(mod_x * cmath.exp(1j * arg_x))
+        assume(abs(theta_q(x, p)) > 1e-6 and abs(theta_q(big_q * x, p)) > 1e-6)
+        lhs = elliptic_gamma(big_q * x, p, big_q)
+        assert self.relative(lhs, theta_q(x, p) * elliptic_gamma(x, p, big_q)) < 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(**gamma_draws)
+    def test_reflection(self, mod_x, arg_x, mod_q, arg_q, mod_p, arg_p, n):
+        # Gamma(x) Gamma(pQ/x) = 1
+        p, big_q = self.bases(mod_q, arg_q, mod_p, arg_p, n)
+        x = lc(mod_x * cmath.exp(1j * arg_x))
+        assume(abs(theta_q(x, big_q)) > 1e-6 and abs(theta_q(x, p)) > 1e-6)
+        product = elliptic_gamma(x, p, big_q) * elliptic_gamma(p * big_q / x, p, big_q)
+        assert abs(product - 1.0) < 1e-11
+
+    def test_equal_pairs_cancel_exactly(self):
+        p, big_q = lc(0.63 - 0.2j), lc(0.4 + 0.3j) ** 6
+        args = (lc(1.7 + 0.4j), lc(0.05 - 0.02j), lc(0.4 + 0.1j))  # shifted, shifted, not
+        zeros, poles = elliptic_gamma_ratio(args, args, p, big_q)
+        assert zeros == poles and zeros / poles == 1.0
+
+    def test_pole_and_zero(self):
+        p, big_q = lc(0.3 + 0.1j), lc(0.5 - 0.2j) ** 4
+        zeros, poles = elliptic_gamma_ratio((LOG_ONE,), (), p, big_q)
+        assert poles == 0 and zeros != 0  # (x; p, Q) vanishes at x = 1
+        assert abs(elliptic_gamma(p * big_q, p, big_q)) < 1e-14  # (pQ/x; p, Q) at x = pQ
+
+    def test_truncation_budget_enforced(self):
+        tight = TruncationPolicy(abs_floor=1e-17, max_terms=5)
+        with pytest.raises(TruncationError):
+            elliptic_gamma(lc(0.3 + 0.1j), lc(0.2), lc(0.1), tight)
+
+    def test_base_outside_disc_rejected(self):
+        with pytest.raises(DomainError):
+            elliptic_gamma(lc(0.3), lc(1.05), lc(0.1))
