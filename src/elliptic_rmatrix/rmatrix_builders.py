@@ -328,9 +328,9 @@ def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
     joins the two, so the product is
 
         pref (Q; Q) Gamma(p z^2) Gamma(Q z^2) Gamma(p q^{2N-2} z^{-2}) Gamma(p q^2 z^{-2})
-            / Theta_Q(z^2),
+            / Theta_Q(z^2).
 
-    finite at z = q, which is exactly where the hat matrix's kernel is probed.
+    z = q is exactly where the hat matrix's kernel is probed.
     """
     n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
     big_q = lq ** (2 * n)

@@ -570,9 +570,9 @@ def double_base_hat_scalar_kappa(params, log_z):
 
 class TestEllipticGammaScalars:
     @staticmethod
-    def draws(count=240):
+    def draws():
         rng = np.random.default_rng(16)
-        for i in range(count):
+        for i in range(240):
             q = lc(rng.uniform(0.3, 0.8) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
             p = lc(rng.uniform(0.05, 0.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
             yield ModelParams(2 + i % 4, q, p), draw_z(rng)
