@@ -33,6 +33,7 @@ from .tensor_algebra import (
     SpectralReport,
     TensorOperator,
     antisymmetrizer,
+    charge_sectors,
     embed,
     identity_operator,
     matrix_dump_rows,

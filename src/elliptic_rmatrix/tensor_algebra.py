@@ -23,6 +23,7 @@ __all__ = [
     "SpectralReport",
     "identity_operator",
     "embed",
+    "charge_sectors",
     "permutation_op",
     "permutation_sign",
     "antisymmetrizer",
@@ -143,6 +144,24 @@ def embed(op: TensorOperator, slots: Sequence[int], arity: int) -> TensorOperato
     whole = (slice(None),) * op.arity
     view[whole + diag + whole + diag] = op.tensor_view()
     return TensorOperator(n, arity, out.reshape(n**arity, n**arity))
+
+
+def charge_sectors(local_dim: int, arity: int) -> np.ndarray:
+    """Flat indices of the Z_N charge sectors of (C^N)^{\\otimes k}.
+
+    Row s of the (N, N^(k-1)) result lists, in increasing order, the basis
+    states whose 0-based indices sum to s mod N.  The last slot's index is
+    fixed by the others, so row s is every prefix of k - 1 indices followed
+    by the one last index that completes the charge.  Every R-matrix kind
+    conserves this charge, so a product of embedded factors maps each
+    sector into itself.
+    """
+    if local_dim < 1 or arity < 1:
+        raise DimensionError(f"invalid shape parameters N={local_dim}, k={arity}")
+    prefix = np.arange(local_dim ** (arity - 1))
+    charge = sum((prefix // local_dim**t) % local_dim for t in range(arity - 1))
+    last = (np.arange(local_dim)[:, None] - charge) % local_dim
+    return prefix * local_dim + last
 
 
 def permutation_sign(sigma: Sequence[int]) -> int:

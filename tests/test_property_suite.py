@@ -15,6 +15,8 @@ from elliptic_rmatrix import (
     PropertyReport,
     RKind,
     SingularError,
+    TensorOperator,
+    build_r,
     check_antisymmetry,
     check_crossing,
     check_crossing_unitarity,
@@ -31,6 +33,7 @@ from elliptic_rmatrix import (
     check_twist_relation,
     check_unitarity,
     check_ybe,
+    embed,
     effective_pass,
     run_suite,
 )
@@ -205,6 +208,55 @@ class TestResampling:
         report = check_unitarity(params, RKind.ELLIPTIC, pole, rng=np.random.default_rng(0))
         assert report.passed
         assert report.sample_points[0] != pytest.approx(pole.to_complex())
+
+
+def _scale_largest(entries):
+    entries.flat[np.argmax(np.abs(entries))] *= 1 + 1e-6
+
+
+def _leak(entries):
+    # row (0, 0) has charge 0 and column (0, 1) charge 1
+    entries[0, 1] = 1e-6 * np.abs(entries).max()
+
+
+class TestYbeChargeSectors:
+    """check_ybe multiplies charge-sector blocks and guards the entries off them."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_products(self, n):
+        rng = np.random.default_rng(60 + n)
+        params = draw_params(rng, n)
+        for kind in (k for k in ps.CHECKS["ybe"].kinds if k.exists_at(n)):
+            z1, z2, z3 = (draw_log(rng) for _ in range(3))
+            r12, r13, r23 = (
+                embed(build_r(params, kind, lz), slots, 3).entries
+                for lz, slots in ((z1 / z2, (1, 2)), (z1 / z3, (1, 3)), (z2 / z3, (2, 3)))
+            )
+            lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
+            dense = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
+            report = check_ybe(params, kind, z1, z2, z3)
+            assert report.passed
+            assert abs(report.residual - dense) <= 1e-16, (kind, report.residual, dense)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("mutate", [_scale_largest, _leak], ids=["in-sector", "off-sector"])
+    def test_mutated_builder_fails(self, monkeypatch, n, mutate):
+        rng = np.random.default_rng(70 + n)
+        params = draw_params(rng, n)
+        points = tuple(draw_log(rng) for _ in range(3))
+        kinds = [k for k in ps.CHECKS["ybe"].kinds if k.exists_at(n)]
+        assert all(check_ybe(params, kind, *points).passed for kind in kinds)
+        real = ps.build_r
+
+        def build_r(params, kind, log_z):
+            entries = real(params, kind, log_z).entries.copy()
+            mutate(entries)
+            return TensorOperator(params.n, 2, entries)
+
+        monkeypatch.setattr(ps, "build_r", build_r)
+        for kind in kinds:
+            report = check_ybe(params, kind, *points)
+            assert not report.passed, (kind, report.residual)
 
 
 def _pole_on_first_build(monkeypatch) -> list:

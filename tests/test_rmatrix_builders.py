@@ -21,6 +21,8 @@ from elliptic_rmatrix import (
     build_h,
     build_r,
     build_v,
+    charge_sectors,
+    embed,
     eta,
     kappa_inv,
     permutation_op,
@@ -204,6 +206,25 @@ class TestBuildR:
                     for d in range(n):
                         if (a + c - b - d) % n != 0:
                             assert view[a, c, b, d] == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_no_entry_off_charge_sectors(self, n):
+        """Every kind conserves the Z_N charge: R and each of its three-slot
+        embeddings are exactly zero between different charge sectors."""
+
+        def off_sector(entries, k):
+            labels = np.empty(n**k, dtype=int)
+            labels[charge_sectors(n, k)] = np.arange(n)[:, None]
+            return entries[labels[:, None] != labels[None, :]]
+
+        rng = np.random.default_rng(40 + n)
+        params = ModelParams(n, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
+        for kind in (k for k in RKind if k.exists_at(n)):
+            r = build_r(params, kind, draw_z(rng))
+            assert np.count_nonzero(r.entries) > 0
+            assert not np.any(off_sector(r.entries, 2)), kind
+            for slots in ((1, 2), (1, 3), (2, 3)):
+                assert not np.any(off_sector(embed(r, slots, 3).entries, 3)), (kind, slots)
 
     @pytest.mark.parametrize("n, q, p, z", [
         (2, 0.41 + 0.13j, 0.17 - 0.06j, 1.3 + 0.2j),

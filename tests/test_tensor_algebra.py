@@ -10,6 +10,7 @@ from elliptic_rmatrix import (
     DimensionError,
     TensorOperator,
     antisymmetrizer,
+    charge_sectors,
     embed,
     identity_operator,
     matrix_dump_rows,
@@ -81,6 +82,23 @@ class TestEmbed:
             embed(op, (1, 3), 2)
         with pytest.raises(DimensionError):
             embed(op, (1, 1), 3)
+
+
+class TestChargeSectors:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_partition_by_charge(self, n, k):
+        sectors = charge_sectors(n, k)
+        assert sectors.shape == (n, n ** (k - 1))
+        np.testing.assert_array_equal(np.sort(sectors.ravel()), np.arange(n**k))
+        charge = np.indices((n,) * k).reshape(k, -1).sum(axis=0) % n
+        for s in range(n):
+            assert set(charge[sectors[s]]) == {s}
+            assert np.all(np.diff(sectors[s]) > 0)
+
+    def test_rejects_empty_space(self):
+        with pytest.raises(DimensionError):
+            charge_sectors(2, 0)
 
 
 def kron_embed(op, slots, arity):
