@@ -27,6 +27,7 @@ from .special_functions import (
     elliptic_gamma_ratio,
     pochhammer_inf,
     theta,
+    theta_array,
     theta_shift_residual,
 )
 from .tensor_algebra import (

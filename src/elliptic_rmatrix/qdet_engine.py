@@ -119,13 +119,22 @@ def _antisymmetric_columns(n: int) -> np.ndarray:
     return np.kron((a / np.linalg.norm(a))[:, None], np.eye(n))
 
 
-def _product_with_residual(params: ModelParams, log_z: LogComplex) -> tuple[TensorOperator, float]:
+def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]:
+    """The hat matrices Rhat(z q^{1-j}), j = 1..N, that the product, inverse and
+    permutation-sum routes share at one point."""
+    return [build_r(params, RKind.ELLIPTIC_HAT, w) for w in _q_shifted(params, log_z)]
+
+
+def _product_with_residual(
+    params: ModelParams, log_z: LogComplex, *, hats: list[TensorOperator] | None = None
+) -> tuple[TensorOperator, float]:
     n = params.n
     arity = n + 1
     x = v = _antisymmetric_columns(n)
+    hats = _hat_factors(params, log_z) if hats is None else hats
     # Right-to-left: x = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) V.
-    for j, w in reversed(list(enumerate(_q_shifted(params, log_z), start=1))):
-        x = embed(build_r(params, RKind.ELLIPTIC_HAT, w), (j, arity), arity).entries @ x
+    for j, factor in reversed(list(enumerate(hats, start=1))):
+        x = embed(factor, (j, arity), arity).entries @ x
     # X = A x M gives x = V M; V's columns are orthonormal, so this is ||X - A x M|| / ||X||.
     m = v.conj().T @ x
     residual = float(np.linalg.norm(x - v @ m) / max(np.linalg.norm(x), 1e-300))
@@ -137,7 +146,9 @@ def qdet_product(params: ModelParams, log_z: LogComplex) -> TensorOperator:
     return _product_with_residual(params, log_z)[0]
 
 
-def inverse_product_residual(params: ModelParams, log_z: LogComplex) -> float:
+def inverse_product_residual(
+    params: ModelParams, log_z: LogComplex, *, hats: list[TensorOperator] | None = None
+) -> float:
     """Residual of the inverted product relation.
 
     Since the forward product maps the antisymmetrizer to itself, applying
@@ -146,19 +157,28 @@ def inverse_product_residual(params: ModelParams, log_z: LogComplex) -> float:
     the N columns V of A x I, and ||Y V - V|| / ||V|| = ||Y - A x I|| / ||A x I||.
     Rhat_{j,0} acts on slots j and 0 alone, so each solve is one N^2 x N^2
     system with every other slot's index among its right-hand sides, not a
-    dense system on all N + 1 slots.
+    dense system on all N + 1 slots.  ``hats`` passes the factors in, as
+    :func:`verify_qdet` does; without it they are built here.
     """
     n = params.n
     arity = n + 1
     y = v = _antisymmetric_columns(n)
+    hats = _hat_factors(params, log_z) if hats is None else hats
     # Solving against Rhat_{1,0}, then Rhat_{2,0}, ... gives Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} V.
-    for j, w in enumerate(_q_shifted(params, log_z), start=1):
-        factor = build_r(params, RKind.ELLIPTIC_HAT, w)
+    for j, factor in enumerate(hats, start=1):
         # slots j and 0 of every column to the front, the rest as right-hand sides
         t = np.moveaxis(y.reshape((n,) * arity + (-1,)), (j - 1, arity - 1), (0, 1))
         t = np.linalg.solve(factor.entries, t.reshape(n * n, -1)).reshape(t.shape)
         y = np.moveaxis(t, (0, 1), (j - 1, arity - 1)).reshape(y.shape)
     return float(np.linalg.norm(y - v) / max(np.linalg.norm(v), 1e-300))
+
+
+def _closed_form_offsets(n: int, ell: int) -> range:
+    """Every offset c - a, c - b and b - a that row ell of the closed form's signed
+    sum reads, over all sigma and k: c - b reaches 1 + ell(ell - N - 1), c - a that
+    plus N + 1 - 2 ell, and all three reach N - ell."""
+    low = 1 + ell * (ell - n - 1)
+    return range(low + min(0, n + 1 - 2 * ell), n - ell + 1)
 
 
 def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, ...]:
@@ -185,7 +205,8 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
     theta_den = _theta_den(q2 * z2, lp, policy, "closed form")
     prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
 
-    tables = [_SThetas(params, w) for w in _q_shifted(params, log_z)]
+    tables = [_SThetas(params, w, _closed_form_offsets(n, ell))
+              for ell, w in enumerate(_q_shifted(params, log_z), start=1)]
 
     def core(k: int) -> complex:
         # shift_l = l(l-1)/2 - (sum of the values placed in rows 1..l-1)
@@ -196,7 +217,8 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
 
 
 def qdet_sum_formula(
-    params: ModelParams, kind: RKind, log_z: LogComplex
+    params: ModelParams, kind: RKind, log_z: LogComplex,
+    *, hats: list[TensorOperator] | None = None,
 ) -> TensorOperator:
     """Signed permutation sum of evaluated Lax blocks, as an auxiliary operator.
 
@@ -204,7 +226,8 @@ def qdet_sum_formula(
     E_{N,sigma(N)}(z q^{1-N}) with E_{ij}(w) the (i, j) block of the chosen
     matrix at w.  Supported kinds: the hat normalization (elliptic algebra)
     and the non-elliptic twisted matrix (its p -> 0 analogue, built on the
-    undeformed antisymmetrizer); both sums equal the identity.
+    undeformed antisymmetrizer); both sums equal the identity.  ``hats``
+    passes the hat matrices in, for the hat kind only.
     """
     n = params.n
     if n > MAX_SUM_TERMS_N:
@@ -213,8 +236,12 @@ def qdet_sum_formula(
         raise KindError(
             f"permutation-sum route is defined for the hat and non-elliptic kinds, got {kind.value}"
         )
+    if hats is not None and kind is not RKind.ELLIPTIC_HAT:
+        raise KindError(f"hat factors passed to the {kind.value} sum")
+    if hats is None:
+        hats = [build_r(params, kind, w) for w in _q_shifted(params, log_z)]
     # Lax-evaluation blocks: views[l][i, :, j, :] acts on the second slot
-    views = [build_r(params, kind, w).tensor_view() for w in _q_shifted(params, log_z)]
+    views = [factor.tensor_view() for factor in hats]
     total = _signed_sum(
         n, np.eye(n), lambda acc, ell, v, used: acc @ views[ell - 1][ell - 1, :, v - 1, :]
     )
@@ -281,12 +308,13 @@ def verify_qdet(
     n = params.n
 
     def compute(lz: LogComplex) -> tuple:
+        hats = _hat_factors(params, lz)  # built once, read by three routes
         return (
-            *_product_with_residual(params, lz),
+            *_product_with_residual(params, lz, hats=hats),
             qdet_closed_form(params, lz),
-            qdet_sum_formula(params, RKind.ELLIPTIC_HAT, lz),
+            qdet_sum_formula(params, RKind.ELLIPTIC_HAT, lz, hats=hats),
             qdet_sum_formula(params, RKind.NON_ELLIPTIC, lz),
-            inverse_product_residual(params, lz),
+            inverse_product_residual(params, lz, hats=hats),
         )
 
     routes, (log_z,) = _resample(compute, (log_z,), rng)

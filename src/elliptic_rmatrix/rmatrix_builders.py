@@ -33,7 +33,6 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .special_functions import (
     elliptic_gamma_ratio,
     pochhammer_inf,
     theta,
+    theta_array,
 )
 from .tensor_algebra import TensorOperator
 
@@ -131,22 +131,17 @@ class ModelParams:
         return cmath.exp(2j * cmath.pi / self.n)
 
     def genericity_warnings(self) -> list[str]:
-        warnings: list[str] = []
         margin = self.genericity_margin
-        q, p = self.q, self.p
-        for k in range(1, 2 * self.n + 1):
-            if abs(q ** (2 * k) - 1.0) <= margin:
-                warnings.append(f"q^{2 * k} within {margin:g} of 1")
-        for a in range(-2 * self.n, 2 * self.n + 1):
-            for b in range(-2 * self.n, 2 * self.n + 1):
-                if a == 0 and b == 0:
-                    continue
-                try:
-                    val = (p**a) * (q**b)
-                except OverflowError:
-                    continue
-                if abs(val - 1.0) <= margin:
-                    warnings.append(f"p^{a} q^{b} within {margin:g} of 1")
+        q, k = self.q, np.arange(1, 2 * self.n + 1)
+        warnings = [f"q^{2 * j} within {margin:g} of 1"
+                    for j in k[np.abs(q ** (2 * k) - 1.0) <= margin].tolist()]
+        # p^a q^b over a, b in -2N..2N, row-major in a; overflowed powers never fire
+        e = np.arange(-2 * self.n, 2 * self.n + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.abs(np.outer(self.p ** e, q ** e) - 1.0) <= margin
+        grid[2 * self.n, 2 * self.n] = False  # a = b = 0
+        warnings += [f"p^{a} q^{b} within {margin:g} of 1"
+                     for a, b in (e[np.argwhere(grid)]).tolist()]
         return warnings
 
     def digest(self) -> str:
@@ -186,31 +181,49 @@ def _theta_den(
 
 
 class _SThetas:
-    """The thetas of :func:`s_theta_ratio` at one z, keyed by index offset:
-    num(c - a), den_z(c - b) and den_q(b - a), each computed once per offset
-    and kept by this table only.  The denominators raise PoleError at zero.
+    """The thetas of :func:`s_theta_ratio` at one z over the index offsets
+    d in ``offsets``: arrays num[d] = Theta(p^{N+d} q^2 z^2), den_z[d] =
+    Theta(p^{N+d} z^2) and den_q[d] = Theta(p^{N+d} q^2), base p^N, read at
+    position d - offsets.start and filled by one :func:`theta_array` call.
+    The denominators raise PoleError at their first vanishing offset, den_q
+    before den_z.  ``z_zero_cancelled`` leaves den_z(0), which vanishes at
+    z^2 = 1, unguarded and set to 1: the caller forms that quotient itself.
     """
 
-    def __init__(self, params: ModelParams, log_z: LogComplex):
+    def __init__(
+        self, params: ModelParams, log_z: LogComplex, offsets: range,
+        *, z_zero_cancelled: bool = False,
+    ):
         n, lp, policy = params.n, params.log_p, params.policy
-        base, z2, q2 = lp**n, log_z**2, params.log_q**2
-        self.num = cache(lambda d: theta((lp ** (n + d)) * q2 * z2, base, policy))
-        self.den_z = cache(lambda d: _theta_den(
-            (lp ** (n + d)) * z2, base, policy, "S (z-dependent theta)"))
-        self.den_q = cache(lambda d: _theta_den(
-            (lp ** (n + d)) * q2, base, policy, "S (q-dependent theta)"))
+        base, z2, q2 = lp**n, (log_z**2).value, (params.log_q**2).value
+        self.start = offsets.start
+        shifts = (n + np.arange(offsets.start, offsets.stop)) * lp.value  # log p^{N+d}
+        args = np.concatenate([shifts + q2 + z2, shifts + z2, shifts + q2])
+        self.num, self.den_z, self.den_q = theta_array(args, base, policy).reshape(3, -1)
+        if z_zero_cancelled:
+            self.den_z[-offsets.start] = 1.0
+        scale = POLE_GUARD * max(abs(pochhammer_inf(base, (base,), policy)), 1e-300)
+        for vals, logs, what in ((self.den_q, shifts + q2, "q-dependent"),
+                                 (self.den_z, shifts + z2, "z-dependent")):
+            bad = np.flatnonzero(np.abs(vals) < scale)
+            if bad.size:
+                raise PoleError(f"denominator theta vanished in S ({what} theta)",
+                                argument=cmath.exp(logs[bad[0]]))
 
     def ratio(self, a: int, b: int, c: int) -> complex:
-        """The theta quotient of S_{a,c}^{b}(z), for arbitrary integer indices."""
-        return self.num(c - a) / (self.den_z(c - b) * self.den_q(b - a))
+        """The theta quotient of S_{a,c}^{b}(z); every offset must lie in the table's range."""
+        i, j, k = c - a - self.start, c - b - self.start, b - a - self.start
+        if min(i, j, k) < 0:
+            raise IndexError(f"offset below the theta table's range at ({a}, {b}, {c})")
+        return complex(self.num[i]) / (complex(self.den_z[j]) * complex(self.den_q[k]))
 
 
-def _s_prefactor(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
+def _s_prefactor(params: ModelParams, a, b, c, log_z: LogComplex):
     """Power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z), as
-    one exp of float logs; int/int division rounds correctly, so each exponent is the
-    float nearest its exact rational."""
+    one exp of float logs, for integer indices or index arrays; int/int division
+    rounds correctly, so each exponent is the float nearest its exact rational."""
     n = params.n
-    return cmath.exp(
+    return np.exp(
         (2 * (b - a) / n) * log_z.value
         + (2 * (c - b) / n) * params.log_q.value
         + ((b - a) * (c - b) / n) * params.log_p.value
@@ -226,7 +239,8 @@ def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex
     The integer offsets enter the p-powers directly, with no modular
     reduction; this is the form the quantum-determinant sum needs.
     """
-    return _SThetas(params, log_z).ratio(a, b, c)
+    offsets = (c - a, c - b, b - a)
+    return _SThetas(params, log_z, range(min(offsets), max(offsets) + 1)).ratio(a, b, c)
 
 
 def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
@@ -241,7 +255,7 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
     n = params.n
     if not (1 <= a <= n and 1 <= b <= n):
         raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
-    return _s_prefactor(params, a, b, c, log_z) * s_theta_ratio(params, a, b, c, log_z)
+    return complex(_s_prefactor(params, a, b, c, log_z)) * s_theta_ratio(params, a, b, c, log_z)
 
 
 def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
@@ -409,15 +423,18 @@ def build_v(params: ModelParams, log_z: LogComplex) -> TensorOperator:
     return TensorOperator(n, 1, np.diag(diag))
 
 
-def alpha_exponent(n: int, i: int, j: int) -> Fraction:
-    """Twist exponent alpha_{ij}: 1/2 + (i-j)/N above the diagonal, antisymmetric."""
+def _twice_n_alpha(n: int, i: int, j: int) -> int:
+    """2N alpha_{ij}, an integer: N + 2(i - j) above the diagonal, antisymmetric."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"indices must lie in 1..{n}, got ({i}, {j})")
-    if i == j:
-        return Fraction(0)
-    if i < j:
-        return Fraction(1, 2) + Fraction(i - j, n)
-    return -alpha_exponent(n, j, i)
+    if i > j:
+        return -_twice_n_alpha(n, j, i)
+    return n + 2 * (i - j) if i < j else 0
+
+
+def alpha_exponent(n: int, i: int, j: int) -> Fraction:
+    """Twist exponent alpha_{ij}: 1/2 + (i-j)/N above the diagonal, antisymmetric."""
+    return Fraction(_twice_n_alpha(n, i, j), 2 * n)
 
 
 def build_f(params: ModelParams) -> TensorOperator:
@@ -463,22 +480,19 @@ def _build_elliptic(
         theta_without_zero(lp**n), lp**n, policy, "elliptic diagonal theta ratio vanished", z2
     )
 
-    # every offset in 1-N..N-1 occurs in the entries; den_z(0) is never evaluated
-    thetas = _SThetas(params, log_z)
-    offsets = range(1 - n, n)
-    num = {o: thetas.num(o) for o in offsets}
-    den_q = {o: thetas.den_q(o) for o in offsets}
-    z_ratio = {o: diag_ratio if o == 0 else theta_p_z / thetas.den_z(o) for o in offsets}
+    # every offset in 1-N..N-1 occurs in the entries; den_z(0) is replaced by diag_ratio
+    thetas = _SThetas(params, log_z, range(1 - n, n), z_zero_cancelled=True)
+    z_ratio = theta_p_z / thetas.den_z
+    z_ratio[n - 1] = diag_ratio
+    # the N^3 entries as index arrays in (a, c, b) order, d fixed by a + c = b + d (mod N)
+    a, c, b = (i.ravel() for i in np.indices((n, n, n)))
+    d = (a + c - b) % n
+    sign = np.where((a + c - b - d) // n % 2, -1.0, 1.0)  # a+c-b-d is a multiple of N
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a in range(1, n + 1):
-        for c in range(1, n + 1):
-            for b in range(1, n + 1):
-                d = ((a + c - b - 1) % n) + 1
-                sign = -1.0 if ((a + c - b - d) // n) & 1 else 1.0  # a+c-b-d is a multiple of N
-                mat[(a - 1) * n + c - 1, (b - 1) * n + d - 1] = (
-                    common * sign * _s_prefactor(params, a, b, c, log_z)
-                    * num[c - a] * z_ratio[c - b] / den_q[b - a]
-                )
+    mat[a * n + c, b * n + d] = (
+        common * sign * _s_prefactor(params, a, b, c, log_z) * thetas.num[c - a + n - 1]
+        * z_ratio[c - b + n - 1] / thetas.den_q[b - a + n - 1]
+    )
     return mat
 
 

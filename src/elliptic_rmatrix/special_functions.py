@@ -43,6 +43,7 @@ __all__ = [
     "LOG_ONE",
     "pochhammer_inf",
     "theta",
+    "theta_array",
     "elliptic_gamma_ratio",
     "theta_shift_residual",
 ]
@@ -273,6 +274,44 @@ def theta(
         * pochhammer_inf(log_p / log_z, bases, policy)
         * pochhammer_inf(log_p, bases, policy)
     )
+
+
+def theta_array(
+    log_args: np.ndarray,
+    log_base: LogComplex,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> np.ndarray:
+    """Theta_b(x) = (x; b)(b/x; b)(b; b) at every x = exp(u), u in ``log_args``.
+
+    The array form of :func:`theta` for one common base: each product keeps
+    the factors (1 - x b^n) with |x b^n| >= abs_floor, as ``pochhammer_inf``
+    does, and all of them multiply in one masked (terms, products) array.
+    The term counts follow from |x| and |b| before anything is allocated;
+    TruncationError when one reaches ``max_terms``, the scalar path's rule.
+    """
+    lb = log_base.value
+    if lb.real >= 0.0:
+        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(lb.real):.6f}")
+    u = np.asarray(log_args, dtype=np.complex128).ravel()
+    # the logs of x, b/x and b: the (b; b) factor is the last column
+    starts = np.concatenate([u, lb - u, [lb]])
+    log_floor = math.log(policy.abs_floor)
+    # factors n = 0 .. counts - 1 have |x b^n| >= floor
+    counts = np.maximum(np.floor((starts.real - log_floor) / -lb.real) + 1.0, 0.0)
+    terms = int(counts.max())
+    if terms >= policy.max_terms:
+        raise TruncationError(
+            f"Pochhammer product not below floor {policy.abs_floor:g} after {policy.max_terms} "
+            f"terms (|base| = {math.exp(lb.real):.6f})"
+        )
+    # x b^n by the scalar path's recurrence t <- t b, one row per n
+    powers = np.full((terms, starts.size), cmath.exp(lb))
+    powers[:1] = np.exp(starts)
+    factors = 1.0 - np.cumprod(powers, axis=0)
+    factors[np.arange(terms)[:, None] >= counts] = 1.0
+    products = factors.prod(axis=0)
+    k = u.size
+    return (products[:k] * products[k:-1] * products[-1]).reshape(np.shape(log_args))
 
 
 def theta_shift_residual(

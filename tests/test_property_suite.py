@@ -159,6 +159,51 @@ class TestNsigma:
         assert report.passed
 
 
+def fraction_nsigma(n_max, alpha):
+    """The exact-rational n_sigma loop that the integer form replaced."""
+    from fractions import Fraction
+    from itertools import permutations
+
+    worst = Fraction(0)
+    for n in range(2, n_max + 1):
+        for sigma in permutations(range(1, n + 1)):
+            total = Fraction(ps._inversions(sigma))
+            total += Fraction(2, n) * sum(Fraction(i * (sigma[i - 1] - i)) for i in range(1, n + 1))
+            total += sum(
+                alpha(n, sigma[i - 1], sigma[j - 1]) - alpha(n, i, j)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+            )
+            worst = max(worst, abs(total))
+    return float(worst)
+
+
+class TestNsigmaIntegerForm:
+    def test_matches_fraction_loop_through_s6(self):
+        from elliptic_rmatrix import alpha_exponent
+
+        for n_max in range(2, 7):
+            report = check_nsigma(n_max)
+            assert report.residual == fraction_nsigma(n_max, alpha_exponent) == 0.0
+        assert check_nsigma(5).detail["permutations_checked"] == 152
+
+    def test_perturbed_exponent_matches_fraction_loop(self, monkeypatch):
+        from fractions import Fraction
+
+        real = ps._twice_n_alpha
+
+        def perturbed(n, i, j):  # alpha_13 off by 1/(2N), antisymmetric
+            shift = {(1, 3): 1, (3, 1): -1}.get((i, j), 0)
+            return real(n, i, j) + shift
+
+        monkeypatch.setattr(ps, "_twice_n_alpha", perturbed)
+        for n_max in range(3, 7):
+            report = check_nsigma(n_max)
+            expected = fraction_nsigma(n_max, lambda n, i, j: Fraction(perturbed(n, i, j), 2 * n))
+            assert report.residual == expected > 0.0
+            assert not report.passed
+
+
 class TestCanary:
     def test_transpose_symmetry_is_genuine_pass_at_n2(self, rng):
         params2 = draw_params(np.random.default_rng(102), 2)

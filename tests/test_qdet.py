@@ -297,3 +297,47 @@ class TestResultStructure:
             "nonelliptic_sum_vs_identity",
             "inverse_product",
         }
+
+
+class TestSharedHatFactors:
+    def test_one_hat_build_per_factor_per_point(self, monkeypatch, capsys):
+        # the forward, inverse and permutation-sum routes share each point's N hat matrices
+        from elliptic_rmatrix.cli import main
+
+        kinds = []
+        real_build = qdet_engine.build_r
+
+        def counting_build(params, kind, log_z):
+            kinds.append(kind)
+            return real_build(params, kind, log_z)
+
+        monkeypatch.setattr(qdet_engine, "build_r", counting_build)
+        main(["qdet", "--n", "4", "--points", "2", "--seed", "1", "--format", "json"])
+        capsys.readouterr()
+        assert kinds.count(RKind.ELLIPTIC_HAT) == 8
+
+    def test_routes_alone_equal_routes_with_shared_factors(self, params, rng):
+        z = draw_log(rng)
+        hats = qdet_engine._hat_factors(params, z)
+        assert np.array_equal(qdet_engine._product_with_residual(params, z)[0].entries,
+                              qdet_engine._product_with_residual(params, z, hats=hats)[0].entries)
+        assert inverse_product_residual(params, z) == inverse_product_residual(params, z, hats=hats)
+        assert np.array_equal(qdet_sum_formula(params, RKind.ELLIPTIC_HAT, z).entries,
+                              qdet_sum_formula(params, RKind.ELLIPTIC_HAT, z, hats=hats).entries)
+        with pytest.raises(KindError):
+            qdet_sum_formula(params, RKind.NON_ELLIPTIC, z, hats=hats)
+
+
+class TestClosedFormTables:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_offset_range_is_what_the_signed_sum_reads(self, n):
+        # row l places value v with used = the sum of the values in rows 1..l-1,
+        # and reads S_{l, c}^{v} with c = k + l(l-1)/2 - used, k = 1..N
+        for ell in range(1, n + 1):
+            read = set()
+            for sigma in permutations(range(1, n + 1)):
+                used, v = sum(sigma[: ell - 1]), sigma[ell - 1]
+                for k in range(1, n + 1):
+                    c = k + ell * (ell - 1) // 2 - used
+                    read |= {c - ell, c - v, v - ell}
+            assert set(qdet_engine._closed_form_offsets(n, ell)) == read
