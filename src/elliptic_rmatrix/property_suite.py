@@ -704,30 +704,15 @@ def check_evaluated_ll(
     def compute(lz: LogComplex) -> float:
         top = build_r(params, RKind.ELLIPTIC_HAT, lz)
         bot = build_r(params, RKind.ELLIPTIC_HAT, lz / params.log_q)
-        v_top, v_bot = top.tensor_view(), bot.tensor_view()
         scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
-
-        def blk(view: np.ndarray, i: int, j: int) -> np.ndarray:
-            return view[i - 1, :, j - 1, :]
-
-        worst = 0.0
-        rng_idx = range(1, n + 1)
-        for i in rng_idx:
-            for j in rng_idx:
-                for k in rng_idx:
-                    for l in rng_idx:
-                        combo = (
-                            blk(v_top, i, j) @ blk(v_bot, k, l)
-                            - blk(v_top, i, l) @ blk(v_bot, k, j)
-                            - blk(v_top, k, l) @ blk(v_bot, i, j)
-                            + blk(v_top, k, j) @ blk(v_bot, i, l)
-                        )
-                        worst = max(worst, float(np.linalg.norm(combo)))
-        for i in rng_idx:
-            for j in rng_idx:
-                for l in rng_idx:
-                    combo = blk(v_top, i, j) @ blk(v_bot, i, l) - blk(v_top, i, l) @ blk(v_bot, i, j)
-                    worst = max(worst, float(np.linalg.norm(combo)))
+        # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
+        prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
+        # both combinations at every index, as index swaps of prod
+        four = (prod - prod.transpose(0, 3, 2, 1, 4, 5) - prod.transpose(2, 3, 0, 1, 4, 5)
+                + prod.transpose(2, 1, 0, 3, 4, 5))
+        row = np.einsum("ijilac->ijlac", prod)  # E_ij(z) E_il(z/q)
+        two = row - row.transpose(0, 2, 1, 3, 4)
+        worst = max(float(np.linalg.norm(c, axis=(-2, -1)).max()) for c in (four, two))
         return worst / max(scale, 1e-300)
 
     return _sampled(

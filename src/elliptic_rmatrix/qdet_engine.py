@@ -31,7 +31,7 @@ import numpy as np
 from .errors import KindError, SizeError
 from .special_functions import LogComplex, theta
 from .tensor_algebra import TensorOperator, antisymmetrizer, embed
-from .rmatrix_builders import ModelParams, RKind, _poch_ratio, _SThetas, _theta_den, build_r
+from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r
 from .property_suite import CHECKS, PropertyReport, _resample, _sampled
 
 __all__ = [
@@ -195,14 +195,13 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
     n = params.n
     if n > MAX_SUM_TERMS_N:
         raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
-    lq, lp, policy = params.log_q, params.log_p, params.policy
+    lp, policy, constants = params.log_p, params.policy, params._constants
     q = params.q
     z2 = log_z**2
-    q2 = lq**2
 
-    poch_ratio = -_poch_ratio(params)
-    theta_q2 = theta(q2, lp, policy)
-    theta_den = _theta_den(q2 * z2, lp, policy, "closed form")
+    poch_ratio = -constants.poch_ratio
+    theta_q2 = constants.theta_q2
+    theta_den = _theta_den(constants.log_q2 * z2, lp, constants.guard_p, policy, "closed form")
     prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
 
     tables = [_SThetas(params, w, _closed_form_offsets(n, ell))

@@ -24,6 +24,13 @@ The entry coefficient S_{a,c}^{b}(z), which the elliptic builder, s_coeff
 and the closed-form determinant share, depends on the indices of its thetas
 only through c - a, b - a and c - b, so each is computed once per index
 offset per z (``_SThetas``).
+
+Every value that depends on (N, q, p) alone - the Pochhammer scales of the
+pole guards, eta's constant factors, the q-dependent theta table of S, the
+elliptic builder's gather arrays, the fractional exponents of the scalars -
+is computed once per :class:`ModelParams` instance, on first use, and kept
+with that instance (``ModelParams._constants``); a build computes only what
+depends on z.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -151,18 +159,110 @@ class ModelParams:
         )
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
+    @cached_property
+    def _constants(self) -> "_Constants":
+        """The z-independent values the builders read; not a field, so equality,
+        hashing and ``dataclasses.replace`` ignore it."""
+        return _Constants(self)
 
-def _guard_den(
-    val: complex,
-    log_base: LogComplex,
-    policy: TruncationPolicy,
-    message: str,
-    log_arg: LogComplex,
-) -> complex:
+
+def _guard_scale(base_poch: complex) -> float:
+    """POLE_GUARD |(b; b)| from ``base_poch`` = (b; b): a theta denominator of
+    base b below it raises PoleError."""
+    return POLE_GUARD * max(abs(base_poch), 1e-300)
+
+
+class _Constants:
+    """The values of one :class:`ModelParams` that no spectral point changes.
+
+    Each is computed on first use, where a build first needs it, so errors
+    arise in the order they would without the hoisting, and a kind that never
+    reads a value (the trigonometric ones read no p) never computes it.  The
+    object keeps no reference to its parameters and dies with them.
+    """
+
+    def __init__(self, params: ModelParams):
+        n, lq, lp = params.n, params.log_q, params.log_p
+        self.n, self.log_q, self.log_p, self.policy = n, lq, lp, params.policy
+        self.log_q2, self.log_pn, self.log_big_q = lq**2, lp**n, lq ** (2 * n)
+        self.log_sqrt_q = lq**0.5
+        # the fractional exponents, as the floats LogComplex.__pow__ would make of them
+        self.eta_power = float(Fraction(2, n))
+        self.tau_power = float(Fraction(2, n) - 2)
+        self.hat_power = float(Fraction(2 - 2 * n, n))
+        self._q_tables: dict[range, _QTable] = {}
+
+    @cached_property
+    def poch_p(self) -> complex:
+        """(p; p)_inf."""
+        return pochhammer_inf(self.log_p, (self.log_p,), self.policy)
+
+    @cached_property
+    def poch_pn(self) -> complex:
+        """(p^N; p^N)_inf."""
+        return pochhammer_inf(self.log_pn, (self.log_pn,), self.policy)
+
+    @cached_property
+    def poch_big_q(self) -> complex:
+        """(Q; Q)_inf, Q = q^{2N}."""
+        return pochhammer_inf(self.log_big_q, (self.log_big_q,), self.policy)
+
+    @cached_property
+    def poch_ratio(self) -> complex:
+        """(p^N; p^N)_inf / (p; p)_inf."""
+        return self.poch_pn / self.poch_p
+
+    @cached_property
+    def poch_ratio_cubed(self) -> complex:
+        return self.poch_ratio**3
+
+    @cached_property
+    def theta_q2(self) -> complex:
+        """Theta_p(q^2)."""
+        return theta(self.log_q2, self.log_p, self.policy)
+
+    @cached_property
+    def poch_p2(self) -> complex:
+        """(p^2; p^2)_inf, the eight-vertex base."""
+        return pochhammer_inf(self.log_p**2, (self.log_p**2,), self.policy)
+
+    @cached_property
+    def guard_p(self) -> float:
+        return _guard_scale(self.poch_p)
+
+    @cached_property
+    def guard_pn(self) -> float:
+        return _guard_scale(self.poch_pn)
+
+    @cached_property
+    def guard_big_q(self) -> float:
+        return _guard_scale(self.poch_big_q)
+
+    @cached_property
+    def guard_p2(self) -> float:
+        return _guard_scale(self.poch_p2)
+
+    @cached_property
+    def rho_prefactor(self) -> complex:
+        """q^{1/N - 1}."""
+        return (self.log_q ** (Fraction(1, self.n) - 1)).to_complex()
+
+    @cached_property
+    def gather(self) -> "_Gather":
+        return _Gather(self)
+
+    def q_table(self, offsets: range) -> "_QTable":
+        """The z-free half of :class:`_SThetas` over ``offsets``, one per range."""
+        table = self._q_tables.get(offsets)
+        if table is None:
+            table = self._q_tables[offsets] = _QTable(self, offsets)
+        return table
+
+
+def _guard_den(val: complex, guard: float, message: str, log_arg: LogComplex) -> complex:
     """``val``, a theta denominator of base b at ``log_arg``; PoleError when
-    |val| < POLE_GUARD |(b; b)|, the rule for every theta denominator."""
-    scale = abs(pochhammer_inf(log_base, (log_base,), policy))
-    if abs(val) < POLE_GUARD * max(scale, 1e-300):
+    |val| < ``guard`` = POLE_GUARD |(b; b)|, the rule for every theta denominator."""
+    if abs(val) < guard:
         raise PoleError(message, argument=log_arg.to_complex())
     return val
 
@@ -170,45 +270,62 @@ def _guard_den(
 def _theta_den(
     log_arg: LogComplex,
     log_base: LogComplex,
+    guard: float,
     policy: TruncationPolicy,
     what: str,
 ) -> complex:
-    """Theta value destined for a denominator; PoleError when it vanishes."""
-    return _guard_den(
-        theta(log_arg, log_base, policy), log_base, policy,
-        f"denominator theta vanished in {what}", log_arg,
-    )
+    """Theta value destined for a denominator; PoleError when it is below ``guard``,
+    the base's :func:`_guard_scale`."""
+    return _guard_den(theta(log_arg, log_base, policy), guard,
+                      f"denominator theta vanished in {what}", log_arg)
+
+
+class _QTable:
+    """The z-free half of :class:`_SThetas` over one offset range: the logs of
+    p^{N+d} q^2 and p^{N+d}, which num and den_z add log z^2 to, the table
+    den_q[d] = Theta_{p^N}(p^{N+d} q^2) (read-only, shared by every z), and the
+    argument of its first entry below the pole guard, None when no entry is."""
+
+    def __init__(self, constants: _Constants, offsets: range):
+        shifts = (constants.n + np.arange(offsets.start, offsets.stop)) * constants.log_p.value
+        q_shifts = shifts + constants.log_q2.value
+        self.z_free = np.concatenate([q_shifts, shifts])
+        self.den_q = theta_array(q_shifts, constants.log_pn, constants.policy)
+        self.den_q.flags.writeable = False
+        bad = np.flatnonzero(np.abs(self.den_q) < constants.guard_pn)
+        self.pole = cmath.exp(q_shifts[bad[0]]) if bad.size else None
 
 
 class _SThetas:
     """The thetas of :func:`s_theta_ratio` at one z over the index offsets
     d in ``offsets``: arrays num[d] = Theta(p^{N+d} q^2 z^2), den_z[d] =
     Theta(p^{N+d} z^2) and den_q[d] = Theta(p^{N+d} q^2), base p^N, read at
-    position d - offsets.start and filled by one :func:`theta_array` call.
-    The denominators raise PoleError at their first vanishing offset, den_q
-    before den_z.  ``z_zero_cancelled`` leaves den_z(0), which vanishes at
-    z^2 = 1, unguarded and set to 1: the caller forms that quotient itself.
+    position d - offsets.start.  den_q comes from the parameters' constants;
+    num and den_z from one :func:`theta_array` call.  The denominators raise
+    PoleError at their first vanishing offset, den_q before den_z, on every
+    z.  ``z_zero_cancelled`` leaves den_z(0), which vanishes at z^2 = 1,
+    unguarded and set to 1: the caller forms that quotient itself.
     """
 
     def __init__(
         self, params: ModelParams, log_z: LogComplex, offsets: range,
         *, z_zero_cancelled: bool = False,
     ):
-        n, lp, policy = params.n, params.log_p, params.policy
-        base, z2, q2 = lp**n, (log_z**2).value, (params.log_q**2).value
-        self.start = offsets.start
-        shifts = (n + np.arange(offsets.start, offsets.stop)) * lp.value  # log p^{N+d}
-        args = np.concatenate([shifts + q2 + z2, shifts + z2, shifts + q2])
-        self.num, self.den_z, self.den_q = theta_array(args, base, policy).reshape(3, -1)
+        constants = params._constants
+        table = constants.q_table(offsets)
+        z2 = (log_z**2).value
+        self.start, self.den_q = offsets.start, table.den_q
+        logs = table.z_free + z2
+        self.num, self.den_z = theta_array(logs, constants.log_pn, params.policy).reshape(2, -1)
         if z_zero_cancelled:
             self.den_z[-offsets.start] = 1.0
-        scale = POLE_GUARD * max(abs(pochhammer_inf(base, (base,), policy)), 1e-300)
-        for vals, logs, what in ((self.den_q, shifts + q2, "q-dependent"),
-                                 (self.den_z, shifts + z2, "z-dependent")):
-            bad = np.flatnonzero(np.abs(vals) < scale)
-            if bad.size:
-                raise PoleError(f"denominator theta vanished in S ({what} theta)",
-                                argument=cmath.exp(logs[bad[0]]))
+        if table.pole is not None:
+            raise PoleError("denominator theta vanished in S (q-dependent theta)",
+                            argument=table.pole)
+        bad = np.flatnonzero(np.abs(self.den_z) < constants.guard_pn)
+        if bad.size:
+            raise PoleError("denominator theta vanished in S (z-dependent theta)",
+                            argument=cmath.exp(logs[self.den_q.size + bad[0]]))
 
     def ratio(self, a: int, b: int, c: int) -> complex:
         """The theta quotient of S_{a,c}^{b}(z); every offset must lie in the table's range."""
@@ -218,16 +335,22 @@ class _SThetas:
         return complex(self.num[i]) / (complex(self.den_z[j]) * complex(self.den_q[k]))
 
 
-def _s_prefactor(params: ModelParams, a, b, c, log_z: LogComplex):
-    """Power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z), as
-    one exp of float logs, for integer indices or index arrays; int/int division
-    rounds correctly, so each exponent is the float nearest its exact rational."""
-    n = params.n
-    return np.exp(
-        (2 * (b - a) / n) * log_z.value
-        + (2 * (c - b) / n) * params.log_q.value
-        + ((b - a) * (c - b) / n) * params.log_p.value
+def _s_powers(n: int, log_q: LogComplex, log_p: LogComplex, a, b, c) -> tuple:
+    """The power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z)
+    without z: z's exponent and the float logs of the q and p powers, for integer
+    indices or index arrays; int/int division rounds correctly, so each exponent
+    is the float nearest its exact rational."""
+    return (
+        2 * (b - a) / n,
+        (2 * (c - b) / n) * log_q.value,
+        ((b - a) * (c - b) / n) * log_p.value,
     )
+
+
+def _s_prefactor(powers: tuple, log_z: LogComplex):
+    """The power prefactor at z, as one exp of float logs, from :func:`_s_powers`."""
+    z_exp, q_log, p_log = powers
+    return np.exp(z_exp * log_z.value + q_log + p_log)
 
 
 def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
@@ -255,7 +378,8 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
     n = params.n
     if not (1 <= a <= n and 1 <= b <= n):
         raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
-    return complex(_s_prefactor(params, a, b, c, log_z)) * s_theta_ratio(params, a, b, c, log_z)
+    powers = _s_powers(n, params.log_q, params.log_p, a, b, c)
+    return complex(_s_prefactor(powers, log_z)) * s_theta_ratio(params, a, b, c, log_z)
 
 
 def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
@@ -278,21 +402,15 @@ def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
     return zeros / poles
 
 
-def _poch_ratio(params: ModelParams) -> complex:
-    """(p^N; p^N)_inf / (p; p)_inf."""
-    lp, pn, policy = params.log_p, params.log_p**params.n, params.policy
-    return pochhammer_inf(pn, (pn,), policy) / pochhammer_inf(lp, (lp,), policy)
-
-
 def _eta_common(params: ModelParams, log_z: LogComplex, scalar_kappa: complex) -> complex:
     """eta(z) / Theta_p(p z^2) with ``scalar_kappa`` in place of 1/kappa(z^2)."""
-    lp, q2, policy = params.log_p, params.log_q**2, params.policy
+    c = params._constants
     return (
-        (log_z ** Fraction(2, params.n)).to_complex()
+        (log_z**c.eta_power).to_complex()
         * scalar_kappa
-        * _poch_ratio(params) ** 3
-        * theta(q2, lp, policy)
-        / _theta_den(q2 * log_z**2, lp, policy, "eta")
+        * c.poch_ratio_cubed
+        * c.theta_q2
+        / _theta_den(c.log_q2 * log_z**2, params.log_p, c.guard_p, params.policy, "eta")
     )
 
 
@@ -309,12 +427,11 @@ def tau(params: ModelParams, log_x: LogComplex) -> complex:
     q^N-periodic in x; relates the two elliptic normalizations through
     R_hat(z) = tau_N(q^{1/2} z^{-1}) R(z).
     """
-    n, lq, policy = params.n, params.log_q, params.policy
-    big_q = lq ** (2 * n)
+    lq, policy, c = params.log_q, params.policy, params._constants
     x2 = log_x**2
-    num = theta(lq * x2, big_q, policy)
-    den = _theta_den(lq * x2.inv(), big_q, policy, "tau")
-    return (log_x ** (Fraction(2, n) - 2)).to_complex() * num / den
+    num = theta(lq * x2, c.log_big_q, policy)
+    den = _theta_den(lq * x2.inv(), c.log_big_q, c.guard_big_q, policy, "tau")
+    return (log_x**c.tau_power).to_complex() * num / den
 
 
 def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
@@ -325,13 +442,11 @@ def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
 
     and satisfies U(z) = tau_N(q^{1/2} z) tau_N(q^{1/2} z^{-1}).
     """
-    n, lq, policy = params.n, params.log_q, params.policy
-    big_q = lq ** (2 * n)
-    z2 = log_z**2
-    q2 = lq**2
+    policy, c = params.policy, params._constants
+    big_q, guard, q2, z2 = c.log_big_q, c.guard_big_q, c.log_q2, log_z**2
     num = theta(q2 * z2, big_q, policy) * theta(q2 * z2.inv(), big_q, policy)
-    den = _theta_den(z2, big_q, policy, "U") * _theta_den(z2.inv(), big_q, policy, "U")
-    return (lq ** (Fraction(2, n) - 2)).to_complex() * num / den
+    den = _theta_den(z2, big_q, guard, policy, "U") * _theta_den(z2.inv(), big_q, guard, policy, "U")
+    return (params.log_q**c.tau_power).to_complex() * num / den
 
 
 def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
@@ -346,16 +461,15 @@ def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
 
     z = q is exactly where the hat matrix's kernel is probed.
     """
-    n, lq, lp, policy = params.n, params.log_q, params.log_p, params.policy
-    big_q = lq ** (2 * n)
+    lp, policy, c = params.log_p, params.policy, params._constants
+    big_q, q2 = c.log_big_q, c.log_q2
     z2 = log_z**2
     z2inv = z2.inv()
-    q2 = lq**2
-    pref = (((lq**0.5) / log_z) ** Fraction(2 - 2 * n, n)).to_complex()
+    pref = ((c.log_sqrt_q / log_z) ** c.hat_power).to_complex()
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
     zeros, poles = elliptic_gamma_ratio(
         (lp * z2, lp * q2 * z2inv), (lp * z2inv, q2 * z2), lp, big_q, policy)
-    num = pochhammer_inf(big_q, (big_q,), policy) * zeros
+    num = c.poch_big_q * zeros
     den = theta(z2, big_q, policy) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
@@ -368,18 +482,18 @@ def rho(params: ModelParams, log_x: LogComplex) -> complex:
     rho_N(x) = q^{1/N - 1} (q^2 x; q^{2N}) (q^{2N-2} x; q^{2N}) /
                [(x; q^{2N}) (q^{2N} x; q^{2N})]
     """
-    n, lq, policy = params.n, params.log_q, params.policy
-    big_q = lq ** (2 * n)
+    policy, c = params.policy, params._constants
+    big_q = c.log_big_q
     bases = (big_q,)
-    num = pochhammer_inf((lq**2) * log_x, bases, policy) * pochhammer_inf(
-        (lq ** (2 * n - 2)) * log_x, bases, policy
+    num = pochhammer_inf(c.log_q2 * log_x, bases, policy) * pochhammer_inf(
+        (params.log_q ** (2 * params.n - 2)) * log_x, bases, policy
     )
     den = pochhammer_inf(log_x, bases, policy) * pochhammer_inf(
         big_q * log_x, bases, policy
     )
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("rho denominator vanished", argument=log_x.to_complex())
-    return (lq ** (Fraction(1, n) - 1)).to_complex() * num / den
+    return c.rho_prefactor * num / den
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +567,22 @@ def build_f(params: ModelParams) -> TensorOperator:
 # the R-matrices themselves
 
 
+class _Gather:
+    """The elliptic builder's N^3 entries as index arrays in (a, c, b) order, d
+    fixed by a + c = b + d (mod N): each entry's flat position in the N^2 x N^2
+    matrix, its sign (-1)^{(a+c-b-d)/N}, its offsets c - a, c - b and b - a as
+    positions in tables over 1-N..N-1, and its power prefactor's :func:`_s_powers`."""
+
+    def __init__(self, constants: _Constants):
+        n = constants.n
+        a, c, b = (i.ravel() for i in np.indices((n, n, n)))
+        d = (a + c - b) % n
+        self.flat = (a * n + c) * (n * n) + b * n + d
+        self.sign = np.where((a + c - b - d) // n % 2, -1.0, 1.0)  # a+c-b-d is a multiple of N
+        self.num_at, self.z_at, self.q_at = c - a + n - 1, c - b + n - 1, b - a + n - 1
+        self.powers = _s_powers(n, constants.log_q, constants.log_p, a, b, c)
+
+
 def _build_elliptic(
     params: ModelParams, log_z: LogComplex, scalar_kappa: complex
 ) -> np.ndarray:
@@ -463,50 +593,48 @@ def _build_elliptic(
     # R(1) comes out as P with exact zeros off P.  ``scalar_kappa`` is
     # 1/kappa(z^2), or for the hat kind tau(q^{1/2}/z)/kappa(z^2) formed
     # jointly (see _hat_scalar_kappa).
-    n, lp, policy = params.n, params.log_p, params.policy
+    n, lp, policy, c = params.n, params.log_p, params.policy, params._constants
     z2 = log_z**2
 
-    def theta_without_zero(base: LogComplex) -> complex:
-        # Theta_base(base z^2) / (1 - z^{-2}), finite at z^2 = 1
+    def theta_without_zero(base: LogComplex, base_poch: complex) -> complex:
+        # Theta_base(base z^2) / (1 - z^{-2}), finite at z^2 = 1; base_poch is (base; base)
         return (
             pochhammer_inf(base * z2, (base,), policy)
             * pochhammer_inf(base * z2.inv(), (base,), policy)
-            * pochhammer_inf(base, (base,), policy)
+            * base_poch
         )
 
     common = _eta_common(params, log_z, scalar_kappa)
     theta_p_z = theta(lp * z2, lp, policy)
-    diag_ratio = theta_without_zero(lp) / _guard_den(
-        theta_without_zero(lp**n), lp**n, policy, "elliptic diagonal theta ratio vanished", z2
+    diag_ratio = theta_without_zero(lp, c.poch_p) / _guard_den(
+        theta_without_zero(c.log_pn, c.poch_pn), c.guard_pn,
+        "elliptic diagonal theta ratio vanished", z2,
     )
 
     # every offset in 1-N..N-1 occurs in the entries; den_z(0) is replaced by diag_ratio
     thetas = _SThetas(params, log_z, range(1 - n, n), z_zero_cancelled=True)
     z_ratio = theta_p_z / thetas.den_z
     z_ratio[n - 1] = diag_ratio
-    # the N^3 entries as index arrays in (a, c, b) order, d fixed by a + c = b + d (mod N)
-    a, c, b = (i.ravel() for i in np.indices((n, n, n)))
-    d = (a + c - b) % n
-    sign = np.where((a + c - b - d) // n % 2, -1.0, 1.0)  # a+c-b-d is a multiple of N
-    mat = np.zeros((n * n, n * n), dtype=np.complex128)
-    mat[a * n + c, b * n + d] = (
-        common * sign * _s_prefactor(params, a, b, c, log_z) * thetas.num[c - a + n - 1]
-        * z_ratio[c - b + n - 1] / thetas.den_q[b - a + n - 1]
+    g = c.gather
+    mat = np.zeros(n**4, dtype=np.complex128)
+    mat[g.flat] = (
+        common * g.sign * _s_prefactor(g.powers, log_z) * thetas.num[g.num_at]
+        * z_ratio[g.z_at] / thetas.den_q[g.q_at]
     )
-    return mat
+    return mat.reshape(n * n, n * n)
 
 
 def _build_eight_vertex(params: ModelParams, log_z: LogComplex) -> np.ndarray:
-    lq, lp, policy = params.log_q, params.log_p, params.policy
+    lq, lp, policy, c = params.log_q, params.log_p, params.policy, params._constants
     lp2 = lp**2
     z2 = log_z**2
-    q2 = lq**2
+    q2 = c.log_q2
 
     def th(arg: LogComplex) -> complex:
         return theta(arg, lp2, policy)
 
-    den_a = _theta_den(lp * q2 * z2, lp2, policy, "eight-vertex a/d")
-    den_b = _theta_den(q2 * z2, lp2, policy, "eight-vertex b/c")
+    den_a = _theta_den(lp * q2 * z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
+    den_b = _theta_den(q2 * z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
     a_val = log_z.inv().to_complex() * th(lp * z2) * th(lp * q2) / den_a
     b_val = (lq / log_z).to_complex() * th(z2) * th(lp * q2) / den_b
     c_val = th(lp * z2) * th(q2) / den_b
@@ -515,11 +643,7 @@ def _build_eight_vertex(params: ModelParams, log_z: LogComplex) -> np.ndarray:
     # The opposite root flips the corners and breaks the p-shift relation.
     d_val = ((lp**0.5) / (lq * z2)).to_complex() * th(z2) * th(q2) / den_a
 
-    prefactor = (
-        kappa_inv(params, z2)
-        * pochhammer_inf(lp2, (lp2,), policy)
-        / pochhammer_inf(lp, (lp,), policy) ** 2
-    )
+    prefactor = kappa_inv(params, z2) * c.poch_p2 / c.poch_p**2
     mat = np.array(
         [
             [a_val, 0.0, 0.0, d_val],

@@ -63,8 +63,11 @@ def one_point(argv: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def test_traced_run_calls_every_required_name(bench_run):
+    # The Pochhammer memo's hit ratio is a traced metric: it is null when
+    # special_functions._poch is gone, is no longer an lru_cache, or sees no
+    # lookup, and a null metric ends the benchmark's run without a result line.
     prefix = bench_run.worker.RECORD_PREFIX
-    missed = {}
+    missed, poch_lookups = {}, {}
     for name, workload in bench_run.WORKLOADS.items():
         argv, _ = bench_run.ellr_argv(name, 1, 0)
         proc = subprocess.run(
@@ -74,6 +77,9 @@ def test_traced_run_calls_every_required_name(bench_run):
         )
         records = [line for line in proc.stderr.splitlines() if line.startswith(prefix)]
         assert records, (name, proc.stderr[-500:])
-        calls = json.loads(records[-1][len(prefix):])["calls"]
-        missed[name] = [key for key in workload.must_call if calls.get(key, 0) < 1]
+        record = json.loads(records[-1][len(prefix):])
+        missed[name] = [key for key in workload.must_call if record["calls"].get(key, 0) < 1]
+        cache = record["poch_cache"]
+        poch_lookups[name] = cache["hits"] + cache["misses"] if cache else None
     assert missed == {name: [] for name in bench_run.WORKLOADS}
+    assert all(lookups for lookups in poch_lookups.values()), poch_lookups

@@ -304,6 +304,62 @@ class TestYbeChargeSectors:
             assert not report.passed, (kind, report.residual)
 
 
+def loop_evaluated_ll(params, lz):
+    """check_evaluated_ll's residual as it was written: one pair of block
+    products per (i, j, k, l) and per (i, j, l)."""
+    n = params.n
+    top = build_r(params, RKind.ELLIPTIC_HAT, lz)
+    bot = build_r(params, RKind.ELLIPTIC_HAT, lz / params.log_q)
+    v_top, v_bot = top.tensor_view(), bot.tensor_view()
+    scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
+
+    def blk(view, i, j):
+        return view[i, :, j, :]
+
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    combo = (blk(v_top, i, j) @ blk(v_bot, k, l) - blk(v_top, i, l) @ blk(v_bot, k, j)
+                             - blk(v_top, k, l) @ blk(v_bot, i, j) + blk(v_top, k, j) @ blk(v_bot, i, l))
+                    worst = max(worst, float(np.linalg.norm(combo)))
+            for l in range(n):
+                combo = blk(v_top, i, j) @ blk(v_bot, i, l) - blk(v_top, i, l) @ blk(v_bot, i, j)
+                worst = max(worst, float(np.linalg.norm(combo)))
+    return worst / max(scale, 1e-300)
+
+
+class TestEvaluatedLlEinsum:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_block_loop(self, n):
+        rng = np.random.default_rng(80 + n)
+        params = draw_params(rng, n)
+        for _ in range(3):
+            lz = draw_log(rng)
+            report = check_evaluated_ll(params, lz)
+            assert report.passed
+            assert abs(report.residual - loop_evaluated_ll(params, lz)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scaled_block_of_the_shifted_factor_fails(self, monkeypatch, n):
+        rng = np.random.default_rng(90 + n)
+        params = draw_params(rng, n)
+        lz = draw_log(rng)
+        assert check_evaluated_ll(params, lz).passed
+        real = ps.build_r
+
+        def build_r(params, kind, log_z):
+            entries = real(params, kind, log_z).entries.copy()
+            if log_z == lz / params.log_q:  # the z/q factor: its block E_12 scaled
+                entries[:n, n:2 * n] *= 1 + 1e-6
+            return TensorOperator(params.n, 2, entries)
+
+        monkeypatch.setattr(ps, "build_r", build_r)
+        report = check_evaluated_ll(params, lz)
+        assert not report.passed, report.residual
+
+
 def _pole_on_first_build(monkeypatch) -> list:
     """Make ``property_suite.build_r`` raise PoleError on its first call only."""
     real = ps.build_r

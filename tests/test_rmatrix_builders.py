@@ -1,6 +1,7 @@
 """Elliptic R-matrix entries, scalar prefactors, dressing matrices."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from elliptic_rmatrix import (
     DomainError,
     KindError,
+    LOG_ONE,
     LogComplex,
     ModelParams,
     PoleError,
@@ -398,7 +400,7 @@ def fraction_s_prefactor(params, a, b, c, log_z):
 
 def fraction_build_elliptic(params, log_z, scalar_kappa):
     from elliptic_rmatrix.rmatrix_builders import (
-        _eta_common, _guard_den, _theta_den, pochhammer_inf, theta,
+        _eta_common, _guard_den, _guard_scale, _theta_den, pochhammer_inf, theta,
     )
 
     n, lp, policy = params.n, params.log_p, params.policy
@@ -413,14 +415,14 @@ def fraction_build_elliptic(params, log_z, scalar_kappa):
 
     common = _eta_common(params, log_z, scalar_kappa)
     theta_p_z = theta(lp * z2, lp, policy)
-    diag_ratio = theta_without_zero(lp) / _guard_den(
-        theta_without_zero(lp**n), lp**n, policy, "diagonal", z2
-    )
-    # the S thetas one scalar theta per offset, as the entry loop read them
     base, q2 = lp**n, params.log_q**2
+    guard = _guard_scale(pochhammer_inf(base, (base,), policy))
+    diag_ratio = theta_without_zero(lp) / _guard_den(theta_without_zero(base), guard, "diagonal", z2)
+    # the S thetas one scalar theta per offset, as the entry loop read them
     num = {o: theta((lp ** (n + o)) * q2 * z2, base, policy) for o in range(1 - n, n)}
-    den_q = {o: _theta_den((lp ** (n + o)) * q2, base, policy, "den_q") for o in range(1 - n, n)}
-    den_z = {o: _theta_den((lp ** (n + o)) * z2, base, policy, "den_z") for o in range(1 - n, n) if o}
+    den_q = {o: _theta_den((lp ** (n + o)) * q2, base, guard, policy, "den_q") for o in range(1 - n, n)}
+    den_z = {o: _theta_den((lp ** (n + o)) * z2, base, guard, policy, "den_z")
+             for o in range(1 - n, n) if o}
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     for a in range(1, n + 1):
         for c in range(1, n + 1):
@@ -670,3 +672,74 @@ class TestEllipticGammaScalars:
     def test_kappa_inv_zero_at_p(self, params_n3):
         # the numerator's (p z^{-2}; p, q^{2N}) vanishes at z^2 = p: a value, not a pole
         assert kappa_inv(params_n3, params_n3.log_p) == 0
+
+
+class TestParamsConstants:
+    """The values that depend on (N, q, p) alone, kept with each ModelParams."""
+
+    Q_DEPENDENT = ("log_q", "log_q2", "log_big_q", "log_sqrt_q", "poch_big_q", "guard_big_q",
+                   "theta_q2", "rho_prefactor")
+
+    @staticmethod
+    def build_all(params, z):
+        return [build_r(params, kind, z).entries for kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT)] \
+            + [rho(params, z)]
+
+    def test_params_differing_only_in_q_share_no_value(self):
+        lp, z = lc(0.17 - 0.06j), lc(1.3 + 0.2j)
+        one, two = (ModelParams(3, lc(q), lp) for q in (0.41 + 0.13j, 0.52 - 0.2j))
+        built = [self.build_all(params, z) for params in (one, two)]
+        # fresh instances in the other order build the same matrices
+        again = [self.build_all(dataclasses.replace(params), z) for params in (two, one)][::-1]
+        for first, second in zip(built, again):
+            assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        c1, c2 = one._constants, two._constants
+        assert c1 is not c2
+        for name in self.Q_DEPENDENT:
+            assert getattr(c1, name) != getattr(c2, name), name
+        offsets = range(-2, 3)
+        t1, t2 = c1.q_table(offsets), c2.q_table(offsets)
+        assert not np.shares_memory(t1.den_q, t2.den_q)
+        assert not np.any(t1.den_q == t2.den_q)
+        q_logs = c1.gather.powers[1], c2.gather.powers[1]  # 0 where c = b
+        assert np.array_equal(q_logs[0] != q_logs[1], q_logs[0] != 0)
+        assert np.array_equal(c1.gather.powers[2], c2.gather.powers[2])  # the p logs
+
+    def test_equality_and_hash_ignore_the_constants(self):
+        params = ModelParams(3, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
+        before, copy = hash(params), dataclasses.replace(params)
+        build_r(params, RKind.ELLIPTIC, lc(1.3 + 0.2j))
+        assert "_constants" in vars(params)
+        assert params == dataclasses.replace(params) == copy
+        assert hash(params) == before == hash(copy) == hash(dataclasses.replace(params))
+        assert "_constants" not in vars(dataclasses.replace(params))
+
+    def test_den_q_pole_raises_on_every_build(self):
+        # den_q(-1) = Theta_{p^N}(p^{N-1} q^2) vanishes at q^2 = p
+        lp = lc(0.17 - 0.06j)
+        for n in (2, 3, 6):
+            params = ModelParams(n, lp**0.5, lp)
+            errors = []
+            for kind, z in ((RKind.ELLIPTIC, lc(1.3 + 0.2j)), (RKind.ELLIPTIC, lc(1.3 + 0.2j)),
+                            (RKind.ELLIPTIC_HAT, lc(0.7 - 0.9j))):
+                with pytest.raises(PoleError, match=r"in S \(q-dependent theta\)") as info:
+                    build_r(params, kind, z)
+                errors.append((str(info.value), info.value.argument))
+            assert errors == [errors[0]] * 3
+            assert errors[0][1] == cmath.exp((n - 1) * lp.value + (lp**0.5 * lp**0.5).value)
+
+    def test_eta_guard_fires_before_den_q(self):
+        # q = p: den_q(-2) = Theta_{p^N}(p^{N-2} q^2) vanishes for every z, and eta's
+        # Theta_p(q^2 z^2) at z = 1; eta's guard comes first, before and after
+        # the den_q table exists
+        lp = lc(0.17 - 0.06j)
+        params = ModelParams(3, lp, lp)
+        for z in (LOG_ONE, lc(1.3 + 0.2j), LOG_ONE):
+            with pytest.raises(PoleError) as info:
+                build_r(params, RKind.ELLIPTIC, z)
+            if z is LOG_ONE:
+                assert str(info.value) == "denominator theta vanished in eta"
+                assert info.value.argument == (lp**2).to_complex()
+            else:
+                assert str(info.value) == "denominator theta vanished in S (q-dependent theta)"
+                assert info.value.argument == (lp**3).to_complex()
