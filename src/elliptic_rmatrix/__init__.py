@@ -15,7 +15,6 @@ from .errors import (
     EllipticRMatrixError,
     KindError,
     PoleError,
-    SingularError,
     SizeError,
     TruncationError,
 )

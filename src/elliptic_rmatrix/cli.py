@@ -33,7 +33,6 @@ from .errors import (
     EllipticRMatrixError,
     KindError,
     PoleError,
-    SingularError,
     SizeError,
     TruncationError,
 )
@@ -526,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError, KindError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PoleError, SingularError, TruncationError, ConvergenceError) as exc:
+    except (PoleError, TruncationError, ConvergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

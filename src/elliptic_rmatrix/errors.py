@@ -13,7 +13,6 @@ __all__ = [
     "SizeError",
     "KindError",
     "PoleError",
-    "SingularError",
     "ConvergenceError",
     "ConfigError",
 ]
@@ -53,10 +52,6 @@ class PoleError(EllipticRMatrixError):
     def __init__(self, message: str, argument: complex | None = None):
         super().__init__(message)
         self.argument = argument
-
-
-class SingularError(EllipticRMatrixError):
-    """A matrix inversion was requested past the conditioning guard."""
 
 
 class ConvergenceError(EllipticRMatrixError):

@@ -507,17 +507,11 @@ def build_g(params: ModelParams) -> TensorOperator:
     return TensorOperator(n, 1, np.diag(diag))
 
 
-def build_g_half(params: ModelParams, alternate: bool = False) -> TensorOperator:
-    """Square root diag(e^{i pi i / N}) of g; g_half @ g_half == g.
-
-    ``alternate`` flips the branch of every omega^{i/2}, multiplying entry i
-    by (-1)^i.  The principal branch is the default convention; the
-    quasi-periodicity check retries on the alternate one and reports which
-    branch held.
-    """
+def build_g_half(params: ModelParams) -> TensorOperator:
+    """Square root diag(e^{i pi i / N}) of g, the principal branch of every
+    omega^{i/2}; g_half @ g_half == g."""
     n = params.n
-    diag = [cmath.exp(1j * cmath.pi * i / n) * ((-1.0) ** i if alternate else 1.0)
-            for i in range(1, n + 1)]
+    diag = [cmath.exp(1j * cmath.pi * i / n) for i in range(1, n + 1)]
     return TensorOperator(n, 1, np.diag(diag))
 
 

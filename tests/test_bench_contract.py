@@ -83,3 +83,22 @@ def test_traced_run_calls_every_required_name(bench_run):
         poch_lookups[name] = cache["hits"] + cache["misses"] if cache else None
     assert missed == {name: [] for name in bench_run.WORKLOADS}
     assert all(lookups for lookups in poch_lookups.values()), poch_lookups
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_first_verify_pairs_fail_no_row(bench_run, capsys, seed):
+    # A failed or ":error" row of a verify-n3 draw counts against the run's
+    # failed share, and an ":error" row's infinite residual drops out of the
+    # headroom; the gate below is the benchmark's own, over its first 8 draws.
+    from elliptic_rmatrix.cli import main
+
+    workload = bench_run.WORKLOADS["verify-n3"]
+    for index in range(8):
+        argv, ellr_seed = bench_run.ellr_argv("verify-n3", seed, index)
+        rc = main(list(argv))
+        stdout = capsys.readouterr().out.encode()
+        rows = json.loads(stdout)["reports"]
+        assert not [row["check"] for row in rows if row["check"].endswith(":error")], argv
+        invocation = bench_run.Invocation(ellr_seed, False, False, rc, stdout, None, 0.0)
+        verdict = bench_run.check_output(workload, invocation)
+        assert (verdict.failed, verdict.problems) == (0, []), (argv, verdict)

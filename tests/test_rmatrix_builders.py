@@ -200,8 +200,6 @@ class TestDressingMatrices:
     def test_g_half_squares_to_g(self, params_n3):
         gh = build_g_half(params_n3).entries
         np.testing.assert_allclose(gh @ gh, build_g(params_n3).entries, atol=1e-13)
-        gh_alt = build_g_half(params_n3, alternate=True).entries
-        np.testing.assert_allclose(gh_alt @ gh_alt, build_g(params_n3).entries, atol=1e-13)
 
     def test_alpha_exponent_antisymmetric_rationals(self):
         for n in (2, 3, 4, 5):
