@@ -410,7 +410,7 @@ def run_scan(config: RunConfig) -> int:
                     break
             points = tuple(draw_log(rng) for _ in check.points)
             try:
-                report = check.run(params, kind, points, tolerance, rng)
+                report = check.run(params, kind, points, tolerance=tolerance, rng=rng)
             except EllipticRMatrixError as exc:
                 report = error_report(config.check, exc)
             report.detail["cell"] = [iq, ip]

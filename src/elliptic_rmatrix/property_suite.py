@@ -14,7 +14,10 @@ outcome in a :class:`PropertyReport`.  Conventions shared by all checks:
   a PoleError (when an ``rng`` is supplied) and builds the report, which
   lists the points actually used, never the discarded ones;
 * no matrix is inverted numerically: the dressing matrices are diagonal or
-  a permutation, and an R-matrix is inverted by its unitarity relation.
+  a permutation, and an R-matrix is inverted by its unitarity relation;
+* every R-matrix a check builds comes from a :class:`PointContext`, which
+  ``run_suite`` makes once per suite point and passes to each check, so a
+  matrix that several checks read at one point is built once.
 
 ``CHECKS`` is the one table that names a check: how to call it, the spectral
 points it takes, its tolerance, whether it is a canary and the kinds it
@@ -28,6 +31,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -61,6 +65,7 @@ from .rmatrix_builders import (
 
 __all__ = [
     "PropertyReport",
+    "PointContext",
     "Check",
     "CHECKS",
     "CANARY_MARGIN",
@@ -228,14 +233,60 @@ def _sampled(
     )
 
 
-def _r21(params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
+class PointContext:
+    """What the checks at one suite point share: the R-matrices they build,
+    memoised by (params, kind, log z).
+
+    ``run_suite`` makes one per suite point and passes it to every check it
+    runs there, so the memo dies with its point; a check called without one
+    makes its own.  Builds call this module's ``build_r`` by name, so
+    rebinding that name reaches every build, and a build that raises is not
+    kept.  The key carries the parameters because a check may build at
+    other ones (``check_p_to_zero``).  Operators are immutable, so sharing
+    them is safe.
+    """
+
+    def __init__(self) -> None:
+        self._builds: dict[tuple, TensorOperator] = {}
+
+    def build(self, params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperator:
+        key = (params, kind, log_z.value)
+        op = self._builds.get(key)
+        if op is None:
+            op = self._builds[key] = build_r(params, kind, log_z)
+        return op
+
+
+_Builder = Callable[[ModelParams, RKind, LogComplex], TensorOperator]
+
+
+def _builder(context: PointContext | None) -> _Builder:
+    """The build function of ``context``, or of a fresh one for a check called alone."""
+    return (PointContext() if context is None else context).build
+
+
+def _r21(build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
     """P R(z) P: the two slots of R swapped on both its output and input axes."""
     n2 = params.n * params.n
-    return build_r(params, kind, log_z).tensor_view().transpose(1, 0, 3, 2).reshape(n2, n2)
+    return build(params, kind, log_z).tensor_view().transpose(1, 0, 3, 2).reshape(n2, n2)
 
 
 # ---------------------------------------------------------------------------
 # identity checks
+
+
+@lru_cache(maxsize=8)
+def _ybe_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`check_ybe`'s read-only index tables at N: the row and column
+    indices that gather the three-slot charge-sector blocks, and the mask of
+    the two-slot entries off every sector."""
+    sectors = charge_sectors(n, 3)
+    labels = np.empty(n * n, dtype=np.intp)
+    labels[charge_sectors(n, 2)] = np.arange(n)[:, None]
+    off_sector = labels[:, None] != labels[None, :]
+    for table in (sectors, off_sector):
+        table.flags.writeable = False
+    return sectors[:, :, None], sectors[:, None, :], off_sector
 
 
 def check_ybe(
@@ -247,6 +298,7 @@ def check_ybe(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """R12(z1/z2) R13(z1/z3) R23(z2/z3) = R23 R13 R12 on three slots.
 
@@ -257,15 +309,11 @@ def check_ybe(
     two-slot factors, so a factor that leaks across sectors still fails.
     """
     started = time.perf_counter()
-    n = params.n
-    sectors = charge_sectors(n, 3)
-    rows, cols = sectors[:, :, None], sectors[:, None, :]
-    labels = np.empty(n * n, dtype=np.intp)
-    labels[charge_sectors(n, 2)] = np.arange(n)[:, None]
-    off_sector = labels[:, None] != labels[None, :]
+    build = _builder(context)
+    rows, cols, off_sector = _ybe_indices(params.n)
 
     def compute(lz1: LogComplex, lz2: LogComplex, lz3: LogComplex) -> float:
-        factors = [build_r(params, kind, lz) for lz in (lz1 / lz2, lz1 / lz3, lz2 / lz3)]
+        factors = [build(params, kind, lz) for lz in (lz1 / lz2, lz1 / lz3, lz2 / lz3)]
         leak = max(_rel(r.entries, np.where(off_sector, 0, r.entries)) for r in factors)
         r12, r13, r23 = (
             embed(r, slots, 3).entries[rows, cols]
@@ -286,6 +334,7 @@ def check_unitarity(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """R12(z) R21(1/z) equals the kind-specific scalar times the identity.
 
@@ -295,10 +344,11 @@ def check_unitarity(
     kinds: rho_N(x) rho_N(1/x) I at x = z (homogeneous) or x = z^2.
     """
     started = time.perf_counter()
+    build = _builder(context)
     detail: dict = {}
 
     def compute(lz: LogComplex) -> float:
-        prod = build_r(params, kind, lz).entries @ _r21(params, kind, lz.inv())
+        prod = build(params, kind, lz).entries @ _r21(build, params, kind, lz.inv())
         eye = np.eye(params.n * params.n)
         if kind in (RKind.ELLIPTIC, RKind.EIGHT_VERTEX):
             rhs = eye
@@ -321,13 +371,19 @@ def check_unitarity(
     )
 
 
-def check_regularity(params: ModelParams, *, tolerance: float | None = None) -> PropertyReport:
+def check_regularity(
+    params: ModelParams,
+    *,
+    tolerance: float | None = None,
+    context: PointContext | None = None,
+) -> PropertyReport:
     """The plain elliptic matrix at z = 1 equals the permutation matrix."""
     started = time.perf_counter()
+    build = _builder(context)
     perm = permutation_op((2, 1), params.n).entries
 
     def compute(lz: LogComplex) -> float:
-        return _rel_identity(build_r(params, RKind.ELLIPTIC, lz).entries, perm)
+        return _rel_identity(build(params, RKind.ELLIPTIC, lz).entries, perm)
 
     return _sampled(
         f"regularity[{RKind.ELLIPTIC.value}]", params, compute, (LOG_ONE,),
@@ -335,13 +391,13 @@ def check_regularity(params: ModelParams, *, tolerance: float | None = None) -> 
     )
 
 
-def _crossing_residual(params: ModelParams, kind: RKind, lz: LogComplex) -> float:
+def _crossing_residual(build: _Builder, params: ModelParams, kind: RKind, lz: LogComplex) -> float:
     """||R12(z)^{t2} (R21(q^{-N}/z) / s)^{t2} - I|| / N, with s = U(q^N z) for
     the hat kind and 1 otherwise: by unitarity R21(q^{-N}/z) / s is R12(q^N z)^{-1}."""
     n = params.n
-    lhs = partial_transpose(build_r(params, kind, lz), 2).entries
+    lhs = partial_transpose(build(params, kind, lz), 2).entries
     shifted = lz * (params.log_q**n)
-    inv = _r21(params, kind, shifted.inv())
+    inv = _r21(build, params, kind, shifted.inv())
     if kind is RKind.ELLIPTIC_HAT:
         inv = inv / u_scalar(params, shifted)
     rhs = partial_transpose(TensorOperator(n, 2, inv), 2).entries
@@ -354,12 +410,14 @@ def check_crossing(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """R12(z)^{t2} R21(z^{-1} q^{-N})^{t2} = I for the plain elliptic matrix."""
     started = time.perf_counter()
+    build = _builder(context)
 
     def compute(lz: LogComplex) -> float:
-        return _crossing_residual(params, RKind.ELLIPTIC, lz)
+        return _crossing_residual(build, params, RKind.ELLIPTIC, lz)
 
     return _sampled(
         "crossing", params, compute, (log_z,), _tol("crossing", tolerance), rng, started
@@ -372,16 +430,18 @@ def check_antisymmetry(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """R12(-z) = omega (g^{-1} x I) R12(z) (g x I), with -z = z e^{i pi}."""
     started = time.perf_counter()
+    build = _builder(context)
     g = np.repeat(np.diag(build_g(params).entries), params.n)  # the diagonal of g x I
     # omega (g^{-1} x I) R (g x I) is R scaled entrywise by omega g_j / g_i
     scale = params.omega() * (g[None, :] / g[:, None])
 
     def compute(lz: LogComplex) -> float:
-        lhs = build_r(params, RKind.ELLIPTIC, lz.negated()).entries
-        return _rel(lhs, scale * build_r(params, RKind.ELLIPTIC, lz).entries)
+        lhs = build(params, RKind.ELLIPTIC, lz.negated()).entries
+        return _rel(lhs, scale * build(params, RKind.ELLIPTIC, lz).entries)
 
     return _sampled(
         "antisymmetry", params, compute, (log_z,), _tol("antisymmetry", tolerance), rng, started
@@ -394,6 +454,7 @@ def check_quasi_periodicity(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """Rhat12(-z p^{1/2}) = G^{-1} Rhat21(1/z)^{-1} G with G = g^{1/2} h g^{1/2} x I.
 
@@ -402,6 +463,7 @@ def check_quasi_periodicity(
     permutation.  g^{1/2} is the principal branch of ``build_g_half``.
     """
     started = time.perf_counter()
+    build = _builder(context)
     n = params.n
     gh = np.diag(build_g_half(params).entries)
     h = build_h(params).entries
@@ -410,8 +472,8 @@ def check_quasi_periodicity(
     big_g_inv = np.kron(h.T / (gh[:, None] * gh[None, :]), eye)
 
     def compute(lz: LogComplex) -> float:
-        lhs = build_r(params, RKind.ELLIPTIC_HAT, (lz * (params.log_p**0.5)).negated()).entries
-        r21_inv = build_r(params, RKind.ELLIPTIC_HAT, lz).entries / u_scalar(params, lz)
+        lhs = build(params, RKind.ELLIPTIC_HAT, (lz * (params.log_p**0.5)).negated()).entries
+        r21_inv = build(params, RKind.ELLIPTIC_HAT, lz).entries / u_scalar(params, lz)
         return _rel(lhs, big_g_inv @ r21_inv @ big_g)
 
     return _sampled(
@@ -426,6 +488,7 @@ def check_h_invariance(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """(H x H) R(z) = R(z) (H x H) for the plain elliptic matrix.
 
@@ -435,12 +498,13 @@ def check_h_invariance(
     bare h commutes only with the matrix written without that factor.
     """
     started = time.perf_counter()
+    build = _builder(context)
     gh = np.diag(build_g_half(params).entries)
     gen = build_h(params).entries * (gh[:, None] / gh[None, :])
     hh = np.kron(gen, gen)
 
     def compute(lz: LogComplex) -> float:
-        r = build_r(params, RKind.ELLIPTIC, lz).entries
+        r = build(params, RKind.ELLIPTIC, lz).entries
         return _rel(hh @ r, r @ hh)
 
     return _sampled(
@@ -455,6 +519,7 @@ def check_crossing_unitarity(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """(R12(x)^{t2})^{-1} = (R12(q^N x)^{-1})^{t2}, for both R and Rhat.
 
@@ -464,11 +529,12 @@ def check_crossing_unitarity(
     carries the larger.  For the plain kind it is the crossing residual.
     """
     started = time.perf_counter()
+    build = _builder(context)
     detail: dict = {}
 
     def compute(lz: LogComplex) -> float:
         for kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT):
-            detail[kind.value] = _crossing_residual(params, kind, lz)
+            detail[kind.value] = _crossing_residual(build, params, kind, lz)
         return max(detail.values())
 
     return _sampled(
@@ -478,7 +544,10 @@ def check_crossing_unitarity(
 
 
 def check_kernel_structure(
-    params: ModelParams, *, tolerance: float | None = None
+    params: ModelParams,
+    *,
+    tolerance: float | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """At z = q the hat matrix kills exactly the antisymmetric subspace.
 
@@ -490,13 +559,14 @@ def check_kernel_structure(
     antisymmetric subspace.
     """
     started = time.perf_counter()
+    build = _builder(context)
     n = params.n
     a2 = antisymmetrizer(n, 2).entries
     expected_rank = n * n - n * (n - 1) // 2
     detail: dict = {}
 
     def compute(lz: LogComplex) -> float:
-        r_hat = build_r(params, RKind.ELLIPTIC_HAT, lz)
+        r_hat = build(params, RKind.ELLIPTIC_HAT, lz)
         scale = np.linalg.norm(r_hat.entries)
         res_kernel = float(np.linalg.norm(r_hat.entries @ a2) / scale)
 
@@ -531,6 +601,7 @@ def check_spectrum_nonelliptic(
     params: ModelParams,
     *,
     tolerance: float | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """Eigenvalues of the non-elliptic matrix at z = q match the closed form.
 
@@ -540,12 +611,13 @@ def check_spectrum_nonelliptic(
     in decreasing magnitude order; residual = max pair distance / max |eig|.
     """
     started = time.perf_counter()
+    build = _builder(context)
     n = params.n
     detail: dict = {}
 
     def compute(lq: LogComplex) -> float:
         q = lq.to_complex()
-        computed = list(np.linalg.eigvals(build_r(params, RKind.NON_ELLIPTIC, lq).entries))
+        computed = list(np.linalg.eigvals(build(params, RKind.NON_ELLIPTIC, lq).entries))
         rho_q2 = rho(params, lq**2)
         big_q = q / (1.0 + q * q)
         expected: list[complex] = [rho_q2] * n + [0.0j] * (n * (n - 1) // 2)
@@ -576,17 +648,19 @@ def check_gauge_relation(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """Principal matrix at z/w = (V(z) x V(w)) homogeneous(z^2/w^2) (V x V)^{-1}.
 
     V x V is diagonal, so the right side is the homogeneous matrix scaled
     entrywise by v_i / v_j."""
     started = time.perf_counter()
+    build = _builder(context)
 
     def compute(lz: LogComplex, lw: LogComplex) -> float:
-        lhs = build_r(params, RKind.PRINCIPAL, lz / lw).entries
+        lhs = build(params, RKind.PRINCIPAL, lz / lw).entries
         v = np.kron(np.diag(build_v(params, lz).entries), np.diag(build_v(params, lw).entries))
-        hom = build_r(params, RKind.HOMOGENEOUS, (lz**2) / (lw**2)).entries
+        hom = build(params, RKind.HOMOGENEOUS, (lz**2) / (lw**2)).entries
         return _rel(lhs, hom * (v[:, None] / v[None, :]))
 
     return _sampled(
@@ -601,6 +675,7 @@ def check_twist_relation(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """Non-elliptic matrix = F21 (principal matrix) F12^{-1}.
 
@@ -608,14 +683,15 @@ def check_twist_relation(
     side is the principal matrix scaled entrywise by F21_i / F12_j.
     """
     started = time.perf_counter()
+    build = _builder(context)
     n = params.n
     f12 = np.diag(build_f(params).entries)
     f21 = f12.reshape(n, n).T.ravel()
     scale = f21[:, None] / f12[None, :]
 
     def compute(lz: LogComplex) -> float:
-        lhs = build_r(params, RKind.NON_ELLIPTIC, lz).entries
-        return _rel(lhs, scale * build_r(params, RKind.PRINCIPAL, lz).entries)
+        lhs = build(params, RKind.NON_ELLIPTIC, lz).entries
+        return _rel(lhs, scale * build(params, RKind.PRINCIPAL, lz).entries)
 
     return _sampled(
         "twist-relation", params, compute, (log_z,), _tol("twist-relation", tolerance),
@@ -630,6 +706,7 @@ def check_p_to_zero(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """The hat matrix approaches the non-elliptic (twisted principal) matrix
     as p -> 0.
@@ -650,10 +727,11 @@ def check_p_to_zero(
         p2 >= p1 for p1, p2 in zip(p_sequence, list(p_sequence)[1:])
     ) or any(not 0.0 < p < 1.0 for p in p_sequence):
         raise DomainError("p_sequence must decrease strictly within (0, 1)")
+    build = _builder(context)
     detail: dict = {"elliptic_kind": RKind.ELLIPTIC_HAT.value, "p_sequence": list(p_sequence)}
 
     def compute(lz: LogComplex) -> float:
-        target = build_r(params, RKind.NON_ELLIPTIC, lz).entries
+        target = build(params, RKind.NON_ELLIPTIC, lz).entries
         target_norm = np.linalg.norm(target)
         support = np.abs(target) > 1e-13 * np.max(np.abs(target))
         residuals: list[float] = []
@@ -661,7 +739,7 @@ def check_p_to_zero(
         fits: list[complex] = []
         for p_val in p_sequence:
             shrunk = replace(params, log_p=LogComplex.from_complex(complex(p_val)))
-            diff = build_r(shrunk, RKind.ELLIPTIC_HAT, lz).entries
+            diff = build(shrunk, RKind.ELLIPTIC_HAT, lz).entries
             s = np.vdot(target, diff) / np.vdot(target, target)
             diff = diff - s * target
             residuals.append(float(np.linalg.norm(diff) / target_norm))
@@ -684,6 +762,7 @@ def check_evaluated_ll(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """Exchange identity for the evaluated Lax blocks at arguments (z, z/q).
 
@@ -693,11 +772,12 @@ def check_evaluated_ll(
     E_ij(z)E_il(z/q) = E_il(z)E_ij(z/q).
     """
     started = time.perf_counter()
+    build = _builder(context)
     n = params.n
 
     def compute(lz: LogComplex) -> float:
-        top = build_r(params, RKind.ELLIPTIC_HAT, lz)
-        bot = build_r(params, RKind.ELLIPTIC_HAT, lz / params.log_q)
+        top = build(params, RKind.ELLIPTIC_HAT, lz)
+        bot = build(params, RKind.ELLIPTIC_HAT, lz / params.log_q)
         scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
         # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
         prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
@@ -760,12 +840,14 @@ def check_transpose_symmetry(
     *,
     tolerance: float | None = None,
     rng: np.random.Generator | None = None,
+    context: PointContext | None = None,
 ) -> PropertyReport:
     """R(z)^{t1 t2} vs R(z): equal at N = 2, a must-fail canary for N >= 3."""
     started = time.perf_counter()
+    build = _builder(context)
 
     def compute(lz: LogComplex) -> float:
-        r = build_r(params, RKind.ELLIPTIC, lz)
+        r = build(params, RKind.ELLIPTIC, lz)
         flipped = partial_transpose(partial_transpose(r, 1), 2).entries
         return _rel(flipped, r.entries)
 
@@ -797,11 +879,14 @@ def error_report(name: str, exc: Exception) -> PropertyReport:
 class Check:
     """One entry of :data:`CHECKS`.
 
-    ``run(params, kind, points, tolerance, rng)`` calls the check through its
-    module-level name, so rebinding that name reaches every caller; entries
+    ``run(params, kind, points, *, tolerance, rng, context)`` calls the
+    check through its module-level name, so rebinding that name reaches every
+    caller; ``context`` is the suite point's :class:`PointContext`, and each
+    keyword may be left out.  Entries
     without ``run`` are rows that ``qdet_engine`` produces.  ``points``
     picks the spectral points from ``run_suite``'s four shared draws per
-    point (z1, z2, z3, w); elsewhere the check draws that many fresh.
+    point (z1, z2, z3, w); elsewhere the check draws that many fresh.  A
+    check with no ``points`` depends on the parameters alone.
     ``scope`` is "point" (once per suite point), "once" (once per suite) or
     None (not in ``run_suite``).  ``tolerance`` is the default, tightened to
     ``n2_tolerance`` at N = 2 where one is given.  ``canary_from`` is the N
@@ -838,72 +923,68 @@ _ALL_KINDS = (
 # "[kind]" for the multi-kind checks and "qdet[x]" for key "qdet.x".
 CHECKS: dict[str, Check] = {
     "ybe": Check(
-        1e-8, run=lambda pr, k, z, tol, rng: check_ybe(pr, k, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_ybe(pr, k, *z, **kw),
         scope="point", points=(0, 1, 2), kinds=_ALL_KINDS,
     ),
     "unitarity": Check(
-        1e-8, run=lambda pr, k, z, tol, rng: check_unitarity(pr, k, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_unitarity(pr, k, *z, **kw),
         scope="point", points=(0,), kinds=_ALL_KINDS,
     ),
     "regularity": Check(
-        1e-8, run=lambda pr, k, z, tol, rng: check_regularity(pr, tolerance=tol),
+        1e-8, run=lambda pr, k, z, rng=None, **kw: check_regularity(pr, **kw),
         scope="point", kinds=_ELLIPTIC,
     ),
     "crossing": Check(
-        1e-8, run=lambda pr, k, z, tol, rng: check_crossing(pr, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_crossing(pr, *z, **kw),
         scope="point", points=(0,), kinds=_ELLIPTIC,
     ),
     "antisymmetry": Check(
-        1e-8, run=lambda pr, k, z, tol, rng: check_antisymmetry(pr, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_antisymmetry(pr, *z, **kw),
         scope="point", points=(1,), kinds=_ELLIPTIC,
     ),
     "quasi-periodicity": Check(
-        1e-8,
-        run=lambda pr, k, z, tol, rng: check_quasi_periodicity(pr, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_quasi_periodicity(pr, *z, **kw),
         scope="point", points=(0,), kinds=_ELLIPTIC,
     ),
     "h-invariance": Check(
-        1e-8, run=lambda pr, k, z, tol, rng: check_h_invariance(pr, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_h_invariance(pr, *z, **kw),
         scope="point", points=(1,), kinds=_ELLIPTIC,
     ),
     "crossing-unitarity": Check(
-        1e-8,
-        run=lambda pr, k, z, tol, rng: check_crossing_unitarity(pr, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_crossing_unitarity(pr, *z, **kw),
         scope="point", points=(2,), kinds=_ELLIPTIC,
     ),
     "evaluated-ll": Check(
-        1e-9, run=lambda pr, k, z, tol, rng: check_evaluated_ll(pr, *z, tolerance=tol, rng=rng),
+        1e-9, run=lambda pr, k, z, **kw: check_evaluated_ll(pr, *z, **kw),
         scope="point", points=(0,), kinds=_ELLIPTIC,
     ),
     "gauge-relation": Check(
-        1e-10,
-        run=lambda pr, k, z, tol, rng: check_gauge_relation(pr, *z, tolerance=tol, rng=rng),
+        1e-10, run=lambda pr, k, z, **kw: check_gauge_relation(pr, *z, **kw),
         scope="point", points=(1, 3), kinds=_ELLIPTIC,
     ),
     "twist-relation": Check(
-        1e-10,
-        run=lambda pr, k, z, tol, rng: check_twist_relation(pr, *z, tolerance=tol, rng=rng),
+        1e-10, run=lambda pr, k, z, **kw: check_twist_relation(pr, *z, **kw),
         scope="point", points=(2,), kinds=_ELLIPTIC,
     ),
     "transpose-symmetry": Check(
-        1e-8,
-        run=lambda pr, k, z, tol, rng: check_transpose_symmetry(pr, *z, tolerance=tol, rng=rng),
+        1e-8, run=lambda pr, k, z, **kw: check_transpose_symmetry(pr, *z, **kw),
         scope="point", points=(0,), kinds=_ELLIPTIC, canary_from=3,
     ),
     "kernel-structure": Check(
-        1e-9, run=lambda pr, k, z, tol, rng: check_kernel_structure(pr, tolerance=tol),
+        1e-9, run=lambda pr, k, z, rng=None, **kw: check_kernel_structure(pr, **kw),
         scope="point", kinds=_ELLIPTIC,
     ),
     "spectrum-nonelliptic": Check(
-        1e-9, run=lambda pr, k, z, tol, rng: check_spectrum_nonelliptic(pr, tolerance=tol),
+        1e-9, run=lambda pr, k, z, rng=None, **kw: check_spectrum_nonelliptic(pr, **kw),
         scope="point", kinds=_ELLIPTIC,
     ),
     "p-to-zero": Check(
-        1e-5, run=lambda pr, k, z, tol, rng: check_p_to_zero(pr, *z, tolerance=tol, rng=rng),
+        1e-5, run=lambda pr, k, z, **kw: check_p_to_zero(pr, *z, **kw),
         scope="once", points=(0,), kinds=_ELLIPTIC,
     ),
     "nsigma": Check(
-        0.0, run=lambda pr, k, z, tol, rng: check_nsigma(tolerance=tol), scope="once"
+        0.0, run=lambda pr, k, z, tolerance=None, **kw: check_nsigma(tolerance=tolerance),
+        scope="once",
     ),
     # rows of the qdet block, computed in qdet_engine
     "centrality-witness": Check(1e-8, 1e-9),
@@ -947,23 +1028,37 @@ def run_suite(
 
     When ``params`` is given the same (q, p) is reused at every point and
     only the spectral arguments are redrawn; otherwise each point draws a
-    fresh generic parameter set.  Checks that accept several kinds run
-    first, interleaved kind by kind.  With ``safe`` a check that raises is
-    recorded as a failed report instead of aborting the suite.
+    fresh generic parameter set.  With a reused (q, p), an entry of scope
+    "point" that takes no spectral point gives the same report at every
+    point: it runs at the first, and its report repeats at the others.
+    Checks that accept several kinds run first, interleaved kind by kind.
+    Each point's checks share one :class:`PointContext`.  With ``safe`` a
+    check that raises is recorded as a failed report instead of aborting the
+    suite.
     """
     overrides = tolerances or {}
     rng = np.random.default_rng(seed)
     reports: list[PropertyReport] = []
+    per_point = [(name, c) for name, c in CHECKS.items() if c.scope == "point"]
+    repeated = {name for name, c in per_point if not c.points} if params is not None else set()
+    first: dict[str, PropertyReport] = {}
 
-    def add(name: str, pt_params: ModelParams, kind: RKind, points: tuple) -> None:
+    def add(name: str, pt_params: ModelParams, kind: RKind, points: tuple,
+            context: PointContext) -> None:
+        if name in first:
+            reports.append(first[name])
+            return
         try:
-            reports.append(CHECKS[name].run(pt_params, kind, points, overrides.get(name), rng))
+            report = CHECKS[name].run(pt_params, kind, points, tolerance=overrides.get(name),
+                                      rng=rng, context=context)
         except EllipticRMatrixError as exc:
             if not safe:
                 raise
-            reports.append(error_report(name, exc))
+            report = error_report(name, exc)
+        if name in repeated:
+            first[name] = report
+        reports.append(report)
 
-    per_point = [(name, c) for name, c in CHECKS.items() if c.scope == "point"]
     battery = [
         (name, kind)
         for kind in _ALL_KINDS
@@ -975,11 +1070,13 @@ def run_suite(
     for _ in range(n_points):
         pt_params = params if params is not None else draw_params(rng, n)
         draws = tuple(draw_log(rng) for _ in range(4))
+        context = PointContext()
         for name, kind in battery:
-            add(name, pt_params, kind, tuple(draws[i] for i in CHECKS[name].points))
+            add(name, pt_params, kind, tuple(draws[i] for i in CHECKS[name].points), context)
 
     limit_params = params if params is not None else draw_params(rng, n)
+    context = PointContext()
     for name, c in CHECKS.items():
         if c.scope == "once":
-            add(name, limit_params, RKind.ELLIPTIC, tuple(draw_log(rng) for _ in c.points))
+            add(name, limit_params, RKind.ELLIPTIC, tuple(draw_log(rng) for _ in c.points), context)
     return reports

@@ -18,7 +18,11 @@ Six families share one entry point, :func:`build_r`:
                       reaches in the p -> 0 limit.
 
 All spectral arguments are logarithms (:class:`LogComplex`), so fractional
-powers such as z^{2/N} are single-valued by construction.
+powers such as z^{2/N} are single-valued by construction.  Inside a build
+they are plain complex logs, added and scaled in the order the
+:class:`LogComplex` operators would, and the thetas and Pochhammer products
+come from the float cores of :mod:`special_functions`; the public functions
+take :class:`LogComplex` and wrap the same implementation.
 
 The entry coefficient S_{a,c}^{b}(z), which the elliptic builder, s_coeff
 and the closed-form determinant share, depends on the indices of its thetas
@@ -49,7 +53,9 @@ from .special_functions import (
     DEFAULT_POLICY,
     LogComplex,
     TruncationPolicy,
-    elliptic_gamma_ratio,
+    _gamma_ratio,
+    _poch,
+    _theta,
     pochhammer_inf,
     theta,
     theta_array,
@@ -153,6 +159,12 @@ class ModelParams:
         return warnings
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """The 16-hex-digit digest of (N, q, p), hashed on first use; like
+        ``_constants``, equality, hashing and ``dataclasses.replace`` ignore it."""
         raw = (
             f"N={self.n};q={self.q.real!r},{self.q.imag!r};"
             f"p={self.p.real!r},{self.p.imag!r}"
@@ -259,24 +271,24 @@ class _Constants:
         return table
 
 
-def _guard_den(val: complex, guard: float, message: str, log_arg: LogComplex) -> complex:
-    """``val``, a theta denominator of base b at ``log_arg``; PoleError when
-    |val| < ``guard`` = POLE_GUARD |(b; b)|, the rule for every theta denominator."""
+def _guard_den(val: complex, guard: float, message: str, log_arg: complex) -> complex:
+    """``val``, a theta denominator of base b at the plain log ``log_arg``; PoleError
+    when |val| < ``guard`` = POLE_GUARD |(b; b)|, the rule for every theta denominator."""
     if abs(val) < guard:
-        raise PoleError(message, argument=log_arg.to_complex())
+        raise PoleError(message, argument=cmath.exp(log_arg))
     return val
 
 
 def _theta_den(
-    log_arg: LogComplex,
-    log_base: LogComplex,
+    log_arg: complex,
+    log_base: complex,
     guard: float,
     policy: TruncationPolicy,
     what: str,
 ) -> complex:
-    """Theta value destined for a denominator; PoleError when it is below ``guard``,
-    the base's :func:`_guard_scale`."""
-    return _guard_den(theta(log_arg, log_base, policy), guard,
+    """Theta value at plain logs destined for a denominator; PoleError when it is
+    below ``guard``, the base's :func:`_guard_scale`."""
+    return _guard_den(_theta(log_arg, log_base, policy), guard,
                       f"denominator theta vanished in {what}", log_arg)
 
 
@@ -297,7 +309,7 @@ class _QTable:
 
 
 class _SThetas:
-    """The thetas of :func:`s_theta_ratio` at one z over the index offsets
+    """The thetas of :func:`s_theta_ratio` at one z = exp(``z``) over the index offsets
     d in ``offsets``: arrays num[d] = Theta(p^{N+d} q^2 z^2), den_z[d] =
     Theta(p^{N+d} z^2) and den_q[d] = Theta(p^{N+d} q^2), base p^N, read at
     position d - offsets.start.  den_q comes from the parameters' constants;
@@ -308,12 +320,12 @@ class _SThetas:
     """
 
     def __init__(
-        self, params: ModelParams, log_z: LogComplex, offsets: range,
+        self, params: ModelParams, z: complex, offsets: range,
         *, z_zero_cancelled: bool = False,
     ):
         constants = params._constants
         table = constants.q_table(offsets)
-        z2 = (log_z**2).value
+        z2 = 2.0 * z
         self.start, self.den_q = offsets.start, table.den_q
         logs = table.z_free + z2
         self.num, self.den_z = theta_array(logs, constants.log_pn, params.policy).reshape(2, -1)
@@ -347,10 +359,10 @@ def _s_powers(n: int, log_q: LogComplex, log_p: LogComplex, a, b, c) -> tuple:
     )
 
 
-def _s_prefactor(powers: tuple, log_z: LogComplex):
-    """The power prefactor at z, as one exp of float logs, from :func:`_s_powers`."""
+def _s_prefactor(powers: tuple, z: complex):
+    """The power prefactor at exp(``z``), as one exp of float logs, from :func:`_s_powers`."""
     z_exp, q_log, p_log = powers
-    return np.exp(z_exp * log_z.value + q_log + p_log)
+    return np.exp(z_exp * z + q_log + p_log)
 
 
 def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
@@ -363,7 +375,7 @@ def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex
     reduction; this is the form the quantum-determinant sum needs.
     """
     offsets = (c - a, c - b, b - a)
-    return _SThetas(params, log_z, range(min(offsets), max(offsets) + 1)).ratio(a, b, c)
+    return _SThetas(params, log_z.value, range(min(offsets), max(offsets) + 1)).ratio(a, b, c)
 
 
 def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
@@ -379,7 +391,7 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
     if not (1 <= a <= n and 1 <= b <= n):
         raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
     powers = _s_powers(n, params.log_q, params.log_p, a, b, c)
-    return complex(_s_prefactor(powers, log_z)) * s_theta_ratio(params, a, b, c, log_z)
+    return complex(_s_prefactor(powers, log_z.value)) * s_theta_ratio(params, a, b, c, log_z)
 
 
 def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
@@ -392,33 +404,39 @@ def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
     [Gamma(p z^2) / Gamma(p z^{-2})] [Gamma(q^2 z^{-2}) / Gamma(q^2 z^2)],
     which is exactly 1 at z^2 = 1.
     """
-    lp, q2, z2inv = params.log_p, params.log_q**2, log_z2.inv()
-    zeros, poles = elliptic_gamma_ratio(
-        (lp * log_z2, q2 * z2inv), (lp * z2inv, q2 * log_z2),
-        lp, params.log_q ** (2 * params.n), params.policy,
-    )
+    return _kappa_inv(params, log_z2.value)
+
+
+def _kappa_inv(params: ModelParams, z2: complex) -> complex:
+    """:func:`kappa_inv` at the plain log ``z2`` of z^2."""
+    c = params._constants
+    lp, q2 = c.log_p.value, c.log_q2.value
+    zeros, poles = _gamma_ratio(
+        (lp + z2, q2 - z2), (lp - z2, q2 + z2), lp, c.log_big_q.value, params.policy)
     if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
-        raise PoleError("kappa denominator vanished", argument=log_z2.to_complex())
+        raise PoleError("kappa denominator vanished", argument=cmath.exp(z2))
     return zeros / poles
 
 
-def _eta_common(params: ModelParams, log_z: LogComplex, scalar_kappa: complex) -> complex:
-    """eta(z) / Theta_p(p z^2) with ``scalar_kappa`` in place of 1/kappa(z^2)."""
+def _eta_common(params: ModelParams, z: complex, scalar_kappa: complex) -> complex:
+    """eta(z) / Theta_p(p z^2) at the plain log ``z``, with ``scalar_kappa`` in
+    place of 1/kappa(z^2)."""
     c = params._constants
     return (
-        (log_z**c.eta_power).to_complex()
+        cmath.exp(c.eta_power * z)
         * scalar_kappa
         * c.poch_ratio_cubed
         * c.theta_q2
-        / _theta_den(c.log_q2 * log_z**2, params.log_p, c.guard_p, params.policy, "eta")
+        / _theta_den(c.log_q2.value + 2.0 * z, c.log_p.value, c.guard_p, params.policy, "eta")
     )
 
 
 def eta(params: ModelParams, log_z: LogComplex) -> complex:
     """Overall normalization eta(z) of the elliptic R-matrix."""
-    lp, z2 = params.log_p, log_z**2
-    scale = _eta_common(params, log_z, kappa_inv(params, z2))
-    return scale * theta(lp * z2, lp, params.policy)
+    z, lp = log_z.value, params.log_p.value
+    z2 = 2.0 * z
+    scale = _eta_common(params, z, _kappa_inv(params, z2))
+    return scale * _theta(lp + z2, lp, params.policy)
 
 
 def tau(params: ModelParams, log_x: LogComplex) -> complex:
@@ -427,11 +445,12 @@ def tau(params: ModelParams, log_x: LogComplex) -> complex:
     q^N-periodic in x; relates the two elliptic normalizations through
     R_hat(z) = tau_N(q^{1/2} z^{-1}) R(z).
     """
-    lq, policy, c = params.log_q, params.policy, params._constants
-    x2 = log_x**2
-    num = theta(lq * x2, c.log_big_q, policy)
-    den = _theta_den(lq * x2.inv(), c.log_big_q, c.guard_big_q, policy, "tau")
-    return (log_x**c.tau_power).to_complex() * num / den
+    lq, policy, c = params.log_q.value, params.policy, params._constants
+    x, big_q = log_x.value, c.log_big_q.value
+    x2 = 2.0 * x
+    num = _theta(lq + x2, big_q, policy)
+    den = _theta_den(lq - x2, big_q, c.guard_big_q, policy, "tau")
+    return cmath.exp(c.tau_power * x) * num / den
 
 
 def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
@@ -443,14 +462,14 @@ def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
     and satisfies U(z) = tau_N(q^{1/2} z) tau_N(q^{1/2} z^{-1}).
     """
     policy, c = params.policy, params._constants
-    big_q, guard, q2, z2 = c.log_big_q, c.guard_big_q, c.log_q2, log_z**2
-    num = theta(q2 * z2, big_q, policy) * theta(q2 * z2.inv(), big_q, policy)
-    den = _theta_den(z2, big_q, guard, policy, "U") * _theta_den(z2.inv(), big_q, guard, policy, "U")
-    return (params.log_q**c.tau_power).to_complex() * num / den
+    big_q, guard, q2, z2 = c.log_big_q.value, c.guard_big_q, c.log_q2.value, 2.0 * log_z.value
+    num = _theta(q2 + z2, big_q, policy) * _theta(q2 - z2, big_q, policy)
+    den = _theta_den(z2, big_q, guard, policy, "U") * _theta_den(-z2, big_q, guard, policy, "U")
+    return cmath.exp(c.tau_power * params.log_q.value) * num / den
 
 
-def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
-    """tau_N(q^{1/2} z^{-1}) / kappa_N(z^2), finite at z = q.
+def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
+    """tau_N(q^{1/2} z^{-1}) / kappa_N(z^2) at the plain log ``z``, finite at z = q.
 
     tau's numerator theta_Q(q^2 z^{-2}) vanishes at z = q, where kappa's
     factor Gamma(q^2 z^{-2}) has a pole; Gamma(p x) = theta_Q(x) Gamma(x)
@@ -461,18 +480,16 @@ def _hat_scalar_kappa(params: ModelParams, log_z: LogComplex) -> complex:
 
     z = q is exactly where the hat matrix's kernel is probed.
     """
-    lp, policy, c = params.log_p, params.policy, params._constants
-    big_q, q2 = c.log_big_q, c.log_q2
-    z2 = log_z**2
-    z2inv = z2.inv()
-    pref = ((c.log_sqrt_q / log_z) ** c.hat_power).to_complex()
+    policy, c = params.policy, params._constants
+    lp, big_q, q2 = c.log_p.value, c.log_big_q.value, c.log_q2.value
+    z2 = 2.0 * z
+    pref = cmath.exp(c.hat_power * (c.log_sqrt_q.value - z))
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
-    zeros, poles = elliptic_gamma_ratio(
-        (lp * z2, lp * q2 * z2inv), (lp * z2inv, q2 * z2), lp, big_q, policy)
+    zeros, poles = _gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), lp, big_q, policy)
     num = c.poch_big_q * zeros
-    den = theta(z2, big_q, policy) * poles
+    den = _theta(z2, big_q, policy) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
-        raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
+        raise PoleError("hat prefactor denominator vanished", argument=cmath.exp(z))
     return pref * num / den
 
 
@@ -482,17 +499,20 @@ def rho(params: ModelParams, log_x: LogComplex) -> complex:
     rho_N(x) = q^{1/N - 1} (q^2 x; q^{2N}) (q^{2N-2} x; q^{2N}) /
                [(x; q^{2N}) (q^{2N} x; q^{2N})]
     """
+    return _rho(params, log_x.value)
+
+
+def _rho(params: ModelParams, x: complex) -> complex:
+    """:func:`rho` at the plain log ``x``."""
     policy, c = params.policy, params._constants
-    big_q = c.log_big_q
-    bases = (big_q,)
-    num = pochhammer_inf(c.log_q2 * log_x, bases, policy) * pochhammer_inf(
-        (params.log_q ** (2 * params.n - 2)) * log_x, bases, policy
-    )
-    den = pochhammer_inf(log_x, bases, policy) * pochhammer_inf(
-        big_q * log_x, bases, policy
-    )
+    big_q = c.log_big_q.value
+    base, floor, terms = cmath.exp(big_q), policy.abs_floor, policy.max_terms
+    shift = float(2 * params.n - 2) * params.log_q.value
+    num = (_poch(cmath.exp(c.log_q2.value + x), base, floor, terms)
+           * _poch(cmath.exp(shift + x), base, floor, terms))
+    den = _poch(cmath.exp(x), base, floor, terms) * _poch(cmath.exp(big_q + x), base, floor, terms)
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
-        raise PoleError("rho denominator vanished", argument=log_x.to_complex())
+        raise PoleError("rho denominator vanished", argument=cmath.exp(x))
     return c.rho_prefactor * num / den
 
 
@@ -577,67 +597,65 @@ class _Gather:
         self.powers = _s_powers(n, constants.log_q, constants.log_p, a, b, c)
 
 
-def _build_elliptic(
-    params: ModelParams, log_z: LogComplex, scalar_kappa: complex
-) -> np.ndarray:
+def _build_elliptic(params: ModelParams, z: complex, scalar_kappa: complex) -> np.ndarray:
     # Entries are eta(z) * S_{a,c}^{b}(z) * (-1)^{(a+c-b-d)/N}, but eta and S
     # are not multiplied as black boxes: eta's factor Theta_p(p z^2) and the
     # b = c denominator Theta_{p^N}(p^N z^2) share a simple zero at z^2 = 1,
     # so that quotient is formed with the common (1 - z^{-2}) cancelled and
     # R(1) comes out as P with exact zeros off P.  ``scalar_kappa`` is
     # 1/kappa(z^2), or for the hat kind tau(q^{1/2}/z)/kappa(z^2) formed
-    # jointly (see _hat_scalar_kappa).
-    n, lp, policy, c = params.n, params.log_p, params.policy, params._constants
-    z2 = log_z**2
+    # jointly (see _hat_scalar_kappa).  ``z`` is the plain log of z.
+    n, lp, policy, c = params.n, params.log_p.value, params.policy, params._constants
+    floor, terms = policy.abs_floor, policy.max_terms
+    z2 = 2.0 * z
 
-    def theta_without_zero(base: LogComplex, base_poch: complex) -> complex:
-        # Theta_base(base z^2) / (1 - z^{-2}), finite at z^2 = 1; base_poch is (base; base)
+    def theta_without_zero(lb: complex, base_poch: complex) -> complex:
+        # Theta_b(b z^2) / (1 - z^{-2}), finite at z^2 = 1; lb = log b, base_poch = (b; b)
+        base = cmath.exp(lb)
         return (
-            pochhammer_inf(base * z2, (base,), policy)
-            * pochhammer_inf(base * z2.inv(), (base,), policy)
+            _poch(cmath.exp(lb + z2), base, floor, terms)
+            * _poch(cmath.exp(lb - z2), base, floor, terms)
             * base_poch
         )
 
-    common = _eta_common(params, log_z, scalar_kappa)
-    theta_p_z = theta(lp * z2, lp, policy)
+    common = _eta_common(params, z, scalar_kappa)
+    theta_p_z = _theta(lp + z2, lp, policy)
     diag_ratio = theta_without_zero(lp, c.poch_p) / _guard_den(
-        theta_without_zero(c.log_pn, c.poch_pn), c.guard_pn,
+        theta_without_zero(c.log_pn.value, c.poch_pn), c.guard_pn,
         "elliptic diagonal theta ratio vanished", z2,
     )
 
     # every offset in 1-N..N-1 occurs in the entries; den_z(0) is replaced by diag_ratio
-    thetas = _SThetas(params, log_z, range(1 - n, n), z_zero_cancelled=True)
+    thetas = _SThetas(params, z, range(1 - n, n), z_zero_cancelled=True)
     z_ratio = theta_p_z / thetas.den_z
     z_ratio[n - 1] = diag_ratio
     g = c.gather
     mat = np.zeros(n**4, dtype=np.complex128)
     mat[g.flat] = (
-        common * g.sign * _s_prefactor(g.powers, log_z) * thetas.num[g.num_at]
+        common * g.sign * _s_prefactor(g.powers, z) * thetas.num[g.num_at]
         * z_ratio[g.z_at] / thetas.den_q[g.q_at]
     )
     return mat.reshape(n * n, n * n)
 
 
-def _build_eight_vertex(params: ModelParams, log_z: LogComplex) -> np.ndarray:
-    lq, lp, policy, c = params.log_q, params.log_p, params.policy, params._constants
-    lp2 = lp**2
-    z2 = log_z**2
-    q2 = c.log_q2
+def _build_eight_vertex(params: ModelParams, z: complex) -> np.ndarray:
+    lq, lp, policy, c = params.log_q.value, params.log_p.value, params.policy, params._constants
+    lp2, z2, q2 = 2.0 * lp, 2.0 * z, c.log_q2.value
 
-    def th(arg: LogComplex) -> complex:
-        return theta(arg, lp2, policy)
+    def th(arg: complex) -> complex:
+        return _theta(arg, lp2, policy)
 
-    den_a = _theta_den(lp * q2 * z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
-    den_b = _theta_den(q2 * z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
-    a_val = log_z.inv().to_complex() * th(lp * z2) * th(lp * q2) / den_a
-    b_val = (lq / log_z).to_complex() * th(z2) * th(lp * q2) / den_b
-    c_val = th(lp * z2) * th(q2) / den_b
+    den_a = _theta_den(lp + q2 + z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
+    den_b = _theta_den(q2 + z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
+    a_val = cmath.exp(-z) * th(lp + z2) * th(lp + q2) / den_a
+    b_val = cmath.exp(lq - z) * th(z2) * th(lp + q2) / den_b
+    c_val = th(lp + z2) * th(q2) / den_b
     # Corner entries carry -sqrt(p); the root must be -exp(log(p)/2), the
     # same branch the fractional p-powers of the generic builder produce.
     # The opposite root flips the corners and breaks the p-shift relation.
-    d_val = ((lp**0.5) / (lq * z2)).to_complex() * th(z2) * th(q2) / den_a
+    d_val = cmath.exp(0.5 * lp - (lq + z2)) * th(z2) * th(q2) / den_a
 
-    prefactor = kappa_inv(params, z2) * c.poch_p2 / c.poch_p**2
+    prefactor = _kappa_inv(params, z2) * c.poch_p2 / c.poch_p**2
     mat = np.array(
         [
             [a_val, 0.0, 0.0, d_val],
@@ -658,18 +676,15 @@ def _rational_pole_guard(q2x: complex, where: str) -> complex:
     return den
 
 
-def _build_trigonometric(params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
-    n, lq = params.n, params.log_q
-    q = lq.to_complex()
-    if kind is RKind.HOMOGENEOUS:
-        log_x = log_z
-    else:
-        log_x = log_z**2
-    x = log_x.to_complex()
+def _build_trigonometric(params: ModelParams, kind: RKind, z: complex) -> np.ndarray:
+    n, lq = params.n, params.log_q.value
+    q = cmath.exp(lq)
+    log_x = z if kind is RKind.HOMOGENEOUS else 2.0 * z
+    x = cmath.exp(log_x)
     den = _rational_pole_guard(q * q * x, kind.value)
     diag_base = q * (1.0 - x) / den
     exch_base = (1.0 - q * q) / den
-    scalar = rho(params, log_x)
+    scalar = _rho(params, log_x)
 
     mat = np.eye(n * n, dtype=np.complex128)  # the i != j diagonal entries are overwritten
     for i in range(1, n + 1):
@@ -684,9 +699,9 @@ def _build_trigonometric(params: ModelParams, kind: RKind, log_z: LogComplex) ->
                 mat[row_e, col_e] = exch_base * (x if i > j else 1.0)
             else:
                 offset = 2 * (j - i) + (-n if i < j else n)
-                mat[row_e, col_e] = exch_base * cmath.exp(((n + offset) / n) * log_z.value)
+                mat[row_e, col_e] = exch_base * cmath.exp(((n + offset) / n) * z)
                 if kind is RKind.NON_ELLIPTIC:
-                    mat[pos_d, pos_d] = diag_base * cmath.exp((offset / n) * lq.value)
+                    mat[pos_d, pos_d] = diag_base * cmath.exp((offset / n) * lq)
                 else:
                     mat[pos_d, pos_d] = diag_base
     return scalar * mat
@@ -701,14 +716,15 @@ def build_r(params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperat
     """
     if not kind.exists_at(params.n):
         raise KindError(f"the {kind.value} kind has no matrix at N = {params.n}")
+    z = log_z.value
     if kind is RKind.ELLIPTIC:
-        mat = _build_elliptic(params, log_z, kappa_inv(params, log_z**2))
+        mat = _build_elliptic(params, z, kappa_inv(params, log_z**2))
     elif kind is RKind.ELLIPTIC_HAT:
-        mat = _build_elliptic(params, log_z, _hat_scalar_kappa(params, log_z))
+        mat = _build_elliptic(params, z, _hat_scalar_kappa(params, z))
     elif kind is RKind.EIGHT_VERTEX:
-        mat = _build_eight_vertex(params, log_z)
+        mat = _build_eight_vertex(params, z)
     elif kind in (RKind.HOMOGENEOUS, RKind.PRINCIPAL, RKind.NON_ELLIPTIC):
-        mat = _build_trigonometric(params, kind, log_z)
+        mat = _build_trigonometric(params, kind, z)
     else:  # pragma: no cover - exhaustive over the enum
         raise KindError(f"unhandled kind {kind!r}")
     return TensorOperator(params.n, 2, mat)

@@ -144,6 +144,14 @@ def _poch(z: complex, base: complex, floor: float, max_terms: int) -> complex:
     )
 
 
+def _checked_base(log_b: LogComplex) -> complex:
+    """The base b = exp(log_b); DomainError unless |b| < 1."""
+    base = log_b.to_complex()
+    if abs(base) >= 1.0:
+        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {abs(base):.6f}")
+    return base
+
+
 def pochhammer_inf(
     log_z: LogComplex | None,
     log_bases: Sequence[LogComplex],
@@ -157,9 +165,7 @@ def pochhammer_inf(
     """
     if len(log_bases) != 1:
         raise DomainError(f"expected one base, got {len(log_bases)}")
-    base = log_bases[0].to_complex()
-    if abs(base) >= 1.0:
-        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {abs(base):.6f}")
+    base = _checked_base(log_bases[0])
     if log_z is None:
         return 1.0 + 0j
     return _poch(log_z.to_complex(), base, policy.abs_floor, policy.max_terms)
@@ -196,7 +202,18 @@ def elliptic_gamma_ratio(
     most abs_floor (1 - r).  TruncationError when that count, the shift or
     a base's own products (|b|^max_terms >= abs_floor) exceed ``max_terms``.
     """
-    lp, lbq = log_p.value, log_big_q.value
+    return _gamma_ratio([x.value for x in numer], [y.value for y in denom],
+                        log_p.value, log_big_q.value, policy)
+
+
+def _gamma_ratio(
+    numer: Sequence[complex],
+    denom: Sequence[complex],
+    lp: complex,
+    lbq: complex,
+    policy: TruncationPolicy,
+) -> tuple[complex, complex]:
+    """:func:`elliptic_gamma_ratio` with every argument and base a plain complex log."""
     big_q = cmath.exp(lbq)
     for log_b in (lp, lbq):
         # the products that Gamma stands for run over p^i Q^j, as far as pochhammer_inf would
@@ -234,10 +251,10 @@ def elliptic_gamma_ratio(
         # one pair's factors multiply first, so a pair with x = y adds equal factors to both
         pair_zeros = pair_poles = 1.0 + 0j
         if log_x is not None:
-            x, pair_zeros, pair_poles = shift(log_x.value)
+            x, pair_zeros, pair_poles = shift(log_x)
             xs.append(x)
         if log_y is not None:
-            y, y_zeros, y_poles = shift(log_y.value)
+            y, y_zeros, y_poles = shift(log_y)
             ys.append(y)
             pair_zeros, pair_poles = pair_zeros * y_poles, pair_poles * y_zeros
         zeros *= pair_zeros
@@ -268,12 +285,17 @@ def theta(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Jacobi theta function Theta_p(z) = (z; p)(p z^{-1}; p)(p; p)."""
-    bases = (log_p,)
-    return (
-        pochhammer_inf(log_z, bases, policy)
-        * pochhammer_inf(log_p / log_z, bases, policy)
-        * pochhammer_inf(log_p, bases, policy)
-    )
+    _checked_base(log_p)
+    return _theta(log_z.value, log_p.value, policy)
+
+
+def _theta(u: complex, lb: complex, policy: TruncationPolicy) -> complex:
+    """Theta_b(e^u) at the plain logs u and lb = log b, |b| < 1 unchecked: the
+    three :func:`_poch` products of :func:`theta`, in its order."""
+    base, floor, terms = cmath.exp(lb), policy.abs_floor, policy.max_terms
+    return (_poch(cmath.exp(u), base, floor, terms)
+            * _poch(cmath.exp(lb - u), base, floor, terms)
+            * _poch(base, base, floor, terms))
 
 
 def theta_array(

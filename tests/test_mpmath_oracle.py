@@ -107,11 +107,12 @@ def test_kappa_inv_and_hat_scalar_at_generic_points(n, q, p, z):
     oracle = Oracle(n, q, p, z)
     log_z = LogComplex.from_complex(z)
     assert rel(kappa_inv(params, log_z**2), oracle.kappa_inv()) < 2e-14
-    assert rel(_hat_scalar_kappa(params, log_z), oracle.hat_scalar()) < 2e-14
+    assert rel(_hat_scalar_kappa(params, log_z.value), oracle.hat_scalar()) < 2e-14
 
 
 @pytest.mark.parametrize("n, q, p, z", POINTS)
 def test_kappa_inv_at_one_and_hat_scalar_at_q(n, q, p, z):
     params = ModelParams(n, LogComplex.from_complex(q), LogComplex.from_complex(p))
     assert rel(kappa_inv(params, LOG_ONE), Oracle(n, q, p, 1).kappa_inv()) == 0
-    assert rel(_hat_scalar_kappa(params, params.log_q), Oracle(n, q, p, q).hat_scalar()) < 2e-14
+    hat_at_q = _hat_scalar_kappa(params, params.log_q.value)
+    assert rel(hat_at_q, Oracle(n, q, p, q).hat_scalar()) < 2e-14

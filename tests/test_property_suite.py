@@ -1,5 +1,6 @@
 """Identity battery: every check passes at generic points, canaries fail."""
 
+import dataclasses
 import json
 import math
 
@@ -378,7 +379,7 @@ class TestSampledHelper:
         params = draw_params(np.random.default_rng(7), 2)
         points = tuple(draw_log(np.random.default_rng(8)) for _ in check.points)
         kind = check.kinds[0] if check.kinds else RKind.ELLIPTIC
-        return points, check.run(params, kind, points, None, rng)
+        return points, check.run(params, kind, points, rng=rng)
 
     @pytest.mark.parametrize("key", _RUNNABLE)
     def test_pole_propagates_without_rng(self, monkeypatch, key):
@@ -588,3 +589,101 @@ class TestClosedFormInverses:
         rows = json.loads(capsys.readouterr().out)["reports"]
         assert len(rows) == 9
         assert max(row["residual"] for row in rows) <= 1e-13
+
+
+# the verify-n3 workload's first invocation at bench seed 1 (bench/run.py's ellr_argv)
+VERIFY_N3_ARGV = [
+    "verify", "--n", "3", "--points", "10", "--format", "json", "--seed", "2142019524",
+    "--q=-0.51516495763854764-0.19262675416793329i",
+    "--p=-0.22064090143665704-0.16414198918381429i",
+]
+
+_PARAMETER_ONLY = {
+    "regularity": "check_regularity",
+    "kernel-structure": "check_kernel_structure",
+    "spectrum-nonelliptic": "check_spectrum_nonelliptic",
+}
+
+
+def _counted_builds(monkeypatch) -> list:
+    """Record each successful ``property_suite.build_r`` call as (context number,
+    params, kind, log z), numbering the PointContexts in order of creation."""
+    real_build, real_init = ps.build_r, ps.PointContext.__init__
+    contexts, builds = [0], []
+
+    def init(self):
+        contexts[0] += 1
+        real_init(self)
+
+    def build_r(params, kind, log_z):
+        op = real_build(params, kind, log_z)
+        builds.append((contexts[0], params, kind, log_z.value))
+        return op
+
+    monkeypatch.setattr(ps.PointContext, "__init__", init)
+    monkeypatch.setattr(ps, "build_r", build_r)
+    return builds
+
+
+class TestPointContext:
+    def test_verify_builds_each_matrix_once_per_point(self, monkeypatch, capsys):
+        builds = _counted_builds(monkeypatch)
+        assert main(VERIFY_N3_ARGV) == 0
+        capsys.readouterr()
+        assert len(set(builds)) == len(builds)
+        # the suite's share of the call's 404 builds (481 before the memo, 465 of
+        # them in the suite); the qdet block builds through qdet_engine
+        assert len(builds) == 388
+        assert {point for point, *_ in builds} == set(range(1, 12))  # 10 points, then "once"
+
+    def test_json_equals_a_run_without_the_memo(self, monkeypatch, capsys):
+        assert main(VERIFY_N3_ARGV) == 0
+        memoised = capsys.readouterr().out
+        monkeypatch.setattr(ps.PointContext, "build",
+                            lambda self, params, kind, log_z: ps.build_r(params, kind, log_z))
+        assert main(VERIFY_N3_ARGV) == 0
+        assert capsys.readouterr().out == memoised
+
+    def test_parameter_only_entries_are_the_table_entries_without_points(self):
+        assert {key for key, check in ps.CHECKS.items()
+                if check.scope == "point" and not check.points} == set(_PARAMETER_ONLY)
+
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed-params", "fresh-params"])
+    def test_parameter_only_checks_run_once_per_suite_with_fixed_params(self, monkeypatch, fixed):
+        calls = []
+        for function in _PARAMETER_ONLY.values():
+            real = getattr(ps, function)
+            monkeypatch.setattr(ps, function,
+                                lambda *a, _real=real, **k: calls.append(_real) or _real(*a, **k))
+        params = draw_params(np.random.default_rng(31), 3) if fixed else None
+        reports = run_suite(3, seed=32, n_points=3, params=params)
+        assert len(calls) == 3 * (1 if fixed else 3)
+        for key, function in _PARAMETER_ONLY.items():
+            rows = [r for r in reports if r.name.partition("[")[0] == key]
+            assert len(rows) == 3, key
+            if fixed:  # the first run's report, equal to a fresh run's at every point
+                fresh = getattr(ps, function)(params)
+                for row in rows:
+                    assert row is rows[0]
+                    assert (row.residual, row.detail, row.sample_points) == (
+                        fresh.residual, fresh.detail, fresh.sample_points)
+
+    def test_a_build_that_raises_is_not_kept(self, monkeypatch):
+        calls = _pole_on_first_build(monkeypatch)
+        params = draw_params(np.random.default_rng(33), 3)
+        lz = draw_log(np.random.default_rng(34))
+        context = ps.PointContext()
+        with pytest.raises(PoleError):
+            context.build(params, RKind.ELLIPTIC, lz)
+        op = context.build(params, RKind.ELLIPTIC, lz)
+        assert context.build(params, RKind.ELLIPTIC, lz) is op
+        assert len(calls) == 2
+
+    def test_key_carries_the_params(self):
+        params = draw_params(np.random.default_rng(35), 3)
+        shrunk = dataclasses.replace(params, log_p=LogComplex.from_complex(1e-4))
+        lz = draw_log(np.random.default_rng(36))
+        context = ps.PointContext()
+        here, there = (context.build(pr, RKind.ELLIPTIC_HAT, lz) for pr in (params, shrunk))
+        assert not np.array_equal(here.entries, there.entries)
+        assert np.array_equal(there.entries, build_r(shrunk, RKind.ELLIPTIC_HAT, lz).entries)

@@ -77,6 +77,22 @@ class TestModelParams:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
+    def test_digest_hashed_once_and_ignored_by_equality(self, monkeypatch):
+        import hashlib
+
+        from elliptic_rmatrix import rmatrix_builders
+
+        hashed = []
+        real = hashlib.sha256
+        monkeypatch.setattr(rmatrix_builders.hashlib, "sha256",
+                            lambda data: hashed.append(data) or real(data))
+        a = ModelParams(2, lc(0.3), lc(0.1))
+        before = hash(a)
+        assert a.digest() == a.digest() == ModelParams(2, lc(0.3), lc(0.1)).digest()
+        assert len(hashed) == 2  # once per instance
+        assert hash(a) == before and a == dataclasses.replace(a)
+        assert "_digest" not in vars(dataclasses.replace(a))
+
     def test_genericity_flags_near_unit_q_power(self):
         clean = ModelParams(2, lc(0.4 + 0.1j), lc(0.2))
         assert clean.genericity_warnings() == []
@@ -151,7 +167,7 @@ class TestScalars:
 
         # the denominator's Theta_{q^{2N}}(z^2) vanishes at z = 1
         with pytest.raises(PoleError, match="hat prefactor denominator vanished"):
-            rmatrix_builders._hat_scalar_kappa(params_n3, LOG_ONE)
+            rmatrix_builders._hat_scalar_kappa(params_n3, LOG_ONE.value)
 
     def test_rho_pole_at_lattice_point(self, params_n3):
         from elliptic_rmatrix import LOG_ONE
@@ -411,15 +427,17 @@ def fraction_build_elliptic(params, log_z, scalar_kappa):
             * pochhammer_inf(base, (base,), policy)
         )
 
-    common = _eta_common(params, log_z, scalar_kappa)
+    common = _eta_common(params, log_z.value, scalar_kappa)
     theta_p_z = theta(lp * z2, lp, policy)
     base, q2 = lp**n, params.log_q**2
     guard = _guard_scale(pochhammer_inf(base, (base,), policy))
-    diag_ratio = theta_without_zero(lp) / _guard_den(theta_without_zero(base), guard, "diagonal", z2)
+    diag_ratio = theta_without_zero(lp) / _guard_den(
+        theta_without_zero(base), guard, "diagonal", z2.value)
     # the S thetas one scalar theta per offset, as the entry loop read them
     num = {o: theta((lp ** (n + o)) * q2 * z2, base, policy) for o in range(1 - n, n)}
-    den_q = {o: _theta_den((lp ** (n + o)) * q2, base, guard, policy, "den_q") for o in range(1 - n, n)}
-    den_z = {o: _theta_den((lp ** (n + o)) * z2, base, guard, policy, "den_z")
+    den_q = {o: _theta_den(((lp ** (n + o)) * q2).value, base.value, guard, policy, "den_q")
+             for o in range(1 - n, n)}
+    den_z = {o: _theta_den(((lp ** (n + o)) * z2).value, base.value, guard, policy, "den_z")
              for o in range(1 - n, n) if o}
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     for a in range(1, n + 1):
@@ -488,7 +506,7 @@ class TestFloatLogEntriesBitIdentical:
             old = fraction_build_elliptic(params, z, kappa_inv(params, z**2))
             assert_entries_match(build_r(params, RKind.ELLIPTIC, z).entries, old)
             for point in (z, params.log_q):  # z = q: the hat's cancelled degeneracy
-                old_hat = fraction_build_elliptic(params, point, _hat_scalar_kappa(params, point))
+                old_hat = fraction_build_elliptic(params, point, _hat_scalar_kappa(params, point.value))
                 new_hat = build_r(params, RKind.ELLIPTIC_HAT, point).entries
                 assert np.all(np.isfinite(new_hat))
                 assert_entries_match(new_hat, old_hat)
@@ -650,10 +668,10 @@ class TestEllipticGammaScalars:
         for params, z in self.draws():
             worst_kappa = max(worst_kappa, rel(kappa_inv(params, z**2),
                                                double_base_kappa_inv(params, z**2)))
-            worst_hat = max(worst_hat, rel(_hat_scalar_kappa(params, z),
+            worst_hat = max(worst_hat, rel(_hat_scalar_kappa(params, z.value),
                                            double_base_hat_scalar_kappa(params, z)))
             q = params.log_q  # the hat's cancelled degeneracy
-            worst_hat_q = max(worst_hat_q, rel(_hat_scalar_kappa(params, q),
+            worst_hat_q = max(worst_hat_q, rel(_hat_scalar_kappa(params, q.value),
                                                double_base_hat_scalar_kappa(params, q)))
         # measured over these draws: 1.2e-14, 1.2e-14 and 1.3e-14
         assert worst_kappa < 2e-14
@@ -741,3 +759,265 @@ class TestParamsConstants:
             else:
                 assert str(info.value) == "denominator theta vanished in S (q-dependent theta)"
                 assert info.value.argument == (lp**3).to_complex()
+
+
+# ---------------------------------------------------------------------------
+# the builders and scalars as they were written on LogComplex arguments, with
+# the public theta, pochhammer_inf and elliptic_gamma_ratio: the plain-log
+# forms make the same float operations in the same order, so they must agree
+# bit for bit, pole errors included
+
+
+def lc_kappa_inv(params, log_z2):
+    from elliptic_rmatrix import elliptic_gamma_ratio
+    from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
+
+    lp, q2, z2inv = params.log_p, params.log_q**2, log_z2.inv()
+    zeros, poles = elliptic_gamma_ratio(
+        (lp * log_z2, q2 * z2inv), (lp * z2inv, q2 * log_z2),
+        lp, params.log_q ** (2 * params.n), params.policy,
+    )
+    if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
+        raise PoleError("kappa denominator vanished", argument=log_z2.to_complex())
+    return zeros / poles
+
+
+def lc_theta_den(log_arg, log_base, guard, policy, what):
+    from elliptic_rmatrix import theta
+
+    val = theta(log_arg, log_base, policy)
+    if abs(val) < guard:
+        raise PoleError(f"denominator theta vanished in {what}", argument=log_arg.to_complex())
+    return val
+
+
+def lc_eta_common(params, log_z, scalar_kappa):
+    c = params._constants
+    return (
+        (log_z**c.eta_power).to_complex()
+        * scalar_kappa
+        * c.poch_ratio_cubed
+        * c.theta_q2
+        / lc_theta_den(c.log_q2 * log_z**2, params.log_p, c.guard_p, params.policy, "eta")
+    )
+
+
+def lc_eta(params, log_z):
+    from elliptic_rmatrix import theta
+
+    lp, z2 = params.log_p, log_z**2
+    scale = lc_eta_common(params, log_z, lc_kappa_inv(params, z2))
+    return scale * theta(lp * z2, lp, params.policy)
+
+
+def lc_tau(params, log_x):
+    from elliptic_rmatrix import theta
+
+    lq, policy, c = params.log_q, params.policy, params._constants
+    x2 = log_x**2
+    num = theta(lq * x2, c.log_big_q, policy)
+    den = lc_theta_den(lq * x2.inv(), c.log_big_q, c.guard_big_q, policy, "tau")
+    return (log_x**c.tau_power).to_complex() * num / den
+
+
+def lc_u_scalar(params, log_z):
+    from elliptic_rmatrix import theta
+
+    policy, c = params.policy, params._constants
+    big_q, guard, q2, z2 = c.log_big_q, c.guard_big_q, c.log_q2, log_z**2
+    num = theta(q2 * z2, big_q, policy) * theta(q2 * z2.inv(), big_q, policy)
+    den = (lc_theta_den(z2, big_q, guard, policy, "U")
+           * lc_theta_den(z2.inv(), big_q, guard, policy, "U"))
+    return (params.log_q**c.tau_power).to_complex() * num / den
+
+
+def lc_hat_scalar_kappa(params, log_z):
+    from elliptic_rmatrix import elliptic_gamma_ratio, theta
+    from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
+
+    lp, policy, c = params.log_p, params.policy, params._constants
+    big_q, q2 = c.log_big_q, c.log_q2
+    z2 = log_z**2
+    z2inv = z2.inv()
+    pref = ((c.log_sqrt_q / log_z) ** c.hat_power).to_complex()
+    zeros, poles = elliptic_gamma_ratio(
+        (lp * z2, lp * q2 * z2inv), (lp * z2inv, q2 * z2), lp, big_q, policy)
+    num = c.poch_big_q * zeros
+    den = theta(z2, big_q, policy) * poles
+    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+        raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
+    return pref * num / den
+
+
+def lc_rho(params, log_x):
+    from elliptic_rmatrix import pochhammer_inf
+    from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
+
+    policy, c = params.policy, params._constants
+    big_q = c.log_big_q
+    bases = (big_q,)
+    num = pochhammer_inf(c.log_q2 * log_x, bases, policy) * pochhammer_inf(
+        (params.log_q ** (2 * params.n - 2)) * log_x, bases, policy
+    )
+    den = pochhammer_inf(log_x, bases, policy) * pochhammer_inf(big_q * log_x, bases, policy)
+    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
+        raise PoleError("rho denominator vanished", argument=log_x.to_complex())
+    return c.rho_prefactor * num / den
+
+
+def lc_s_thetas(params, log_z, offsets):
+    """_SThetas's num, den_z (den_z(0) set to 1) and den_q with its pole guards."""
+    from elliptic_rmatrix import theta_array
+
+    constants = params._constants
+    table = constants.q_table(offsets)
+    logs = table.z_free + (log_z**2).value
+    num, den_z = theta_array(logs, constants.log_pn, params.policy).reshape(2, -1)
+    den_z[-offsets.start] = 1.0
+    if table.pole is not None:
+        raise PoleError("denominator theta vanished in S (q-dependent theta)", argument=table.pole)
+    bad = np.flatnonzero(np.abs(den_z) < constants.guard_pn)
+    if bad.size:
+        raise PoleError("denominator theta vanished in S (z-dependent theta)",
+                        argument=cmath.exp(logs[table.den_q.size + bad[0]]))
+    return num, den_z, table.den_q
+
+
+def lc_build_elliptic(params, log_z, scalar_kappa):
+    from elliptic_rmatrix import pochhammer_inf, theta
+
+    n, lp, policy, c = params.n, params.log_p, params.policy, params._constants
+    z2 = log_z**2
+
+    def theta_without_zero(base, base_poch):
+        return (
+            pochhammer_inf(base * z2, (base,), policy)
+            * pochhammer_inf(base * z2.inv(), (base,), policy)
+            * base_poch
+        )
+
+    common = lc_eta_common(params, log_z, scalar_kappa)
+    theta_p_z = theta(lp * z2, lp, policy)
+    den = theta_without_zero(c.log_pn, c.poch_pn)
+    if abs(den) < c.guard_pn:
+        raise PoleError("elliptic diagonal theta ratio vanished", argument=z2.to_complex())
+    diag_ratio = theta_without_zero(lp, c.poch_p) / den
+    num, den_z, den_q = lc_s_thetas(params, log_z, range(1 - n, n))
+    z_ratio = theta_p_z / den_z
+    z_ratio[n - 1] = diag_ratio
+    g = c.gather
+    z_exp, q_log, p_log = g.powers
+    mat = np.zeros(n**4, dtype=np.complex128)
+    mat[g.flat] = (
+        common * g.sign * np.exp(z_exp * log_z.value + q_log + p_log) * num[g.num_at]
+        * z_ratio[g.z_at] / den_q[g.q_at]
+    )
+    return mat.reshape(n * n, n * n)
+
+
+def lc_build_eight_vertex(params, log_z):
+    from elliptic_rmatrix import theta
+
+    lq, lp, policy, c = params.log_q, params.log_p, params.policy, params._constants
+    lp2, z2, q2 = lp**2, log_z**2, c.log_q2
+
+    def th(arg):
+        return theta(arg, lp2, policy)
+
+    den_a = lc_theta_den(lp * q2 * z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
+    den_b = lc_theta_den(q2 * z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
+    a_val = log_z.inv().to_complex() * th(lp * z2) * th(lp * q2) / den_a
+    b_val = (lq / log_z).to_complex() * th(z2) * th(lp * q2) / den_b
+    c_val = th(lp * z2) * th(q2) / den_b
+    d_val = ((lp**0.5) / (lq * z2)).to_complex() * th(z2) * th(q2) / den_a
+    prefactor = lc_kappa_inv(params, z2) * c.poch_p2 / c.poch_p**2
+    return prefactor * np.array(
+        [[a_val, 0, 0, d_val], [0, b_val, c_val, 0], [0, c_val, b_val, 0], [d_val, 0, 0, a_val]],
+        dtype=np.complex128,
+    )
+
+
+def lc_build_trigonometric(params, kind, log_z):
+    from elliptic_rmatrix.rmatrix_builders import _rational_pole_guard
+
+    n, lq = params.n, params.log_q
+    q = lq.to_complex()
+    log_x = log_z if kind is RKind.HOMOGENEOUS else log_z**2
+    x = log_x.to_complex()
+    den = _rational_pole_guard(q * q * x, kind.value)
+    diag_base, exch_base = q * (1.0 - x) / den, (1.0 - q * q) / den
+    scalar = lc_rho(params, log_x)
+    mat = np.eye(n * n, dtype=np.complex128)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            pos_d = row_e = (i - 1) * n + (j - 1)
+            col_e = (j - 1) * n + (i - 1)
+            if kind is RKind.HOMOGENEOUS:
+                mat[pos_d, pos_d] = diag_base
+                mat[row_e, col_e] = exch_base * (x if i > j else 1.0)
+            else:
+                offset = 2 * (j - i) + (-n if i < j else n)
+                mat[row_e, col_e] = exch_base * cmath.exp(((n + offset) / n) * log_z.value)
+                mat[pos_d, pos_d] = diag_base * (
+                    cmath.exp((offset / n) * lq.value) if kind is RKind.NON_ELLIPTIC else 1.0)
+    return scalar * mat
+
+
+def lc_build_r(params, kind, log_z):
+    if kind is RKind.ELLIPTIC:
+        return lc_build_elliptic(params, log_z, lc_kappa_inv(params, log_z**2))
+    if kind is RKind.ELLIPTIC_HAT:
+        return lc_build_elliptic(params, log_z, lc_hat_scalar_kappa(params, log_z))
+    if kind is RKind.EIGHT_VERTEX:
+        return lc_build_eight_vertex(params, log_z)
+    return lc_build_trigonometric(params, kind, log_z)
+
+
+def outcome(compute):
+    """compute()'s value, or the message and argument of its PoleError."""
+    try:
+        return compute()
+    except PoleError as exc:
+        return ("PoleError", str(exc), exc.argument)
+
+
+def same(new, old) -> bool:
+    if isinstance(old, np.ndarray):
+        return isinstance(new, np.ndarray) and np.array_equal(new, old)
+    return new == old
+
+
+class TestPlainLogsMatchLogComplexPath:
+    @staticmethod
+    def cases():
+        """Draws at N = 2..6, each at a generic z and at z = 1, q and 1/q, where
+        the kappa, hat and eta guards and rho's lattice point sit."""
+        rng = np.random.default_rng(2323)
+        for n in range(2, 7):
+            for _ in range(4):
+                q = lc(rng.uniform(0.3, 0.8) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+                p = lc(rng.uniform(0.05, 0.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+                params = ModelParams(n, q, p)
+                for z in (draw_z(rng), LOG_ONE, q, q.inv()):
+                    yield params, z
+
+    def test_every_kind_bit_identical(self):
+        poles = 0
+        for params, z in self.cases():
+            for kind in (k for k in RKind if k.exists_at(params.n)):
+                old = outcome(lambda: lc_build_r(params, kind, z))
+                new = outcome(lambda: build_r(params, kind, z).entries)
+                assert same(new, old), (params.n, kind, z, new, old)
+                poles += isinstance(old, tuple)
+        assert poles  # the pole guards were reached, and raised alike
+
+    def test_scalars_bit_identical(self):
+        pairs = ((kappa_inv, lc_kappa_inv), (eta, lc_eta), (tau, lc_tau),
+                 (u_scalar, lc_u_scalar), (rho, lc_rho))
+        for params, z in self.cases():
+            for public, old in pairs:
+                arg = z**2 if public is kappa_inv else z
+                expected = outcome(lambda: old(params, arg))
+                assert same(outcome(lambda: public(params, arg)), expected), (public.__name__, z)
