@@ -15,13 +15,16 @@ failed to fail); 2 configuration error; 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .property_suite import (
     CHECKS,
     P_MODULUS,
     Q_MODULUS,
+    Z_MODULUS,
     PropertyReport,
     check_p_to_zero,
     draw_log,
@@ -56,6 +60,10 @@ from .property_suite import (
 from .qdet_engine import _check_product_cap, centrality_witness, verify_qdet
 
 __all__ = ["RunConfig", "main", "parse_complex_literal"]
+
+# scan's largest arrays have N^6 complex entries: ybe's embedded three-slot
+# factors and evaluated-ll's block products; 2^24 entries are 256 MiB
+MAX_SCAN_ENTRIES = 2**24
 
 
 @dataclass
@@ -87,9 +95,12 @@ def parse_complex_literal(text: str) -> complex | None:
         return None
     normalized = stripped.replace(" ", "").replace("i", "j")
     try:
-        return complex(normalized)
+        value = complex(normalized)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex literal {text!r}; expected a+bi or random") from exc
+    if not cmath.isfinite(value):
+        raise ConfigError(f"complex literal {text!r} is not finite in float64")
+    return value
 
 
 def _format_complex(value: complex) -> str:
@@ -108,6 +119,108 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
+
+
+_JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_NAMES = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(value: float) -> str:
+    """A float as json writes it: ``float.__repr__``, with NaN and the
+    infinities by their JavaScript names."""
+    text = float.__repr__(value)
+    return _JSON_SPECIAL_FLOATS.get(text, text)
+
+
+def _json_scalar(obj) -> str | None:
+    """json's text for a string, number, bool or None (subclasses included), else None."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_NAMES[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key as json converts it to a string."""
+    if isinstance(key, str):
+        return key
+    text = _json_scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return text
+
+
+# the exact scalar types by their writers; subclasses go through _json_scalar
+_JSON_WRITERS = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: _JSON_NAMES.__getitem__,
+    type(None): _JSON_NAMES.__getitem__,
+}
+_OPEN = object()  # marks a container whose text is being formed
+
+
+def _json_dumps(document) -> str:
+    """``json.dumps(document, sort_keys=True, indent=2)``, byte for byte.
+
+    json runs its pure-Python encoder whenever ``indent`` is set; this writer
+    joins strings instead, and forms the text of each container once, so a
+    sub-object that recurs at one depth, such as the parameters every row
+    of a report shares, is serialized once.  Scalars are written as json
+    writes them (:func:`_json_scalar`); dict keys are converted as json
+    converts them, after sorting.
+    """
+    texts: dict[int, object] = {}  # id -> (depth, text), or _OPEN
+    writer = _JSON_WRITERS.get
+    # layout[d]: a container at depth d opens with first, joins with sep, closes with last
+    layout: list[tuple[str, str, str]] = []
+
+    def encode(obj, depth: int) -> str:
+        write = writer(type(obj))
+        if write is not None:
+            return write(obj)
+        is_dict = isinstance(obj, dict)
+        if not is_dict and not isinstance(obj, (list, tuple)):
+            text = _json_scalar(obj)
+            if text is None:
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            return text
+        if not obj:
+            return "{}" if is_dict else "[]"
+        seen = texts.get(id(obj))
+        if seen is not None:
+            if seen is _OPEN:
+                raise ValueError("Circular reference detected")
+            if seen[0] == depth:
+                return seen[1]
+        texts[id(obj)] = _OPEN
+        while len(layout) <= depth:
+            inner = "\n" + "  " * (len(layout) + 1)
+            layout.append((inner, "," + inner, "\n" + "  " * len(layout)))
+        first, sep, last = layout[depth]
+        sub = depth + 1
+        # the exact scalar types inline, everything else through encode
+        if is_dict:
+            text = "{" + first + sep.join([
+                encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": "
+                + (write(v) if (write := writer(type(v))) is not None else encode(v, sub))
+                for k, v in sorted(obj.items())
+            ]) + last + "}"
+        else:
+            text = "[" + first + sep.join([
+                write(v) if (write := writer(type(v))) is not None else encode(v, sub)
+                for v in obj
+            ]) + last + "]"
+        texts[id(obj)] = (depth, text)
+        return text
+
+    return encode(document, 0)
 
 
 def _tolerance_names(args: argparse.Namespace) -> list[str]:
@@ -138,14 +251,66 @@ def _parse_tolerances(args: argparse.Namespace) -> dict[str, float]:
             overrides[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"--tol value is not a number: {item!r}") from exc
+        if not (math.isfinite(overrides[name]) and overrides[name] >= 0.0):
+            raise ConfigError(f"--tol value must be finite and non-negative, got {item!r}")
     return overrides
+
+
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # the smallest normal float64
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _product_log_peak(log_arg: float, log_base: float) -> float:
+    """log of the largest running value of (x; b)_inf = prod_k (1 - x b^k) at
+    ln|x| = ``log_arg`` >= 0 and ln|b| = ``log_base`` < 0: the product of the
+    factors |x b^k| >= 1, k = 0 .. m - 1."""
+    m = math.floor(log_arg / -log_base) + 1
+    return m * log_arg + log_base * (m * (m - 1) / 2)
+
+
+def _check_float_range(config: RunConfig, params: ModelParams) -> None:
+    """ConfigError, naming the option, when a --q, --p or --z literal puts what
+    the builders form outside float64.
+
+    The builders form the Pochhammer bases Q = q^{2N} and p^N, and powers
+    of q and p down to their inverses, so both must be normal floats.  Their
+    thetas multiply out factors (1 - x b^k) at arguments x = z^{+-2} q^{+-2}
+    times powers of p; the running product must stay finite at the largest
+    |ln|x|| = 2 |ln|z|| + 2 |ln|q|| for the base nearest 1, p or Q.  A drawn
+    z lies in the sampling annulus, so |ln|z|| <= ln 2 stands for it.  A
+    base whose products need more than ``max_terms`` factors is left to the
+    builders' TruncationError.
+    """
+    n, log_q, log_p = params.n, params.log_q.value.real, params.log_p.value.real
+    if config.q is not None and 2 * n * log_q < _LOG_FLOAT_MIN:
+        raise ConfigError(f"--q: |q|^{2 * n} underflows float64; at N = {n} |q| must be at "
+                          f"least {math.exp(_LOG_FLOAT_MIN / (2 * n)):.3g}")
+    if config.p is not None and n * log_p < _LOG_FLOAT_MIN:
+        raise ConfigError(f"--p: |p|^{n} underflows float64; at N = {n} |p| must be at "
+                          f"least {math.exp(_LOG_FLOAT_MIN / n):.3g}")
+    if config.z == 0:
+        raise ConfigError("--z must be nonzero")
+    log_z = math.log(max(Z_MODULUS[1], 1 / Z_MODULUS[0])) if config.z is None else abs(
+        math.log(abs(config.z)))
+    log_base, policy = max(log_p, 2 * n * log_q), params.policy
+    if policy.max_terms * log_base >= math.log(policy.abs_floor):
+        return  # the base's products outrun max_terms: TruncationError's to report
+    peak = _product_log_peak(2 * log_z - 2 * log_q, log_base)
+    if peak > _LOG_FLOAT_MAX:
+        given = [name for name, value in (("--q", config.q), ("--p", config.p), ("--z", config.z))
+                 if value is not None]
+        raise ConfigError(f"{'/'.join(given)}: the theta products at |q| = {math.exp(log_q):.3g}, "
+                          f"|p| = {math.exp(log_p):.3g} and |z| or 1/|z| up to {math.exp(log_z):.3g} "
+                          f"reach exp({peak:.4g}), beyond float64's exp({_LOG_FLOAT_MAX:.4g})")
 
 
 def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
     """Build ModelParams from literals or seeded draws; validate early."""
     if config.q is None and config.p is None:
         # redraw until clean of near-degeneracies, like the test suite does
-        return draw_params(rng, config.n)
+        params = draw_params(rng, config.n)
+        _check_float_range(config, params)
+        return params
     if config.q is None:
         log_q = draw_log(rng, Q_MODULUS)
     else:
@@ -160,6 +325,7 @@ def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
         log_p = LogComplex.from_complex(config.p)
     # user-pinned parameters get a coarse margin: warn loudly, still run
     params = ModelParams(config.n, log_q, log_p, genericity_margin=0.05)
+    _check_float_range(config, params)
     for warning in params.genericity_warnings():
         print(f"warning: {warning}", file=sys.stderr)
     return params
@@ -220,7 +386,7 @@ def _emit_text(payload: str, config: RunConfig) -> None:
 def _emit_reports(rows: list[dict], config: RunConfig) -> None:
     if config.fmt == "json":
         document = {"config": _config_payload(config), "reports": rows}
-        _emit_text(json.dumps(document, sort_keys=True, indent=2) + "\n", config)
+        _emit_text(_json_dumps(document) + "\n", config)
         return
     if config.fmt == "csv":
         buffer = io.StringIO()
@@ -324,6 +490,10 @@ def run_matrix(config: RunConfig) -> int:
     log_z = _resolve_point(config.z, rng)
     kind = RKind.from_tag(config.kind)
     op = build_r(params, kind, log_z)
+    bad = int(np.count_nonzero(~np.isfinite(op.entries)))
+    if bad:
+        raise DomainError(f"the {kind.value} matrix has {bad} entries beyond float64 at "
+                          f"z = {_format_complex(log_z.to_complex())} for these (q, p)")
     policy = params.policy
     header = [
         f"# kind: {kind.value}",
@@ -383,6 +553,9 @@ def run_limits(config: RunConfig) -> int:
 
 
 def run_scan(config: RunConfig) -> int:
+    if config.n**6 > MAX_SCAN_ENTRIES:
+        raise SizeError(f"scan at N = {config.n} forms arrays of N^6 = {config.n**6:,} complex "
+                        f"entries; the budget is {MAX_SCAN_ENTRIES:,} (N <= 16)")
     rng = np.random.default_rng(config.seed)
     kind = RKind.from_tag(config.kind)
     check = CHECKS[config.check]

@@ -51,6 +51,7 @@ from .tensor_algebra import (
 from .rmatrix_builders import (
     ModelParams,
     RKind,
+    _ZTables,
     _twice_n_alpha,
     build_f,
     build_g,
@@ -235,26 +236,39 @@ def _sampled(
 
 class PointContext:
     """What the checks at one suite point share: the R-matrices they build,
-    memoised by (params, kind, log z).
+    memoised by (params, kind, log z), and the elliptic z-tables both
+    elliptic kinds read, memoised by (params, log z).
 
     ``run_suite`` makes one per suite point and passes it to every check it
-    runs there, so the memo dies with its point; a check called without one
-    makes its own.  Builds call this module's ``build_r`` by name, so
-    rebinding that name reaches every build, and a build that raises is not
-    kept.  The key carries the parameters because a check may build at
-    other ones (``check_p_to_zero``).  Operators are immutable, so sharing
-    them is safe.
+    runs there, so the memos die with their point; a check called without
+    one makes its own.  Builds call this module's ``build_r`` by name, so
+    rebinding that name reaches every build, and a build or table that
+    raises is not kept.  The keys carry the parameters because a check may
+    build at other ones (``check_p_to_zero``): by identity, since hashing a
+    ``ModelParams`` costs about a microsecond per lookup, and each entry
+    holds its parameters, so no other object can take their id.  The checks
+    at a point share one parameter object.  Operators and tables are never
+    written, so sharing them is safe.
     """
 
     def __init__(self) -> None:
-        self._builds: dict[tuple, TensorOperator] = {}
+        self._builds: dict[tuple, tuple[ModelParams, TensorOperator]] = {}
+        self._z_tables: dict[tuple, tuple[ModelParams, _ZTables]] = {}
 
     def build(self, params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperator:
-        key = (params, kind, log_z.value)
-        op = self._builds.get(key)
-        if op is None:
-            op = self._builds[key] = build_r(params, kind, log_z)
-        return op
+        key = (id(params), kind, log_z.value)
+        entry = self._builds.get(key)
+        if entry is None:
+            op = build_r(params, kind, log_z, z_tables=self.z_tables)
+            entry = self._builds[key] = (params, op)
+        return entry[1]
+
+    def z_tables(self, params: ModelParams, log_z: LogComplex) -> _ZTables:
+        key = (id(params), log_z.value)
+        entry = self._z_tables.get(key)
+        if entry is None:
+            entry = self._z_tables[key] = (params, _ZTables(params, log_z.value))
+        return entry[1]
 
 
 _Builder = Callable[[ModelParams, RKind, LogComplex], TensorOperator]

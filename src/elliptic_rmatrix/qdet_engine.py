@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -108,12 +109,13 @@ def _check_product_cap(n: int) -> None:
         )
 
 
+@lru_cache(maxsize=MAX_PRODUCT_SLOTS)
 def _antisymmetric_columns(n: int) -> np.ndarray:
     """The D x N matrix V of columns |a> x e_j, D = N^(N+1), so A x I = V V^dagger.
 
     A = |a><a| is the rank-one antisymmetrizer on slots 1..N and |a> its
     normalised column at e_1 x ... x e_N; the auxiliary slot comes last.
-    Read-only, so the routes of one point can share it.
+    Built once per N and read-only, so every point and route shares it.
     """
     _check_product_cap(n)
     a = antisymmetrizer(n, n).entries[:, np.ravel_multi_index(tuple(range(n)), (n,) * n)]
@@ -130,11 +132,10 @@ def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]
 
 def _product_with_residual(
     params: ModelParams, log_z: LogComplex, *, hats: list[TensorOperator] | None = None,
-    columns: np.ndarray | None = None,
 ) -> tuple[TensorOperator, float]:
     n = params.n
     arity = n + 1
-    x = v = _antisymmetric_columns(n) if columns is None else columns
+    x = v = _antisymmetric_columns(n)
     hats = _hat_factors(params, log_z) if hats is None else hats
     # Right-to-left: x = Rhat_{1,0}(z) ... Rhat_{N,0}(z q^{1-N}) V.
     for j, factor in reversed(list(enumerate(hats, start=1))):
@@ -152,7 +153,6 @@ def qdet_product(params: ModelParams, log_z: LogComplex) -> TensorOperator:
 
 def inverse_product_residual(
     params: ModelParams, log_z: LogComplex, *, hats: list[TensorOperator] | None = None,
-    columns: np.ndarray | None = None,
 ) -> float:
     """Residual of the inverted product relation.
 
@@ -162,12 +162,12 @@ def inverse_product_residual(
     the N columns V of A x I, and ||Y V - V|| / ||V|| = ||Y - A x I|| / ||A x I||.
     Rhat_{j,0} acts on slots j and 0 alone, so each solve is one N^2 x N^2
     system with every other slot's index among its right-hand sides, not a
-    dense system on all N + 1 slots.  ``hats`` and ``columns`` pass the
-    factors and V in, as :func:`verify_qdet` does; without them they are built here.
+    dense system on all N + 1 slots.  ``hats`` passes the factors in, as
+    :func:`verify_qdet` does; without it they are built here.
     """
     n = params.n
     arity = n + 1
-    y = v = _antisymmetric_columns(n) if columns is None else columns
+    y = v = _antisymmetric_columns(n)
     hats = _hat_factors(params, log_z) if hats is None else hats
     # Solving against Rhat_{1,0}, then Rhat_{2,0}, ... gives Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} V.
     for j, factor in enumerate(hats, start=1):
@@ -314,13 +314,12 @@ def verify_qdet(
 
     def compute(lz: LogComplex) -> tuple:
         hats = _hat_factors(params, lz)  # built once, read by three routes
-        columns = _antisymmetric_columns(n)  # built once, read by two
         return (
-            *_product_with_residual(params, lz, hats=hats, columns=columns),
+            *_product_with_residual(params, lz, hats=hats),
             qdet_closed_form(params, lz),
             qdet_sum_formula(params, RKind.ELLIPTIC_HAT, lz, hats=hats),
             qdet_sum_formula(params, RKind.NON_ELLIPTIC, lz),
-            inverse_product_residual(params, lz, hats=hats, columns=columns),
+            inverse_product_residual(params, lz, hats=hats),
         )
 
     routes, (log_z,) = _resample(compute, (log_z,), rng)

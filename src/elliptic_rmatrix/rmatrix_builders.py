@@ -34,7 +34,8 @@ pole guards, eta's constant factors, the q-dependent theta table of S, the
 elliptic builder's gather arrays, the fractional exponents of the scalars -
 is computed once per :class:`ModelParams` instance, on first use, and kept
 with that instance (``ModelParams._constants``); a build computes only what
-depends on z.
+depends on z.  Of that, what the two elliptic kinds share at one z is one
+``_ZTables``, which ``build_r`` takes from a caller's memo when given one.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -418,24 +420,28 @@ def _kappa_inv(params: ModelParams, z2: complex) -> complex:
     return zeros / poles
 
 
-def _eta_common(params: ModelParams, z: complex, scalar_kappa: complex) -> complex:
-    """eta(z) / Theta_p(p z^2) at the plain log ``z``, with ``scalar_kappa`` in
-    place of 1/kappa(z^2)."""
+def _eta_den(params: ModelParams, z: complex) -> complex:
+    """eta's guarded denominator Theta_p(q^2 z^2) at the plain log ``z``."""
     c = params._constants
-    return (
-        cmath.exp(c.eta_power * z)
-        * scalar_kappa
-        * c.poch_ratio_cubed
-        * c.theta_q2
-        / _theta_den(c.log_q2.value + 2.0 * z, c.log_p.value, c.guard_p, params.policy, "eta")
-    )
+    return _theta_den(c.log_q2.value + 2.0 * z, c.log_p.value, c.guard_p, params.policy, "eta")
+
+
+def _eta_common(
+    params: ModelParams, z_power: complex, scalar_kappa: complex, den: complex
+) -> complex:
+    """eta(z) / Theta_p(p z^2) from ``z_power`` = z^{2/N} and ``den`` = :func:`_eta_den`,
+    with ``scalar_kappa`` in place of 1/kappa(z^2)."""
+    c = params._constants
+    return z_power * scalar_kappa * c.poch_ratio_cubed * c.theta_q2 / den
 
 
 def eta(params: ModelParams, log_z: LogComplex) -> complex:
     """Overall normalization eta(z) of the elliptic R-matrix."""
     z, lp = log_z.value, params.log_p.value
     z2 = 2.0 * z
-    scale = _eta_common(params, z, _kappa_inv(params, z2))
+    scalar_kappa = _kappa_inv(params, z2)
+    z_power = cmath.exp(params._constants.eta_power * z)
+    scale = _eta_common(params, z_power, scalar_kappa, _eta_den(params, z))
     return scale * _theta(lp + z2, lp, params.policy)
 
 
@@ -597,43 +603,61 @@ class _Gather:
         self.powers = _s_powers(n, constants.log_q, constants.log_p, a, b, c)
 
 
-def _build_elliptic(params: ModelParams, z: complex, scalar_kappa: complex) -> np.ndarray:
-    # Entries are eta(z) * S_{a,c}^{b}(z) * (-1)^{(a+c-b-d)/N}, but eta and S
-    # are not multiplied as black boxes: eta's factor Theta_p(p z^2) and the
-    # b = c denominator Theta_{p^N}(p^N z^2) share a simple zero at z^2 = 1,
-    # so that quotient is formed with the common (1 - z^{-2}) cancelled and
-    # R(1) comes out as P with exact zeros off P.  ``scalar_kappa`` is
-    # 1/kappa(z^2), or for the hat kind tau(q^{1/2}/z)/kappa(z^2) formed
-    # jointly (see _hat_scalar_kappa).  ``z`` is the plain log of z.
-    n, lp, policy, c = params.n, params.log_p.value, params.policy, params._constants
-    floor, terms = policy.abs_floor, policy.max_terms
-    z2 = 2.0 * z
+class _ZTables:
+    """The part of an elliptic build at z = exp(``z``) that both elliptic kinds
+    share: z^{2/N}, eta's guarded denominator Theta_p(q^2 z^2), and the N^3
+    entries' factors in :class:`_Gather` order - the power prefactor, the
+    numerator thetas, the z-dependent theta quotients and the den_q thetas.
 
-    def theta_without_zero(lb: complex, base_poch: complex) -> complex:
-        # Theta_b(b z^2) / (1 - z^{-2}), finite at z^2 = 1; lb = log b, base_poch = (b; b)
-        base = cmath.exp(lb)
-        return (
-            _poch(cmath.exp(lb + z2), base, floor, terms)
-            * _poch(cmath.exp(lb - z2), base, floor, terms)
-            * base_poch
+    Entries are eta(z) * S_{a,c}^{b}(z) * (-1)^{(a+c-b-d)/N}, but eta and S
+    are not multiplied as black boxes: eta's factor Theta_p(p z^2) and the
+    b = c denominator Theta_{p^N}(p^N z^2) share a simple zero at z^2 = 1,
+    so that quotient is formed with the common (1 - z^{-2}) cancelled and
+    R(1) comes out as P with exact zeros off P.  The pole guards fire in
+    the order eta, the diagonal quotient, den_q, den_z.
+    """
+
+    def __init__(self, params: ModelParams, z: complex):
+        n, lp, policy, c = params.n, params.log_p.value, params.policy, params._constants
+        floor, terms = policy.abs_floor, policy.max_terms
+        z2 = 2.0 * z
+
+        def theta_without_zero(lb: complex, base_poch: complex) -> complex:
+            # Theta_b(b z^2) / (1 - z^{-2}), finite at z^2 = 1; lb = log b, base_poch = (b; b)
+            base = cmath.exp(lb)
+            return (
+                _poch(cmath.exp(lb + z2), base, floor, terms)
+                * _poch(cmath.exp(lb - z2), base, floor, terms)
+                * base_poch
+            )
+
+        self.z_power = cmath.exp(c.eta_power * z)
+        self.eta_den = _eta_den(params, z)
+        theta_p_z = _theta(lp + z2, lp, policy)
+        diag_ratio = theta_without_zero(lp, c.poch_p) / _guard_den(
+            theta_without_zero(c.log_pn.value, c.poch_pn), c.guard_pn,
+            "elliptic diagonal theta ratio vanished", z2,
         )
+        # every offset in 1-N..N-1 occurs in the entries; den_z(0) is replaced by diag_ratio
+        thetas = _SThetas(params, z, range(1 - n, n), z_zero_cancelled=True)
+        z_ratio = theta_p_z / thetas.den_z
+        z_ratio[n - 1] = diag_ratio
+        g = c.gather
+        self.prefactor = _s_prefactor(g.powers, z)
+        self.num = thetas.num[g.num_at]
+        self.z_ratio = z_ratio[g.z_at]
+        self.den_q = thetas.den_q[g.q_at]
 
-    common = _eta_common(params, z, scalar_kappa)
-    theta_p_z = _theta(lp + z2, lp, policy)
-    diag_ratio = theta_without_zero(lp, c.poch_p) / _guard_den(
-        theta_without_zero(c.log_pn.value, c.poch_pn), c.guard_pn,
-        "elliptic diagonal theta ratio vanished", z2,
-    )
 
-    # every offset in 1-N..N-1 occurs in the entries; den_z(0) is replaced by diag_ratio
-    thetas = _SThetas(params, z, range(1 - n, n), z_zero_cancelled=True)
-    z_ratio = theta_p_z / thetas.den_z
-    z_ratio[n - 1] = diag_ratio
-    g = c.gather
+def _build_elliptic(params: ModelParams, tables: _ZTables, scalar_kappa: complex) -> np.ndarray:
+    # ``scalar_kappa`` is 1/kappa(z^2), or for the hat kind tau(q^{1/2}/z)/kappa(z^2)
+    # formed jointly (see _hat_scalar_kappa); the product keeps the order
+    # eta * sign * prefactor * num * z_ratio / den_q, entry by entry.
+    n, g = params.n, params._constants.gather
+    common = _eta_common(params, tables.z_power, scalar_kappa, tables.eta_den)
     mat = np.zeros(n**4, dtype=np.complex128)
     mat[g.flat] = (
-        common * g.sign * _s_prefactor(g.powers, z) * thetas.num[g.num_at]
-        * z_ratio[g.z_at] / thetas.den_q[g.q_at]
+        common * g.sign * tables.prefactor * tables.num * tables.z_ratio / tables.den_q
     )
     return mat.reshape(n * n, n * n)
 
@@ -707,20 +731,32 @@ def _build_trigonometric(params: ModelParams, kind: RKind, z: complex) -> np.nda
     return scalar * mat
 
 
-def build_r(params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperator:
+def build_r(
+    params: ModelParams,
+    kind: RKind,
+    log_z: LogComplex,
+    *,
+    z_tables: Callable[[ModelParams, LogComplex], _ZTables] | None = None,
+) -> TensorOperator:
     """Assemble the requested R-matrix at spectral point z (given as a log).
 
     Rows and columns are composite indices over (C^N)^{x2} with slot 1 most
     significant; the entry at row (a, c), column (b, d) is the coefficient
-    of e_{a,b} x e_{c,d}.
+    of e_{a,b} x e_{c,d}.  For the elliptic kinds, ``z_tables(params, log_z)``
+    supplies the :class:`_ZTables` both kinds read, such as a memo that
+    serves both; without it the build computes its own.  The kind's scalar
+    comes first, so its pole guard fires before the tables'.
     """
     if not kind.exists_at(params.n):
         raise KindError(f"the {kind.value} kind has no matrix at N = {params.n}")
     z = log_z.value
-    if kind is RKind.ELLIPTIC:
-        mat = _build_elliptic(params, z, kappa_inv(params, log_z**2))
-    elif kind is RKind.ELLIPTIC_HAT:
-        mat = _build_elliptic(params, z, _hat_scalar_kappa(params, z))
+    if kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT):
+        if kind is RKind.ELLIPTIC:
+            scalar_kappa = kappa_inv(params, log_z**2)
+        else:
+            scalar_kappa = _hat_scalar_kappa(params, z)
+        tables = _ZTables(params, z) if z_tables is None else z_tables(params, log_z)
+        mat = _build_elliptic(params, tables, scalar_kappa)
     elif kind is RKind.EIGHT_VERTEX:
         mat = _build_eight_vertex(params, z)
     elif kind in (RKind.HOMOGENEOUS, RKind.PRINCIPAL, RKind.NON_ELLIPTIC):

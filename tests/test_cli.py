@@ -1,10 +1,17 @@
 """Command-line interface: parsing, exit codes, report serialization."""
 
 import csv
+import importlib.util
 import io
 import json
+import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptic_rmatrix import ConfigError, cli
 from elliptic_rmatrix.cli import main, parse_complex_literal
@@ -346,3 +353,145 @@ class TestWarnings:
         captured = capsys.readouterr()
         assert "warning:" in captured.err
         assert "# kind:" in captured.out
+
+
+class TestConfigurationRange:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "-1e-300"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, value):
+        assert main(["verify", "--n", "2", "--points", "1", "--tol", f"ybe={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--tol value must be finite and non-negative" in err
+
+    def test_zero_tolerance_is_valid(self, capsys):
+        # nsigma's own default is 0.0; its residual is exact
+        assert main(["verify", "--n", "2", "--points", "1", "--tol", "nsigma=0"]) == 0
+
+    @pytest.mark.parametrize("argv, option", [
+        (["matrix", "--n", "2", "--q", "1e-300"], "--q"),
+        (["verify", "--n", "2", "--q", "1e-300", "--points", "1"], "--q"),
+        (["matrix", "--n", "2", "--z", "1e300"], "--z"),
+        (["qdet", "--n", "2", "--points", "1", "--z", "1e300"], "--z"),
+        (["limits", "--n", "2", "--z", "1e300"], "--z"),
+        (["matrix", "--n", "3", "--q", "1e-60"], "--q"),
+        (["matrix", "--n", "2", "--z", "1e150"], "--z"),
+        (["matrix", "--n", "2", "--p", "1e-300"], "--p"),
+        (["matrix", "--n", "2", "--z", "1e400"], "1e400"),
+        (["matrix", "--n", "2", "--z", "0"], "--z"),
+    ])
+    def test_extreme_literal_exits_two_before_any_build(self, capsys, monkeypatch, argv, option):
+        from elliptic_rmatrix import property_suite, qdet_engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an R-matrix")
+
+        for module in (cli, property_suite, qdet_engine):
+            monkeypatch.setattr(module, "build_r", refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert option in captured.err
+
+    def test_literals_inside_the_sampling_annuli_pass(self, capsys):
+        argv = ["matrix", "--n", "3", "--q", "0.3-0.1i", "--p", "0.5i", "--z", "0.5", "--seed", "1"]
+        assert main(argv) == 0
+        assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--n", "2", "--z", "1e5", "--seed", "1"],
+        ["matrix", "--n", "2", "--kind", "principal", "--z", "1e10", "--seed", "1"],
+    ])
+    def test_matrix_never_prints_a_non_finite_entry(self, capsys, argv):
+        # inside the literal range, but the float64 products overflow
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entries beyond float64" in captured.err
+
+    def test_scan_refuses_n40_before_any_allocation(self, capsys, monkeypatch):
+        from elliptic_rmatrix import property_suite
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(property_suite, "embed", refuse)
+        monkeypatch.setattr(property_suite, "build_r", refuse)
+        assert main(["scan", "--n", "40", "--check", "ybe", "--grid", "1x1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "N = 40" in captured.err and "N^6" in captured.err
+
+    def test_scan_budget_admits_n16(self):
+        assert 16**6 <= cli.MAX_SCAN_ENTRIES < 17**6
+
+
+def _sweep_commands() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location(
+        "identity_sweep", Path(__file__).resolve().parent.parent / "tools" / "identity_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # its dataclass looks it up
+    spec.loader.exec_module(module)
+    return module.command_list()
+
+
+_json_floats = st.floats() | st.floats().map(np.float64) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7])
+_json_scalars = st.none() | st.booleans() | st.integers() | _json_floats | st.text()
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_documents)
+    def test_equals_json_dumps(self, document):
+        assert cli._json_dumps(document) == json.dumps(document, sort_keys=True, indent=2)
+
+    def test_control_and_non_ascii_strings(self):
+        document = {"é\x00\n\t\"\\": [" 😀\x1f", "", {}, [], [[]]]}
+        assert cli._json_dumps(document) == json.dumps(document, sort_keys=True, indent=2)
+
+    def test_shared_sub_objects_at_any_depth(self):
+        shared = {"N": 3, "q": [0.5, -0.25]}
+        pair = [1.5, np.float64(2.5)]
+        document = {"rows": [shared, {"params": shared, "p": pair}, shared],
+                    "top": shared, "p": pair}
+        assert cli._json_dumps(document) == json.dumps(document, sort_keys=True, indent=2)
+
+    def test_non_string_keys_and_subclasses(self):
+        class Big(int):
+            def __repr__(self):
+                return "big"
+
+        class Half(float):
+            def __repr__(self):
+                return "half"
+
+        for document in ({2: Big(7), 1: Half(0.5)}, {2.5: [False, np.float64(-0.0)], -1e300: None},
+                         {True: 0, False: 1}, {None: "null"}):
+            assert cli._json_dumps(document) == json.dumps(document, sort_keys=True, indent=2)
+
+    def test_errors_are_json_errors(self):
+        loop = []
+        loop.append(loop)
+        for bad, error in ((loop, ValueError), ({"x": object()}, TypeError),
+                           ({(1, 2): 0}, TypeError), ([np.int64(3)], TypeError)):
+            with pytest.raises(error):
+                json.dumps(bad, sort_keys=True, indent=2)
+            with pytest.raises(error):
+                cli._json_dumps(bad)
+
+    def test_equals_json_dumps_on_every_sweep_command(self, capsys, monkeypatch):
+        documents = []
+        real = cli._json_dumps
+        monkeypatch.setattr(cli, "_json_dumps", lambda doc: documents.append(doc) or real(doc))
+        commands = [argv for argv in _sweep_commands() if argv[-2:] == ["--format", "json"]]
+        assert len(commands) >= 60  # every scan, limits, verify and qdet command
+        for argv in commands:
+            main(argv)
+            out = capsys.readouterr().out
+            assert out == json.dumps(documents[-1], sort_keys=True, indent=2) + "\n", argv
+        assert len(documents) == len(commands)

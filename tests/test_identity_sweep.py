@@ -24,8 +24,8 @@ import sys
 import elliptic_rmatrix
 from elliptic_rmatrix.rmatrix_builders import TensorOperator, build_r as real
 
-def build_r(params, kind, log_z):
-    op = real(params, kind, log_z)
+def build_r(params, kind, log_z, **kwargs):
+    op = real(params, kind, log_z, **kwargs)
     entries = op.entries.copy()
     entries[0, 0] *= 1 + 1e-6
     return TensorOperator(op.local_dim, op.arity, entries)

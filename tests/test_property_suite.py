@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import elliptic_rmatrix.property_suite as ps
+import elliptic_rmatrix.rmatrix_builders as rmatrix_builders
 from elliptic_rmatrix import (
     DomainError,
     LogComplex,
@@ -285,8 +286,8 @@ class TestYbeChargeSectors:
         assert all(check_ybe(params, kind, *points).passed for kind in kinds)
         real = ps.build_r
 
-        def build_r(params, kind, log_z):
-            entries = real(params, kind, log_z).entries.copy()
+        def build_r(params, kind, log_z, **kwargs):
+            entries = real(params, kind, log_z, **kwargs).entries.copy()
             mutate(entries)
             return TensorOperator(params.n, 2, entries)
 
@@ -341,8 +342,8 @@ class TestEvaluatedLlEinsum:
         assert check_evaluated_ll(params, lz).passed
         real = ps.build_r
 
-        def build_r(params, kind, log_z):
-            entries = real(params, kind, log_z).entries.copy()
+        def build_r(params, kind, log_z, **kwargs):
+            entries = real(params, kind, log_z, **kwargs).entries.copy()
             if log_z == lz / params.log_q:  # the z/q factor: its block E_12 scaled
                 entries[:n, n:2 * n] *= 1 + 1e-6
             return TensorOperator(params.n, 2, entries)
@@ -519,8 +520,8 @@ class TestCheckTable:
 def _scaled_hat_builds(monkeypatch, n):
     real = ps.build_r
 
-    def build_r(params, kind, log_z):
-        op = real(params, kind, log_z)
+    def build_r(params, kind, log_z, **kwargs):
+        op = real(params, kind, log_z, **kwargs)
         if kind is not RKind.ELLIPTIC_HAT:
             return op
         entries = op.entries.copy()
@@ -615,14 +616,34 @@ def _counted_builds(monkeypatch) -> list:
         contexts[0] += 1
         real_init(self)
 
-    def build_r(params, kind, log_z):
-        op = real_build(params, kind, log_z)
+    def build_r(params, kind, log_z, **kwargs):
+        op = real_build(params, kind, log_z, **kwargs)
         builds.append((contexts[0], params, kind, log_z.value))
         return op
 
     monkeypatch.setattr(ps.PointContext, "__init__", init)
     monkeypatch.setattr(ps, "build_r", build_r)
     return builds
+
+
+def _counted_tables(monkeypatch) -> list:
+    """Record each z-table a PointContext computes as (context number, params,
+    log z), numbering the PointContexts in order of creation."""
+    real_tables, real_init = ps._ZTables, ps.PointContext.__init__
+    contexts, tables = [0], []
+
+    def init(self):
+        contexts[0] += 1
+        real_init(self)
+
+    def z_tables(params, z):
+        computed = real_tables(params, z)
+        tables.append((contexts[0], params, z))
+        return computed
+
+    monkeypatch.setattr(ps.PointContext, "__init__", init)
+    monkeypatch.setattr(ps, "_ZTables", z_tables)
+    return tables
 
 
 class TestPointContext:
@@ -635,6 +656,21 @@ class TestPointContext:
         # them in the suite); the qdet block builds through qdet_engine
         assert len(builds) == 388
         assert {point for point, *_ in builds} == set(range(1, 12))  # 10 points, then "once"
+
+    def test_verify_computes_each_z_table_once_per_point(self, monkeypatch, capsys):
+        tables = _counted_tables(monkeypatch)
+        builds = _counted_builds(monkeypatch)
+        assert main(VERIFY_N3_ARGV) == 0
+        capsys.readouterr()
+        assert len(set(tables)) == len(tables)
+        elliptic = [(point, params, z) for point, params, kind, z in builds
+                    if kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT)]
+        # every elliptic-kind build of the suite reads its point's table; the
+        # second kind at a (params, z) finds it computed
+        assert set(tables) == set(elliptic)
+        # the suite's 196 elliptic-kind builds read 126 tables; the qdet block
+        # builds its 10 hat matrices through qdet_engine, without a context
+        assert (len(elliptic), len(tables)) == (196, 126)
 
     def test_json_equals_a_run_without_the_memo(self, monkeypatch, capsys):
         assert main(VERIFY_N3_ARGV) == 0
@@ -678,6 +714,59 @@ class TestPointContext:
         op = context.build(params, RKind.ELLIPTIC, lz)
         assert context.build(params, RKind.ELLIPTIC, lz) is op
         assert len(calls) == 2
+
+    def test_a_table_that_raises_is_not_kept(self, monkeypatch):
+        real, calls = ps._ZTables, []
+
+        def z_tables(params, z):
+            calls.append(z)
+            if len(calls) == 1:
+                raise PoleError("first table", argument=1.0)
+            return real(params, z)
+
+        monkeypatch.setattr(ps, "_ZTables", z_tables)
+        params = draw_params(np.random.default_rng(37), 3)
+        lz = draw_log(np.random.default_rng(38))
+        context = ps.PointContext()
+        with pytest.raises(PoleError):
+            context.build(params, RKind.ELLIPTIC, lz)
+        context.build(params, RKind.ELLIPTIC_HAT, lz)
+        context.build(params, RKind.ELLIPTIC, lz)
+        assert len(calls) == 2
+
+    def test_the_kind_scalar_raises_before_the_table_is_computed(self, monkeypatch):
+        tables = _counted_tables(monkeypatch)
+
+        def kappa_pole(params, log_z2):
+            raise PoleError("kappa denominator vanished", argument=1.0)
+
+        monkeypatch.setattr(rmatrix_builders, "kappa_inv", kappa_pole)
+        params = draw_params(np.random.default_rng(39), 3)
+        lz = draw_log(np.random.default_rng(40))
+        context = ps.PointContext()
+        with pytest.raises(PoleError, match="kappa"):
+            context.build(params, RKind.ELLIPTIC, lz)
+        assert tables == []
+        context.build(params, RKind.ELLIPTIC_HAT, lz)
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_shared_tables_give_the_bits_of_a_build_alone(self, n):
+        rng = np.random.default_rng(41 + n)
+        params = draw_params(rng, n)
+        context = ps.PointContext()
+        plain, hat = RKind.ELLIPTIC, RKind.ELLIPTIC_HAT
+        for lz, kinds in ((draw_log(rng), (plain, hat)), (draw_log(rng), (hat, plain))):
+            for kind in kinds:
+                alone = build_r(params, kind, lz).entries
+                assert np.array_equal(context.build(params, kind, lz).entries, alone), (kind, lz)
+        # at z = q the hat kind is finite, and the plain kind's kappa has a pole
+        # that still fires with the table computed
+        lq = params.log_q
+        alone = build_r(params, hat, lq).entries
+        assert np.array_equal(context.build(params, hat, lq).entries, alone)
+        with pytest.raises(PoleError, match="kappa"):
+            context.build(params, plain, lq)
 
     def test_key_carries_the_params(self):
         params = draw_params(np.random.default_rng(35), 3)

@@ -316,20 +316,20 @@ class TestSharedHatFactors:
         capsys.readouterr()
         assert kinds.count(RKind.ELLIPTIC_HAT) == 8
 
-    def test_one_antisymmetric_column_build_per_point(self, monkeypatch, params, rng):
-        # the forward and inverse routes share each point's columns |a> x e_j
-        real, built = qdet_engine._antisymmetric_columns, []
-        monkeypatch.setattr(qdet_engine, "_antisymmetric_columns",
-                            lambda n: built.append(n) or real(n))
-        verify_qdet(params, draw_log(rng))
-        assert built == [params.n]
-        columns = real(params.n)
-        z = draw_log(rng)
-        assert inverse_product_residual(params, z) == inverse_product_residual(
-            params, z, columns=columns)
-        assert np.array_equal(
-            qdet_engine._product_with_residual(params, z)[0].entries,
-            qdet_engine._product_with_residual(params, z, columns=columns)[0].entries)
+    def test_one_antisymmetric_column_build_per_n(self, monkeypatch, params, rng):
+        # every point and route at one N shares the read-only columns |a> x e_j
+        qdet_engine._antisymmetric_columns.cache_clear()
+        real, built = qdet_engine.antisymmetrizer, []
+        monkeypatch.setattr(qdet_engine, "antisymmetrizer",
+                            lambda n, k: built.append((n, k)) or real(n, k))
+        for _ in range(2):
+            verify_qdet(params, draw_log(rng))
+        inverse_product_residual(params, draw_log(rng))
+        qdet_product(params, draw_log(rng))
+        assert built == [(params.n, params.n)]
+        columns = qdet_engine._antisymmetric_columns(params.n)
+        assert not columns.flags.writeable
+        assert np.array_equal(columns, qdet_engine._antisymmetric_columns.__wrapped__(params.n))
 
     def test_routes_alone_equal_routes_with_shared_factors(self, params, rng):
         z = draw_log(rng)

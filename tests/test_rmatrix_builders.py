@@ -414,7 +414,7 @@ def fraction_s_prefactor(params, a, b, c, log_z):
 
 def fraction_build_elliptic(params, log_z, scalar_kappa):
     from elliptic_rmatrix.rmatrix_builders import (
-        _eta_common, _guard_den, _guard_scale, _theta_den, pochhammer_inf, theta,
+        _eta_common, _eta_den, _guard_den, _guard_scale, _theta_den, pochhammer_inf, theta,
     )
 
     n, lp, policy = params.n, params.log_p, params.policy
@@ -427,7 +427,8 @@ def fraction_build_elliptic(params, log_z, scalar_kappa):
             * pochhammer_inf(base, (base,), policy)
         )
 
-    common = _eta_common(params, log_z.value, scalar_kappa)
+    z_power = (log_z ** Fraction(2, n)).to_complex()
+    common = _eta_common(params, z_power, scalar_kappa, _eta_den(params, log_z.value))
     theta_p_z = theta(lp * z2, lp, policy)
     base, q2 = lp**n, params.log_q**2
     guard = _guard_scale(pochhammer_inf(base, (base,), policy))

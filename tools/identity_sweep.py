@@ -43,7 +43,8 @@ class Outcome:
 def command_list() -> list[list[str]]:
     """scan at N = 3 and 6 for each check and kind (eight-vertex at N = 2), matrix
     for every kind, limits at N = 2 and 3, verify at N = 2..4, qdet at N = 2..4,
-    and the known failing draws."""
+    verify at N = 3 as csv and text and qdet at N = 3 as csv, and the known
+    failing draws."""
     sys.path.insert(0, str(ROOT / "src"))
     from elliptic_rmatrix.property_suite import CHECKS
     from elliptic_rmatrix.rmatrix_builders import RKind
@@ -63,6 +64,9 @@ def command_list() -> list[list[str]]:
         commands.append(["verify", "--n", str(n), "--seed", SEED, "--format", "json"])
         commands.append(["qdet", "--n", str(n), "--points", "2", "--seed", SEED,
                          "--format", "json"])
+    # the formats json's writer does not serve
+    commands += [["verify", "--n", "3", "--seed", SEED, "--format", fmt] for fmt in ("csv", "text")]
+    commands.append(["qdet", "--n", "3", "--points", "2", "--seed", SEED, "--format", "csv"])
     return commands + KNOWN_FAILING
 
 
