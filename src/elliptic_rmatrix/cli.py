@@ -268,6 +268,39 @@ def _product_log_peak(log_arg: float, log_base: float) -> float:
     return m * log_arg + log_base * (m * (m - 1) / 2)
 
 
+def _gamma_shift_log_peak(log_arg: float, log_p: float, log_big_q: float) -> float:
+    """log of the largest running product of the theta_Q(w) = (w; Q)(Q/w; Q)
+    factors that the elliptic gamma's p-shift multiplies at ln|x| = ``log_arg``,
+    with ln|p| = ``log_p`` and ln|Q| = ``log_big_q``: the peaks of both
+    products summed over its steps w = x p^j, j between 0 and its m."""
+    m = round(((log_p + log_big_q) / 2 - log_arg) / log_p)
+    peak = 0.0
+    for j in range(min(m, 0), max(m, 0)):
+        log_w = log_arg + j * log_p
+        for log_x in (log_w, log_big_q - log_w):
+            if log_x > 0.0:
+                peak += _product_log_peak(log_x, log_big_q)
+    return peak
+
+
+def _gamma_quotient_log_peak(log_z: float, n: int, log_q: float, log_p: float) -> float:
+    """log of the largest running product that kappa_inv's or the hat scalar's
+    gamma quotient forms at ln|z| = ``log_z``, with theta_Q(z^2) on top.
+
+    Both quotients are Gamma(p z^2) / Gamma(p z^-2) times Gamma(x) /
+    Gamma(q^2 z^2), x = q^2 z^-2 or p q^2 z^-2; the shifts of one such pair
+    multiply into the same running product, zeros or poles.
+    """
+    big_q, q2, z2 = 2 * n * log_q, 2 * log_q, 2 * log_z
+
+    def shift(log_arg: float) -> float:
+        return _gamma_shift_log_peak(log_arg, log_p, big_q)
+
+    first = shift(log_p + z2) + shift(log_p - z2)
+    second = max(shift(q2 - z2), shift(log_p + q2 - z2)) + shift(q2 + z2)
+    return max(first, second) + _product_log_peak(abs(z2), big_q)
+
+
 def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     """ConfigError, naming the option, when a --q, --p or --z literal puts what
     the builders form outside float64.
@@ -280,6 +313,11 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     z lies in the sampling annulus, so |ln|z|| <= ln 2 stands for it.  A
     base whose products need more than ``max_terms`` factors is left to the
     builders' TruncationError.
+
+    The elliptic gamma's p-shift multiplies one theta_Q per step into one
+    running product, so the gamma quotients' products must stay finite too,
+    at both ends of the ln|w| the builds span: w = z, and for ``qdet`` and
+    ``verify``'s qdet rows also w = z q^{-j}, j < N.
     """
     n, log_q, log_p = params.n, params.log_q.value.real, params.log_p.value.real
     if config.q is not None and 2 * n * log_q < _LOG_FLOAT_MIN:
@@ -290,16 +328,23 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
                           f"least {math.exp(_LOG_FLOAT_MIN / n):.3g}")
     if config.z == 0:
         raise ConfigError("--z must be nonzero")
-    log_z = math.log(max(Z_MODULUS[1], 1 / Z_MODULUS[0])) if config.z is None else abs(
-        math.log(abs(config.z)))
+    z_range = (tuple(map(math.log, Z_MODULUS)) if config.z is None
+               else (math.log(abs(config.z)),) * 2)
+    log_z = max(map(abs, z_range))
     log_base, policy = max(log_p, 2 * n * log_q), params.policy
     if policy.max_terms * log_base >= math.log(policy.abs_floor):
         return  # the base's products outrun max_terms: TruncationError's to report
     peak = _product_log_peak(2 * log_z - 2 * log_q, log_base)
+    what = "theta products"
+    if peak <= _LOG_FLOAT_MAX:
+        spread = -(n - 1) * log_q if config.command in ("qdet", "verify") else 0.0
+        lowest, highest = z_range[0], z_range[1] + spread
+        peak = max(_gamma_quotient_log_peak(w, n, log_q, log_p) for w in (lowest, highest))
+        what = "elliptic gamma's p-shift products"
     if peak > _LOG_FLOAT_MAX:
         given = [name for name, value in (("--q", config.q), ("--p", config.p), ("--z", config.z))
                  if value is not None]
-        raise ConfigError(f"{'/'.join(given)}: the theta products at |q| = {math.exp(log_q):.3g}, "
+        raise ConfigError(f"{'/'.join(given)}: the {what} at |q| = {math.exp(log_q):.3g}, "
                           f"|p| = {math.exp(log_p):.3g} and |z| or 1/|z| up to {math.exp(log_z):.3g} "
                           f"reach exp({peak:.4g}), beyond float64's exp({_LOG_FLOAT_MAX:.4g})")
 
@@ -511,6 +556,7 @@ def run_matrix(config: RunConfig) -> int:
 
 
 def run_qdet(config: RunConfig) -> int:
+    _check_product_cap(config.n)
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
     n_points = 1 if config.z is not None else config.points
@@ -553,6 +599,8 @@ def run_limits(config: RunConfig) -> int:
 
 
 def run_scan(config: RunConfig) -> int:
+    if config.q is not None or config.p is not None:
+        raise ConfigError("scan draws (q, p) in every grid cell; it takes no --q or --p")
     if config.n**6 > MAX_SCAN_ENTRIES:
         raise SizeError(f"scan at N = {config.n} forms arrays of N^6 = {config.n**6:,} complex "
                         f"entries; the budget is {MAX_SCAN_ENTRIES:,} (N <= 16)")

@@ -290,17 +290,18 @@ def _r21(build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex) -
 
 
 @lru_cache(maxsize=8)
-def _ybe_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`check_ybe`'s read-only index tables at N: the row and column
-    indices that gather the three-slot charge-sector blocks, and the mask of
-    the two-slot entries off every sector."""
+def _ybe_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_ybe`'s read-only flat index tables at N: rows N^3 + cols of
+    the three-slot charge-sector blocks, stacked (N, N^2, N^2), and the flat
+    indices of the two-slot entries off every sector."""
     sectors = charge_sectors(n, 3)
+    blocks = sectors[:, :, None] * n**3 + sectors[:, None, :]
     labels = np.empty(n * n, dtype=np.intp)
     labels[charge_sectors(n, 2)] = np.arange(n)[:, None]
-    off_sector = labels[:, None] != labels[None, :]
-    for table in (sectors, off_sector):
+    off_sector = np.flatnonzero(labels[:, None] != labels[None, :])
+    for table in (blocks, off_sector):
         table.flags.writeable = False
-    return sectors[:, :, None], sectors[:, None, :], off_sector
+    return blocks, off_sector
 
 
 def check_ybe(
@@ -324,13 +325,17 @@ def check_ybe(
     """
     started = time.perf_counter()
     build = _builder(context)
-    rows, cols, off_sector = _ybe_indices(params.n)
+    blocks, off_sector = _ybe_indices(params.n)
 
     def compute(lz1: LogComplex, lz2: LogComplex, lz3: LogComplex) -> float:
         factors = [build(params, kind, lz) for lz in (lz1 / lz2, lz1 / lz3, lz2 / lz3)]
-        leak = max(_rel(r.entries, np.where(off_sector, 0, r.entries)) for r in factors)
+        leak = max(
+            float(np.linalg.norm(r.entries.ravel().take(off_sector))
+                  / max(np.linalg.norm(r.entries), 1e-300))
+            for r in factors
+        )
         r12, r13, r23 = (
-            embed(r, slots, 3).entries[rows, cols]
+            embed(r, slots, 3).entries.ravel().take(blocks)
             for r, slots in zip(factors, ((1, 2), (1, 3), (2, 3)))
         )
         return max(_rel(r12 @ r13 @ r23, r23 @ r13 @ r12), leak)
@@ -826,12 +831,16 @@ def check_nsigma(n_max: int = 5, *, tolerance: float | None = None) -> PropertyR
     worst = 0.0
     checked = 0
     for n in range(2, n_max + 1):
+        # alpha[i][j] = 2N alpha_ij, indices from 1
+        alpha = [[0] * (n + 1)] + [
+            [0] + [_twice_n_alpha(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)
+        ]
         for sigma in permutations(range(1, n + 1)):
             total = 2 * n * _inversions(sigma) + 4 * sum(
                 i * (sigma[i - 1] - i) for i in range(1, n + 1)
             )
             total += sum(
-                _twice_n_alpha(n, sigma[i - 1], sigma[j - 1]) - _twice_n_alpha(n, i, j)
+                alpha[sigma[i - 1]][sigma[j - 1]] - alpha[i][j]
                 for i in range(1, n + 1)
                 for j in range(i + 1, n + 1)
             )

@@ -55,6 +55,7 @@ from .special_functions import (
     DEFAULT_POLICY,
     LogComplex,
     TruncationPolicy,
+    _GammaBases,
     _gamma_ratio,
     _poch,
     _theta,
@@ -262,6 +263,12 @@ class _Constants:
         return (self.log_q ** (Fraction(1, self.n) - 1)).to_complex()
 
     @cached_property
+    def gamma(self) -> _GammaBases:
+        """The (p, Q) half of the elliptic gamma series.  A base check that fails
+        raises at first use and, since nothing is kept, at every later one."""
+        return _GammaBases(self.log_p.value, self.log_big_q.value, self.policy)
+
+    @cached_property
     def gather(self) -> "_Gather":
         return _Gather(self)
 
@@ -413,8 +420,7 @@ def _kappa_inv(params: ModelParams, z2: complex) -> complex:
     """:func:`kappa_inv` at the plain log ``z2`` of z^2."""
     c = params._constants
     lp, q2 = c.log_p.value, c.log_q2.value
-    zeros, poles = _gamma_ratio(
-        (lp + z2, q2 - z2), (lp - z2, q2 + z2), lp, c.log_big_q.value, params.policy)
+    zeros, poles = _gamma_ratio((lp + z2, q2 - z2), (lp - z2, q2 + z2), c.gamma)
     if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
         raise PoleError("kappa denominator vanished", argument=cmath.exp(z2))
     return zeros / poles
@@ -491,7 +497,7 @@ def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
     z2 = 2.0 * z
     pref = cmath.exp(c.hat_power * (c.log_sqrt_q.value - z))
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
-    zeros, poles = _gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), lp, big_q, policy)
+    zeros, poles = _gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), c.gamma)
     num = c.poch_big_q * zeros
     den = _theta(z2, big_q, policy) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):

@@ -202,48 +202,72 @@ def elliptic_gamma_ratio(
     most abs_floor (1 - r).  TruncationError when that count, the shift or
     a base's own products (|b|^max_terms >= abs_floor) exceed ``max_terms``.
     """
-    return _gamma_ratio([x.value for x in numer], [y.value for y in denom],
-                        log_p.value, log_big_q.value, policy)
+    bases = _GammaBases(log_p.value, log_big_q.value, policy)
+    return _gamma_ratio([x.value for x in numer], [y.value for y in denom], bases)
+
+
+class _GammaBases:
+    """What the elliptic gamma series of :func:`elliptic_gamma_ratio` reads of its
+    bases p = exp(``lp``) and Q = exp(``lbq``) alone: Q, log pQ, the rate limit
+    of the p-shift and the series denominators k (1 - p^k)(1 - Q^k).
+
+    The base checks run here, DomainError before TruncationError, as each
+    call's would.  The denominators grow to the largest term count asked of
+    them so far; each row is computed as a call of that length would compute
+    it, so every value is the same however many calls share the object.
+    """
+
+    def __init__(self, lp: complex, lbq: complex, policy: TruncationPolicy):
+        self.big_q = cmath.exp(lbq)
+        for log_b in (lp, lbq):
+            # the products that Gamma stands for run over p^i Q^j, as far as pochhammer_inf would
+            if log_b.real >= 0.0:
+                raise DomainError(
+                    f"elliptic gamma base must satisfy |b| < 1, got |b| = {math.exp(log_b.real):.6f}")
+            if policy.max_terms * log_b.real >= math.log(policy.abs_floor):
+                raise TruncationError(
+                    f"elliptic gamma base |b| = {math.exp(log_b.real):.6f}: its products stay above "
+                    f"floor {policy.abs_floor:g} after {policy.max_terms} terms"
+                )
+        self.lp, self.lbq, self.policy = lp, lbq, policy
+        self.log_pq = lp + lbq
+        self.log_limit = max(lbq.real / 2, math.log(_GAMMA_RATE))
+        self.k = self.den = np.empty(0)
+
+    def denominators(self, terms: int) -> tuple[np.ndarray, np.ndarray]:
+        """k = 1 .. terms and k (1 - p^k)(1 - Q^k), as views of the shared rows."""
+        if terms > self.k.size:
+            k = np.arange(1, terms + 1)
+            powers = np.exp(np.outer(k, np.array([self.lp, self.lbq])))
+            self.k, self.den = k, k * (1.0 - powers[:, 0]) * (1.0 - powers[:, 1])
+        return self.k[:terms], self.den[:terms]
+
+
+def _p_shift(u: complex, bases: _GammaBases) -> tuple[complex, complex, complex]:
+    """(u', zeros, poles) with Gamma(e^u) = Gamma(e^u') zeros / poles."""
+    lp, log_pq, policy = bases.lp, bases.log_pq, bases.policy
+    m = round((log_pq.real / 2 - u.real) / lp.real)
+    if abs(m) > policy.max_terms:
+        raise TruncationError(
+            f"elliptic gamma shift of {abs(m)} p-steps exceeds {policy.max_terms}")
+    big_q = bases.big_q
+    thetas = 1.0 + 0j
+    for j in range(min(m, 0), max(m, 0)):  # theta_Q at x p^j, between x and x p^m
+        w = cmath.exp(u + j * lp)
+        thetas *= (_poch(w, big_q, policy.abs_floor, policy.max_terms)
+                   * _poch(big_q / w, big_q, policy.abs_floor, policy.max_terms))
+    if m > 0:
+        return u + m * lp, 1.0 + 0j, thetas
+    return u + m * lp, thetas, 1.0 + 0j
 
 
 def _gamma_ratio(
     numer: Sequence[complex],
     denom: Sequence[complex],
-    lp: complex,
-    lbq: complex,
-    policy: TruncationPolicy,
+    bases: _GammaBases,
 ) -> tuple[complex, complex]:
-    """:func:`elliptic_gamma_ratio` with every argument and base a plain complex log."""
-    big_q = cmath.exp(lbq)
-    for log_b in (lp, lbq):
-        # the products that Gamma stands for run over p^i Q^j, as far as pochhammer_inf would
-        if log_b.real >= 0.0:
-            raise DomainError(f"elliptic gamma base must satisfy |b| < 1, got |b| = {math.exp(log_b.real):.6f}")
-        if policy.max_terms * log_b.real >= math.log(policy.abs_floor):
-            raise TruncationError(
-                f"elliptic gamma base |b| = {math.exp(log_b.real):.6f}: its products stay above "
-                f"floor {policy.abs_floor:g} after {policy.max_terms} terms"
-            )
-    log_pq = lp + lbq
-    log_limit = max(lbq.real / 2, math.log(_GAMMA_RATE))
-
-    def shift(u: complex) -> tuple[complex, complex, complex]:
-        """(u', zeros, poles) with Gamma(e^u) = Gamma(e^u') zeros / poles."""
-        if max(u.real, log_pq.real - u.real) <= log_limit:
-            return u, 1.0 + 0j, 1.0 + 0j
-        m = round((log_pq.real / 2 - u.real) / lp.real)
-        if abs(m) > policy.max_terms:
-            raise TruncationError(
-                f"elliptic gamma shift of {abs(m)} p-steps exceeds {policy.max_terms}")
-        thetas = 1.0 + 0j
-        for j in range(min(m, 0), max(m, 0)):  # theta_Q at x p^j, between x and x p^m
-            w = cmath.exp(u + j * lp)
-            thetas *= (_poch(w, big_q, policy.abs_floor, policy.max_terms)
-                       * _poch(big_q / w, big_q, policy.abs_floor, policy.max_terms))
-        if m > 0:
-            return u + m * lp, 1.0 + 0j, thetas
-        return u + m * lp, thetas, 1.0 + 0j
-
+    """:func:`elliptic_gamma_ratio` with every argument a plain complex log."""
+    log_pq, log_limit, policy = bases.log_pq, bases.log_limit, bases.policy
     xs: list[complex] = []
     ys: list[complex] = []
     zeros = poles = 1.0 + 0j
@@ -251,11 +275,14 @@ def _gamma_ratio(
         # one pair's factors multiply first, so a pair with x = y adds equal factors to both
         pair_zeros = pair_poles = 1.0 + 0j
         if log_x is not None:
-            x, pair_zeros, pair_poles = shift(log_x)
-            xs.append(x)
+            if max(log_x.real, log_pq.real - log_x.real) > log_limit:
+                log_x, pair_zeros, pair_poles = _p_shift(log_x, bases)
+            xs.append(log_x)
         if log_y is not None:
-            y, y_zeros, y_poles = shift(log_y)
-            ys.append(y)
+            y_zeros = y_poles = 1.0 + 0j
+            if max(log_y.real, log_pq.real - log_y.real) > log_limit:
+                log_y, y_zeros, y_poles = _p_shift(log_y, bases)
+            ys.append(log_y)
             pair_zeros, pair_poles = pair_zeros * y_poles, pair_poles * y_zeros
         zeros *= pair_zeros
         poles *= pair_poles
@@ -271,11 +298,11 @@ def _gamma_ratio(
             f"elliptic gamma series needs {terms} terms at rate {rate:.6f}, "
             f"more than {policy.max_terms}"
         )
-    k = np.arange(1, terms + 1)
-    powers = np.exp(np.outer(k, np.array(plus + minus + [lp, lbq])))
+    k, den = bases.denominators(terms)
+    powers = np.exp(np.outer(k, np.array(plus + minus)))
     n = len(plus)
-    series = powers[:, :n].sum(axis=1) - powers[:, n:-2].sum(axis=1)
-    series /= k * (1.0 - powers[:, -2]) * (1.0 - powers[:, -1])
+    series = powers[:, :n].sum(axis=1) - powers[:, n:].sum(axis=1)
+    series /= den
     return cmath.exp(complex(series.sum())) * zeros, poles
 
 
@@ -315,8 +342,12 @@ def theta_array(
     if lb.real >= 0.0:
         raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(lb.real):.6f}")
     u = np.asarray(log_args, dtype=np.complex128).ravel()
+    k = u.size
     # the logs of x, b/x and b: the (b; b) factor is the last column
-    starts = np.concatenate([u, lb - u, [lb]])
+    starts = np.empty(2 * k + 1, dtype=np.complex128)
+    starts[:k] = u
+    np.subtract(lb, u, out=starts[k:-1])
+    starts[-1] = lb
     log_floor = math.log(policy.abs_floor)
     # factors n = 0 .. counts - 1 have |x b^n| >= floor
     counts = np.maximum(np.floor((starts.real - log_floor) / -lb.real) + 1.0, 0.0)
@@ -326,13 +357,14 @@ def theta_array(
             f"Pochhammer product not below floor {policy.abs_floor:g} after {policy.max_terms} "
             f"terms (|base| = {math.exp(lb.real):.6f})"
         )
-    # x b^n by the scalar path's recurrence t <- t b, one row per n
-    powers = np.full((terms, starts.size), cmath.exp(lb))
-    powers[:1] = np.exp(starts)
-    factors = 1.0 - np.cumprod(powers, axis=0)
+    # x b^n by the scalar path's recurrence t <- t b, one row per n, then 1 - x b^n
+    factors = np.empty((terms, starts.size), dtype=np.complex128)
+    np.exp(starts, out=factors[:1])  # no row when every count is 0
+    factors[1:] = cmath.exp(lb)
+    np.cumprod(factors, axis=0, out=factors)
+    np.subtract(1.0, factors, out=factors)
     factors[np.arange(terms)[:, None] >= counts] = 1.0
     products = factors.prod(axis=0)
-    k = u.size
     return (products[:k] * products[k:-1] * products[-1]).reshape(np.shape(log_args))
 
 

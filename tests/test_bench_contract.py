@@ -85,16 +85,12 @@ def test_traced_run_calls_every_required_name(bench_run):
     assert all(lookups for lookups in poch_lookups.values()), poch_lookups
 
 
-@pytest.mark.parametrize("seed", [1, 4242])
-def test_first_verify_pairs_fail_no_row(bench_run, capsys, seed):
-    # A failed or ":error" row of a verify-n3 draw counts against the run's
-    # failed share, and an ":error" row's infinite residual drops out of the
-    # headroom; the gate below is the benchmark's own, over its first 8 draws.
+def assert_first_draws_fail_no_row(bench_run, capsys, name, seed, draws):
     from elliptic_rmatrix.cli import main
 
-    workload = bench_run.WORKLOADS["verify-n3"]
-    for index in range(8):
-        argv, ellr_seed = bench_run.ellr_argv("verify-n3", seed, index)
+    workload = bench_run.WORKLOADS[name]
+    for index in range(draws):
+        argv, ellr_seed = bench_run.ellr_argv(name, seed, index)
         rc = main(list(argv))
         stdout = capsys.readouterr().out.encode()
         rows = json.loads(stdout)["reports"]
@@ -102,3 +98,34 @@ def test_first_verify_pairs_fail_no_row(bench_run, capsys, seed):
         invocation = bench_run.Invocation(ellr_seed, False, False, rc, stdout, None, 0.0)
         verdict = bench_run.check_output(workload, invocation)
         assert (verdict.failed, verdict.problems) == (0, []), (argv, verdict)
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_first_verify_pairs_fail_no_row(bench_run, capsys, seed):
+    # A failed or ":error" row of a verify-n3 draw counts against the run's
+    # failed share, and an ":error" row's infinite residual drops out of the
+    # headroom; the gate below is the benchmark's own, over its first 8 draws.
+    assert_first_draws_fail_no_row(bench_run, capsys, "verify-n3", seed, 8)
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("name", ["scan-n6", "qdet-n4"])
+def test_first_scan_and_qdet_pairs_fail_no_row(bench_run, capsys, name, seed):
+    # every run makes at least min_pairs pairs, so these draws are in every run
+    workload = bench_run.WORKLOADS[name]
+    assert_first_draws_fail_no_row(bench_run, capsys, name, seed, workload.min_pairs)
+
+
+def test_bench_argv_pass_the_range_checks(bench_run):
+    # a guard that refused a bench draw would fail every row of that draw
+    import numpy as np
+
+    from elliptic_rmatrix import cli
+
+    parser = cli._build_parser()
+    for name in bench_run.WORKLOADS:
+        for seed in (1, 2, 4242):
+            for index in range(40):
+                argv, _ = bench_run.ellr_argv(name, seed, index)
+                config = cli._config_from_args(parser.parse_args(list(argv)))
+                cli._resolve_params(config, np.random.default_rng(config.seed))

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, report serialization."""
 
+import cmath
 import csv
 import importlib.util
 import io
@@ -377,6 +378,10 @@ class TestConfigurationRange:
         (["matrix", "--n", "2", "--p", "1e-300"], "--p"),
         (["matrix", "--n", "2", "--z", "1e400"], "1e400"),
         (["matrix", "--n", "2", "--z", "0"], "--z"),
+        (["qdet", "--n", "2", "--points", "1", "--z", "1e5", "--seed", "1"], "--z"),
+        (["matrix", "--n", "2", "--z", "1e5", "--seed", "1"], "--z"),
+        (["scan", "--n", "2", "--q", "0.5", "--p", "0.1", "--grid", "1x1", "--seed", "1"], "--q"),
+        (["scan", "--n", "2", "--p", "0.1", "--grid", "1x1", "--seed", "1"], "--p"),
     ])
     def test_extreme_literal_exits_two_before_any_build(self, capsys, monkeypatch, argv, option):
         from elliptic_rmatrix import property_suite, qdet_engine
@@ -401,12 +406,47 @@ class TestConfigurationRange:
         ["matrix", "--n", "2", "--z", "1e5", "--seed", "1"],
         ["matrix", "--n", "2", "--kind", "principal", "--z", "1e10", "--seed", "1"],
     ])
-    def test_matrix_never_prints_a_non_finite_entry(self, capsys, argv):
-        # inside the literal range, but the float64 products overflow
+    def test_matrix_never_prints_a_non_finite_entry(self, capsys, monkeypatch, argv):
+        # the float64 products overflow at these z; the range check refuses them
+        # since it bounds the elliptic gamma's p-shift, so the guard behind it
+        # is checked with the range check switched off
+        monkeypatch.setattr(cli, "_check_float_range", lambda config, params: None)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "entries beyond float64" in captured.err
+
+    @staticmethod
+    def largest_accepted_log_z(argv: list[str]) -> float:
+        """The largest ln|z| that the range check accepts for ``argv``, by bisection."""
+        lo, hi = 0.0, 60.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            config = cli._config_from_args(cli._build_parser().parse_args(argv + ["--z", repr(math.exp(mid))]))
+            try:
+                cli._resolve_params(config, np.random.default_rng(config.seed))
+                lo = mid
+            except ConfigError:
+                hi = mid
+        return lo
+
+    @pytest.mark.parametrize("argv", [
+        ["qdet", "--n", "2", "--points", "1", "--seed", "1"],
+        ["qdet", "--n", "3", "--points", "1", "--q=0.3+0.1i", "--p=0.9i", "--seed", "5"],
+    ])
+    def test_z_just_inside_the_gamma_bound_gives_finite_rows(self, capsys, argv):
+        # the bound is the float64 limit on the estimated running products, so a z
+        # just inside it, large or small, must build finite matrices
+        log_z = self.largest_accepted_log_z(argv)
+        assert 2.0 < log_z < 11.5  # qdet --n 2 --z 1e5 --seed 1 printed NaN rows
+        for sign in (1, -1):
+            z = math.exp(sign * 0.999 * log_z) * cmath.exp(0.3j)
+            assert main(argv + [f"--z={z.real:.17g}{z.imag:+.17g}i", "--format", "json"]) in (0, 1)
+            rows = json.loads(capsys.readouterr().out)["reports"]
+            assert rows and all(math.isfinite(row["residual"]) for row in rows), sign
+        assert main(argv + ["--z", repr(math.exp(1.001 * log_z))]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--z: the elliptic gamma's p-shift products" in err
 
     def test_scan_refuses_n40_before_any_allocation(self, capsys, monkeypatch):
         from elliptic_rmatrix import property_suite

@@ -18,6 +18,7 @@ from elliptic_rmatrix import (
     RKind,
     TensorOperator,
     build_r,
+    charge_sectors,
     check_antisymmetry,
     check_crossing,
     check_crossing_unitarity,
@@ -275,6 +276,24 @@ class TestYbeChargeSectors:
             report = check_ybe(params, kind, z1, z2, z3)
             assert report.passed
             assert abs(report.residual - dense) <= 1e-16, (kind, report.residual, dense)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_flat_gather_matches_row_column_gather(self, n):
+        rng = np.random.default_rng(80 + n)
+        params = draw_params(rng, n)
+        blocks, off_sector = ps._ybe_indices(n)
+        assert not (blocks.flags.writeable or off_sector.flags.writeable)
+        sectors = charge_sectors(n, 3)
+        labels = np.empty(n * n, dtype=np.intp)
+        labels[charge_sectors(n, 2)] = np.arange(n)[:, None]
+        r = build_r(params, RKind.ELLIPTIC, draw_log(rng))
+        for slots in ((1, 2), (1, 3), (2, 3)):
+            entries = embed(r, slots, 3).entries
+            gathered = entries.ravel().take(blocks)
+            assert gathered.tobytes() == entries[sectors[:, :, None], sectors[:, None, :]].tobytes()
+        off = labels[:, None] != labels[None, :]
+        assert np.array_equal(np.flatnonzero(off), off_sector)
+        assert not np.any(r.entries.ravel().take(off_sector))  # the builders scatter into zeros
 
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("mutate", [_scale_largest, _leak], ids=["in-sector", "off-sector"])

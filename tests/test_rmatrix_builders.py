@@ -16,6 +16,7 @@ from elliptic_rmatrix import (
     ModelParams,
     PoleError,
     RKind,
+    TruncationError,
     alpha_exponent,
     build_f,
     build_g,
@@ -730,6 +731,27 @@ class TestParamsConstants:
         assert params == dataclasses.replace(params) == copy
         assert hash(params) == before == hash(copy) == hash(dataclasses.replace(params))
         assert "_constants" not in vars(dataclasses.replace(params))
+
+    def test_gamma_bases_belong_to_one_params(self):
+        lq, z = lc(0.41 + 0.13j), lc(1.3 + 0.2j)
+        one, two = (ModelParams(3, lq, lc(p)) for p in (0.17 - 0.06j, 0.85 + 0.3j))
+        for params in (one, two):
+            kappa_inv(params, z**2)
+        g1, g2 = one._constants.gamma, two._constants.gamma
+        assert g1 is not g2 and g1.lp != g2.lp and g1.big_q == g2.big_q
+        assert g1.k.size and not np.shares_memory(g1.den, g2.den)
+        copy = dataclasses.replace(one)
+        assert "_constants" not in vars(copy)
+        assert copy._constants.gamma is not g1 and copy._constants.gamma.k.size == 0
+        assert kappa_inv(copy, z**2) == kappa_inv(one, z**2)
+
+    def test_gamma_base_error_raises_at_every_use(self):
+        # |p|^max_terms above the floor: TruncationError from the bases, kept nowhere
+        params = ModelParams(3, lc(0.41 + 0.13j), lc(0.995))
+        for _ in range(2):
+            with pytest.raises(TruncationError, match="elliptic gamma base"):
+                kappa_inv(params, lc(1.3 + 0.2j))
+        assert "gamma" not in vars(params._constants)
 
     def test_den_q_pole_raises_on_every_build(self):
         # den_q(-1) = Theta_{p^N}(p^{N-1} q^2) vanishes at q^2 = p

@@ -318,3 +318,157 @@ class TestEllipticGamma:
     def test_base_outside_disc_rejected(self):
         with pytest.raises(DomainError):
             elliptic_gamma(lc(0.3), lc(1.05), lc(0.1))
+
+
+# ---------------------------------------------------------------------------
+# the kernels against copies of their earlier, per-call set-up forms: the
+# rewrites only moved work out of the call, so every value must be bitwise equal
+
+
+def reference_gamma_ratio(numer, denom, lp, lbq, policy=DEFAULT_POLICY):
+    """The elliptic gamma quotient as computed before its (p, Q) constants were
+    shared: every constant, the shift closure and the denominators per call."""
+    from itertools import zip_longest
+
+    from elliptic_rmatrix.special_functions import _poch
+
+    big_q = cmath.exp(lbq)
+    for log_b in (lp, lbq):
+        if log_b.real >= 0.0:
+            raise DomainError("base")
+        if policy.max_terms * log_b.real >= math.log(policy.abs_floor):
+            raise TruncationError("base")
+    log_pq = lp + lbq
+    log_limit = max(lbq.real / 2, math.log(0.5))
+
+    def shift(u):
+        if max(u.real, log_pq.real - u.real) <= log_limit:
+            return u, 1.0 + 0j, 1.0 + 0j
+        m = round((log_pq.real / 2 - u.real) / lp.real)
+        if abs(m) > policy.max_terms:
+            raise TruncationError("shift")
+        thetas = 1.0 + 0j
+        for j in range(min(m, 0), max(m, 0)):
+            w = cmath.exp(u + j * lp)
+            thetas *= (_poch(w, big_q, policy.abs_floor, policy.max_terms)
+                       * _poch(big_q / w, big_q, policy.abs_floor, policy.max_terms))
+        if m > 0:
+            return u + m * lp, 1.0 + 0j, thetas
+        return u + m * lp, thetas, 1.0 + 0j
+
+    xs, ys = [], []
+    zeros = poles = 1.0 + 0j
+    for log_x, log_y in zip_longest(numer, denom):
+        pair_zeros = pair_poles = 1.0 + 0j
+        if log_x is not None:
+            x, pair_zeros, pair_poles = shift(log_x)
+            xs.append(x)
+        if log_y is not None:
+            y, y_zeros, y_poles = shift(log_y)
+            ys.append(y)
+            pair_zeros, pair_poles = pair_zeros * y_poles, pair_poles * y_zeros
+        zeros *= pair_zeros
+        poles *= pair_poles
+    plus = xs + [log_pq - y for y in ys]
+    minus = ys + [log_pq - x for x in xs]
+    log_rate = max(max(u.real, log_pq.real - u.real) for u in plus)
+    rate = math.exp(log_rate)
+    terms = math.ceil(math.log(policy.abs_floor * (1.0 - rate)) / log_rate)
+    if terms > policy.max_terms:
+        raise TruncationError("terms")
+    k = np.arange(1, terms + 1)
+    powers = np.exp(np.outer(k, np.array(plus + minus + [lp, lbq])))
+    n = len(plus)
+    series = powers[:, :n].sum(axis=1) - powers[:, n:-2].sum(axis=1)
+    series /= k * (1.0 - powers[:, -2]) * (1.0 - powers[:, -1])
+    return cmath.exp(complex(series.sum())) * zeros, poles
+
+
+def reference_theta_array(log_args, lb, policy=DEFAULT_POLICY):
+    """theta_array as computed before it filled its arrays in place."""
+    u = np.asarray(log_args, dtype=np.complex128).ravel()
+    starts = np.concatenate([u, lb - u, [lb]])
+    log_floor = math.log(policy.abs_floor)
+    counts = np.maximum(np.floor((starts.real - log_floor) / -lb.real) + 1.0, 0.0)
+    terms = int(counts.max())
+    powers = np.full((terms, starts.size), cmath.exp(lb))
+    powers[:1] = np.exp(starts)
+    factors = 1.0 - np.cumprod(powers, axis=0)
+    factors[np.arange(terms)[:, None] >= counts] = 1.0
+    products = factors.prod(axis=0)
+    k = u.size
+    return (products[:k] * products[k:-1] * products[-1]).reshape(np.shape(log_args))
+
+
+def kernel_panel():
+    """(N, log p, log Q, log z^2) over N = 2..6 and |p| from 0.05 to 0.9, with
+    |z| from 1/4 to 4, so some gamma arguments need a p-shift and some do not."""
+    rng = np.random.default_rng(2718)
+    for n in range(2, 7):
+        for mod_p in (0.05, 0.2, 0.5, 0.7, 0.9):
+            for _ in range(6):
+                lp = complex(math.log(mod_p), rng.uniform(-math.pi, math.pi))
+                lq = complex(math.log(rng.uniform(0.3, 0.8)), rng.uniform(-math.pi, math.pi))
+                z2 = complex(2 * rng.uniform(-math.log(4), math.log(4)), rng.uniform(-math.pi, math.pi))
+                yield n, lp, 2 * n * lq, 2 * lq, z2
+
+
+class TestKernelsBitwiseAsBefore:
+    def test_gamma_ratio_on_the_panel(self):
+        from elliptic_rmatrix.special_functions import _GammaBases, _gamma_ratio
+
+        shifted = unshifted = 0
+        for n, lp, lbq, q2, z2 in kernel_panel():
+            bases = _GammaBases(lp, lbq, DEFAULT_POLICY)  # shared by both quotients, as in a build
+            limit = max(lbq.real / 2, math.log(0.5))
+            for numer, denom in (((lp + z2, q2 - z2), (lp - z2, q2 + z2)),
+                                 ((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2))):
+                for u in numer + denom:
+                    if max(u.real, (lp + lbq).real - u.real) > limit:
+                        shifted += 1
+                    else:
+                        unshifted += 1
+                got = _gamma_ratio(numer, denom, bases)
+                assert got == reference_gamma_ratio(numer, denom, lp, lbq), (n, lp, z2)
+                public = elliptic_gamma_ratio([LogComplex(u) for u in numer],
+                                              [LogComplex(u) for u in denom],
+                                              LogComplex(lp), LogComplex(lbq))
+                assert public == got
+        assert shifted > 100 and unshifted > 100
+
+    def test_shared_denominators_do_not_depend_on_call_order(self):
+        # the rows grow with the largest term count so far; a short call after a
+        # long one reads a prefix of them and must equal a call on fresh bases
+        from elliptic_rmatrix.special_functions import _GammaBases, _gamma_ratio
+
+        lp, lbq = complex(math.log(0.6), 0.4), 6 * complex(math.log(0.7), -1.1)
+        bases = _GammaBases(lp, lbq, DEFAULT_POLICY)
+        for u in (0.1 + 0.2j, -0.5 + 1j, 2.5 - 0.3j, -0.05 + 0j, 0.3 + 2j):  # rates up and down
+            fresh = _gamma_ratio((u,), (lp - u,), _GammaBases(lp, lbq, DEFAULT_POLICY))
+            assert _gamma_ratio((u,), (lp - u,), bases) == fresh
+
+    def test_base_errors_keep_their_order(self):
+        from elliptic_rmatrix.special_functions import _GammaBases
+
+        with pytest.raises(DomainError):  # |p| > 1 checked before |Q| near 1
+            _GammaBases(0.1 + 0j, -1e-5 + 0j, DEFAULT_POLICY)
+        with pytest.raises(TruncationError):
+            _GammaBases(-1e-5 + 0j, 0.1 + 0j, DEFAULT_POLICY)
+
+    def test_theta_array_on_the_panel(self):
+        rng = np.random.default_rng(3141)
+        for n, lp, _, q2, z2 in kernel_panel():
+            lb = n * lp
+            for size in (1, 2, 7, 10, 22, 30):
+                args = np.array([rng.uniform(-3, 3) * lb.real / n + 1j * rng.uniform(-4, 4)
+                                 for _ in range(size)]) + (q2 + z2 if size % 2 else 0)
+                got = theta_array(args, LogComplex(lb))
+                assert got.tobytes() == reference_theta_array(args, lb).tobytes(), (n, lp, size)
+
+    def test_theta_array_with_no_factor_left(self):
+        # every |x b^n| below the floor: no row at all, and every product is 1
+        lb = complex(math.log(1e-40), 0.5)
+        args = np.array([0.5 * lb + 0.1j, 0.45 * lb])
+        got = theta_array(args, LogComplex(lb))
+        assert got.tobytes() == reference_theta_array(args, lb).tobytes()
+        assert np.all(got == 1.0)
