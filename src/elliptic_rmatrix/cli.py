@@ -49,7 +49,6 @@ from .property_suite import (
     Q_MODULUS,
     Z_MODULUS,
     PropertyReport,
-    check_p_to_zero,
     draw_log,
     draw_params,
     effective_pass,
@@ -57,7 +56,7 @@ from .property_suite import (
     run_suite,
     tolerance_for,
 )
-from .qdet_engine import _check_product_cap, centrality_witness, verify_qdet
+from .qdet_engine import _check_product_cap, verify_qdet
 
 __all__ = ["RunConfig", "main", "parse_complex_literal"]
 
@@ -520,10 +519,10 @@ def run_verify(config: RunConfig) -> int:
         safe=True,
     )
     reports.extend(_qdet_reports(params, config, rng, 2))
-    tolerance = config.tolerances.get("centrality-witness")
-    reports.append(
-        centrality_witness(params, draw_log(rng), draw_log(rng), tolerance=tolerance, rng=rng)
-    )
+    witness = CHECKS["centrality-witness"]
+    points = (draw_log(rng), draw_log(rng))
+    reports.append(witness.run(params, RKind.ELLIPTIC_HAT, points,
+                               tolerance=config.tolerances.get("centrality-witness"), rng=rng))
     payload = _params_payload(params)
     _emit_reports([_report_row(r, payload, config) for r in reports], config)
     return 0 if all(effective_pass(r) for r in reports) else 1
@@ -571,12 +570,13 @@ def run_limits(config: RunConfig) -> int:
     params = _resolve_params(config, rng)
     payload = _params_payload(params)
     log_z = _resolve_point(config.z, rng)
-    report = check_p_to_zero(
+    report = CHECKS["p-to-zero"].run(
         params,
-        log_z,
-        p_sequence=config.p_seq,
+        RKind.ELLIPTIC,
+        (log_z,),
         tolerance=config.tolerances.get("p-to-zero"),
         rng=rng,
+        p_sequence=config.p_seq,
     )
     rows = [_report_row(report, payload, config)]
     if config.fmt == "text":
@@ -629,7 +629,7 @@ def run_scan(config: RunConfig) -> int:
                 )
                 if not params.genericity_warnings():
                     break
-            points = tuple(draw_log(rng) for _ in check.points)
+            points = tuple(draw_log(rng) for _ in check.drawn)
             try:
                 report = check.run(params, kind, points, tolerance=tolerance, rng=rng)
             except EllipticRMatrixError as exc:
@@ -693,6 +693,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     config.n = args.n
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     config.seed = args.seed
     config.tolerances = _parse_tolerances(args)
     config.output_path = args.output_path

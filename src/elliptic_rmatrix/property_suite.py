@@ -1,26 +1,29 @@
 """Residual checks for the identities the R-matrix families satisfy.
 
-Each ``check_*`` function evaluates one identity at explicit spectral
-points, reduces it to a single relative Frobenius residual, and wraps the
-outcome in a :class:`PropertyReport`.  Conventions shared by all checks:
+Each ``check_*`` function is a residual function: it evaluates one identity
+at explicit spectral points and reduces it to a single relative Frobenius
+residual, ``(build, params, kind, *points, detail) -> float``, filling
+``detail`` with check-specific extras.  ``CHECKS[key].run`` makes the
+:class:`PropertyReport`.  Conventions shared by all checks:
 
 * identities with a matrix on both sides use ||LHS - RHS|| / ||LHS||;
   identities whose right-hand side is (a scalar multiple of) the identity
   use ||LHS - RHS|| / max(1, ||RHS||), so residuals stay scale-free;
 * sampling happens on fixed annuli (|z| in [0.5, 2], |q| in [0.3, 0.8],
   |p| in [0.05, 0.5]) with uniform phases;
-* one helper, ``_sampled``, evaluates every identity that takes spectral
-  points: it times the check, redraws all its points from the z annulus on
-  a PoleError (when an ``rng`` is supplied) and builds the report, which
-  lists the points actually used, never the discarded ones;
+* one runner, :meth:`Check.run`, evaluates every residual: it times the
+  check, redraws all its drawn points from the z annulus on a PoleError
+  (when an ``rng`` is supplied) and builds the report, which lists the
+  points actually used, never the discarded ones;
 * no matrix is inverted numerically: the dressing matrices are diagonal or
   a permutation, and an R-matrix is inverted by its unitarity relation;
-* every R-matrix a check builds comes from a :class:`PointContext`, which
-  ``run_suite`` makes once per suite point and passes to each check, so a
-  matrix that several checks read at one point is built once.
+* every R-matrix a check builds comes from a :class:`PointContext` through
+  ``build``, which ``run_suite`` makes once per suite point and passes to
+  each check, so a matrix that several checks read at one point is built
+  once.
 
-``CHECKS`` is the one table that names a check: how to call it, the spectral
-points it takes, its tolerance, whether it is a canary and the kinds it
+``CHECKS`` is the one table that names a check: its row name, its residual
+function, the spectral points it takes, its tolerance and the kinds it
 accepts.  ``run_suite`` drives it over seeded random draws and is the engine
 behind the CLI ``verify`` command.
 """
@@ -28,10 +31,11 @@ behind the CLI ``verify`` command.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -169,25 +173,6 @@ def draw_params(rng: np.random.Generator, n: int) -> ModelParams:
             return params
 
 
-def _tol(name: str, override: float | None) -> float:
-    return CHECKS[name].tolerance if override is None else float(override)
-
-
-def _report(
-    name: str,
-    params_digest: str,
-    points: Iterable[complex],
-    residual: float,
-    tolerance: float,
-    started: float,
-    detail: dict | None = None,
-) -> PropertyReport:
-    runtime_ms = (time.perf_counter() - started) * 1000.0
-    return PropertyReport.from_residual(
-        name, params_digest, points, residual, tolerance, runtime_ms, detail
-    )
-
-
 def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Residual for matrix = matrix identities, normalized by the LHS."""
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
@@ -216,32 +201,14 @@ def _resample(
             points = tuple(draw_log(rng) for _ in points)
 
 
-def _sampled(
-    name: str,
-    params: ModelParams,
-    compute: Callable[..., float],
-    points: tuple[LogComplex, ...],
-    tolerance: float,
-    rng: np.random.Generator | None,
-    started: float,
-    detail: dict | None = None,
-) -> PropertyReport:
-    """Report of the residual ``compute(*points)``, resampled by :func:`_resample`."""
-    residual, points = _resample(compute, points, rng)
-    return _report(
-        name, params.digest(), [p.to_complex() for p in points], residual, tolerance, started,
-        detail,
-    )
-
-
 class PointContext:
     """What the checks at one suite point share: the R-matrices they build,
     memoised by (params, kind, log z), and the elliptic z-tables both
     elliptic kinds read, memoised by (params, log z).
 
     ``run_suite`` makes one per suite point and passes it to every check it
-    runs there, so the memos die with their point; a check called without
-    one makes its own.  Builds call this module's ``build_r`` by name, so
+    runs there, so the memos die with their point; :meth:`Check.run` called
+    without one makes its own.  Builds call this module's ``build_r`` by name, so
     rebinding that name reaches every build, and a build or table that
     raises is not kept.  The keys carry the parameters because a check may
     build at other ones (``check_p_to_zero``): by identity, since hashing a
@@ -274,11 +241,6 @@ class PointContext:
 _Builder = Callable[[ModelParams, RKind, LogComplex], TensorOperator]
 
 
-def _builder(context: PointContext | None) -> _Builder:
-    """The build function of ``context``, or of a fresh one for a check called alone."""
-    return (PointContext() if context is None else context).build
-
-
 def _r21(build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
     """P R(z) P: the two slots of R swapped on both its output and input axes."""
     n2 = params.n * params.n
@@ -286,7 +248,7 @@ def _r21(build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex) -
 
 
 # ---------------------------------------------------------------------------
-# identity checks
+# identity checks: residual functions, run by Check.run
 
 
 @lru_cache(maxsize=8)
@@ -305,16 +267,9 @@ def _ybe_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_ybe(
-    params: ModelParams,
-    kind: RKind,
-    log_z1: LogComplex,
-    log_z2: LogComplex,
-    log_z3: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind,
+    log_z1: LogComplex, log_z2: LogComplex, log_z3: LogComplex, *, detail: dict,
+) -> float:
     """R12(z1/z2) R13(z1/z3) R23(z2/z3) = R23 R13 R12 on three slots.
 
     Every kind conserves the Z_N charge, so both sides are block-diagonal in
@@ -323,38 +278,24 @@ def check_ybe(
     the largest off-sector norm ||R off sectors|| / ||R|| of the three
     two-slot factors, so a factor that leaks across sectors still fails.
     """
-    started = time.perf_counter()
-    build = _builder(context)
     blocks, off_sector = _ybe_indices(params.n)
-
-    def compute(lz1: LogComplex, lz2: LogComplex, lz3: LogComplex) -> float:
-        factors = [build(params, kind, lz) for lz in (lz1 / lz2, lz1 / lz3, lz2 / lz3)]
-        leak = max(
-            float(np.linalg.norm(r.entries.ravel().take(off_sector))
-                  / max(np.linalg.norm(r.entries), 1e-300))
-            for r in factors
-        )
-        r12, r13, r23 = (
-            embed(r, slots, 3).entries.ravel().take(blocks)
-            for r, slots in zip(factors, ((1, 2), (1, 3), (2, 3)))
-        )
-        return max(_rel(r12 @ r13 @ r23, r23 @ r13 @ r12), leak)
-
-    return _sampled(
-        f"ybe[{kind.value}]", params, compute, (log_z1, log_z2, log_z3),
-        _tol("ybe", tolerance), rng, started,
+    factors = [build(params, kind, lz)
+               for lz in (log_z1 / log_z2, log_z1 / log_z3, log_z2 / log_z3)]
+    leak = max(
+        float(np.linalg.norm(r.entries.ravel().take(off_sector))
+              / max(np.linalg.norm(r.entries), 1e-300))
+        for r in factors
     )
+    r12, r13, r23 = (
+        embed(r, slots, 3).entries.ravel().take(blocks)
+        for r, slots in zip(factors, ((1, 2), (1, 3), (2, 3)))
+    )
+    return max(_rel(r12 @ r13 @ r23, r23 @ r13 @ r12), leak)
 
 
 def check_unitarity(
-    params: ModelParams,
-    kind: RKind,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """R12(z) R21(1/z) equals the kind-specific scalar times the identity.
 
     Plain elliptic and eight-vertex: the identity itself.  Hat
@@ -362,52 +303,30 @@ def check_unitarity(
     cross-checked against tau(q^{1/2}z) tau(q^{1/2}/z).  Trigonometric
     kinds: rho_N(x) rho_N(1/x) I at x = z (homogeneous) or x = z^2.
     """
-    started = time.perf_counter()
-    build = _builder(context)
-    detail: dict = {}
-
-    def compute(lz: LogComplex) -> float:
-        prod = build(params, kind, lz).entries @ _r21(build, params, kind, lz.inv())
-        eye = np.eye(params.n * params.n)
-        if kind in (RKind.ELLIPTIC, RKind.EIGHT_VERTEX):
-            rhs = eye
-        elif kind is RKind.ELLIPTIC_HAT:
-            u_def = u_scalar(params, lz)
-            half = params.log_q**0.5
-            u_tau = tau(params, half * lz) * tau(params, half / lz)
-            detail["u_cross_check"] = abs(u_def - u_tau) / max(abs(u_def), 1e-300)
-            rhs = u_def * eye
-        elif kind is RKind.HOMOGENEOUS:
-            rhs = rho(params, lz) * rho(params, lz.inv()) * eye
-        else:
-            lx = lz**2
-            rhs = rho(params, lx) * rho(params, lx.inv()) * eye
-        return _rel_identity(prod, rhs)
-
-    return _sampled(
-        f"unitarity[{kind.value}]", params, compute, (log_z,), _tol("unitarity", tolerance),
-        rng, started, detail,
-    )
+    prod = build(params, kind, log_z).entries @ _r21(build, params, kind, log_z.inv())
+    eye = np.eye(params.n * params.n)
+    if kind in (RKind.ELLIPTIC, RKind.EIGHT_VERTEX):
+        rhs = eye
+    elif kind is RKind.ELLIPTIC_HAT:
+        u_def = u_scalar(params, log_z)
+        half = params.log_q**0.5
+        u_tau = tau(params, half * log_z) * tau(params, half / log_z)
+        detail["u_cross_check"] = abs(u_def - u_tau) / max(abs(u_def), 1e-300)
+        rhs = u_def * eye
+    elif kind is RKind.HOMOGENEOUS:
+        rhs = rho(params, log_z) * rho(params, log_z.inv()) * eye
+    else:
+        lx = log_z**2
+        rhs = rho(params, lx) * rho(params, lx.inv()) * eye
+    return _rel_identity(prod, rhs)
 
 
 def check_regularity(
-    params: ModelParams,
-    *,
-    tolerance: float | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """The plain elliptic matrix at z = 1 equals the permutation matrix."""
-    started = time.perf_counter()
-    build = _builder(context)
     perm = permutation_op((2, 1), params.n).entries
-
-    def compute(lz: LogComplex) -> float:
-        return _rel_identity(build(params, RKind.ELLIPTIC, lz).entries, perm)
-
-    return _sampled(
-        f"regularity[{RKind.ELLIPTIC.value}]", params, compute, (LOG_ONE,),
-        _tol("regularity", tolerance), None, started,
-    )
+    return _rel_identity(build(params, RKind.ELLIPTIC, log_z).entries, perm)
 
 
 def _crossing_residual(build: _Builder, params: ModelParams, kind: RKind, lz: LogComplex) -> float:
@@ -424,91 +343,46 @@ def _crossing_residual(build: _Builder, params: ModelParams, kind: RKind, lz: Lo
 
 
 def check_crossing(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """R12(z)^{t2} R21(z^{-1} q^{-N})^{t2} = I for the plain elliptic matrix."""
-    started = time.perf_counter()
-    build = _builder(context)
-
-    def compute(lz: LogComplex) -> float:
-        return _crossing_residual(build, params, RKind.ELLIPTIC, lz)
-
-    return _sampled(
-        "crossing", params, compute, (log_z,), _tol("crossing", tolerance), rng, started
-    )
+    return _crossing_residual(build, params, RKind.ELLIPTIC, log_z)
 
 
 def check_antisymmetry(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """R12(-z) = omega (g^{-1} x I) R12(z) (g x I), with -z = z e^{i pi}."""
-    started = time.perf_counter()
-    build = _builder(context)
     g = np.repeat(np.diag(build_g(params).entries), params.n)  # the diagonal of g x I
     # omega (g^{-1} x I) R (g x I) is R scaled entrywise by omega g_j / g_i
     scale = params.omega() * (g[None, :] / g[:, None])
-
-    def compute(lz: LogComplex) -> float:
-        lhs = build(params, RKind.ELLIPTIC, lz.negated()).entries
-        return _rel(lhs, scale * build(params, RKind.ELLIPTIC, lz).entries)
-
-    return _sampled(
-        "antisymmetry", params, compute, (log_z,), _tol("antisymmetry", tolerance), rng, started
-    )
+    lhs = build(params, RKind.ELLIPTIC, log_z.negated()).entries
+    return _rel(lhs, scale * build(params, RKind.ELLIPTIC, log_z).entries)
 
 
 def check_quasi_periodicity(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """Rhat12(-z p^{1/2}) = G^{-1} Rhat21(1/z)^{-1} G with G = g^{1/2} h g^{1/2} x I.
 
     Both inverses are closed forms: Rhat21(1/z)^{-1} = Rhat12(z) / U(z) by
     unitarity, and G^{-1} = g^{-1/2} h^T g^{-1/2} x I since h is a
     permutation.  g^{1/2} is the principal branch of ``build_g_half``.
     """
-    started = time.perf_counter()
-    build = _builder(context)
     n = params.n
     gh = np.diag(build_g_half(params).entries)
     h = build_h(params).entries
     eye = np.eye(n)
     big_g = np.kron(gh[:, None] * h * gh[None, :], eye)
     big_g_inv = np.kron(h.T / (gh[:, None] * gh[None, :]), eye)
-
-    def compute(lz: LogComplex) -> float:
-        lhs = build(params, RKind.ELLIPTIC_HAT, (lz * (params.log_p**0.5)).negated()).entries
-        r21_inv = build(params, RKind.ELLIPTIC_HAT, lz).entries / u_scalar(params, lz)
-        return _rel(lhs, big_g_inv @ r21_inv @ big_g)
-
-    return _sampled(
-        "quasi-periodicity", params, compute, (log_z,), _tol("quasi-periodicity", tolerance),
-        rng, started,
-    )
+    lhs = build(params, RKind.ELLIPTIC_HAT, (log_z * (params.log_p**0.5)).negated()).entries
+    r21_inv = build(params, RKind.ELLIPTIC_HAT, log_z).entries / u_scalar(params, log_z)
+    return _rel(lhs, big_g_inv @ r21_inv @ big_g)
 
 
 def check_h_invariance(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """(H x H) R(z) = R(z) (H x H) for the plain elliptic matrix.
 
     H is the cyclic symmetry generator h conjugated by the half-power
@@ -516,30 +390,17 @@ def check_h_invariance(
     H = g^{1/2} h g^{-1/2}, that is h_ij scaled by g^{1/2}_i / g^{1/2}_j; the
     bare h commutes only with the matrix written without that factor.
     """
-    started = time.perf_counter()
-    build = _builder(context)
+    detail["generator"] = "g^{1/2} h g^{-1/2}"
     gh = np.diag(build_g_half(params).entries)
     gen = build_h(params).entries * (gh[:, None] / gh[None, :])
     hh = np.kron(gen, gen)
-
-    def compute(lz: LogComplex) -> float:
-        r = build(params, RKind.ELLIPTIC, lz).entries
-        return _rel(hh @ r, r @ hh)
-
-    return _sampled(
-        f"h-invariance[{RKind.ELLIPTIC.value}]", params, compute, (log_z,),
-        _tol("h-invariance", tolerance), rng, started, {"generator": "g^{1/2} h g^{-1/2}"},
-    )
+    r = build(params, RKind.ELLIPTIC, log_z).entries
+    return _rel(hh @ r, r @ hh)
 
 
 def check_crossing_unitarity(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """(R12(x)^{t2})^{-1} = (R12(q^N x)^{-1})^{t2}, for both R and Rhat.
 
     Stated in multiplied form, R12(x)^{t2} (R12(q^N x)^{-1})^{t2} = I, with
@@ -547,27 +408,14 @@ def check_crossing_unitarity(
     :func:`_crossing_residual`, recorded in ``detail`` by kind; the report
     carries the larger.  For the plain kind it is the crossing residual.
     """
-    started = time.perf_counter()
-    build = _builder(context)
-    detail: dict = {}
-
-    def compute(lz: LogComplex) -> float:
-        for kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT):
-            detail[kind.value] = _crossing_residual(build, params, kind, lz)
-        return max(detail.values())
-
-    return _sampled(
-        "crossing-unitarity", params, compute, (log_z,), _tol("crossing-unitarity", tolerance),
-        rng, started, detail,
-    )
+    for each in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT):
+        detail[each.value] = _crossing_residual(build, params, each, log_z)
+    return max(detail.values())
 
 
 def check_kernel_structure(
-    params: ModelParams,
-    *,
-    tolerance: float | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """At z = q the hat matrix kills exactly the antisymmetric subspace.
 
     Folds four sub-residuals: (i) ||Rhat(q) A2|| / ||Rhat(q)||; (ii) the
@@ -577,51 +425,38 @@ def check_kernel_structure(
     tolerance to this report's); (iv) the SVD kernel basis lying inside the
     antisymmetric subspace.
     """
-    started = time.perf_counter()
-    build = _builder(context)
     n = params.n
     a2 = antisymmetrizer(n, 2).entries
     expected_rank = n * n - n * (n - 1) // 2
-    detail: dict = {}
+    r_hat = build(params, RKind.ELLIPTIC_HAT, log_z)
+    scale = np.linalg.norm(r_hat.entries)
+    res_kernel = float(np.linalg.norm(r_hat.entries @ a2) / scale)
 
-    def compute(lz: LogComplex) -> float:
-        r_hat = build(params, RKind.ELLIPTIC_HAT, lz)
-        scale = np.linalg.norm(r_hat.entries)
-        res_kernel = float(np.linalg.norm(r_hat.entries @ a2) / scale)
+    report = spectral(r_hat)
+    rank_defect = abs(report.rank - expected_rank)
 
-        report = spectral(r_hat)
-        rank_defect = abs(report.rank - expected_rank)
+    view = r_hat.tensor_view()
+    sym = view - view.transpose(0, 1, 3, 2)
+    res_colsym = float(np.max(np.abs(sym)) / np.max(np.abs(r_hat.entries)))
 
-        view = r_hat.tensor_view()
-        sym = view - view.transpose(0, 1, 3, 2)
-        res_colsym = float(np.max(np.abs(sym)) / np.max(np.abs(r_hat.entries)))
+    kernel = report.kernel_basis
+    res_basis = 0.0
+    if kernel.size:
+        res_basis = float(np.linalg.norm(a2 @ kernel - kernel) / np.linalg.norm(kernel))
 
-        kernel = report.kernel_basis
-        res_basis = 0.0
-        if kernel.size:
-            res_basis = float(np.linalg.norm(a2 @ kernel - kernel) / np.linalg.norm(kernel))
-
-        detail.update(
-            kernel_residual=res_kernel,
-            rank=report.rank,
-            expected_rank=expected_rank,
-            column_symmetry_residual=res_colsym,
-            kernel_in_antisymmetric_subspace=res_basis,
-        )
-        return max(res_kernel, 100.0 * res_colsym, float(rank_defect), res_basis)
-
-    return _sampled(
-        "kernel-structure", params, compute, (params.log_q,),
-        _tol("kernel-structure", tolerance), None, started, detail,
+    detail.update(
+        kernel_residual=res_kernel,
+        rank=report.rank,
+        expected_rank=expected_rank,
+        column_symmetry_residual=res_colsym,
+        kernel_in_antisymmetric_subspace=res_basis,
     )
+    return max(res_kernel, 100.0 * res_colsym, float(rank_defect), res_basis)
 
 
 def check_spectrum_nonelliptic(
-    params: ModelParams,
-    *,
-    tolerance: float | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """Eigenvalues of the non-elliptic matrix at z = q match the closed form.
 
     Expected multiset: rho_N(q^2) with multiplicity N, zero with
@@ -629,104 +464,61 @@ def check_spectrum_nonelliptic(
     q^{-(2i-2j+N)/N}) for i < j, Q = q/(1 + q^2).  Greedy nearest matching
     in decreasing magnitude order; residual = max pair distance / max |eig|.
     """
-    started = time.perf_counter()
-    build = _builder(context)
     n = params.n
-    detail: dict = {}
+    q = log_z.to_complex()
+    computed = list(np.linalg.eigvals(build(params, RKind.NON_ELLIPTIC, log_z).entries))
+    rho_q2 = rho(params, log_z**2)
+    big_q = q / (1.0 + q * q)
+    expected: list[complex] = [rho_q2] * n + [0.0j] * (n * (n - 1) // 2)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            power = (log_z ** Fraction(2 * i - 2 * j + n, n)).to_complex()
+            expected.append(rho_q2 * big_q * (power + 1.0 / power))
 
-    def compute(lq: LogComplex) -> float:
-        q = lq.to_complex()
-        computed = list(np.linalg.eigvals(build(params, RKind.NON_ELLIPTIC, lq).entries))
-        rho_q2 = rho(params, lq**2)
-        big_q = q / (1.0 + q * q)
-        expected: list[complex] = [rho_q2] * n + [0.0j] * (n * (n - 1) // 2)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                power = (lq ** Fraction(2 * i - 2 * j + n, n)).to_complex()
-                expected.append(rho_q2 * big_q * (power + 1.0 / power))
-
-        scale = max(abs(v) for v in computed)
-        worst = 0.0
-        remaining = computed[:]
-        for want in sorted(expected, key=abs, reverse=True):
-            best_idx = min(range(len(remaining)), key=lambda k: abs(remaining[k] - want))
-            worst = max(worst, abs(remaining.pop(best_idx) - want))
-        detail["eigenvalues"] = [complex(v) for v in computed]
-        return worst / max(scale, 1e-300)
-
-    return _sampled(
-        "spectrum-nonelliptic", params, compute, (params.log_q,),
-        _tol("spectrum-nonelliptic", tolerance), None, started, detail,
-    )
+    scale = max(abs(v) for v in computed)
+    worst = 0.0
+    remaining = computed[:]
+    for want in sorted(expected, key=abs, reverse=True):
+        best_idx = min(range(len(remaining)), key=lambda k: abs(remaining[k] - want))
+        worst = max(worst, abs(remaining.pop(best_idx) - want))
+    detail["eigenvalues"] = [complex(v) for v in computed]
+    return worst / max(scale, 1e-300)
 
 
 def check_gauge_relation(
-    params: ModelParams,
-    log_z: LogComplex,
-    log_w: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind,
+    log_z: LogComplex, log_w: LogComplex, *, detail: dict,
+) -> float:
     """Principal matrix at z/w = (V(z) x V(w)) homogeneous(z^2/w^2) (V x V)^{-1}.
 
     V x V is diagonal, so the right side is the homogeneous matrix scaled
     entrywise by v_i / v_j."""
-    started = time.perf_counter()
-    build = _builder(context)
-
-    def compute(lz: LogComplex, lw: LogComplex) -> float:
-        lhs = build(params, RKind.PRINCIPAL, lz / lw).entries
-        v = np.kron(np.diag(build_v(params, lz).entries), np.diag(build_v(params, lw).entries))
-        hom = build(params, RKind.HOMOGENEOUS, (lz**2) / (lw**2)).entries
-        return _rel(lhs, hom * (v[:, None] / v[None, :]))
-
-    return _sampled(
-        "gauge-relation", params, compute, (log_z, log_w), _tol("gauge-relation", tolerance),
-        rng, started,
-    )
+    lhs = build(params, RKind.PRINCIPAL, log_z / log_w).entries
+    v = np.kron(np.diag(build_v(params, log_z).entries), np.diag(build_v(params, log_w).entries))
+    hom = build(params, RKind.HOMOGENEOUS, (log_z**2) / (log_w**2)).entries
+    return _rel(lhs, hom * (v[:, None] / v[None, :]))
 
 
 def check_twist_relation(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """Non-elliptic matrix = F21 (principal matrix) F12^{-1}.
 
     F12 is diagonal and F21 = P F12 P its slot-swapped diagonal, so the right
     side is the principal matrix scaled entrywise by F21_i / F12_j.
     """
-    started = time.perf_counter()
-    build = _builder(context)
     n = params.n
     f12 = np.diag(build_f(params).entries)
     f21 = f12.reshape(n, n).T.ravel()
     scale = f21[:, None] / f12[None, :]
-
-    def compute(lz: LogComplex) -> float:
-        lhs = build(params, RKind.NON_ELLIPTIC, lz).entries
-        return _rel(lhs, scale * build(params, RKind.PRINCIPAL, lz).entries)
-
-    return _sampled(
-        "twist-relation", params, compute, (log_z,), _tol("twist-relation", tolerance),
-        rng, started,
-    )
+    lhs = build(params, RKind.NON_ELLIPTIC, log_z).entries
+    return _rel(lhs, scale * build(params, RKind.PRINCIPAL, log_z).entries)
 
 
 def check_p_to_zero(
-    params: ModelParams,
-    log_z: LogComplex,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
     p_sequence: Sequence[float] = (1e-2, 1e-4, 1e-6, 1e-8),
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+) -> float:
     """The hat matrix approaches the non-elliptic (twisted principal) matrix
     as p -> 0.
 
@@ -734,55 +526,42 @@ def check_p_to_zero(
     fitted by least squares over entries.  Two convergence speeds coexist:
     entries outside the target's support vanish only like p^{1/N}, while
     entries on the support settle at rate p.  The full-norm residual
-    sequence must decrease monotonically (otherwise the report carries
-    residual 1.0); the reported residual is the final support-restricted
-    one, which is what the threshold can meaningfully bound.  The fitted s
-    at the smallest p is recorded; it converges to 1 for the hat
-    normalization used here.  A sequence that is empty, not strictly
-    decreasing or not inside (0, 1) raises DomainError.
+    sequence must decrease monotonically (otherwise the residual is 1.0);
+    the residual is the final support-restricted one, which is what the
+    threshold can meaningfully bound.  The fitted s at the smallest p is
+    recorded; it converges to 1 for the hat normalization used here.  A
+    sequence that is empty, not strictly decreasing or not inside (0, 1)
+    raises DomainError before the first build.
     """
-    started = time.perf_counter()
     if not p_sequence or any(
         p2 >= p1 for p1, p2 in zip(p_sequence, list(p_sequence)[1:])
     ) or any(not 0.0 < p < 1.0 for p in p_sequence):
         raise DomainError("p_sequence must decrease strictly within (0, 1)")
-    build = _builder(context)
-    detail: dict = {"elliptic_kind": RKind.ELLIPTIC_HAT.value, "p_sequence": list(p_sequence)}
-
-    def compute(lz: LogComplex) -> float:
-        target = build(params, RKind.NON_ELLIPTIC, lz).entries
-        target_norm = np.linalg.norm(target)
-        support = np.abs(target) > 1e-13 * np.max(np.abs(target))
-        residuals: list[float] = []
-        support_residuals: list[float] = []
-        fits: list[complex] = []
-        for p_val in p_sequence:
-            shrunk = replace(params, log_p=LogComplex.from_complex(complex(p_val)))
-            diff = build(shrunk, RKind.ELLIPTIC_HAT, lz).entries
-            s = np.vdot(target, diff) / np.vdot(target, target)
-            diff = diff - s * target
-            residuals.append(float(np.linalg.norm(diff) / target_norm))
-            support_residuals.append(float(np.linalg.norm(diff[support]) / target_norm))
-            fits.append(complex(s))
-        detail["residual_sequence"] = residuals
-        detail["support_residual_sequence"] = support_residuals
-        detail["fitted_scalar"] = fits[-1]
-        detail["monotone"] = all(b < a for a, b in zip(residuals, residuals[1:]))
-        return support_residuals[-1] if detail["monotone"] else 1.0
-
-    return _sampled(
-        "p-to-zero", params, compute, (log_z,), _tol("p-to-zero", tolerance), rng, started, detail
-    )
+    detail.update(elliptic_kind=RKind.ELLIPTIC_HAT.value, p_sequence=list(p_sequence))
+    target = build(params, RKind.NON_ELLIPTIC, log_z).entries
+    target_norm = np.linalg.norm(target)
+    support = np.abs(target) > 1e-13 * np.max(np.abs(target))
+    residuals: list[float] = []
+    support_residuals: list[float] = []
+    fits: list[complex] = []
+    for p_val in p_sequence:
+        shrunk = replace(params, log_p=LogComplex.from_complex(complex(p_val)))
+        diff = build(shrunk, RKind.ELLIPTIC_HAT, log_z).entries
+        s = np.vdot(target, diff) / np.vdot(target, target)
+        diff = diff - s * target
+        residuals.append(float(np.linalg.norm(diff) / target_norm))
+        support_residuals.append(float(np.linalg.norm(diff[support]) / target_norm))
+        fits.append(complex(s))
+    detail["residual_sequence"] = residuals
+    detail["support_residual_sequence"] = support_residuals
+    detail["fitted_scalar"] = fits[-1]
+    detail["monotone"] = all(b < a for a, b in zip(residuals, residuals[1:]))
+    return support_residuals[-1] if detail["monotone"] else 1.0
 
 
 def check_evaluated_ll(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """Exchange identity for the evaluated Lax blocks at arguments (z, z/q).
 
     With E_ij(w) the (i, j) N x N block of the hat matrix at w, checks
@@ -790,27 +569,19 @@ def check_evaluated_ll(
     for all i, j, k, l, plus its single-row specialization
     E_ij(z)E_il(z/q) = E_il(z)E_ij(z/q).
     """
-    started = time.perf_counter()
-    build = _builder(context)
     n = params.n
-
-    def compute(lz: LogComplex) -> float:
-        top = build(params, RKind.ELLIPTIC_HAT, lz)
-        bot = build(params, RKind.ELLIPTIC_HAT, lz / params.log_q)
-        scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
-        # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
-        prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
-        # both combinations at every index, as index swaps of prod
-        four = (prod - prod.transpose(0, 3, 2, 1, 4, 5) - prod.transpose(2, 3, 0, 1, 4, 5)
-                + prod.transpose(2, 1, 0, 3, 4, 5))
-        row = np.einsum("ijilac->ijlac", prod)  # E_ij(z) E_il(z/q)
-        two = row - row.transpose(0, 2, 1, 3, 4)
-        worst = max(float(np.linalg.norm(c, axis=(-2, -1)).max()) for c in (four, two))
-        return worst / max(scale, 1e-300)
-
-    return _sampled(
-        "evaluated-ll", params, compute, (log_z,), _tol("evaluated-ll", tolerance), rng, started
-    )
+    top = build(params, RKind.ELLIPTIC_HAT, log_z)
+    bot = build(params, RKind.ELLIPTIC_HAT, log_z / params.log_q)
+    scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
+    # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
+    prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
+    # both combinations at every index, as index swaps of prod
+    four = (prod - prod.transpose(0, 3, 2, 1, 4, 5) - prod.transpose(2, 3, 0, 1, 4, 5)
+            + prod.transpose(2, 1, 0, 3, 4, 5))
+    row = np.einsum("ijilac->ijlac", prod)  # E_ij(z) E_il(z/q)
+    two = row - row.transpose(0, 2, 1, 3, 4)
+    worst = max(float(np.linalg.norm(c, axis=(-2, -1)).max()) for c in (four, two))
+    return worst / max(scale, 1e-300)
 
 
 def _inversions(sigma: Sequence[int]) -> int:
@@ -826,6 +597,8 @@ def check_nsigma(n_max: int = 5, *, tolerance: float | None = None) -> PropertyR
               + sum_{i<j} (alpha_{sigma(i) sigma(j)} - alpha_{ij}),
     for every sigma in S_N, N <= n_max, summed as the integer 2N n_sigma
     (2N alpha_ij is an integer), so the residual max |n_sigma| is exact.
+    It takes no (q, p) and no spectral point, so unlike the residual
+    functions it makes its own report.
     """
     started = time.perf_counter()
     worst = 0.0
@@ -846,38 +619,25 @@ def check_nsigma(n_max: int = 5, *, tolerance: float | None = None) -> PropertyR
             )
             worst = max(worst, abs(total) / (2 * n))  # int / int rounds once
             checked += 1
-    return _report(
+    return PropertyReport.from_residual(
         "nsigma",
         f"exact:S2..S{n_max}",
         [],
         worst,
-        _tol("nsigma", tolerance),
-        started,
+        tolerance_for("nsigma", n_max, {} if tolerance is None else {"nsigma": tolerance}),
+        (time.perf_counter() - started) * 1000.0,
         {"permutations_checked": checked},
     )
 
 
 def check_transpose_symmetry(
-    params: ModelParams,
-    log_z: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-    context: PointContext | None = None,
-) -> PropertyReport:
+    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+) -> float:
     """R(z)^{t1 t2} vs R(z): equal at N = 2, a must-fail canary for N >= 3."""
-    started = time.perf_counter()
-    build = _builder(context)
-
-    def compute(lz: LogComplex) -> float:
-        r = build(params, RKind.ELLIPTIC, lz)
-        flipped = partial_transpose(partial_transpose(r, 1), 2).entries
-        return _rel(flipped, r.entries)
-
-    return _sampled(
-        "transpose-symmetry", params, compute, (log_z,), _tol("transpose-symmetry", tolerance),
-        rng, started, {"canary": params.n >= CHECKS["transpose-symmetry"].canary_from},
-    )
+    detail["canary"] = params.n >= 3
+    r = build(params, RKind.ELLIPTIC, log_z)
+    flipped = partial_transpose(partial_transpose(r, 1), 2).entries
+    return _rel(flipped, r.entries)
 
 
 def effective_pass(report: PropertyReport) -> bool:
@@ -897,38 +657,92 @@ def error_report(name: str, exc: Exception) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # the check table
 
+# The spectral points a check takes, as ``Check.points`` names them: the four
+# draws of a suite point, then two points fixed by the parameters, z = 1 and
+# z = q.
+Z1, Z2, Z3, W, AT_ONE, AT_Q = range(6)
+
 
 @dataclass(frozen=True)
 class Check:
     """One entry of :data:`CHECKS`.
 
-    ``run(params, kind, points, *, tolerance, rng, context)`` calls the
-    check through its module-level name, so rebinding that name reaches every
-    caller; ``context`` is the suite point's :class:`PointContext`, and each
-    keyword may be left out.  Entries
-    without ``run`` are rows that ``qdet_engine`` produces.  ``points``
-    picks the spectral points from ``run_suite``'s four shared draws per
-    point (z1, z2, z3, w); elsewhere the check draws that many fresh.  A
-    check with no ``points`` depends on the parameters alone.
-    ``scope`` is "point" (once per suite point), "once" (once per suite) or
-    None (not in ``run_suite``).  ``tolerance`` is the default, tightened to
-    ``n2_tolerance`` at N = 2 where one is given.  ``canary_from`` is the N
-    from which the check must fail.  ``kinds`` are the R-matrix kinds it
-    accepts, in ``run_suite`` order; none means ``scan`` cannot sweep it.
+    ``residual`` names the check's residual function, a ``check_*`` of this
+    module or "module.function" in a sibling module; ``run`` looks it up by
+    that name at every call, so rebinding the name reaches every caller.
+    ``name`` is the report's row name, with "{kind}" standing for the kind
+    it runs at.  Entries without either are rows that ``qdet_engine``
+    produces; ``nsigma`` has a name but makes its own report.  ``points``
+    picks the spectral points: ``run_suite``'s four shared draws per point
+    (Z1, Z2, Z3, W), which other callers draw fresh, or a point fixed by the
+    parameters (AT_ONE, AT_Q), which ``run`` supplies and never redraws.  A
+    check with no drawn point depends on the parameters alone.  ``scope``
+    is "point" (once per suite point), "once" (once per suite) or None (not
+    in ``run_suite``).  ``tolerance`` is the default, tightened to
+    ``n2_tolerance`` at N = 2 where one is given.  ``kinds`` are the
+    R-matrix kinds it accepts, in ``run_suite`` order; none means ``scan``
+    cannot sweep it.
     """
 
     tolerance: float
     n2_tolerance: float | None = None
-    run: Callable[..., PropertyReport] | None = None
+    name: str | None = None
+    residual: str | None = None
     scope: str | None = None
     points: tuple[int, ...] = ()
     kinds: tuple[RKind, ...] = ()
-    canary_from: int | None = None
 
-    def tolerance_at(self, n: int) -> float:
-        if n == 2 and self.n2_tolerance is not None:
-            return self.n2_tolerance
-        return self.tolerance
+    @cached_property
+    def drawn(self) -> tuple[int, ...]:
+        """The entries of ``points`` that are drawn, not fixed by the parameters."""
+        return tuple(i for i in self.points if i < AT_ONE)
+
+    def run(
+        self,
+        params: ModelParams,
+        kind: RKind,
+        points: Sequence[LogComplex] = (),
+        *,
+        tolerance: float | None = None,
+        rng: np.random.Generator | None = None,
+        context: PointContext | None = None,
+        **options,
+    ) -> PropertyReport:
+        """The report of this check at (``params``, ``kind``) and its drawn ``points``.
+
+        The one place that times a residual, builds through ``context`` (or
+        a fresh :class:`PointContext`), redraws every drawn point on a
+        PoleError when an ``rng`` is given (:func:`_resample`), names the
+        row, and reads the tolerance through :func:`tolerance_for`, with
+        ``tolerance`` overriding it.  ``options`` go to the residual
+        (p-to-zero's ``p_sequence``).  Only a PoleError redraws.  What a
+        residual computes from the parameters alone (the dressing matrices,
+        p-to-zero's check of ``p_sequence``) cannot raise one, so an error
+        there leaves on the first attempt, before any draw.
+        """
+        started = time.perf_counter()
+        module, _, function = self.residual.rpartition(".")
+        owner = sys.modules[f"{__package__}.{module}" if module else __name__]
+        residual = getattr(owner, function)
+        build = (PointContext() if context is None else context).build
+        key = self.name.partition("[")[0]
+        if not points:
+            points = tuple({AT_ONE: LOG_ONE, AT_Q: params.log_q}[i] for i in self.points)
+        detail: dict = {}
+        value, points = _resample(
+            lambda *pts: residual(build, params, kind, *pts, detail=detail, **options),
+            tuple(points),
+            rng if self.drawn else None,
+        )
+        return PropertyReport.from_residual(
+            self.name.format(kind=kind.value),
+            params.digest(),
+            [p.to_complex() for p in points],
+            value,
+            tolerance_for(key, params.n, {} if tolerance is None else {key: tolerance}),
+            (time.perf_counter() - started) * 1000.0,
+            detail,
+        )
 
 
 _ELLIPTIC = (RKind.ELLIPTIC,)
@@ -946,71 +760,71 @@ _ALL_KINDS = (
 # "[kind]" for the multi-kind checks and "qdet[x]" for key "qdet.x".
 CHECKS: dict[str, Check] = {
     "ybe": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_ybe(pr, k, *z, **kw),
-        scope="point", points=(0, 1, 2), kinds=_ALL_KINDS,
+        1e-8, name="ybe[{kind}]", residual="check_ybe",
+        scope="point", points=(Z1, Z2, Z3), kinds=_ALL_KINDS,
     ),
     "unitarity": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_unitarity(pr, k, *z, **kw),
-        scope="point", points=(0,), kinds=_ALL_KINDS,
+        1e-8, name="unitarity[{kind}]", residual="check_unitarity",
+        scope="point", points=(Z1,), kinds=_ALL_KINDS,
     ),
     "regularity": Check(
-        1e-8, run=lambda pr, k, z, rng=None, **kw: check_regularity(pr, **kw),
-        scope="point", kinds=_ELLIPTIC,
+        1e-8, name="regularity[elliptic]", residual="check_regularity",
+        scope="point", points=(AT_ONE,), kinds=_ELLIPTIC,
     ),
     "crossing": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_crossing(pr, *z, **kw),
-        scope="point", points=(0,), kinds=_ELLIPTIC,
+        1e-8, name="crossing", residual="check_crossing",
+        scope="point", points=(Z1,), kinds=_ELLIPTIC,
     ),
     "antisymmetry": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_antisymmetry(pr, *z, **kw),
-        scope="point", points=(1,), kinds=_ELLIPTIC,
+        1e-8, name="antisymmetry", residual="check_antisymmetry",
+        scope="point", points=(Z2,), kinds=_ELLIPTIC,
     ),
     "quasi-periodicity": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_quasi_periodicity(pr, *z, **kw),
-        scope="point", points=(0,), kinds=_ELLIPTIC,
+        1e-8, name="quasi-periodicity", residual="check_quasi_periodicity",
+        scope="point", points=(Z1,), kinds=_ELLIPTIC,
     ),
     "h-invariance": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_h_invariance(pr, *z, **kw),
-        scope="point", points=(1,), kinds=_ELLIPTIC,
+        1e-8, name="h-invariance[elliptic]", residual="check_h_invariance",
+        scope="point", points=(Z2,), kinds=_ELLIPTIC,
     ),
     "crossing-unitarity": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_crossing_unitarity(pr, *z, **kw),
-        scope="point", points=(2,), kinds=_ELLIPTIC,
+        1e-8, name="crossing-unitarity", residual="check_crossing_unitarity",
+        scope="point", points=(Z3,), kinds=_ELLIPTIC,
     ),
     "evaluated-ll": Check(
-        1e-9, run=lambda pr, k, z, **kw: check_evaluated_ll(pr, *z, **kw),
-        scope="point", points=(0,), kinds=_ELLIPTIC,
+        1e-9, name="evaluated-ll", residual="check_evaluated_ll",
+        scope="point", points=(Z1,), kinds=_ELLIPTIC,
     ),
     "gauge-relation": Check(
-        1e-10, run=lambda pr, k, z, **kw: check_gauge_relation(pr, *z, **kw),
-        scope="point", points=(1, 3), kinds=_ELLIPTIC,
+        1e-10, name="gauge-relation", residual="check_gauge_relation",
+        scope="point", points=(Z2, W), kinds=_ELLIPTIC,
     ),
     "twist-relation": Check(
-        1e-10, run=lambda pr, k, z, **kw: check_twist_relation(pr, *z, **kw),
-        scope="point", points=(2,), kinds=_ELLIPTIC,
+        1e-10, name="twist-relation", residual="check_twist_relation",
+        scope="point", points=(Z3,), kinds=_ELLIPTIC,
     ),
     "transpose-symmetry": Check(
-        1e-8, run=lambda pr, k, z, **kw: check_transpose_symmetry(pr, *z, **kw),
-        scope="point", points=(0,), kinds=_ELLIPTIC, canary_from=3,
+        1e-8, name="transpose-symmetry", residual="check_transpose_symmetry",
+        scope="point", points=(Z1,), kinds=_ELLIPTIC,
     ),
     "kernel-structure": Check(
-        1e-9, run=lambda pr, k, z, rng=None, **kw: check_kernel_structure(pr, **kw),
-        scope="point", kinds=_ELLIPTIC,
+        1e-9, name="kernel-structure", residual="check_kernel_structure",
+        scope="point", points=(AT_Q,), kinds=_ELLIPTIC,
     ),
     "spectrum-nonelliptic": Check(
-        1e-9, run=lambda pr, k, z, rng=None, **kw: check_spectrum_nonelliptic(pr, **kw),
-        scope="point", kinds=_ELLIPTIC,
+        1e-9, name="spectrum-nonelliptic", residual="check_spectrum_nonelliptic",
+        scope="point", points=(AT_Q,), kinds=_ELLIPTIC,
     ),
     "p-to-zero": Check(
-        1e-5, run=lambda pr, k, z, **kw: check_p_to_zero(pr, *z, **kw),
-        scope="once", points=(0,), kinds=_ELLIPTIC,
+        1e-5, name="p-to-zero", residual="check_p_to_zero",
+        scope="once", points=(Z1,), kinds=_ELLIPTIC,
     ),
-    "nsigma": Check(
-        0.0, run=lambda pr, k, z, tolerance=None, **kw: check_nsigma(tolerance=tolerance),
-        scope="once",
+    "nsigma": Check(0.0, name="nsigma", scope="once"),
+    # rows of the qdet block: the witness runs here, the rest in qdet_engine
+    "centrality-witness": Check(
+        1e-8, 1e-9, name="centrality-witness", residual="qdet_engine.centrality_witness",
+        points=(Z1, W),
     ),
-    # rows of the qdet block, computed in qdet_engine
-    "centrality-witness": Check(1e-8, 1e-9),
     "qdet.product_internal_consistency": Check(1e-7, 1e-8),
     "qdet.product_vs_identity": Check(1e-7, 1e-8),
     "qdet.closed_form_vs_identity": Check(1e-8),
@@ -1026,11 +840,15 @@ CHECKS: dict[str, Check] = {
 
 def tolerance_for(key: str, n: int, overrides: dict[str, float]) -> float:
     """Tolerance of table entry ``key`` at N: an override by key, then by its
-    group ("qdet" for "qdet.x"), else the table's default."""
+    group ("qdet" for "qdet.x"), else the table's default, tightened to its
+    ``n2_tolerance`` at N = 2."""
     for name in (key, key.partition(".")[0]):
         if name in overrides:
             return float(overrides[name])
-    return CHECKS[key].tolerance_at(n)
+    check = CHECKS[key]
+    if n == 2 and check.n2_tolerance is not None:
+        return check.n2_tolerance
+    return check.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +870,7 @@ def run_suite(
     When ``params`` is given the same (q, p) is reused at every point and
     only the spectral arguments are redrawn; otherwise each point draws a
     fresh generic parameter set.  With a reused (q, p), an entry of scope
-    "point" that takes no spectral point gives the same report at every
+    "point" that takes no drawn point gives the same report at every
     point: it runs at the first, and its report repeats at the others.
     Checks that accept several kinds run first, interleaved kind by kind.
     Each point's checks share one :class:`PointContext`.  With ``safe`` a
@@ -1063,7 +881,7 @@ def run_suite(
     rng = np.random.default_rng(seed)
     reports: list[PropertyReport] = []
     per_point = [(name, c) for name, c in CHECKS.items() if c.scope == "point"]
-    repeated = {name for name, c in per_point if not c.points} if params is not None else set()
+    repeated = {name for name, c in per_point if not c.drawn} if params is not None else set()
     first: dict[str, PropertyReport] = {}
 
     def add(name: str, pt_params: ModelParams, kind: RKind, points: tuple,
@@ -1072,8 +890,11 @@ def run_suite(
             reports.append(first[name])
             return
         try:
-            report = CHECKS[name].run(pt_params, kind, points, tolerance=overrides.get(name),
-                                      rng=rng, context=context)
+            if name == "nsigma":  # exact, at no (q, p): its own report
+                report = check_nsigma(tolerance=overrides.get(name))
+            else:
+                report = CHECKS[name].run(pt_params, kind, points, tolerance=overrides.get(name),
+                                          rng=rng, context=context)
         except EllipticRMatrixError as exc:
             if not safe:
                 raise
@@ -1095,11 +916,11 @@ def run_suite(
         draws = tuple(draw_log(rng) for _ in range(4))
         context = PointContext()
         for name, kind in battery:
-            add(name, pt_params, kind, tuple(draws[i] for i in CHECKS[name].points), context)
+            add(name, pt_params, kind, tuple(draws[i] for i in CHECKS[name].drawn), context)
 
     limit_params = params if params is not None else draw_params(rng, n)
     context = PointContext()
     for name, c in CHECKS.items():
         if c.scope == "once":
-            add(name, limit_params, RKind.ELLIPTIC, tuple(draw_log(rng) for _ in c.points), context)
+            add(name, limit_params, RKind.ELLIPTIC, tuple(draw_log(rng) for _ in c.drawn), context)
     return reports

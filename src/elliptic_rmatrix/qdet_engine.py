@@ -22,7 +22,6 @@ steps, evaluated in a fixed order so results are bit-reproducible.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, TypeVar
@@ -33,7 +32,7 @@ from .errors import KindError, SizeError
 from .special_functions import LogComplex, theta
 from .tensor_algebra import TensorOperator, antisymmetrizer, embed
 from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r
-from .property_suite import CHECKS, PropertyReport, _resample, _sampled
+from .property_suite import _Builder, _resample
 
 __all__ = [
     "QdetResult",
@@ -254,38 +253,30 @@ def qdet_sum_formula(
 
 
 def centrality_witness(
-    params: ModelParams,
-    log_z: LogComplex,
-    log_w: LogComplex,
-    *,
-    tolerance: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> PropertyReport:
-    """M(z) commutes with every evaluated Lax block E_{ij}(w).
+    build: _Builder, params: ModelParams, kind: RKind,
+    log_z: LogComplex, log_w: LogComplex, *, detail: dict,
+) -> float:
+    """M(z) commutes with every evaluated Lax block E_{ij}(w): the residual
+    function of ``CHECKS["centrality-witness"]``.
 
     The evaluation-representation shadow of centrality: residual is the
     worst commutator norm over all N^2 blocks of a hat matrix at an
     unrelated point w, relative to ||M|| times the largest block norm.
+    Like every qdet route it builds through this module's ``build_r``, not
+    ``build``: nothing it builds is read twice.
     """
-    started = time.perf_counter()
-    if tolerance is None:
-        tolerance = CHECKS["centrality-witness"].tolerance_at(params.n)
     n = params.n
-
-    def compute(lz: LogComplex, lw: LogComplex) -> float:
-        m = qdet_product(params, lz).entries
-        view = build_r(params, RKind.ELLIPTIC_HAT, lw).tensor_view()
-        scale = float(np.linalg.norm(m)) * max(
-            float(np.linalg.norm(view[i, :, j, :])) for i in range(n) for j in range(n)
-        )
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                block = view[i, :, j, :]
-                worst = max(worst, float(np.linalg.norm(m @ block - block @ m)))
-        return worst / max(scale, 1e-300)
-
-    return _sampled("centrality-witness", params, compute, (log_z, log_w), tolerance, rng, started)
+    m = qdet_product(params, log_z).entries
+    view = build_r(params, RKind.ELLIPTIC_HAT, log_w).tensor_view()
+    scale = float(np.linalg.norm(m)) * max(
+        float(np.linalg.norm(view[i, :, j, :])) for i in range(n) for j in range(n)
+    )
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            block = view[i, :, j, :]
+            worst = max(worst, float(np.linalg.norm(m @ block - block @ m)))
+    return worst / max(scale, 1e-300)
 
 
 def closed_form_q_spread(

@@ -11,18 +11,12 @@ import time
 import numpy as np
 
 from elliptic_rmatrix import (
+    CHECKS,
     LogComplex,
     ModelParams,
     RKind,
     build_r,
-    check_gauge_relation,
-    check_kernel_structure,
     check_nsigma,
-    check_p_to_zero,
-    check_spectrum_nonelliptic,
-    check_transpose_symmetry,
-    check_twist_relation,
-    check_ybe,
     closed_form_q_spread,
     run_suite,
     theta_shift_residual,
@@ -93,7 +87,8 @@ def test_criterion_3_identity_suite():
                     worst = max(worst, report.residual)
                     break
     rng = np.random.default_rng(304)
-    n4 = check_ybe(draw_params(rng, 4), RKind.ELLIPTIC, draw_log(rng), draw_log(rng), draw_log(rng))
+    params4 = draw_params(rng, 4)
+    n4 = CHECKS["ybe"].run(params4, RKind.ELLIPTIC, (draw_log(rng), draw_log(rng), draw_log(rng)))
     worst = max(worst, n4.residual)
     elapsed = time.perf_counter() - started
     ok = worst < 1e-8 and elapsed < 60.0 and all(c >= 10 for c in counted.values())
@@ -109,8 +104,8 @@ def test_criterion_4_kernel_rank_spectrum():
     pieces = []
     for n in (2, 3, 4):
         params = draw_params(np.random.default_rng(400 + n), n)
-        kernel = check_kernel_structure(params)
-        spectrum = check_spectrum_nonelliptic(params)
+        kernel = CHECKS["kernel-structure"].run(params, RKind.ELLIPTIC)
+        spectrum = CHECKS["spectrum-nonelliptic"].run(params, RKind.ELLIPTIC)
         expected_rank = n * n - n * (n - 1) // 2
         rank_ok = kernel.detail["rank"] == expected_rank
         kernel_ok = kernel.detail["kernel_residual"] < 1e-9
@@ -132,8 +127,8 @@ def test_criterion_5_gradations():
     for n in (2, 3):
         rng = np.random.default_rng(500 + n)
         params = draw_params(rng, n)
-        gauge = check_gauge_relation(params, draw_log(rng), draw_log(rng))
-        twist = check_twist_relation(params, draw_log(rng))
+        gauge = CHECKS["gauge-relation"].run(params, RKind.ELLIPTIC, (draw_log(rng), draw_log(rng)))
+        twist = CHECKS["twist-relation"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         worst = max(worst, gauge.residual, twist.residual)
         ok = ok and gauge.residual < 1e-10 and twist.residual < 1e-10
     nsigma = check_nsigma(5)
@@ -151,7 +146,7 @@ def test_criterion_6_p_to_zero():
     for n in (2, 3):
         rng = np.random.default_rng(600 + n)
         params = draw_params(rng, n)
-        report = check_p_to_zero(params, draw_log(rng))
+        report = CHECKS["p-to-zero"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         seq = report.detail["residual_sequence"]
         monotone = all(b < a for a, b in zip(seq, seq[1:]))
         scalar = report.detail["fitted_scalar"]
@@ -205,7 +200,7 @@ def test_criterion_7_quantum_determinant():
 def test_criterion_8_canary():
     rng = np.random.default_rng(800)
     params = draw_params(rng, 3)
-    report = check_transpose_symmetry(params, draw_log(rng))
+    report = CHECKS["transpose-symmetry"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
     ok = (not report.passed) and report.residual > 1e-3
     assert emit(
         8, ok, f"R^(t1 t2) != R at N=3: residual {report.residual:.2e} (> 1e-3), reported as failure"

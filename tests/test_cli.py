@@ -89,6 +89,13 @@ class TestExitCodes:
         assert captured.err.splitlines()[-1] == "numerical error: hat prefactor denominator vanished"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["matrix", "verify", "qdet", "scan", "limits"])
+    def test_negative_seed_is_config_error(self, capsys, command):
+        assert main([command, "--n", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --seed must be non-negative, got -1"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["verify", "qdet"])
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_non_positive_points_rejected(self, capsys, command, points):

@@ -10,6 +10,7 @@ import pytest
 import elliptic_rmatrix.property_suite as ps
 import elliptic_rmatrix.rmatrix_builders as rmatrix_builders
 from elliptic_rmatrix import (
+    CHECKS,
     DomainError,
     LogComplex,
     ModelParams,
@@ -19,22 +20,7 @@ from elliptic_rmatrix import (
     TensorOperator,
     build_r,
     charge_sectors,
-    check_antisymmetry,
-    check_crossing,
-    check_crossing_unitarity,
-    check_evaluated_ll,
-    check_gauge_relation,
-    check_h_invariance,
-    check_kernel_structure,
     check_nsigma,
-    check_p_to_zero,
-    check_quasi_periodicity,
-    check_regularity,
-    check_spectrum_nonelliptic,
-    check_transpose_symmetry,
-    check_twist_relation,
-    check_unitarity,
-    check_ybe,
     embed,
     effective_pass,
     run_suite,
@@ -59,7 +45,7 @@ class TestIndividualChecks:
     def test_ybe_all_kinds(self, params, rng):
         kinds = list(RKind) if params.n == 2 else [k for k in RKind if k is not RKind.EIGHT_VERTEX]
         for kind in kinds:
-            report = check_ybe(params, kind, draw_log(rng), draw_log(rng), draw_log(rng))
+            report = CHECKS["ybe"].run(params, kind, (draw_log(rng), draw_log(rng), draw_log(rng)))
             assert report.passed, (kind, report.residual)
             assert report.name == f"ybe[{kind.value}]"
             assert len(report.sample_points) == 3
@@ -67,41 +53,42 @@ class TestIndividualChecks:
     def test_unitarity_all_kinds(self, params, rng):
         kinds = list(RKind) if params.n == 2 else [k for k in RKind if k is not RKind.EIGHT_VERTEX]
         for kind in kinds:
-            report = check_unitarity(params, kind, draw_log(rng))
+            report = CHECKS["unitarity"].run(params, kind, (draw_log(rng),))
             assert report.passed, (kind, report.residual)
-        hat = check_unitarity(params, RKind.ELLIPTIC_HAT, draw_log(rng))
+        hat = CHECKS["unitarity"].run(params, RKind.ELLIPTIC_HAT, (draw_log(rng),))
         assert hat.detail["u_cross_check"] < 1e-10
 
     def test_regularity(self, params):
-        assert check_regularity(params).passed
+        assert CHECKS["regularity"].run(params, RKind.ELLIPTIC).passed
 
     def test_crossing(self, params, rng):
-        assert check_crossing(params, draw_log(rng)).passed
+        assert CHECKS["crossing"].run(params, RKind.ELLIPTIC, (draw_log(rng),)).passed
 
     def test_antisymmetry(self, params, rng):
-        assert check_antisymmetry(params, draw_log(rng)).passed
+        assert CHECKS["antisymmetry"].run(params, RKind.ELLIPTIC, (draw_log(rng),)).passed
 
     def test_quasi_periodicity(self, params, rng):
-        assert check_quasi_periodicity(params, draw_log(rng)).passed
+        assert CHECKS["quasi-periodicity"].run(params, RKind.ELLIPTIC, (draw_log(rng),)).passed
 
     def test_h_invariance_dressed_generator(self, params, rng):
-        report = check_h_invariance(params, draw_log(rng))
+        report = CHECKS["h-invariance"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         assert report.passed
         assert report.detail["generator"] == "g^{1/2} h g^{-1/2}"
 
     def test_crossing_unitarity_covers_both_normalizations(self, params, rng):
-        report = check_crossing_unitarity(params, draw_log(rng))
+        report = CHECKS["crossing-unitarity"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         assert report.passed
         assert set(report.detail) >= {"elliptic", "elliptic-hat"}
 
     def test_evaluated_ll(self, params, rng):
-        assert check_evaluated_ll(params, draw_log(rng)).passed
+        assert CHECKS["evaluated-ll"].run(params, RKind.ELLIPTIC, (draw_log(rng),)).passed
 
     def test_gauge_relation(self, params, rng):
-        assert check_gauge_relation(params, draw_log(rng), draw_log(rng)).passed
+        points = (draw_log(rng), draw_log(rng))
+        assert CHECKS["gauge-relation"].run(params, RKind.ELLIPTIC, points).passed
 
     def test_twist_relation(self, params, rng):
-        report = check_twist_relation(params, draw_log(rng))
+        report = CHECKS["twist-relation"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         assert report.passed
         if params.n == 2:
             assert report.residual == 0.0  # the twist is trivial at N = 2
@@ -109,7 +96,7 @@ class TestIndividualChecks:
 
 class TestKernelAndSpectrum:
     def test_kernel_structure_details(self, params):
-        report = check_kernel_structure(params)
+        report = CHECKS["kernel-structure"].run(params, RKind.ELLIPTIC)
         assert report.passed
         n = params.n
         assert report.detail["expected_rank"] == n * n - n * (n - 1) // 2
@@ -122,12 +109,12 @@ class TestKernelAndSpectrum:
             assert report.detail[key] < 1e-10
 
     def test_spectrum_nonelliptic(self, params):
-        assert check_spectrum_nonelliptic(params).passed
+        assert CHECKS["spectrum-nonelliptic"].run(params, RKind.ELLIPTIC).passed
 
 
 class TestPToZero:
     def test_two_rate_structure(self, params, rng):
-        report = check_p_to_zero(params, draw_log(rng))
+        report = CHECKS["p-to-zero"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         assert report.passed
         full = report.detail["residual_sequence"]
         support = report.detail["support_residual_sequence"]
@@ -142,12 +129,21 @@ class TestPToZero:
 
     def test_rejects_non_decreasing_sequence(self, params):
         with pytest.raises(DomainError):
-            check_p_to_zero(params, lc(1.2), p_sequence=(1e-4, 1e-2))
+            CHECKS["p-to-zero"].run(params, RKind.ELLIPTIC, (lc(1.2),), p_sequence=(1e-4, 1e-2))
+
+    def test_rejected_sequence_uses_no_draw(self, params):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            CHECKS["p-to-zero"].run(params, RKind.ELLIPTIC, (lc(1.2),), rng=rng,
+                                    p_sequence=(1e-4, 1e-2))
+        assert rng.bit_generator.state == state
 
     def test_non_monotone_would_fail(self, params, rng):
         # single-element sequence is trivially monotone; sanity-check the
         # gate by asserting the recorded flag drives the residual choice
-        report = check_p_to_zero(params, draw_log(rng), p_sequence=(1e-6, 1e-8))
+        report = CHECKS["p-to-zero"].run(params, RKind.ELLIPTIC, (draw_log(rng),),
+                                         p_sequence=(1e-6, 1e-8))
         assert report.detail["monotone"] is True
 
 
@@ -207,14 +203,14 @@ class TestNsigmaIntegerForm:
 class TestCanary:
     def test_transpose_symmetry_is_genuine_pass_at_n2(self, rng):
         params2 = draw_params(np.random.default_rng(102), 2)
-        report = check_transpose_symmetry(params2, draw_log(rng))
+        report = CHECKS["transpose-symmetry"].run(params2, RKind.ELLIPTIC, (draw_log(rng),))
         assert report.passed
         assert report.detail["canary"] is False
         assert effective_pass(report)
 
     def test_transpose_symmetry_fails_loudly_at_n3(self, rng):
         params3 = draw_params(np.random.default_rng(103), 3)
-        report = check_transpose_symmetry(params3, draw_log(rng))
+        report = CHECKS["transpose-symmetry"].run(params3, RKind.ELLIPTIC, (draw_log(rng),))
         assert not report.passed
         assert report.detail["canary"] is True
         assert report.residual > ps.CANARY_MARGIN
@@ -239,12 +235,13 @@ class TestResampling:
         params = draw_params(np.random.default_rng(7), 2)
         pole = params.log_q.inv()  # z = 1/q sits on a theta zero
         with pytest.raises(PoleError):
-            check_unitarity(params, RKind.ELLIPTIC, pole)
+            CHECKS["unitarity"].run(params, RKind.ELLIPTIC, (pole,))
 
     def test_pole_resampled_with_rng(self):
         params = draw_params(np.random.default_rng(7), 2)
         pole = params.log_q.inv()
-        report = check_unitarity(params, RKind.ELLIPTIC, pole, rng=np.random.default_rng(0))
+        report = CHECKS["unitarity"].run(params, RKind.ELLIPTIC, (pole,),
+                                         rng=np.random.default_rng(0))
         assert report.passed
         assert report.sample_points[0] != pytest.approx(pole.to_complex())
 
@@ -273,7 +270,7 @@ class TestYbeChargeSectors:
             )
             lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
             dense = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
-            report = check_ybe(params, kind, z1, z2, z3)
+            report = CHECKS["ybe"].run(params, kind, (z1, z2, z3))
             assert report.passed
             assert abs(report.residual - dense) <= 1e-16, (kind, report.residual, dense)
 
@@ -302,7 +299,7 @@ class TestYbeChargeSectors:
         params = draw_params(rng, n)
         points = tuple(draw_log(rng) for _ in range(3))
         kinds = [k for k in ps.CHECKS["ybe"].kinds if k.exists_at(n)]
-        assert all(check_ybe(params, kind, *points).passed for kind in kinds)
+        assert all(CHECKS["ybe"].run(params, kind, points).passed for kind in kinds)
         real = ps.build_r
 
         def build_r(params, kind, log_z, **kwargs):
@@ -312,7 +309,7 @@ class TestYbeChargeSectors:
 
         monkeypatch.setattr(ps, "build_r", build_r)
         for kind in kinds:
-            report = check_ybe(params, kind, *points)
+            report = CHECKS["ybe"].run(params, kind, points)
             assert not report.passed, (kind, report.residual)
 
 
@@ -349,7 +346,7 @@ class TestEvaluatedLlEinsum:
         params = draw_params(rng, n)
         for _ in range(3):
             lz = draw_log(rng)
-            report = check_evaluated_ll(params, lz)
+            report = CHECKS["evaluated-ll"].run(params, RKind.ELLIPTIC, (lz,))
             assert report.passed
             assert abs(report.residual - loop_evaluated_ll(params, lz)) <= 1e-15
 
@@ -358,7 +355,7 @@ class TestEvaluatedLlEinsum:
         rng = np.random.default_rng(90 + n)
         params = draw_params(rng, n)
         lz = draw_log(rng)
-        assert check_evaluated_ll(params, lz).passed
+        assert CHECKS["evaluated-ll"].run(params, RKind.ELLIPTIC, (lz,)).passed
         real = ps.build_r
 
         def build_r(params, kind, log_z, **kwargs):
@@ -368,7 +365,7 @@ class TestEvaluatedLlEinsum:
             return TensorOperator(params.n, 2, entries)
 
         monkeypatch.setattr(ps, "build_r", build_r)
-        report = check_evaluated_ll(params, lz)
+        report = CHECKS["evaluated-ll"].run(params, RKind.ELLIPTIC, (lz,))
         assert not report.passed, report.residual
 
 
@@ -387,17 +384,19 @@ def _pole_on_first_build(monkeypatch) -> list:
     return calls
 
 
-_RUNNABLE = [key for key, check in ps.CHECKS.items() if check.run is not None]
+_RUNNABLE = [key for key, check in ps.CHECKS.items() if check.scope is not None]
 
 
 class TestSampledHelper:
-    """Every table entry resamples, or refuses to, through the one helper, ``_sampled``."""
+    """Every table entry resamples, or refuses to, through the one runner, ``Check.run``."""
 
     @staticmethod
     def _run(key, rng):
+        if key == "nsigma":  # exact, at no (q, p): its own report
+            return (), ps.check_nsigma()
         check = ps.CHECKS[key]
         params = draw_params(np.random.default_rng(7), 2)
-        points = tuple(draw_log(np.random.default_rng(8)) for _ in check.points)
+        points = tuple(draw_log(np.random.default_rng(8)) for _ in check.drawn)
         kind = check.kinds[0] if check.kinds else RKind.ELLIPTIC
         return points, check.run(params, kind, points, rng=rng)
 
@@ -415,7 +414,7 @@ class TestSampledHelper:
         calls = _pole_on_first_build(monkeypatch)
         if key == "nsigma":
             assert self._run(key, np.random.default_rng(0))[1].passed and calls == []
-        elif ps.CHECKS[key].points:
+        elif ps.CHECKS[key].drawn:
             points, report = self._run(key, np.random.default_rng(0))
             assert len(report.sample_points) == len(points)
             for old, new in zip(points, report.sample_points):
@@ -532,8 +531,12 @@ class TestCheckTable:
 
     def test_entries_are_consistent(self):
         for key, check in ps.CHECKS.items():
-            assert all(0 <= i < 4 for i in check.points), key
-            assert (check.run is None) == (check.scope is None), key
+            assert all(ps.Z1 <= i <= ps.AT_Q for i in check.points), key
+            # rows without a name are the qdet block's; the suite runs residuals, and nsigma
+            assert (check.name is None) == (check.residual is None and check.scope is None), key
+            assert check.scope is None or check.residual is not None or key == "nsigma", key
+            if check.name is not None:
+                assert check.name.partition("[")[0] == key, key
 
 
 def _scaled_hat_builds(monkeypatch, n):
@@ -595,8 +598,9 @@ class TestClosedFormInverses:
 
     def test_crossing_has_one_implementation(self, params, rng):
         lz = draw_log(rng)
-        both = check_crossing_unitarity(params, lz)
-        assert check_crossing(params, lz).residual == both.detail["elliptic"]
+        both = CHECKS["crossing-unitarity"].run(params, RKind.ELLIPTIC, (lz,))
+        crossing = CHECKS["crossing"].run(params, RKind.ELLIPTIC, (lz,))
+        assert crossing.residual == both.detail["elliptic"]
         assert both.residual == max(both.detail["elliptic"], both.detail["elliptic-hat"])
 
     @pytest.mark.parametrize("n", [3, 6])
@@ -701,7 +705,7 @@ class TestPointContext:
 
     def test_parameter_only_entries_are_the_table_entries_without_points(self):
         assert {key for key, check in ps.CHECKS.items()
-                if check.scope == "point" and not check.points} == set(_PARAMETER_ONLY)
+                if check.scope == "point" and not check.drawn} == set(_PARAMETER_ONLY)
 
     @pytest.mark.parametrize("fixed", [True, False], ids=["fixed-params", "fresh-params"])
     def test_parameter_only_checks_run_once_per_suite_with_fixed_params(self, monkeypatch, fixed):
@@ -717,7 +721,7 @@ class TestPointContext:
             rows = [r for r in reports if r.name.partition("[")[0] == key]
             assert len(rows) == 3, key
             if fixed:  # the first run's report, equal to a fresh run's at every point
-                fresh = getattr(ps, function)(params)
+                fresh = ps.CHECKS[key].run(params, RKind.ELLIPTIC)
                 for row in rows:
                     assert row is rows[0]
                     assert (row.residual, row.detail, row.sample_points) == (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from elliptic_rmatrix import (
+    CHECKS,
     KindError,
     LogComplex,
     ModelParams,
@@ -15,7 +16,6 @@ from elliptic_rmatrix import (
     TensorOperator,
     antisymmetrizer,
     build_r,
-    centrality_witness,
     closed_form_q_spread,
     embed,
     inverse_product_residual,
@@ -236,9 +236,40 @@ class TestTwoSlotSolve:
 
 class TestCentrality:
     def test_witness_commutes(self, params, rng):
-        report = centrality_witness(params, draw_log(rng), draw_log(rng), rng=rng)
+        witness = CHECKS["centrality-witness"]
+        report = witness.run(params, RKind.ELLIPTIC_HAT, (draw_log(rng), draw_log(rng)), rng=rng)
         assert report.passed
         assert report.name == "centrality-witness"
+
+    def test_runner_calls_the_witness_by_its_module_name(self, monkeypatch, params, rng):
+        calls = []
+        real = qdet_engine.centrality_witness
+        monkeypatch.setattr(qdet_engine, "centrality_witness",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        points = (draw_log(rng), draw_log(rng))
+        report = CHECKS["centrality-witness"].run(params, RKind.ELLIPTIC_HAT, points)
+        assert len(calls) == 1 and calls[0][-2:] == points
+        assert report.sample_points == tuple(p.to_complex() for p in points)
+
+    def test_pole_resamples_both_points(self, monkeypatch, params, rng):
+        real, calls = qdet_engine.build_r, []
+
+        def build_r(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise PoleError("synthetic pole")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qdet_engine, "build_r", build_r)
+        points = (draw_log(rng), draw_log(rng))
+        witness = CHECKS["centrality-witness"]
+        with pytest.raises(PoleError):
+            witness.run(params, RKind.ELLIPTIC_HAT, points)
+        calls.clear()
+        report = witness.run(params, RKind.ELLIPTIC_HAT, points, rng=np.random.default_rng(0))
+        assert report.passed
+        for old, new in zip(points, report.sample_points):
+            assert new != pytest.approx(old.to_complex())
 
 
 class TestGuards:

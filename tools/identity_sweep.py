@@ -30,7 +30,7 @@ SEED = "1"
 KNOWN_FAILING = [
     ["qdet", "--n", "4", "--points", "2", "--seed", seed, "--format", "json"]
     for seed in ("152062143", "3328858614", "1506946534", "1242427736", "88274865", "4261092569",
-                 "3533503040")
+                 "3533503040", "3918328718")
 ]
 
 # The benchmark's own argument shapes (bench/run.py): verify-n3 pins (q, p) as
