@@ -529,6 +529,10 @@ def run_verify(config: RunConfig) -> int:
 
 
 def run_matrix(config: RunConfig) -> int:
+    if config.fmt != "text":
+        raise ConfigError(f"matrix writes a text dump only; it takes no --format {config.fmt}")
+    if config.timings:
+        raise ConfigError("matrix writes a text dump only; it takes no --timings")
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
     log_z = _resolve_point(config.z, rng)

@@ -45,6 +45,8 @@ from .errors import DomainError, EllipticRMatrixError, PoleError
 from .special_functions import LOG_ONE, LogComplex
 from .tensor_algebra import (
     TensorOperator,
+    _frobenius,
+    _kron,
     antisymmetrizer,
     charge_sectors,
     embed,
@@ -175,12 +177,12 @@ def draw_params(rng: np.random.Generator, n: int) -> ModelParams:
 
 def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Residual for matrix = matrix identities, normalized by the LHS."""
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
+    return _frobenius(lhs - rhs) / max(_frobenius(lhs), 1e-300)
 
 
 def _rel_identity(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Residual for identities whose RHS is (a multiple of) the identity."""
-    return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs)))
+    return _frobenius(lhs - rhs) / max(1.0, _frobenius(rhs))
 
 
 def _resample(
@@ -282,8 +284,7 @@ def check_ybe(
     factors = [build(params, kind, lz)
                for lz in (log_z1 / log_z2, log_z1 / log_z3, log_z2 / log_z3)]
     leak = max(
-        float(np.linalg.norm(r.entries.ravel().take(off_sector))
-              / max(np.linalg.norm(r.entries), 1e-300))
+        _frobenius(r.entries.ravel().take(off_sector)) / max(_frobenius(r.entries), 1e-300)
         for r in factors
     )
     r12, r13, r23 = (
@@ -373,8 +374,8 @@ def check_quasi_periodicity(
     gh = np.diag(build_g_half(params).entries)
     h = build_h(params).entries
     eye = np.eye(n)
-    big_g = np.kron(gh[:, None] * h * gh[None, :], eye)
-    big_g_inv = np.kron(h.T / (gh[:, None] * gh[None, :]), eye)
+    big_g = _kron(gh[:, None] * h * gh[None, :], eye)
+    big_g_inv = _kron(h.T / (gh[:, None] * gh[None, :]), eye)
     lhs = build(params, RKind.ELLIPTIC_HAT, (log_z * (params.log_p**0.5)).negated()).entries
     r21_inv = build(params, RKind.ELLIPTIC_HAT, log_z).entries / u_scalar(params, log_z)
     return _rel(lhs, big_g_inv @ r21_inv @ big_g)
@@ -393,7 +394,7 @@ def check_h_invariance(
     detail["generator"] = "g^{1/2} h g^{-1/2}"
     gh = np.diag(build_g_half(params).entries)
     gen = build_h(params).entries * (gh[:, None] / gh[None, :])
-    hh = np.kron(gen, gen)
+    hh = _kron(gen, gen)
     r = build(params, RKind.ELLIPTIC, log_z).entries
     return _rel(hh @ r, r @ hh)
 
@@ -494,7 +495,7 @@ def check_gauge_relation(
     V x V is diagonal, so the right side is the homogeneous matrix scaled
     entrywise by v_i / v_j."""
     lhs = build(params, RKind.PRINCIPAL, log_z / log_w).entries
-    v = np.kron(np.diag(build_v(params, log_z).entries), np.diag(build_v(params, log_w).entries))
+    v = _kron(np.diag(build_v(params, log_z).entries), np.diag(build_v(params, log_w).entries))
     hom = build(params, RKind.HOMOGENEOUS, (log_z**2) / (log_w**2)).entries
     return _rel(lhs, hom * (v[:, None] / v[None, :]))
 
@@ -572,7 +573,7 @@ def check_evaluated_ll(
     n = params.n
     top = build(params, RKind.ELLIPTIC_HAT, log_z)
     bot = build(params, RKind.ELLIPTIC_HAT, log_z / params.log_q)
-    scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
+    scale = _frobenius(top.entries) * _frobenius(bot.entries) / (n * n)
     # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
     prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
     # both combinations at every index, as index swaps of prod

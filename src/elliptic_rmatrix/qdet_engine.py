@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import KindError, SizeError
 from .special_functions import LogComplex, theta
-from .tensor_algebra import TensorOperator, antisymmetrizer, embed
+from .tensor_algebra import TensorOperator, _frobenius, antisymmetrizer, embed
 from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r
 from .property_suite import _Builder, _resample
 
@@ -141,7 +141,7 @@ def _product_with_residual(
         x = embed(factor, (j, arity), arity).entries @ x
     # X = A x M gives x = V M; V's columns are orthonormal, so this is ||X - A x M|| / ||X||.
     m = v.conj().T @ x
-    residual = float(np.linalg.norm(x - v @ m) / max(np.linalg.norm(x), 1e-300))
+    residual = _frobenius(x - v @ m) / max(_frobenius(x), 1e-300)
     return TensorOperator(n, 1, m), residual
 
 
@@ -174,7 +174,7 @@ def inverse_product_residual(
         t = np.moveaxis(y.reshape((n,) * arity + (-1,)), (j - 1, arity - 1), (0, 1))
         t = np.linalg.solve(factor.entries, t.reshape(n * n, -1)).reshape(t.shape)
         y = np.moveaxis(t, (0, 1), (j - 1, arity - 1)).reshape(y.shape)
-    return float(np.linalg.norm(y - v) / max(np.linalg.norm(v), 1e-300))
+    return _frobenius(y - v) / max(_frobenius(v), 1e-300)
 
 
 def _closed_form_offsets(n: int, ell: int) -> range:
@@ -268,14 +268,12 @@ def centrality_witness(
     n = params.n
     m = qdet_product(params, log_z).entries
     view = build_r(params, RKind.ELLIPTIC_HAT, log_w).tensor_view()
-    scale = float(np.linalg.norm(m)) * max(
-        float(np.linalg.norm(view[i, :, j, :])) for i in range(n) for j in range(n)
-    )
+    scale = _frobenius(m) * max(_frobenius(view[i, :, j, :]) for i in range(n) for j in range(n))
     worst = 0.0
     for i in range(n):
         for j in range(n):
             block = view[i, :, j, :]
-            worst = max(worst, float(np.linalg.norm(m @ block - block @ m)))
+            worst = max(worst, _frobenius(m @ block - block @ m))
     return worst / max(scale, 1e-300)
 
 
@@ -320,13 +318,13 @@ def verify_qdet(
     scale = float(np.sqrt(n))
     deviations = {
         "product_internal_consistency": internal,
-        "product_vs_identity": float(np.linalg.norm(m_op.entries - eye) / scale),
+        "product_vs_identity": _frobenius(m_op.entries - eye) / scale,
         "closed_form_vs_identity": max(abs(v - 1.0) for v in m_values),
         "closed_form_spread": max(abs(v - m_values[0]) for v in m_values),
-        "product_vs_closed_form": float(np.linalg.norm(m_op.entries - diag_closed) / scale),
-        "product_vs_sum_formula": float(np.linalg.norm(m_op.entries - sum_op.entries) / scale),
-        "sum_formula_vs_closed_form": float(np.linalg.norm(sum_op.entries - diag_closed) / scale),
-        "nonelliptic_sum_vs_identity": float(np.linalg.norm(nonell_op.entries - eye) / scale),
+        "product_vs_closed_form": _frobenius(m_op.entries - diag_closed) / scale,
+        "product_vs_sum_formula": _frobenius(m_op.entries - sum_op.entries) / scale,
+        "sum_formula_vs_closed_form": _frobenius(sum_op.entries - diag_closed) / scale,
+        "nonelliptic_sum_vs_identity": _frobenius(nonell_op.entries - eye) / scale,
         "inverse_product": inverse_res,
     }
     return QdetResult(

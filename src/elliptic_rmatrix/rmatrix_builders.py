@@ -33,8 +33,9 @@ Every value that depends on (N, q, p) alone - the Pochhammer scales of the
 pole guards, eta's constant factors, the q-dependent theta table of S, the
 elliptic builder's gather arrays, the fractional exponents of the scalars -
 is computed once per :class:`ModelParams` instance, on first use, and kept
-with that instance (``ModelParams._constants``); a build computes only what
-depends on z.  Of that, what the two elliptic kinds share at one z is one
+with that instance (``ModelParams._constants``); the gather arrays' index
+tables, which depend on N alone, are shared by every instance at that N.  A
+build computes only what depends on z.  Of that, what the two elliptic kinds share at one z is one
 ``_ZTables``, which ``build_r`` takes from a caller's memo when given one.
 """
 
@@ -45,8 +46,8 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -356,16 +357,19 @@ class _SThetas:
         return complex(self.num[i]) / (complex(self.den_z[j]) * complex(self.den_q[k]))
 
 
-def _s_powers(n: int, log_q: LogComplex, log_p: LogComplex, a, b, c) -> tuple:
+def _s_exponents(n: int, a, b, c) -> tuple:
+    """The exponents 2(b-a)/N, 2(c-b)/N and (b-a)(c-b)/N of z, q and p in the power
+    prefactor of S_{a,c}^{b}(z), for integer indices or index arrays; int/int
+    division rounds correctly, so each is the float nearest its exact rational."""
+    return 2 * (b - a) / n, 2 * (c - b) / n, (b - a) * (c - b) / n
+
+
+def _s_powers(exponents: Sequence, log_q: LogComplex, log_p: LogComplex) -> tuple:
     """The power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z)
-    without z: z's exponent and the float logs of the q and p powers, for integer
-    indices or index arrays; int/int division rounds correctly, so each exponent
-    is the float nearest its exact rational."""
-    return (
-        2 * (b - a) / n,
-        (2 * (c - b) / n) * log_q.value,
-        ((b - a) * (c - b) / n) * log_p.value,
-    )
+    without z, from :func:`_s_exponents`: z's exponent and the float logs of the q
+    and p powers."""
+    z_exp, q_exp, p_exp = exponents
+    return z_exp, q_exp * log_q.value, p_exp * log_p.value
 
 
 def _s_prefactor(powers: tuple, z: complex):
@@ -399,7 +403,7 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
     n = params.n
     if not (1 <= a <= n and 1 <= b <= n):
         raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
-    powers = _s_powers(n, params.log_q, params.log_p, a, b, c)
+    powers = _s_powers(_s_exponents(n, a, b, c), params.log_q, params.log_p)
     return complex(_s_prefactor(powers, log_z.value)) * s_theta_ratio(params, a, b, c, log_z)
 
 
@@ -593,20 +597,34 @@ def build_f(params: ModelParams) -> TensorOperator:
 # the R-matrices themselves
 
 
+@lru_cache(maxsize=8)
+def _gather_indices(n: int) -> tuple[np.ndarray, ...]:
+    """:class:`_Gather`'s arrays that depend on N alone, read-only: the flat
+    positions, the signs, the three table positions and :func:`_s_exponents`."""
+    a, c, b = (i.ravel() for i in np.indices((n, n, n)))
+    d = (a + c - b) % n
+    arrays = (
+        (a * n + c) * (n * n) + b * n + d,
+        np.where((a + c - b - d) // n % 2, -1.0, 1.0),  # a+c-b-d is a multiple of N
+        c - a + n - 1, c - b + n - 1, b - a + n - 1,
+        *_s_exponents(n, a, b, c),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 class _Gather:
     """The elliptic builder's N^3 entries as index arrays in (a, c, b) order, d
     fixed by a + c = b + d (mod N): each entry's flat position in the N^2 x N^2
     matrix, its sign (-1)^{(a+c-b-d)/N}, its offsets c - a, c - b and b - a as
-    positions in tables over 1-N..N-1, and its power prefactor's :func:`_s_powers`."""
+    positions in tables over 1-N..N-1, and its power prefactor's :func:`_s_powers`.
+    All but the powers are :func:`_gather_indices`, built once per N."""
 
     def __init__(self, constants: _Constants):
-        n = constants.n
-        a, c, b = (i.ravel() for i in np.indices((n, n, n)))
-        d = (a + c - b) % n
-        self.flat = (a * n + c) * (n * n) + b * n + d
-        self.sign = np.where((a + c - b - d) // n % 2, -1.0, 1.0)  # a+c-b-d is a multiple of N
-        self.num_at, self.z_at, self.q_at = c - a + n - 1, c - b + n - 1, b - a + n - 1
-        self.powers = _s_powers(n, constants.log_q, constants.log_p, a, b, c)
+        self.flat, self.sign, self.num_at, self.z_at, self.q_at, *exponents = (
+            _gather_indices(constants.n))
+        self.powers = _s_powers(exponents, constants.log_q, constants.log_p)
 
 
 class _ZTables:

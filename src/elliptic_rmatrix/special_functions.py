@@ -299,7 +299,7 @@ def _gamma_ratio(
             f"more than {policy.max_terms}"
         )
     k, den = bases.denominators(terms)
-    powers = np.exp(np.outer(k, np.array(plus + minus)))
+    powers = np.exp(k[:, None] * np.array(plus + minus))  # np.outer's own product
     n = len(plus)
     series = powers[:, :n].sum(axis=1) - powers[:, n:].sum(axis=1)
     series /= den

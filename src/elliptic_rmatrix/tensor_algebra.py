@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -125,24 +126,40 @@ def _validate_slots(slots: Sequence[int], arity_in: int, arity_out: int) -> None
             raise DimensionError(f"slot {s} outside 1..{arity_out}")
 
 
+@lru_cache(maxsize=32)
+def _embed_layout(n: int, slots: tuple[int, ...], arity: int) -> np.ndarray:
+    """Where :func:`embed` writes an operator on ``slots``: row f of the
+    (N^(k-m), N^(2m)) result holds the flat positions in the N^k x N^k result
+    of the operator's flat entries, with the free slots' index f on both
+    sides.  Built from the m slots' and k - m free slots' index grids, so its
+    cost is the number of entries written; read-only."""
+    dim = n**arity
+    weights = n ** (arity - np.arange(1, arity + 1))  # flat weight of target slot s at s - 1
+
+    def positions(which: Sequence[int]) -> np.ndarray:
+        # composite index over ``which``, row-major in their order, placed at those slots
+        grid = np.indices((n,) * len(which)).reshape(len(which), n ** len(which))
+        return weights[[s - 1 for s in which]] @ grid
+
+    rows = positions(slots)
+    free = positions([s for s in range(1, arity + 1) if s not in slots])
+    layout = free[:, None] * (dim + 1) + (rows[:, None] * dim + rows[None, :]).ravel()
+    layout.flags.writeable = False
+    return layout
+
+
 def embed(op: TensorOperator, slots: Sequence[int], arity: int) -> TensorOperator:
     """Act with ``op`` on the given slots of a k-fold space, identity elsewhere.
 
     ``slots`` is ordered: the t-th tensor slot of ``op`` lands on target slot
     ``slots[t]``.  In particular embed(R, (2, 1), 2) is the slot swap
-    P R P of a two-site operator.
+    P R P of a two-site operator.  The entries are written into one zeroed
+    array through :func:`_embed_layout`, once per index of the free slots.
     """
     _validate_slots(slots, op.arity, arity)
     n = op.local_dim
-    free = [s for s in range(1, arity + 1) if s not in set(slots)]
-    order = [s - 1 for s in (*slots, *free)]
-    out = np.zeros((n,) * (2 * arity), dtype=np.complex128)
-    # axes (slots, free slots, slots', free slots'); each free index repeated
-    # on both sides picks out the identity's diagonal
-    view = out.transpose(order + [arity + t for t in order])
-    diag = tuple(np.indices((n,) * len(free)))
-    whole = (slice(None),) * op.arity
-    view[whole + diag + whole + diag] = op.tensor_view()
+    out = np.zeros(n ** (2 * arity), dtype=np.complex128)
+    out[_embed_layout(n, tuple(slots), arity)] = op.entries.ravel()
     return TensorOperator(n, arity, out.reshape(n**arity, n**arity))
 
 
@@ -240,6 +257,27 @@ def spectral(op: TensorOperator, sv_threshold: float = 1e-8) -> SpectralReport:
         kernel_basis=np.ascontiguousarray(kernel),
         sv_threshold=sv_threshold,
     )
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array, by numpy's own formula
+    (``ravel(order="K")``, then re.re + im.im, then the square root), so the
+    value is bitwise the same, without the dispatch of a general norm."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, or of two vectors, as the one broadcast
+    product that numpy forms too, so the entries are bitwise the same, signed
+    zeros included."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).ravel()
+    product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def matrix_dump_rows(op: TensorOperator) -> Iterator[str]:

@@ -231,6 +231,27 @@ class TestMatrixDump:
         assert "# q: 0.4" in out
         assert "# p: 0.2" in out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--format", "json"], "--format json"),
+        (["--format", "csv"], "--format csv"),
+        (["--timings"], "--timings"),
+    ])
+    def test_refuses_what_a_text_dump_cannot_carry(self, capsys, monkeypatch, flags, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(cli, "build_r", refuse)
+        assert main(["matrix", "--n", "2", "--seed", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"takes no {named}" in captured.err
+
+    def test_explicit_text_format_is_the_dump(self, capsys):
+        assert main(["matrix", "--n", "2", "--seed", "1", "--format", "text"]) == 0
+        explicit = capsys.readouterr().out
+        assert main(["matrix", "--n", "2", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == explicit
+
 
 class TestJsonReports:
     def test_verify_document_structure(self, tmp_path):

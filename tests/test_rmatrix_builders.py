@@ -723,6 +723,22 @@ class TestParamsConstants:
         assert np.array_equal(q_logs[0] != q_logs[1], q_logs[0] != 0)
         assert np.array_equal(c1.gather.powers[2], c2.gather.powers[2])  # the p logs
 
+    def test_gather_index_arrays_are_built_once_per_n(self):
+        from elliptic_rmatrix import rmatrix_builders
+
+        lp = lc(0.17 - 0.06j)
+        one, two = (ModelParams(3, lc(q), lp) for q in (0.41 + 0.13j, 0.52 - 0.2j))
+        g1, g2 = one._constants.gather, two._constants.gather
+        for name in ("flat", "sign", "num_at", "z_at", "q_at"):
+            assert getattr(g1, name) is getattr(g2, name), name
+            assert not getattr(g1, name).flags.writeable, name
+        # the powers are each parameter set's own, as the uncached exponents give them
+        a, c, b = (i.ravel() for i in np.indices((3, 3, 3)))
+        fresh = rmatrix_builders._s_powers(rmatrix_builders._s_exponents(3, a, b, c),
+                                           one.log_q, one.log_p)
+        assert all(np.array_equal(x, y) for x, y in zip(g1.powers, fresh))
+        assert g1.powers[0] is g2.powers[0] and not g1.powers[0].flags.writeable
+
     def test_equality_and_hash_ignore_the_constants(self):
         params = ModelParams(3, lc(0.41 + 0.13j), lc(0.17 - 0.06j))
         before, copy = hash(params), dataclasses.replace(params)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from elliptic_rmatrix import (
     permutation_sign,
     spectral,
 )
+from elliptic_rmatrix.tensor_algebra import _embed_layout, _frobenius, _kron
 
 
 def random_op(local_dim: int, arity: int, seed: int) -> TensorOperator:
@@ -112,6 +114,41 @@ def kron_embed(op, slots, arity):
     return tensor.reshape(n**arity, n**arity)
 
 
+def transposed_view_embed(op, slots, arity):
+    """The scatter through a transposed view of one zeroed tensor that the flat
+    layout of ``embed`` replaced."""
+    n = op.local_dim
+    free = [s for s in range(1, arity + 1) if s not in set(slots)]
+    order = [s - 1 for s in (*slots, *free)]
+    out = np.zeros((n,) * (2 * arity), dtype=np.complex128)
+    # axes (slots, free slots, slots', free slots'); each free index repeated
+    # on both sides picks out the identity's diagonal
+    view = out.transpose(order + [arity + t for t in order])
+    diag = tuple(np.indices((n,) * len(free)))
+    whole = (slice(None),) * op.arity
+    view[whole + diag + whole + diag] = op.tensor_view()
+    return out.reshape(n**arity, n**arity)
+
+
+def bits(array):
+    """The IEEE bits of a complex or float array, so that equality sees signed zeros."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def signed_zero_matrix(rows, cols, seed):
+    """A random complex matrix with both signs of zero among its real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    entries.flat[::3] = entries.flat[::3].real
+    entries.flat[1::5] = complex(-0.0, 0.0)
+    entries.flat[2::7] = complex(0.0, -0.0)
+    return entries
+
+
+def signed_zero_op(n, k, seed):
+    return TensorOperator(n, k, signed_zero_matrix(n**k, n**k, seed))
+
+
 def loop_permutation_op(sigma, n):
     """The basis-vector loop that ``permutation_op`` replaced."""
     k = len(sigma)
@@ -146,11 +183,70 @@ class TestInPlacePrimitives:
         for slot in (1, 3):
             assert np.array_equal(embed(one, (slot,), 3).entries, kron_embed(one, (slot,), 3))
 
+    @pytest.mark.parametrize("arity", range(1, 6))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_embed_is_bitwise_the_transposed_view_scatter(self, n, arity):
+        assert n ** (2 * arity) <= 2**21
+        for k in (1, 2):
+            op = signed_zero_op(n, k, 10 * n + k)
+            for slots in itertools.permutations(range(1, arity + 1), k):
+                got = embed(op, slots, arity).entries
+                assert np.array_equal(bits(got), bits(transposed_view_embed(op, slots, arity)))
+
+    @pytest.mark.parametrize("j", range(1, 5))
+    def test_qdet_layout_is_built_from_small_grids(self, j):
+        # the forward qdet route's layout at N = 4: 16^2 operator entries for each of
+        # the 4^3 free indices; an index array over all 4^10 entries would be 8 MiB
+        tracemalloc.start()
+        try:
+            layout = _embed_layout.__wrapped__(4, (j, 5), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert layout.size == 16**2 * 4**3
+        assert not layout.flags.writeable
+        assert np.unique(layout).size == layout.size
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_permutation_op_matches_loop_reference(self, n):
         for k in range(1, 5):
             for sigma in itertools.permutations(range(1, k + 1)):
                 assert np.array_equal(permutation_op(sigma, n).entries, loop_permutation_op(sigma, n))
+
+
+class TestResidualHelpers:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (4, 4)])
+    def test_kron_is_bitwise_np_kron(self, shape):
+        a = signed_zero_matrix(*shape, 1)
+        b = signed_zero_matrix(shape[1], shape[1], 2)
+        eye = np.eye(shape[1])
+        negative_zeros = 0
+        for left, right in ((a, b), (a, eye), (b, a), (a.T, b.T), (-eye, a)):
+            expected = np.kron(left, right)
+            got = _kron(left, right)
+            assert got.shape == expected.shape
+            assert np.array_equal(bits(got), bits(expected))
+            for part_got, part in ((got.real, expected.real), (got.imag, expected.imag)):
+                zeros = part == 0
+                assert np.array_equal(np.signbit(part_got[zeros]), np.signbit(part[zeros]))
+                negative_zeros += np.count_nonzero(np.signbit(part[zeros]))
+        assert negative_zeros
+
+    def test_kron_of_vectors_is_bitwise_np_kron(self):
+        a = signed_zero_matrix(3, 3, 3)
+        for left, right in ((a[0], a[1]), (np.diag(a), a[:, 2]), (a[0], np.ones(2))):
+            assert np.array_equal(bits(_kron(left, right)), bits(np.kron(left, right)))
+
+    def test_frobenius_is_bitwise_np_norm(self):
+        entries = random_op(3, 2, 5).entries
+        real = np.random.default_rng(6).standard_normal((7, 5))
+        for x in (entries, entries.T, entries[::2, 1::3], entries.ravel(), real, real.T,
+                  np.zeros((2, 2), complex)):
+            assert _frobenius(x) == float(np.linalg.norm(x))
+            assert type(_frobenius(x)) is float
+        with np.errstate(over="ignore"):  # the squares overflow to inf in both
+            assert _frobenius(entries * 1e200) == float(np.linalg.norm(entries * 1e200)) == math.inf
 
 
 class TestPermutations:
