@@ -20,11 +20,12 @@ from .errors import (
 )
 from .special_functions import (
     DEFAULT_POLICY,
-    LOG_ONE,
-    LogComplex,
+    GammaBases,
     TruncationPolicy,
     elliptic_gamma_ratio,
+    negated_log,
     pochhammer_inf,
+    principal_log,
     theta,
     theta_array,
     theta_shift_residual,

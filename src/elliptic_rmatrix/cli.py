@@ -39,7 +39,7 @@ from .errors import (
     SizeError,
     TruncationError,
 )
-from .special_functions import LogComplex
+from .special_functions import principal_log
 from .tensor_algebra import matrix_dump_rows
 from .rmatrix_builders import ModelParams, RKind, build_r
 from .property_suite import (
@@ -318,7 +318,7 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     at both ends of the ln|w| the builds span: w = z, and for ``qdet`` and
     ``verify``'s qdet rows also w = z q^{-j}, j < N.
     """
-    n, log_q, log_p = params.n, params.log_q.value.real, params.log_p.value.real
+    n, log_q, log_p = params.n, params.log_q.real, params.log_p.real
     if config.q is not None and 2 * n * log_q < _LOG_FLOAT_MIN:
         raise ConfigError(f"--q: |q|^{2 * n} underflows float64; at N = {n} |q| must be at "
                           f"least {math.exp(_LOG_FLOAT_MIN / (2 * n)):.3g}")
@@ -360,13 +360,13 @@ def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
     else:
         if abs(config.q) >= 1.0 or config.q == 0:
             raise ConfigError(f"|q| must lie in (0, 1), got {abs(config.q):.6g}")
-        log_q = LogComplex.from_complex(config.q)
+        log_q = principal_log(config.q)
     if config.p is None:
         log_p = draw_log(rng, P_MODULUS)
     else:
         if abs(config.p) >= 1.0 or config.p == 0:
             raise ConfigError(f"|p| must lie in (0, 1), got {abs(config.p):.6g}")
-        log_p = LogComplex.from_complex(config.p)
+        log_p = principal_log(config.p)
     # user-pinned parameters get a coarse margin: warn loudly, still run
     params = ModelParams(config.n, log_q, log_p, genericity_margin=0.05)
     _check_float_range(config, params)
@@ -375,8 +375,8 @@ def _resolve_params(config: RunConfig, rng: np.random.Generator) -> ModelParams:
     return params
 
 
-def _resolve_point(literal: complex | None, rng: np.random.Generator) -> LogComplex:
-    return draw_log(rng) if literal is None else LogComplex.from_complex(literal)
+def _resolve_point(literal: complex | None, rng: np.random.Generator) -> complex:
+    return draw_log(rng) if literal is None else principal_log(literal)
 
 
 def _params_payload(params: ModelParams) -> dict:
@@ -491,7 +491,7 @@ def _qdet_reports(
         runtime_ms = (time.perf_counter() - started) * 1000.0
         total_ms += runtime_ms
         m_means.append(sum(result.m_k_values) / len(result.m_k_values))
-        z_used = (result.z_point.to_complex(),)
+        z_used = (cmath.exp(result.z_point),)
         detail = {"m_k_values": list(result.m_k_values)}
         for key, value in result.deviations.items():
             tolerance = tolerance_for(f"qdet.{key}", params.n, config.tolerances)
@@ -541,14 +541,14 @@ def run_matrix(config: RunConfig) -> int:
     bad = int(np.count_nonzero(~np.isfinite(op.entries)))
     if bad:
         raise DomainError(f"the {kind.value} matrix has {bad} entries beyond float64 at "
-                          f"z = {_format_complex(log_z.to_complex())} for these (q, p)")
+                          f"z = {_format_complex(cmath.exp(log_z))} for these (q, p)")
     policy = params.policy
     header = [
         f"# kind: {kind.value}",
         f"# n: {params.n}",
         f"# q: {_format_complex(params.q)}",
         f"# p: {_format_complex(params.p)}",
-        f"# z: {_format_complex(log_z.to_complex())}",
+        f"# z: {_format_complex(cmath.exp(log_z))}",
         f"# policy: abs_floor={policy.abs_floor:g}, max_terms={policy.max_terms}",
         f"# version: {__version__}",
         f"# seed: {config.seed}",
@@ -570,6 +570,8 @@ def run_qdet(config: RunConfig) -> int:
 
 
 def run_limits(config: RunConfig) -> int:
+    if config.p is not None:
+        raise ConfigError("limits builds at each --p-seq value; it takes no --p")
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
     payload = _params_payload(params)

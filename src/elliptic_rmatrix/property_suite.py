@@ -30,6 +30,7 @@ behind the CLI ``verify`` command.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import time
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .errors import DomainError, EllipticRMatrixError, PoleError
-from .special_functions import LOG_ONE, LogComplex
+from .special_functions import negated_log, principal_log
 from .tensor_algebra import (
     TensorOperator,
     _frobenius,
@@ -161,10 +162,10 @@ MAX_RESAMPLES = 8
 T = TypeVar("T")
 
 
-def draw_log(rng: np.random.Generator, modulus: tuple[float, float] = Z_MODULUS) -> LogComplex:
+def draw_log(rng: np.random.Generator, modulus: tuple[float, float] = Z_MODULUS) -> complex:
     """Draw log(x) with |x| uniform on the annulus and uniform phase."""
     lo, hi = modulus
-    return LogComplex(complex(math.log(rng.uniform(lo, hi)), rng.uniform(-math.pi, math.pi)))
+    return complex(math.log(rng.uniform(lo, hi)), rng.uniform(-math.pi, math.pi))
 
 
 def draw_params(rng: np.random.Generator, n: int) -> ModelParams:
@@ -187,9 +188,9 @@ def _rel_identity(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def _resample(
     compute: Callable[..., T],
-    points: tuple[LogComplex, ...],
+    points: tuple[complex, ...],
     rng: np.random.Generator | None,
-) -> tuple[T, tuple[LogComplex, ...]]:
+) -> tuple[T, tuple[complex, ...]]:
     """``compute(*points)``; on a PoleError redraw every point from the z
     annulus and retry, at most MAX_RESAMPLES times and only with an ``rng``."""
     attempts = 0
@@ -224,26 +225,26 @@ class PointContext:
         self._builds: dict[tuple, tuple[ModelParams, TensorOperator]] = {}
         self._z_tables: dict[tuple, tuple[ModelParams, _ZTables]] = {}
 
-    def build(self, params: ModelParams, kind: RKind, log_z: LogComplex) -> TensorOperator:
-        key = (id(params), kind, log_z.value)
+    def build(self, params: ModelParams, kind: RKind, log_z: complex) -> TensorOperator:
+        key = (id(params), kind, log_z)
         entry = self._builds.get(key)
         if entry is None:
             op = build_r(params, kind, log_z, z_tables=self.z_tables)
             entry = self._builds[key] = (params, op)
         return entry[1]
 
-    def z_tables(self, params: ModelParams, log_z: LogComplex) -> _ZTables:
-        key = (id(params), log_z.value)
+    def z_tables(self, params: ModelParams, log_z: complex) -> _ZTables:
+        key = (id(params), log_z)
         entry = self._z_tables.get(key)
         if entry is None:
-            entry = self._z_tables[key] = (params, _ZTables(params, log_z.value))
+            entry = self._z_tables[key] = (params, _ZTables(params, log_z))
         return entry[1]
 
 
-_Builder = Callable[[ModelParams, RKind, LogComplex], TensorOperator]
+_Builder = Callable[[ModelParams, RKind, complex], TensorOperator]
 
 
-def _r21(build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex) -> np.ndarray:
+def _r21(build: _Builder, params: ModelParams, kind: RKind, log_z: complex) -> np.ndarray:
     """P R(z) P: the two slots of R swapped on both its output and input axes."""
     n2 = params.n * params.n
     return build(params, kind, log_z).tensor_view().transpose(1, 0, 3, 2).reshape(n2, n2)
@@ -270,7 +271,7 @@ def _ybe_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def check_ybe(
     build: _Builder, params: ModelParams, kind: RKind,
-    log_z1: LogComplex, log_z2: LogComplex, log_z3: LogComplex, *, detail: dict,
+    log_z1: complex, log_z2: complex, log_z3: complex, *, detail: dict,
 ) -> float:
     """R12(z1/z2) R13(z1/z3) R23(z2/z3) = R23 R13 R12 on three slots.
 
@@ -282,7 +283,7 @@ def check_ybe(
     """
     blocks, off_sector = _ybe_indices(params.n)
     factors = [build(params, kind, lz)
-               for lz in (log_z1 / log_z2, log_z1 / log_z3, log_z2 / log_z3)]
+               for lz in (log_z1 - log_z2, log_z1 - log_z3, log_z2 - log_z3)]
     leak = max(
         _frobenius(r.entries.ravel().take(off_sector)) / max(_frobenius(r.entries), 1e-300)
         for r in factors
@@ -295,7 +296,7 @@ def check_ybe(
 
 
 def check_unitarity(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """R12(z) R21(1/z) equals the kind-specific scalar times the identity.
 
@@ -304,39 +305,39 @@ def check_unitarity(
     cross-checked against tau(q^{1/2}z) tau(q^{1/2}/z).  Trigonometric
     kinds: rho_N(x) rho_N(1/x) I at x = z (homogeneous) or x = z^2.
     """
-    prod = build(params, kind, log_z).entries @ _r21(build, params, kind, log_z.inv())
+    prod = build(params, kind, log_z).entries @ _r21(build, params, kind, -log_z)
     eye = np.eye(params.n * params.n)
     if kind in (RKind.ELLIPTIC, RKind.EIGHT_VERTEX):
         rhs = eye
     elif kind is RKind.ELLIPTIC_HAT:
         u_def = u_scalar(params, log_z)
-        half = params.log_q**0.5
-        u_tau = tau(params, half * log_z) * tau(params, half / log_z)
+        half = 0.5 * params.log_q
+        u_tau = tau(params, half + log_z) * tau(params, half - log_z)
         detail["u_cross_check"] = abs(u_def - u_tau) / max(abs(u_def), 1e-300)
         rhs = u_def * eye
     elif kind is RKind.HOMOGENEOUS:
-        rhs = rho(params, log_z) * rho(params, log_z.inv()) * eye
+        rhs = rho(params, log_z) * rho(params, -log_z) * eye
     else:
-        lx = log_z**2
-        rhs = rho(params, lx) * rho(params, lx.inv()) * eye
+        lx = 2.0 * log_z
+        rhs = rho(params, lx) * rho(params, -lx) * eye
     return _rel_identity(prod, rhs)
 
 
 def check_regularity(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """The plain elliptic matrix at z = 1 equals the permutation matrix."""
     perm = permutation_op((2, 1), params.n).entries
     return _rel_identity(build(params, RKind.ELLIPTIC, log_z).entries, perm)
 
 
-def _crossing_residual(build: _Builder, params: ModelParams, kind: RKind, lz: LogComplex) -> float:
+def _crossing_residual(build: _Builder, params: ModelParams, kind: RKind, lz: complex) -> float:
     """||R12(z)^{t2} (R21(q^{-N}/z) / s)^{t2} - I|| / N, with s = U(q^N z) for
     the hat kind and 1 otherwise: by unitarity R21(q^{-N}/z) / s is R12(q^N z)^{-1}."""
     n = params.n
     lhs = partial_transpose(build(params, kind, lz), 2).entries
-    shifted = lz * (params.log_q**n)
-    inv = _r21(build, params, kind, shifted.inv())
+    shifted = lz + float(n) * params.log_q
+    inv = _r21(build, params, kind, -shifted)
     if kind is RKind.ELLIPTIC_HAT:
         inv = inv / u_scalar(params, shifted)
     rhs = partial_transpose(TensorOperator(n, 2, inv), 2).entries
@@ -344,25 +345,25 @@ def _crossing_residual(build: _Builder, params: ModelParams, kind: RKind, lz: Lo
 
 
 def check_crossing(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """R12(z)^{t2} R21(z^{-1} q^{-N})^{t2} = I for the plain elliptic matrix."""
     return _crossing_residual(build, params, RKind.ELLIPTIC, log_z)
 
 
 def check_antisymmetry(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """R12(-z) = omega (g^{-1} x I) R12(z) (g x I), with -z = z e^{i pi}."""
     g = np.repeat(np.diag(build_g(params).entries), params.n)  # the diagonal of g x I
     # omega (g^{-1} x I) R (g x I) is R scaled entrywise by omega g_j / g_i
     scale = params.omega() * (g[None, :] / g[:, None])
-    lhs = build(params, RKind.ELLIPTIC, log_z.negated()).entries
+    lhs = build(params, RKind.ELLIPTIC, negated_log(log_z)).entries
     return _rel(lhs, scale * build(params, RKind.ELLIPTIC, log_z).entries)
 
 
 def check_quasi_periodicity(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """Rhat12(-z p^{1/2}) = G^{-1} Rhat21(1/z)^{-1} G with G = g^{1/2} h g^{1/2} x I.
 
@@ -376,13 +377,13 @@ def check_quasi_periodicity(
     eye = np.eye(n)
     big_g = _kron(gh[:, None] * h * gh[None, :], eye)
     big_g_inv = _kron(h.T / (gh[:, None] * gh[None, :]), eye)
-    lhs = build(params, RKind.ELLIPTIC_HAT, (log_z * (params.log_p**0.5)).negated()).entries
+    lhs = build(params, RKind.ELLIPTIC_HAT, negated_log(log_z + 0.5 * params.log_p)).entries
     r21_inv = build(params, RKind.ELLIPTIC_HAT, log_z).entries / u_scalar(params, log_z)
     return _rel(lhs, big_g_inv @ r21_inv @ big_g)
 
 
 def check_h_invariance(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """(H x H) R(z) = R(z) (H x H) for the plain elliptic matrix.
 
@@ -400,7 +401,7 @@ def check_h_invariance(
 
 
 def check_crossing_unitarity(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """(R12(x)^{t2})^{-1} = (R12(q^N x)^{-1})^{t2}, for both R and Rhat.
 
@@ -415,7 +416,7 @@ def check_crossing_unitarity(
 
 
 def check_kernel_structure(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """At z = q the hat matrix kills exactly the antisymmetric subspace.
 
@@ -456,7 +457,7 @@ def check_kernel_structure(
 
 
 def check_spectrum_nonelliptic(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """Eigenvalues of the non-elliptic matrix at z = q match the closed form.
 
@@ -466,14 +467,14 @@ def check_spectrum_nonelliptic(
     in decreasing magnitude order; residual = max pair distance / max |eig|.
     """
     n = params.n
-    q = log_z.to_complex()
+    q = cmath.exp(log_z)
     computed = list(np.linalg.eigvals(build(params, RKind.NON_ELLIPTIC, log_z).entries))
-    rho_q2 = rho(params, log_z**2)
+    rho_q2 = rho(params, 2.0 * log_z)
     big_q = q / (1.0 + q * q)
     expected: list[complex] = [rho_q2] * n + [0.0j] * (n * (n - 1) // 2)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            power = (log_z ** Fraction(2 * i - 2 * j + n, n)).to_complex()
+            power = cmath.exp(float(Fraction(2 * i - 2 * j + n, n)) * log_z)
             expected.append(rho_q2 * big_q * (power + 1.0 / power))
 
     scale = max(abs(v) for v in computed)
@@ -488,20 +489,20 @@ def check_spectrum_nonelliptic(
 
 def check_gauge_relation(
     build: _Builder, params: ModelParams, kind: RKind,
-    log_z: LogComplex, log_w: LogComplex, *, detail: dict,
+    log_z: complex, log_w: complex, *, detail: dict,
 ) -> float:
     """Principal matrix at z/w = (V(z) x V(w)) homogeneous(z^2/w^2) (V x V)^{-1}.
 
     V x V is diagonal, so the right side is the homogeneous matrix scaled
     entrywise by v_i / v_j."""
-    lhs = build(params, RKind.PRINCIPAL, log_z / log_w).entries
+    lhs = build(params, RKind.PRINCIPAL, log_z - log_w).entries
     v = _kron(np.diag(build_v(params, log_z).entries), np.diag(build_v(params, log_w).entries))
-    hom = build(params, RKind.HOMOGENEOUS, (log_z**2) / (log_w**2)).entries
+    hom = build(params, RKind.HOMOGENEOUS, 2.0 * log_z - 2.0 * log_w).entries
     return _rel(lhs, hom * (v[:, None] / v[None, :]))
 
 
 def check_twist_relation(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """Non-elliptic matrix = F21 (principal matrix) F12^{-1}.
 
@@ -517,7 +518,7 @@ def check_twist_relation(
 
 
 def check_p_to_zero(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
     p_sequence: Sequence[float] = (1e-2, 1e-4, 1e-6, 1e-8),
 ) -> float:
     """The hat matrix approaches the non-elliptic (twisted principal) matrix
@@ -546,7 +547,7 @@ def check_p_to_zero(
     support_residuals: list[float] = []
     fits: list[complex] = []
     for p_val in p_sequence:
-        shrunk = replace(params, log_p=LogComplex.from_complex(complex(p_val)))
+        shrunk = replace(params, log_p=principal_log(complex(p_val)))
         diff = build(shrunk, RKind.ELLIPTIC_HAT, log_z).entries
         s = np.vdot(target, diff) / np.vdot(target, target)
         diff = diff - s * target
@@ -561,7 +562,7 @@ def check_p_to_zero(
 
 
 def check_evaluated_ll(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """Exchange identity for the evaluated Lax blocks at arguments (z, z/q).
 
@@ -572,7 +573,7 @@ def check_evaluated_ll(
     """
     n = params.n
     top = build(params, RKind.ELLIPTIC_HAT, log_z)
-    bot = build(params, RKind.ELLIPTIC_HAT, log_z / params.log_q)
+    bot = build(params, RKind.ELLIPTIC_HAT, log_z - params.log_q)
     scale = _frobenius(top.entries) * _frobenius(bot.entries) / (n * n)
     # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
     prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
@@ -632,7 +633,7 @@ def check_nsigma(n_max: int = 5, *, tolerance: float | None = None) -> PropertyR
 
 
 def check_transpose_symmetry(
-    build: _Builder, params: ModelParams, kind: RKind, log_z: LogComplex, *, detail: dict,
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
 ) -> float:
     """R(z)^{t1 t2} vs R(z): equal at N = 2, a must-fail canary for N >= 3."""
     detail["canary"] = params.n >= 3
@@ -702,7 +703,7 @@ class Check:
         self,
         params: ModelParams,
         kind: RKind,
-        points: Sequence[LogComplex] = (),
+        points: Sequence[complex] = (),
         *,
         tolerance: float | None = None,
         rng: np.random.Generator | None = None,
@@ -728,7 +729,7 @@ class Check:
         build = (PointContext() if context is None else context).build
         key = self.name.partition("[")[0]
         if not points:
-            points = tuple({AT_ONE: LOG_ONE, AT_Q: params.log_q}[i] for i in self.points)
+            points = tuple({AT_ONE: 0j, AT_Q: params.log_q}[i] for i in self.points)
         detail: dict = {}
         value, points = _resample(
             lambda *pts: residual(build, params, kind, *pts, detail=detail, **options),
@@ -738,7 +739,7 @@ class Check:
         return PropertyReport.from_residual(
             self.name.format(kind=kind.value),
             params.digest(),
-            [p.to_complex() for p in points],
+            [cmath.exp(p) for p in points],
             value,
             tolerance_for(key, params.n, {} if tolerance is None else {key: tolerance}),
             (time.perf_counter() - started) * 1000.0,

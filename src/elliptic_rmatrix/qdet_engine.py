@@ -29,7 +29,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import KindError, SizeError
-from .special_functions import LogComplex, theta
+from .special_functions import theta
 from .tensor_algebra import TensorOperator, _frobenius, antisymmetrizer, embed
 from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r
 from .property_suite import _Builder, _resample
@@ -65,7 +65,7 @@ class QdetResult:
     m_k_values: tuple[complex, ...]
     sum_formula_matrix: TensorOperator
     deviations: dict = field(default_factory=dict)
-    z_point: LogComplex | None = None
+    z_point: complex | None = None
     params_digest: str = ""
 
 
@@ -94,9 +94,9 @@ def _signed_sum(n: int, start: _T, step: Callable[[_T, int, int, int], _T]) -> _
     return layer[(1 << n) - 1]
 
 
-def _q_shifted(params: ModelParams, log_z: LogComplex) -> list[LogComplex]:
-    """The q-shifted arguments w_j = z q^{1-j}, j = 1..N, read by every route."""
-    return [log_z / (params.log_q**j) for j in range(params.n)]
+def _q_shifted(params: ModelParams, log_z: complex) -> list[complex]:
+    """The logs of the q-shifted arguments w_j = z q^{1-j}, j = 1..N, read by every route."""
+    return [log_z - float(j) * params.log_q for j in range(params.n)]
 
 
 def _check_product_cap(n: int) -> None:
@@ -123,14 +123,14 @@ def _antisymmetric_columns(n: int) -> np.ndarray:
     return columns
 
 
-def _hat_factors(params: ModelParams, log_z: LogComplex) -> list[TensorOperator]:
+def _hat_factors(params: ModelParams, log_z: complex) -> list[TensorOperator]:
     """The hat matrices Rhat(z q^{1-j}), j = 1..N, that the product, inverse and
     permutation-sum routes share at one point."""
     return [build_r(params, RKind.ELLIPTIC_HAT, w) for w in _q_shifted(params, log_z)]
 
 
 def _product_with_residual(
-    params: ModelParams, log_z: LogComplex, *, hats: list[TensorOperator] | None = None,
+    params: ModelParams, log_z: complex, *, hats: list[TensorOperator] | None = None,
 ) -> tuple[TensorOperator, float]:
     n = params.n
     arity = n + 1
@@ -145,13 +145,13 @@ def _product_with_residual(
     return TensorOperator(n, 1, m), residual
 
 
-def qdet_product(params: ModelParams, log_z: LogComplex) -> TensorOperator:
+def qdet_product(params: ModelParams, log_z: complex) -> TensorOperator:
     """Auxiliary-slot operator M(z) from the antisymmetrized product route."""
     return _product_with_residual(params, log_z)[0]
 
 
 def inverse_product_residual(
-    params: ModelParams, log_z: LogComplex, *, hats: list[TensorOperator] | None = None,
+    params: ModelParams, log_z: complex, *, hats: list[TensorOperator] | None = None,
 ) -> float:
     """Residual of the inverted product relation.
 
@@ -185,7 +185,7 @@ def _closed_form_offsets(n: int, ell: int) -> range:
     return range(low + min(0, n + 1 - 2 * ell), n - ell + 1)
 
 
-def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, ...]:
+def qdet_closed_form(params: ModelParams, log_z: complex) -> tuple[complex, ...]:
     """Diagonal values m_k(z) of the quantum determinant, k = 1..N.
 
     m_k = (-(p^N; p^N)/(p; p))^{3N} q^{2k-2N} Theta_p(q^2)^N
@@ -201,15 +201,14 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
         raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
     lp, policy, constants = params.log_p, params.policy, params._constants
     q = params.q
-    z2 = log_z**2
+    z2 = 2.0 * log_z
 
     poch_ratio = -constants.poch_ratio
     theta_q2 = constants.theta_q2
-    theta_den = _theta_den((constants.log_q2 * z2).value, lp.value, constants.guard_p, policy,
-                           "closed form")
+    theta_den = _theta_den(constants.log_q2 + z2, lp, constants.guard_p, policy, "closed form")
     prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
 
-    tables = [_SThetas(params, w.value, _closed_form_offsets(n, ell))
+    tables = [_SThetas(params, w, _closed_form_offsets(n, ell))
               for ell, w in enumerate(_q_shifted(params, log_z), start=1)]
 
     def core(k: int) -> complex:
@@ -221,7 +220,7 @@ def qdet_closed_form(params: ModelParams, log_z: LogComplex) -> tuple[complex, .
 
 
 def qdet_sum_formula(
-    params: ModelParams, kind: RKind, log_z: LogComplex,
+    params: ModelParams, kind: RKind, log_z: complex,
     *, hats: list[TensorOperator] | None = None,
 ) -> TensorOperator:
     """Signed permutation sum of evaluated Lax blocks, as an auxiliary operator.
@@ -254,7 +253,7 @@ def qdet_sum_formula(
 
 def centrality_witness(
     build: _Builder, params: ModelParams, kind: RKind,
-    log_z: LogComplex, log_w: LogComplex, *, detail: dict,
+    log_z: complex, log_w: complex, *, detail: dict,
 ) -> float:
     """M(z) commutes with every evaluated Lax block E_{ij}(w): the residual
     function of ``CHECKS["centrality-witness"]``.
@@ -278,7 +277,7 @@ def centrality_witness(
 
 
 def closed_form_q_spread(
-    params: ModelParams, log_z: LogComplex, other_log_q: LogComplex
+    params: ModelParams, log_z: complex, other_log_q: complex
 ) -> float:
     """|m(z; q) - m(z; q')| at fixed (p, z): the determinant ignores q."""
     here = qdet_closed_form(params, log_z)
@@ -290,7 +289,7 @@ def closed_form_q_spread(
 
 def verify_qdet(
     params: ModelParams,
-    log_z: LogComplex,
+    log_z: complex,
     *,
     rng: np.random.Generator | None = None,
 ) -> QdetResult:
@@ -301,7 +300,7 @@ def verify_qdet(
     """
     n = params.n
 
-    def compute(lz: LogComplex) -> tuple:
+    def compute(lz: complex) -> tuple:
         hats = _hat_factors(params, lz)  # built once, read by three routes
         return (
             *_product_with_residual(params, lz, hats=hats),

@@ -17,12 +17,12 @@ Six families share one entry point, :func:`build_r`:
 * ``NON_ELLIPTIC``  - the twisted principal matrix that the elliptic family
                       reaches in the p -> 0 limit.
 
-All spectral arguments are logarithms (:class:`LogComplex`), so fractional
-powers such as z^{2/N} are single-valued by construction.  Inside a build
-they are plain complex logs, added and scaled in the order the
-:class:`LogComplex` operators would, and the thetas and Pochhammer products
-come from the float cores of :mod:`special_functions`; the public functions
-take :class:`LogComplex` and wrap the same implementation.
+All spectral arguments and the parameters q and p are plain complex
+logarithms, so fractional powers such as z^{2/N} are single-valued by
+construction: a product of numbers is a sum of logs, a power a float
+multiple.  The thetas, Pochhammer products and elliptic gamma quotients are
+the public functions of :mod:`special_functions`, and every scalar has one
+definition, which the builders call.
 
 The entry coefficient S_{a,c}^{b}(z), which the elliptic builder, s_coeff
 and the closed-form determinant share, depends on the indices of its thetas
@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,12 +55,10 @@ import numpy as np
 from .errors import DomainError, KindError, PoleError
 from .special_functions import (
     DEFAULT_POLICY,
-    LogComplex,
+    GammaBases,
     TruncationPolicy,
-    _GammaBases,
-    _gamma_ratio,
     _poch,
-    _theta,
+    elliptic_gamma_ratio,
     pochhammer_inf,
     theta,
     theta_array,
@@ -116,34 +115,40 @@ class RKind(enum.Enum):
 class ModelParams:
     """Model parameters (N, q, p) plus numerical policy.
 
-    q and p are carried as logarithms.  Construction enforces the hard
-    domain conditions |q| < 1 and |p| < 1 needed by every infinite product;
+    q and p are carried as plain complex logarithms, coerced to ``complex``.
+    Construction enforces finite logs and the hard domain conditions
+    |q| < 1 and |p| < 1 needed by every infinite product;
     :meth:`genericity_warnings` reports soft violations (parameters too
     close to roots of unity or to the lattice p^a q^b = 1), which shrink
     theta denominators without invalidating the formulas.
     """
 
     n: int
-    log_q: LogComplex
-    log_p: LogComplex
+    log_q: complex
+    log_p: complex
     policy: TruncationPolicy = field(default=DEFAULT_POLICY)
     genericity_margin: float = 1e-4
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise DomainError(f"N must be an integer >= 2, got {self.n!r}")
-        if self.log_q.magnitude() >= 1.0:
-            raise DomainError(f"|q| must be < 1, got {self.log_q.magnitude():.6f}")
-        if self.log_p.magnitude() >= 1.0:
-            raise DomainError(f"|p| must be < 1, got {self.log_p.magnitude():.6f}")
+        for name in ("log_q", "log_p"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        if math.exp(self.log_q.real) >= 1.0:
+            raise DomainError(f"|q| must be < 1, got {math.exp(self.log_q.real):.6f}")
+        if math.exp(self.log_p.real) >= 1.0:
+            raise DomainError(f"|p| must be < 1, got {math.exp(self.log_p.real):.6f}")
 
     @property
     def q(self) -> complex:
-        return self.log_q.to_complex()
+        return cmath.exp(self.log_q)
 
     @property
     def p(self) -> complex:
-        return self.log_p.to_complex()
+        return cmath.exp(self.log_p)
 
     def omega(self) -> complex:
         return cmath.exp(2j * cmath.pi / self.n)
@@ -200,9 +205,9 @@ class _Constants:
     def __init__(self, params: ModelParams):
         n, lq, lp = params.n, params.log_q, params.log_p
         self.n, self.log_q, self.log_p, self.policy = n, lq, lp, params.policy
-        self.log_q2, self.log_pn, self.log_big_q = lq**2, lp**n, lq ** (2 * n)
-        self.log_sqrt_q = lq**0.5
-        # the fractional exponents, as the floats LogComplex.__pow__ would make of them
+        self.log_q2, self.log_pn, self.log_big_q = 2.0 * lq, float(n) * lp, float(2 * n) * lq
+        self.log_sqrt_q = 0.5 * lq
+        # the fractional exponents, each the float nearest its exact rational
         self.eta_power = float(Fraction(2, n))
         self.tau_power = float(Fraction(2, n) - 2)
         self.hat_power = float(Fraction(2 - 2 * n, n))
@@ -211,17 +216,17 @@ class _Constants:
     @cached_property
     def poch_p(self) -> complex:
         """(p; p)_inf."""
-        return pochhammer_inf(self.log_p, (self.log_p,), self.policy)
+        return pochhammer_inf(self.log_p, self.log_p, self.policy)
 
     @cached_property
     def poch_pn(self) -> complex:
         """(p^N; p^N)_inf."""
-        return pochhammer_inf(self.log_pn, (self.log_pn,), self.policy)
+        return pochhammer_inf(self.log_pn, self.log_pn, self.policy)
 
     @cached_property
     def poch_big_q(self) -> complex:
         """(Q; Q)_inf, Q = q^{2N}."""
-        return pochhammer_inf(self.log_big_q, (self.log_big_q,), self.policy)
+        return pochhammer_inf(self.log_big_q, self.log_big_q, self.policy)
 
     @cached_property
     def poch_ratio(self) -> complex:
@@ -240,7 +245,7 @@ class _Constants:
     @cached_property
     def poch_p2(self) -> complex:
         """(p^2; p^2)_inf, the eight-vertex base."""
-        return pochhammer_inf(self.log_p**2, (self.log_p**2,), self.policy)
+        return pochhammer_inf(2.0 * self.log_p, 2.0 * self.log_p, self.policy)
 
     @cached_property
     def guard_p(self) -> float:
@@ -261,13 +266,13 @@ class _Constants:
     @cached_property
     def rho_prefactor(self) -> complex:
         """q^{1/N - 1}."""
-        return (self.log_q ** (Fraction(1, self.n) - 1)).to_complex()
+        return cmath.exp(float(Fraction(1, self.n) - 1) * self.log_q)
 
     @cached_property
-    def gamma(self) -> _GammaBases:
+    def gamma(self) -> GammaBases:
         """The (p, Q) half of the elliptic gamma series.  A base check that fails
         raises at first use and, since nothing is kept, at every later one."""
-        return _GammaBases(self.log_p.value, self.log_big_q.value, self.policy)
+        return GammaBases(self.log_p, self.log_big_q, self.policy)
 
     @cached_property
     def gather(self) -> "_Gather":
@@ -298,7 +303,7 @@ def _theta_den(
 ) -> complex:
     """Theta value at plain logs destined for a denominator; PoleError when it is
     below ``guard``, the base's :func:`_guard_scale`."""
-    return _guard_den(_theta(log_arg, log_base, policy), guard,
+    return _guard_den(theta(log_arg, log_base, policy), guard,
                       f"denominator theta vanished in {what}", log_arg)
 
 
@@ -309,8 +314,8 @@ class _QTable:
     argument of its first entry below the pole guard, None when no entry is."""
 
     def __init__(self, constants: _Constants, offsets: range):
-        shifts = (constants.n + np.arange(offsets.start, offsets.stop)) * constants.log_p.value
-        q_shifts = shifts + constants.log_q2.value
+        shifts = (constants.n + np.arange(offsets.start, offsets.stop)) * constants.log_p
+        q_shifts = shifts + constants.log_q2
         self.z_free = np.concatenate([q_shifts, shifts])
         self.den_q = theta_array(q_shifts, constants.log_pn, constants.policy)
         self.den_q.flags.writeable = False
@@ -364,12 +369,12 @@ def _s_exponents(n: int, a, b, c) -> tuple:
     return 2 * (b - a) / n, 2 * (c - b) / n, (b - a) * (c - b) / n
 
 
-def _s_powers(exponents: Sequence, log_q: LogComplex, log_p: LogComplex) -> tuple:
+def _s_powers(exponents: Sequence, log_q: complex, log_p: complex) -> tuple:
     """The power prefactor z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} of S_{a,c}^{b}(z)
     without z, from :func:`_s_exponents`: z's exponent and the float logs of the q
     and p powers."""
     z_exp, q_exp, p_exp = exponents
-    return z_exp, q_exp * log_q.value, p_exp * log_p.value
+    return z_exp, q_exp * log_q, p_exp * log_p
 
 
 def _s_prefactor(powers: tuple, z: complex):
@@ -378,7 +383,7 @@ def _s_prefactor(powers: tuple, z: complex):
     return np.exp(z_exp * z + q_log + p_log)
 
 
-def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
+def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: complex) -> complex:
     """Theta-ratio core of the entry coefficient, for arbitrary integer indices.
 
     Theta_{p^N}(p^{N+c-a} q^2 z^2) /
@@ -388,10 +393,10 @@ def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex
     reduction; this is the form the quantum-determinant sum needs.
     """
     offsets = (c - a, c - b, b - a)
-    return _SThetas(params, log_z.value, range(min(offsets), max(offsets) + 1)).ratio(a, b, c)
+    return _SThetas(params, log_z, range(min(offsets), max(offsets) + 1)).ratio(a, b, c)
 
 
-def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> complex:
+def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: complex) -> complex:
     """Entry coefficient S_{a,c}^{b}(z) of the elliptic R-matrix.
 
     S_{a,c}^{b}(z) = z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} *
@@ -404,10 +409,10 @@ def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: LogComplex) -> c
     if not (1 <= a <= n and 1 <= b <= n):
         raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
     powers = _s_powers(_s_exponents(n, a, b, c), params.log_q, params.log_p)
-    return complex(_s_prefactor(powers, log_z.value)) * s_theta_ratio(params, a, b, c, log_z)
+    return complex(_s_prefactor(powers, log_z)) * s_theta_ratio(params, a, b, c, log_z)
 
 
-def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
+def kappa_inv(params: ModelParams, z2: complex) -> complex:
     """1/kappa_N evaluated at z^2 (the argument is the log of z^2).
 
     1/kappa(z^2) = Gamma(p z^2) Gamma(Q z^2) Gamma(p q^{2N-2} z^{-2}) Gamma(q^2 z^{-2})
@@ -417,14 +422,9 @@ def kappa_inv(params: ModelParams, log_z2: LogComplex) -> complex:
     [Gamma(p z^2) / Gamma(p z^{-2})] [Gamma(q^2 z^{-2}) / Gamma(q^2 z^2)],
     which is exactly 1 at z^2 = 1.
     """
-    return _kappa_inv(params, log_z2.value)
-
-
-def _kappa_inv(params: ModelParams, z2: complex) -> complex:
-    """:func:`kappa_inv` at the plain log ``z2`` of z^2."""
     c = params._constants
-    lp, q2 = c.log_p.value, c.log_q2.value
-    zeros, poles = _gamma_ratio((lp + z2, q2 - z2), (lp - z2, q2 + z2), c.gamma)
+    lp, q2 = c.log_p, c.log_q2
+    zeros, poles = elliptic_gamma_ratio((lp + z2, q2 - z2), (lp - z2, q2 + z2), c.gamma)
     if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
         raise PoleError("kappa denominator vanished", argument=cmath.exp(z2))
     return zeros / poles
@@ -433,7 +433,7 @@ def _kappa_inv(params: ModelParams, z2: complex) -> complex:
 def _eta_den(params: ModelParams, z: complex) -> complex:
     """eta's guarded denominator Theta_p(q^2 z^2) at the plain log ``z``."""
     c = params._constants
-    return _theta_den(c.log_q2.value + 2.0 * z, c.log_p.value, c.guard_p, params.policy, "eta")
+    return _theta_den(c.log_q2 + 2.0 * z, c.log_p, c.guard_p, params.policy, "eta")
 
 
 def _eta_common(
@@ -445,43 +445,43 @@ def _eta_common(
     return z_power * scalar_kappa * c.poch_ratio_cubed * c.theta_q2 / den
 
 
-def eta(params: ModelParams, log_z: LogComplex) -> complex:
-    """Overall normalization eta(z) of the elliptic R-matrix."""
-    z, lp = log_z.value, params.log_p.value
+def eta(params: ModelParams, z: complex) -> complex:
+    """Overall normalization eta(z) of the elliptic R-matrix at the log ``z``."""
+    lp = params.log_p
     z2 = 2.0 * z
-    scalar_kappa = _kappa_inv(params, z2)
+    scalar_kappa = kappa_inv(params, z2)
     z_power = cmath.exp(params._constants.eta_power * z)
     scale = _eta_common(params, z_power, scalar_kappa, _eta_den(params, z))
-    return scale * _theta(lp + z2, lp, params.policy)
+    return scale * theta(lp + z2, lp, params.policy)
 
 
-def tau(params: ModelParams, log_x: LogComplex) -> complex:
+def tau(params: ModelParams, x: complex) -> complex:
     """tau_N(x) = x^{2/N - 2} Theta_{q^{2N}}(q x^2) / Theta_{q^{2N}}(q x^{-2}).
 
     q^N-periodic in x; relates the two elliptic normalizations through
-    R_hat(z) = tau_N(q^{1/2} z^{-1}) R(z).
+    R_hat(z) = tau_N(q^{1/2} z^{-1}) R(z).  ``x`` is the log of x.
     """
-    lq, policy, c = params.log_q.value, params.policy, params._constants
-    x, big_q = log_x.value, c.log_big_q.value
+    lq, policy, c = params.log_q, params.policy, params._constants
+    big_q = c.log_big_q
     x2 = 2.0 * x
-    num = _theta(lq + x2, big_q, policy)
+    num = theta(lq + x2, big_q, policy)
     den = _theta_den(lq - x2, big_q, c.guard_big_q, policy, "tau")
     return cmath.exp(c.tau_power * x) * num / den
 
 
-def u_scalar(params: ModelParams, log_z: LogComplex) -> complex:
+def u_scalar(params: ModelParams, z: complex) -> complex:
     """Unitarity scalar U(z) of the hat normalization.
 
     U(z) = q^{2/N - 2} Theta_{q^{2N}}(q^2 z^2) Theta_{q^{2N}}(q^2 z^{-2}) /
            [Theta_{q^{2N}}(z^2) Theta_{q^{2N}}(z^{-2})]
 
-    and satisfies U(z) = tau_N(q^{1/2} z) tau_N(q^{1/2} z^{-1}).
+    and satisfies U(z) = tau_N(q^{1/2} z) tau_N(q^{1/2} z^{-1}).  ``z`` is the log of z.
     """
     policy, c = params.policy, params._constants
-    big_q, guard, q2, z2 = c.log_big_q.value, c.guard_big_q, c.log_q2.value, 2.0 * log_z.value
-    num = _theta(q2 + z2, big_q, policy) * _theta(q2 - z2, big_q, policy)
+    big_q, guard, q2, z2 = c.log_big_q, c.guard_big_q, c.log_q2, 2.0 * z
+    num = theta(q2 + z2, big_q, policy) * theta(q2 - z2, big_q, policy)
     den = _theta_den(z2, big_q, guard, policy, "U") * _theta_den(-z2, big_q, guard, policy, "U")
-    return cmath.exp(c.tau_power * params.log_q.value) * num / den
+    return cmath.exp(c.tau_power * params.log_q) * num / den
 
 
 def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
@@ -497,34 +497,29 @@ def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
     z = q is exactly where the hat matrix's kernel is probed.
     """
     policy, c = params.policy, params._constants
-    lp, big_q, q2 = c.log_p.value, c.log_big_q.value, c.log_q2.value
+    lp, big_q, q2 = c.log_p, c.log_big_q, c.log_q2
     z2 = 2.0 * z
-    pref = cmath.exp(c.hat_power * (c.log_sqrt_q.value - z))
+    pref = cmath.exp(c.hat_power * (c.log_sqrt_q - z))
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
-    zeros, poles = _gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), c.gamma)
+    zeros, poles = elliptic_gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), c.gamma)
     num = c.poch_big_q * zeros
-    den = _theta(z2, big_q, policy) * poles
+    den = theta(z2, big_q, policy) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("hat prefactor denominator vanished", argument=cmath.exp(z))
     return pref * num / den
 
 
-def rho(params: ModelParams, log_x: LogComplex) -> complex:
-    """Trigonometric normalization rho_N(x).
+def rho(params: ModelParams, x: complex) -> complex:
+    """Trigonometric normalization rho_N(x) at the log ``x``.
 
     rho_N(x) = q^{1/N - 1} (q^2 x; q^{2N}) (q^{2N-2} x; q^{2N}) /
                [(x; q^{2N}) (q^{2N} x; q^{2N})]
     """
-    return _rho(params, log_x.value)
-
-
-def _rho(params: ModelParams, x: complex) -> complex:
-    """:func:`rho` at the plain log ``x``."""
     policy, c = params.policy, params._constants
-    big_q = c.log_big_q.value
+    big_q = c.log_big_q
     base, floor, terms = cmath.exp(big_q), policy.abs_floor, policy.max_terms
-    shift = float(2 * params.n - 2) * params.log_q.value
-    num = (_poch(cmath.exp(c.log_q2.value + x), base, floor, terms)
+    shift = float(2 * params.n - 2) * params.log_q
+    num = (_poch(cmath.exp(c.log_q2 + x), base, floor, terms)
            * _poch(cmath.exp(shift + x), base, floor, terms))
     den = _poch(cmath.exp(x), base, floor, terms) * _poch(cmath.exp(big_q + x), base, floor, terms)
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
@@ -560,10 +555,10 @@ def build_h(params: ModelParams) -> TensorOperator:
     return TensorOperator(n, 1, mat)
 
 
-def build_v(params: ModelParams, log_z: LogComplex) -> TensorOperator:
+def build_v(params: ModelParams, log_z: complex) -> TensorOperator:
     """Gauge matrix V(z) = diag(z^{(N+1-2i)/N}) linking the two gradations."""
     n = params.n
-    diag = [cmath.exp(((n + 1 - 2 * i) / n) * log_z.value) for i in range(1, n + 1)]
+    diag = [cmath.exp(((n + 1 - 2 * i) / n) * log_z) for i in range(1, n + 1)]
     return TensorOperator(n, 1, np.diag(diag))
 
 
@@ -589,7 +584,7 @@ def build_f(params: ModelParams) -> TensorOperator:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                diag[(i - 1) * n + (j - 1)] = cmath.exp(float(alpha_exponent(n, i, j)) * lq.value)
+                diag[(i - 1) * n + (j - 1)] = cmath.exp(float(alpha_exponent(n, i, j)) * lq)
     return TensorOperator(n, 2, np.diag(diag))
 
 
@@ -642,7 +637,7 @@ class _ZTables:
     """
 
     def __init__(self, params: ModelParams, z: complex):
-        n, lp, policy, c = params.n, params.log_p.value, params.policy, params._constants
+        n, lp, policy, c = params.n, params.log_p, params.policy, params._constants
         floor, terms = policy.abs_floor, policy.max_terms
         z2 = 2.0 * z
 
@@ -657,9 +652,9 @@ class _ZTables:
 
         self.z_power = cmath.exp(c.eta_power * z)
         self.eta_den = _eta_den(params, z)
-        theta_p_z = _theta(lp + z2, lp, policy)
+        theta_p_z = theta(lp + z2, lp, policy)
         diag_ratio = theta_without_zero(lp, c.poch_p) / _guard_den(
-            theta_without_zero(c.log_pn.value, c.poch_pn), c.guard_pn,
+            theta_without_zero(c.log_pn, c.poch_pn), c.guard_pn,
             "elliptic diagonal theta ratio vanished", z2,
         )
         # every offset in 1-N..N-1 occurs in the entries; den_z(0) is replaced by diag_ratio
@@ -687,11 +682,11 @@ def _build_elliptic(params: ModelParams, tables: _ZTables, scalar_kappa: complex
 
 
 def _build_eight_vertex(params: ModelParams, z: complex) -> np.ndarray:
-    lq, lp, policy, c = params.log_q.value, params.log_p.value, params.policy, params._constants
-    lp2, z2, q2 = 2.0 * lp, 2.0 * z, c.log_q2.value
+    lq, lp, policy, c = params.log_q, params.log_p, params.policy, params._constants
+    lp2, z2, q2 = 2.0 * lp, 2.0 * z, c.log_q2
 
     def th(arg: complex) -> complex:
-        return _theta(arg, lp2, policy)
+        return theta(arg, lp2, policy)
 
     den_a = _theta_den(lp + q2 + z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
     den_b = _theta_den(q2 + z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
@@ -703,7 +698,7 @@ def _build_eight_vertex(params: ModelParams, z: complex) -> np.ndarray:
     # The opposite root flips the corners and breaks the p-shift relation.
     d_val = cmath.exp(0.5 * lp - (lq + z2)) * th(z2) * th(q2) / den_a
 
-    prefactor = _kappa_inv(params, z2) * c.poch_p2 / c.poch_p**2
+    prefactor = kappa_inv(params, z2) * c.poch_p2 / c.poch_p**2
     mat = np.array(
         [
             [a_val, 0.0, 0.0, d_val],
@@ -725,14 +720,14 @@ def _rational_pole_guard(q2x: complex, where: str) -> complex:
 
 
 def _build_trigonometric(params: ModelParams, kind: RKind, z: complex) -> np.ndarray:
-    n, lq = params.n, params.log_q.value
+    n, lq = params.n, params.log_q
     q = cmath.exp(lq)
     log_x = z if kind is RKind.HOMOGENEOUS else 2.0 * z
     x = cmath.exp(log_x)
     den = _rational_pole_guard(q * q * x, kind.value)
     diag_base = q * (1.0 - x) / den
     exch_base = (1.0 - q * q) / den
-    scalar = _rho(params, log_x)
+    scalar = rho(params, log_x)
 
     mat = np.eye(n * n, dtype=np.complex128)  # the i != j diagonal entries are overwritten
     for i in range(1, n + 1):
@@ -758,28 +753,27 @@ def _build_trigonometric(params: ModelParams, kind: RKind, z: complex) -> np.nda
 def build_r(
     params: ModelParams,
     kind: RKind,
-    log_z: LogComplex,
+    z: complex,
     *,
-    z_tables: Callable[[ModelParams, LogComplex], _ZTables] | None = None,
+    z_tables: Callable[[ModelParams, complex], _ZTables] | None = None,
 ) -> TensorOperator:
-    """Assemble the requested R-matrix at spectral point z (given as a log).
+    """Assemble the requested R-matrix at spectral point exp(``z``).
 
     Rows and columns are composite indices over (C^N)^{x2} with slot 1 most
     significant; the entry at row (a, c), column (b, d) is the coefficient
-    of e_{a,b} x e_{c,d}.  For the elliptic kinds, ``z_tables(params, log_z)``
+    of e_{a,b} x e_{c,d}.  For the elliptic kinds, ``z_tables(params, z)``
     supplies the :class:`_ZTables` both kinds read, such as a memo that
     serves both; without it the build computes its own.  The kind's scalar
     comes first, so its pole guard fires before the tables'.
     """
     if not kind.exists_at(params.n):
         raise KindError(f"the {kind.value} kind has no matrix at N = {params.n}")
-    z = log_z.value
     if kind in (RKind.ELLIPTIC, RKind.ELLIPTIC_HAT):
         if kind is RKind.ELLIPTIC:
-            scalar_kappa = kappa_inv(params, log_z**2)
+            scalar_kappa = kappa_inv(params, 2.0 * z)
         else:
             scalar_kappa = _hat_scalar_kappa(params, z)
-        tables = _ZTables(params, z) if z_tables is None else z_tables(params, log_z)
+        tables = _ZTables(params, z) if z_tables is None else z_tables(params, z)
         mat = _build_elliptic(params, tables, scalar_kappa)
     elif kind is RKind.EIGHT_VERTEX:
         mat = _build_eight_vertex(params, z)

@@ -2,16 +2,19 @@
 elliptic gamma function.
 
 Every nonzero complex parameter (z, q, p and any fractional power of them)
-is carried as a logarithm: a :class:`LogComplex` with ``value = u`` stands
-for the number ``exp(u)``.  Powers are always evaluated as ``exp(alpha*u)``,
-never as principal-branch roots of the represented number, so quantities
-like ``z**(2/N)`` stay single-valued along a whole computation.  Zero is
-deliberately not representable; the one place it is needed (the first
-argument of a Pochhammer symbol) takes ``None`` as an explicit flag.
+is carried as its logarithm, a plain ``complex`` u standing for the number
+exp(u).  Powers are always evaluated as ``exp(alpha*u)``, never as
+principal-branch roots of the represented number, so quantities like
+``z**(2/N)`` stay single-valued along a whole computation: a product of
+numbers is a sum of logs, a power a float multiple.  :func:`principal_log`
+is the one way in from a number, and :func:`negated_log` fixes the branch
+of -1.  Zero is deliberately not representable; the one place it is needed
+(the first argument of a Pochhammer symbol) takes ``None`` as an explicit
+flag.
 
 Conventions::
 
-    pochhammer_inf(z, (b,)) = prod_{n >= 0} (1 - z b^n)
+    pochhammer_inf(z, b) = prod_{n >= 0} (1 - z b^n)
     theta(z, p) = (z; p) (p z^{-1}; p) (p; p)
     Gamma(x; p, Q) = (p Q / x; p, Q) / (x; p, Q)
 
@@ -37,10 +40,11 @@ import numpy as np
 from .errors import DomainError, TruncationError
 
 __all__ = [
-    "LogComplex",
+    "principal_log",
+    "negated_log",
     "TruncationPolicy",
     "DEFAULT_POLICY",
-    "LOG_ONE",
+    "GammaBases",
     "pochhammer_inf",
     "theta",
     "theta_array",
@@ -51,58 +55,19 @@ __all__ = [
 _TWO_PI = 2.0 * cmath.pi
 
 
-@dataclass(frozen=True)
-class LogComplex:
-    """A nonzero complex number exp(value), carried by its logarithm.
-
-    Arithmetic operators act on the *represented* number: ``a * b`` is the
-    product exp(a.value + b.value), ``a ** alpha`` the power
-    exp(alpha * a.value).  Multiplication by -1 has no canonical logarithm;
-    :meth:`negated` fixes the +i*pi branch once and for all, which is the
-    branch the antisymmetry and quasi-periodicity identities hold on.
-    """
-
-    value: complex
-
-    def __post_init__(self) -> None:
-        v = complex(self.value)
-        if not (cmath.isfinite(v)):
-            raise DomainError(f"LogComplex value must be finite, got {v!r}")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def from_complex(cls, w: complex) -> "LogComplex":
-        """Principal logarithm of a nonzero complex number."""
-        w = complex(w)
-        if w == 0 or not cmath.isfinite(w):
-            raise DomainError(f"cannot take the logarithm of {w!r}")
-        return cls(cmath.log(w))
-
-    def to_complex(self) -> complex:
-        return cmath.exp(self.value)
-
-    def magnitude(self) -> float:
-        """|exp(value)| without evaluating the phase."""
-        return math.exp(self.value.real)
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(self.value + other.value)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(self.value - other.value)
-
-    def __pow__(self, alpha: "int | float | Fraction") -> "LogComplex":
-        return LogComplex(float(alpha) * self.value)
-
-    def inv(self) -> "LogComplex":
-        return LogComplex(-self.value)
-
-    def negated(self) -> "LogComplex":
-        """The number -exp(value), on the fixed +i*pi branch."""
-        return LogComplex(self.value + 1j * cmath.pi)
+def principal_log(w: complex) -> complex:
+    """The principal logarithm of a nonzero, finite complex number; DomainError
+    for 0, an infinity or a nan."""
+    w = complex(w)
+    if w == 0 or not cmath.isfinite(w):
+        raise DomainError(f"cannot take the logarithm of {w!r}")
+    return cmath.log(w)
 
 
-LOG_ONE = LogComplex(0j)
+def negated_log(u: complex) -> complex:
+    """The log of -exp(u) on the fixed +i*pi branch, the branch the antisymmetry
+    and quasi-periodicity identities hold on (-1 has no canonical logarithm)."""
+    return u + 1j * cmath.pi
 
 
 @dataclass(frozen=True)
@@ -144,31 +109,22 @@ def _poch(z: complex, base: complex, floor: float, max_terms: int) -> complex:
     )
 
 
-def _checked_base(log_b: LogComplex) -> complex:
-    """The base b = exp(log_b); DomainError unless |b| < 1."""
-    base = log_b.to_complex()
-    if abs(base) >= 1.0:
-        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {abs(base):.6f}")
-    return base
-
-
 def pochhammer_inf(
-    log_z: LogComplex | None,
-    log_bases: Sequence[LogComplex],
+    log_z: complex | None,
+    log_b: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Infinite Pochhammer symbol (z; b)_inf, with the base given as ``(log_b,)``.
+    """Infinite Pochhammer symbol (z; b)_inf at the logs ``log_z`` and ``log_b``.
 
     ``log_z is None`` is the explicit z = 0 flag (every factor is 1).  The
     base must satisfy |b| < 1 strictly.  Products over two bases are
     elliptic gamma functions (:func:`elliptic_gamma_ratio`).
     """
-    if len(log_bases) != 1:
-        raise DomainError(f"expected one base, got {len(log_bases)}")
-    base = _checked_base(log_bases[0])
+    if log_b.real >= 0.0:
+        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(log_b.real):.6f}")
     if log_z is None:
         return 1.0 + 0j
-    return _poch(log_z.to_complex(), base, policy.abs_floor, policy.max_terms)
+    return _poch(cmath.exp(log_z), cmath.exp(log_b), policy.abs_floor, policy.max_terms)
 
 
 # Series rate accepted without a p-shift (56 terms at abs_floor 1e-17): a
@@ -176,48 +132,20 @@ def pochhammer_inf(
 _GAMMA_RATE = 0.5
 
 
-def elliptic_gamma_ratio(
-    numer: Sequence[LogComplex],
-    denom: Sequence[LogComplex],
-    log_p: LogComplex,
-    log_big_q: LogComplex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> tuple[complex, complex]:
-    """prod_i Gamma(x_i) / prod_j Gamma(y_j) with Gamma = Gamma(.; p, Q), as
-    ``(zeros, poles)``: the value is zeros / poles.
-
-    One log series serves the whole quotient (Gamma(x) Gamma(pQ/x) = 1):
-
-        log Gamma(x) = sum_{k >= 1} (x^k - (pQ/x)^k) / (k (1 - p^k)(1 - Q^k)).
-
-    An argument whose rate max(|x|, |pQ/x|) exceeds max(|Q|^{1/2}, 0.5) is
-    first moved by m powers of p, into |p|^{1/2} of |pQ|^{1/2} where the
-    rate is at most |Q|^{1/2}, with Gamma(p x) = theta_Q(x) Gamma(x) and
-    theta_Q(x) = (x; Q)(Q/x; Q).  The thetas that move brings go to
-    ``zeros`` when they are zeros of the quotient and to ``poles`` when
-    they are poles, so a caller divides only by the latter.
-    Where x_i = y_i the series terms and the theta factors of the pair
-    cancel exactly, so such a quotient is exactly 1.  The term count follows
-    from the largest rate r and ``abs_floor``: the first dropped term is at
-    most abs_floor (1 - r).  TruncationError when that count, the shift or
-    a base's own products (|b|^max_terms >= abs_floor) exceed ``max_terms``.
-    """
-    bases = _GammaBases(log_p.value, log_big_q.value, policy)
-    return _gamma_ratio([x.value for x in numer], [y.value for y in denom], bases)
-
-
-class _GammaBases:
+class GammaBases:
     """What the elliptic gamma series of :func:`elliptic_gamma_ratio` reads of its
     bases p = exp(``lp``) and Q = exp(``lbq``) alone: Q, log pQ, the rate limit
-    of the p-shift and the series denominators k (1 - p^k)(1 - Q^k).
+    of the p-shift and the series denominators k (1 - p^k)(1 - Q^k).  Each
+    :class:`~elliptic_rmatrix.rmatrix_builders.ModelParams` keeps one, so its
+    quotients share them.
 
-    The base checks run here, DomainError before TruncationError, as each
-    call's would.  The denominators grow to the largest term count asked of
-    them so far; each row is computed as a call of that length would compute
-    it, so every value is the same however many calls share the object.
+    The base checks run here, DomainError before TruncationError.  The
+    denominators grow to the largest term count asked of them so far; each
+    row is computed as a call of that length would compute it, so every
+    value is the same however many calls share the object.
     """
 
-    def __init__(self, lp: complex, lbq: complex, policy: TruncationPolicy):
+    def __init__(self, lp: complex, lbq: complex, policy: TruncationPolicy = DEFAULT_POLICY):
         self.big_q = cmath.exp(lbq)
         for log_b in (lp, lbq):
             # the products that Gamma stands for run over p^i Q^j, as far as pochhammer_inf would
@@ -243,7 +171,7 @@ class _GammaBases:
         return self.k[:terms], self.den[:terms]
 
 
-def _p_shift(u: complex, bases: _GammaBases) -> tuple[complex, complex, complex]:
+def _p_shift(u: complex, bases: GammaBases) -> tuple[complex, complex, complex]:
     """(u', zeros, poles) with Gamma(e^u) = Gamma(e^u') zeros / poles."""
     lp, log_pq, policy = bases.lp, bases.log_pq, bases.policy
     m = round((log_pq.real / 2 - u.real) / lp.real)
@@ -261,12 +189,31 @@ def _p_shift(u: complex, bases: _GammaBases) -> tuple[complex, complex, complex]
     return u + m * lp, thetas, 1.0 + 0j
 
 
-def _gamma_ratio(
+def elliptic_gamma_ratio(
     numer: Sequence[complex],
     denom: Sequence[complex],
-    bases: _GammaBases,
+    bases: GammaBases,
 ) -> tuple[complex, complex]:
-    """:func:`elliptic_gamma_ratio` with every argument a plain complex log."""
+    """prod_i Gamma(x_i) / prod_j Gamma(y_j) with Gamma = Gamma(.; p, Q) at the
+    logs x_i in ``numer`` and y_j in ``denom`` and the ``bases`` (p, Q), as
+    ``(zeros, poles)``: the value is zeros / poles.
+
+    One log series serves the whole quotient (Gamma(x) Gamma(pQ/x) = 1):
+
+        log Gamma(x) = sum_{k >= 1} (x^k - (pQ/x)^k) / (k (1 - p^k)(1 - Q^k)).
+
+    An argument whose rate max(|x|, |pQ/x|) exceeds max(|Q|^{1/2}, 0.5) is
+    first moved by m powers of p, into |p|^{1/2} of |pQ|^{1/2} where the
+    rate is at most |Q|^{1/2}, with Gamma(p x) = theta_Q(x) Gamma(x) and
+    theta_Q(x) = (x; Q)(Q/x; Q).  The thetas that move brings go to
+    ``zeros`` when they are zeros of the quotient and to ``poles`` when
+    they are poles, so a caller divides only by the latter.
+    Where x_i = y_i the series terms and the theta factors of the pair
+    cancel exactly, so such a quotient is exactly 1.  The term count follows
+    from the largest rate r and ``abs_floor``: the first dropped term is at
+    most abs_floor (1 - r).  TruncationError when that count, the shift or
+    a base's own products (|b|^max_terms >= abs_floor) exceed ``max_terms``.
+    """
     log_pq, log_limit, policy = bases.log_pq, bases.log_limit, bases.policy
     xs: list[complex] = []
     ys: list[complex] = []
@@ -306,19 +253,11 @@ def _gamma_ratio(
     return cmath.exp(complex(series.sum())) * zeros, poles
 
 
-def theta(
-    log_z: LogComplex,
-    log_p: LogComplex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Jacobi theta function Theta_p(z) = (z; p)(p z^{-1}; p)(p; p)."""
-    _checked_base(log_p)
-    return _theta(log_z.value, log_p.value, policy)
-
-
-def _theta(u: complex, lb: complex, policy: TruncationPolicy) -> complex:
-    """Theta_b(e^u) at the plain logs u and lb = log b, |b| < 1 unchecked: the
-    three :func:`_poch` products of :func:`theta`, in its order."""
+def theta(u: complex, lb: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Jacobi theta function Theta_b(x) = (x; b)(b x^{-1}; b)(b; b) at the logs
+    u = log x and lb = log b."""
+    if lb.real >= 0.0:
+        raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(lb.real):.6f}")
     base, floor, terms = cmath.exp(lb), policy.abs_floor, policy.max_terms
     return (_poch(cmath.exp(u), base, floor, terms)
             * _poch(cmath.exp(lb - u), base, floor, terms)
@@ -327,10 +266,11 @@ def _theta(u: complex, lb: complex, policy: TruncationPolicy) -> complex:
 
 def theta_array(
     log_args: np.ndarray,
-    log_base: LogComplex,
+    lb: complex,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Theta_b(x) = (x; b)(b/x; b)(b; b) at every x = exp(u), u in ``log_args``.
+    """Theta_b(x) = (x; b)(b/x; b)(b; b) at every x = exp(u), u in ``log_args``,
+    and b = exp(``lb``).
 
     The array form of :func:`theta` for one common base: each product keeps
     the factors (1 - x b^n) with |x b^n| >= abs_floor, as ``pochhammer_inf``
@@ -338,7 +278,6 @@ def theta_array(
     The term counts follow from |x| and |b| before anything is allocated;
     TruncationError when one reaches ``max_terms``, the scalar path's rule.
     """
-    lb = log_base.value
     if lb.real >= 0.0:
         raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(lb.real):.6f}")
     u = np.asarray(log_args, dtype=np.complex128).ravel()
@@ -369,8 +308,8 @@ def theta_array(
 
 
 def theta_shift_residual(
-    log_z: LogComplex,
-    log_a: LogComplex,
+    log_z: complex,
+    log_a: complex,
     n: int,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
@@ -389,20 +328,20 @@ def theta_shift_residual(
     """
     t_z = theta(log_z, log_a, policy)
 
-    lhs1 = theta(log_a * log_z, log_a, policy)
-    rhs1 = theta(log_z.inv(), log_a, policy)
+    lhs1 = theta(log_a + log_z, log_a, policy)
+    rhs1 = theta(-log_z, log_a, policy)
     r1 = abs(lhs1 - rhs1) / max(abs(t_z), abs(lhs1), abs(rhs1), 1e-300)
 
     # (-1)^n z^{-n} a^{-n(n-1)/2}, assembled on the log scale
-    lhs2 = theta((log_a ** n) * log_z, log_a, policy)
-    rhs2 = (-1.0) ** n * (
-        (log_z ** (-n)) * (log_a ** Fraction(-n * (n - 1), 2))
-    ).to_complex() * t_z
+    lhs2 = theta(float(n) * log_a + log_z, log_a, policy)
+    rhs2 = (-1.0) ** n * cmath.exp(
+        float(-n) * log_z + float(Fraction(-n * (n - 1), 2)) * log_a
+    ) * t_z
     r2 = abs(lhs2 - rhs2) / max(abs(t_z), abs(lhs2), abs(rhs2), 1e-300)
 
-    log_a2 = log_a ** 2
-    lhs3 = theta(log_a * log_z, log_a2, policy)
-    rhs3 = theta(log_a / log_z, log_a2, policy)
+    log_a2 = 2.0 * log_a
+    lhs3 = theta(log_a + log_z, log_a2, policy)
+    rhs3 = theta(log_a - log_z, log_a2, policy)
     r3 = abs(lhs3 - rhs3) / max(abs(lhs3), abs(rhs3), 1e-300)
 
     return max(r1, r2, r3)

@@ -12,12 +12,12 @@ import numpy as np
 
 from elliptic_rmatrix import (
     CHECKS,
-    LogComplex,
     ModelParams,
     RKind,
     build_r,
     check_nsigma,
     closed_form_q_spread,
+    principal_log,
     run_suite,
     theta_shift_residual,
     verify_qdet,
@@ -25,7 +25,7 @@ from elliptic_rmatrix import (
 from elliptic_rmatrix.cli import main
 from elliptic_rmatrix.property_suite import draw_log, draw_params
 
-lc = LogComplex.from_complex
+lc = principal_log
 
 
 def emit(criterion: int, passed: bool, detail: str) -> bool:

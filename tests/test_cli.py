@@ -410,6 +410,7 @@ class TestConfigurationRange:
         (["matrix", "--n", "2", "--z", "1e5", "--seed", "1"], "--z"),
         (["scan", "--n", "2", "--q", "0.5", "--p", "0.1", "--grid", "1x1", "--seed", "1"], "--q"),
         (["scan", "--n", "2", "--p", "0.1", "--grid", "1x1", "--seed", "1"], "--p"),
+        (["limits", "--n", "2", "--p", "0.3", "--seed", "1"], "--p"),
     ])
     def test_extreme_literal_exits_two_before_any_build(self, capsys, monkeypatch, argv, option):
         from elliptic_rmatrix import property_suite, qdet_engine

@@ -11,7 +11,7 @@ import math
 import mpmath
 import pytest
 
-from elliptic_rmatrix import LOG_ONE, LogComplex, ModelParams, kappa_inv
+from elliptic_rmatrix import ModelParams, kappa_inv, principal_log
 from elliptic_rmatrix.rmatrix_builders import _hat_scalar_kappa
 
 # lattice factors |x p^i Q^j| below this are dropped: far below float64 rounding
@@ -103,16 +103,16 @@ def fifty_digits():
 
 @pytest.mark.parametrize("n, q, p, z", POINTS)
 def test_kappa_inv_and_hat_scalar_at_generic_points(n, q, p, z):
-    params = ModelParams(n, LogComplex.from_complex(q), LogComplex.from_complex(p))
+    params = ModelParams(n, principal_log(q), principal_log(p))
     oracle = Oracle(n, q, p, z)
-    log_z = LogComplex.from_complex(z)
-    assert rel(kappa_inv(params, log_z**2), oracle.kappa_inv()) < 2e-14
-    assert rel(_hat_scalar_kappa(params, log_z.value), oracle.hat_scalar()) < 2e-14
+    log_z = principal_log(z)
+    assert rel(kappa_inv(params, 2 * log_z), oracle.kappa_inv()) < 2e-14
+    assert rel(_hat_scalar_kappa(params, log_z), oracle.hat_scalar()) < 2e-14
 
 
 @pytest.mark.parametrize("n, q, p, z", POINTS)
 def test_kappa_inv_at_one_and_hat_scalar_at_q(n, q, p, z):
-    params = ModelParams(n, LogComplex.from_complex(q), LogComplex.from_complex(p))
-    assert rel(kappa_inv(params, LOG_ONE), Oracle(n, q, p, 1).kappa_inv()) == 0
-    hat_at_q = _hat_scalar_kappa(params, params.log_q.value)
+    params = ModelParams(n, principal_log(q), principal_log(p))
+    assert rel(kappa_inv(params, 0j), Oracle(n, q, p, 1).kappa_inv()) == 0
+    hat_at_q = _hat_scalar_kappa(params, params.log_q)
     assert rel(hat_at_q, Oracle(n, q, p, q).hat_scalar()) < 2e-14

@@ -1,5 +1,6 @@
 """Identity battery: every check passes at generic points, canaries fail."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -12,7 +13,6 @@ import elliptic_rmatrix.rmatrix_builders as rmatrix_builders
 from elliptic_rmatrix import (
     CHECKS,
     DomainError,
-    LogComplex,
     ModelParams,
     PoleError,
     PropertyReport,
@@ -23,12 +23,13 @@ from elliptic_rmatrix import (
     check_nsigma,
     embed,
     effective_pass,
+    principal_log,
     run_suite,
 )
 from elliptic_rmatrix.cli import _build_parser, main
 from elliptic_rmatrix.property_suite import draw_log, draw_params
 
-lc = LogComplex.from_complex
+lc = principal_log
 
 
 @pytest.fixture(params=[2, 3], ids=["N2", "N3"])
@@ -233,17 +234,17 @@ class TestCanary:
 class TestResampling:
     def test_pole_propagates_without_rng(self):
         params = draw_params(np.random.default_rng(7), 2)
-        pole = params.log_q.inv()  # z = 1/q sits on a theta zero
+        pole = -params.log_q  # z = 1/q sits on a theta zero
         with pytest.raises(PoleError):
             CHECKS["unitarity"].run(params, RKind.ELLIPTIC, (pole,))
 
     def test_pole_resampled_with_rng(self):
         params = draw_params(np.random.default_rng(7), 2)
-        pole = params.log_q.inv()
+        pole = -params.log_q
         report = CHECKS["unitarity"].run(params, RKind.ELLIPTIC, (pole,),
                                          rng=np.random.default_rng(0))
         assert report.passed
-        assert report.sample_points[0] != pytest.approx(pole.to_complex())
+        assert report.sample_points[0] != pytest.approx(cmath.exp(pole))
 
 
 def _scale_largest(entries):
@@ -266,7 +267,7 @@ class TestYbeChargeSectors:
             z1, z2, z3 = (draw_log(rng) for _ in range(3))
             r12, r13, r23 = (
                 embed(build_r(params, kind, lz), slots, 3).entries
-                for lz, slots in ((z1 / z2, (1, 2)), (z1 / z3, (1, 3)), (z2 / z3, (2, 3)))
+                for lz, slots in ((z1 - z2, (1, 2)), (z1 - z3, (1, 3)), (z2 - z3, (2, 3)))
             )
             lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
             dense = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
@@ -318,7 +319,7 @@ def loop_evaluated_ll(params, lz):
     products per (i, j, k, l) and per (i, j, l)."""
     n = params.n
     top = build_r(params, RKind.ELLIPTIC_HAT, lz)
-    bot = build_r(params, RKind.ELLIPTIC_HAT, lz / params.log_q)
+    bot = build_r(params, RKind.ELLIPTIC_HAT, lz - params.log_q)
     v_top, v_bot = top.tensor_view(), bot.tensor_view()
     scale = np.linalg.norm(top.entries) * np.linalg.norm(bot.entries) / (n * n)
 
@@ -360,7 +361,7 @@ class TestEvaluatedLlEinsum:
 
         def build_r(params, kind, log_z, **kwargs):
             entries = real(params, kind, log_z, **kwargs).entries.copy()
-            if log_z == lz / params.log_q:  # the z/q factor: its block E_12 scaled
+            if log_z == lz - params.log_q:  # the z/q factor: its block E_12 scaled
                 entries[:n, n:2 * n] *= 1 + 1e-6
             return TensorOperator(params.n, 2, entries)
 
@@ -418,7 +419,7 @@ class TestSampledHelper:
             points, report = self._run(key, np.random.default_rng(0))
             assert len(report.sample_points) == len(points)
             for old, new in zip(points, report.sample_points):
-                assert new != pytest.approx(old.to_complex())
+                assert new != pytest.approx(cmath.exp(old))
         else:  # a fixed point (z = 1 or z = q) has nothing to redraw
             with pytest.raises(PoleError):
                 self._run(key, np.random.default_rng(0))
@@ -641,7 +642,7 @@ def _counted_builds(monkeypatch) -> list:
 
     def build_r(params, kind, log_z, **kwargs):
         op = real_build(params, kind, log_z, **kwargs)
-        builds.append((contexts[0], params, kind, log_z.value))
+        builds.append((contexts[0], params, kind, log_z))
         return op
 
     monkeypatch.setattr(ps.PointContext, "__init__", init)
@@ -793,7 +794,7 @@ class TestPointContext:
 
     def test_key_carries_the_params(self):
         params = draw_params(np.random.default_rng(35), 3)
-        shrunk = dataclasses.replace(params, log_p=LogComplex.from_complex(1e-4))
+        shrunk = dataclasses.replace(params, log_p=principal_log(1e-4))
         lz = draw_log(np.random.default_rng(36))
         context = ps.PointContext()
         here, there = (context.build(pr, RKind.ELLIPTIC_HAT, lz) for pr in (params, shrunk))

@@ -1,5 +1,6 @@
 """Quantum determinant: product route, permutation sum, closed form."""
 
+import cmath
 import importlib.util
 import json
 import sys
@@ -12,7 +13,6 @@ import pytest
 from elliptic_rmatrix import (
     CHECKS,
     KindError,
-    LogComplex,
     ModelParams,
     PoleError,
     RKind,
@@ -24,6 +24,7 @@ from elliptic_rmatrix import (
     embed,
     inverse_product_residual,
     permutation_sign,
+    principal_log,
     qdet_closed_form,
     qdet_engine,
     qdet_product,
@@ -32,7 +33,7 @@ from elliptic_rmatrix import (
 )
 from elliptic_rmatrix.property_suite import draw_log, draw_params
 
-lc = LogComplex.from_complex
+lc = principal_log
 
 
 @pytest.fixture(params=[2, 3], ids=["N2", "N3"])
@@ -96,7 +97,7 @@ class TestHandExpansionN2:
         params = draw_params(np.random.default_rng(42), 2)
         z = draw_log(rng)
         v0 = build_r(params, RKind.ELLIPTIC_HAT, z).tensor_view()
-        v1 = build_r(params, RKind.ELLIPTIC_HAT, z / params.log_q).tensor_view()
+        v1 = build_r(params, RKind.ELLIPTIC_HAT, z - params.log_q).tensor_view()
         hand = v0[0, :, 0, :] @ v1[1, :, 1, :] - v0[0, :, 1, :] @ v1[1, :, 0, :]
         got = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, z).entries
         np.testing.assert_allclose(got, hand, atol=1e-13)
@@ -156,7 +157,7 @@ def dense_routes(params, z):
     n, arity = params.n, params.n + 1
 
     def factor(j):
-        w = z / params.log_q ** (j - 1)
+        w = z - (j - 1) * params.log_q
         return embed(build_r(params, RKind.ELLIPTIC_HAT, w), (j, arity), arity).entries
 
     a_small = antisymmetrizer(n, n).entries
@@ -253,7 +254,7 @@ class TestCentrality:
         points = (draw_log(rng), draw_log(rng))
         report = CHECKS["centrality-witness"].run(params, RKind.ELLIPTIC_HAT, points)
         assert len(calls) == 1 and calls[0][-2:] == points
-        assert report.sample_points == tuple(p.to_complex() for p in points)
+        assert report.sample_points == tuple(cmath.exp(p) for p in points)
 
     def test_pole_resamples_both_points(self, monkeypatch, params, rng):
         real, calls = qdet_engine.build_r, []
@@ -273,7 +274,7 @@ class TestCentrality:
         report = witness.run(params, RKind.ELLIPTIC_HAT, points, rng=np.random.default_rng(0))
         assert report.passed
         for old, new in zip(points, report.sample_points):
-            assert new != pytest.approx(old.to_complex())
+            assert new != pytest.approx(cmath.exp(old))
 
 
 class TestGuards:
@@ -299,18 +300,18 @@ class TestGuards:
         # where eta's guard on the same theta already raises
         params = draw_params(np.random.default_rng(7), n)
         with pytest.raises(PoleError):
-            qdet_closed_form(params, LogComplex(-params.log_q.value + 1e-14))
+            qdet_closed_form(params, -params.log_q + 1e-14)
 
     def test_pole_resample_needs_rng(self):
         from elliptic_rmatrix import PoleError
 
         params = draw_params(np.random.default_rng(11), 2)
-        pole = params.log_q.inv()
+        pole = -params.log_q
         with pytest.raises(PoleError):
             verify_qdet(params, pole)
         result = verify_qdet(params, pole, rng=np.random.default_rng(1))
         assert result.deviations["product_vs_identity"] < 1e-8
-        assert result.z_point.to_complex() != pytest.approx(pole.to_complex())
+        assert cmath.exp(result.z_point) != pytest.approx(cmath.exp(pole))
 
 
 class TestResultStructure:
