@@ -87,7 +87,6 @@ from .property_suite import (
     tolerance_for,
 )
 from .qdet_engine import (
-    QdetResult,
     centrality_witness,
     closed_form_q_spread,
     inverse_product_residual,
@@ -95,6 +94,7 @@ from .qdet_engine import (
     qdet_product,
     qdet_sum_formula,
     verify_qdet,
+    z_spread,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -54,9 +53,8 @@ from .property_suite import (
     effective_pass,
     error_report,
     run_suite,
-    tolerance_for,
 )
-from .qdet_engine import _check_product_cap, verify_qdet
+from .qdet_engine import _check_product_cap
 
 __all__ = ["RunConfig", "main", "parse_complex_literal"]
 
@@ -225,7 +223,7 @@ def _json_dumps(document) -> str:
 def _tolerance_names(args: argparse.Namespace) -> list[str]:
     """The ``--tol`` names the command reads."""
     if args.command == "verify":
-        return sorted([*CHECKS, "qdet"])
+        return sorted(CHECKS)
     if args.command == "qdet":
         return ["qdet", *sorted(k for k in CHECKS if k.startswith("qdet."))]
     if args.command == "limits":
@@ -477,32 +475,21 @@ def _emit_reports(rows: list[dict], config: RunConfig) -> None:
     _emit_text("\n".join(lines) + "\n", config)
 
 
-def _qdet_reports(
+def _qdet_rows(
     params: ModelParams, config: RunConfig, rng: np.random.Generator, n_points: int
 ) -> list[PropertyReport]:
-    """The qdet deviation rows of each point, then the spread of m over the points."""
+    """The table's qdet rows at each of ``n_points`` points, then, over two or
+    more points, the spread of m across them."""
     reports: list[PropertyReport] = []
-    m_means: list[complex] = []
-    total_ms = 0.0
+    m_k_values = []
     for _ in range(n_points):
-        log_z = _resolve_point(config.z, rng)
-        started = time.perf_counter()
-        result = verify_qdet(params, log_z, rng=rng)
-        runtime_ms = (time.perf_counter() - started) * 1000.0
-        total_ms += runtime_ms
-        m_means.append(sum(result.m_k_values) / len(result.m_k_values))
-        z_used = (cmath.exp(result.z_point),)
-        detail = {"m_k_values": list(result.m_k_values)}
-        for key, value in result.deviations.items():
-            tolerance = tolerance_for(f"qdet.{key}", params.n, config.tolerances)
-            reports.append(PropertyReport.from_residual(
-                f"qdet[{key}]", result.params_digest, z_used, value, tolerance, runtime_ms, detail
-            ))
-    spread = max(abs(m - m_means[0]) for m in m_means)
-    tolerance = tolerance_for("qdet.z_spread", params.n, config.tolerances)
-    reports.append(PropertyReport.from_residual(
-        "qdet[z_spread]", params.digest(), (), spread, tolerance, total_ms, {"points": n_points}
-    ))
+        rows = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (_resolve_point(config.z, rng),),
+                                  tolerances=config.tolerances, rng=rng)
+        m_k_values.append(rows[0].detail["m_k_values"])
+        reports += rows
+    if n_points > 1:
+        reports += CHECKS["qdet.z_spread"].run(params, RKind.ELLIPTIC_HAT,
+                                               tolerances=config.tolerances, m_k_values=m_k_values)
     return reports
 
 
@@ -518,11 +505,10 @@ def run_verify(config: RunConfig) -> int:
         params=params,
         safe=True,
     )
-    reports.extend(_qdet_reports(params, config, rng, 2))
-    witness = CHECKS["centrality-witness"]
+    reports += _qdet_rows(params, config, rng, 2)
     points = (draw_log(rng), draw_log(rng))
-    reports.append(witness.run(params, RKind.ELLIPTIC_HAT, points,
-                               tolerance=config.tolerances.get("centrality-witness"), rng=rng))
+    reports.append(CHECKS["centrality-witness"].run(params, RKind.ELLIPTIC_HAT, points,
+                                                    tolerances=config.tolerances, rng=rng))
     payload = _params_payload(params)
     _emit_reports([_report_row(r, payload, config) for r in reports], config)
     return 0 if all(effective_pass(r) for r in reports) else 1
@@ -560,10 +546,11 @@ def run_matrix(config: RunConfig) -> int:
 
 def run_qdet(config: RunConfig) -> int:
     _check_product_cap(config.n)
+    if config.z is not None and config.points not in (None, 1):
+        raise ConfigError(f"qdet --z evaluates that one point; it takes no --points {config.points}")
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
-    n_points = 1 if config.z is not None else config.points
-    reports = _qdet_reports(params, config, rng, n_points)
+    reports = _qdet_rows(params, config, rng, config.points or (1 if config.z is not None else 5))
     payload = _params_payload(params)
     _emit_reports([_report_row(r, payload, config) for r in reports], config)
     return 0 if all(effective_pass(r) for r in reports) else 1
@@ -580,7 +567,7 @@ def run_limits(config: RunConfig) -> int:
         params,
         RKind.ELLIPTIC,
         (log_z,),
-        tolerance=config.tolerances.get("p-to-zero"),
+        tolerances=config.tolerances,
         rng=rng,
         p_sequence=config.p_seq,
     )
@@ -618,7 +605,6 @@ def run_scan(config: RunConfig) -> int:
         raise ConfigError(f"--check {config.check} takes --kind {accepted}, not {kind.value}")
     if not kind.exists_at(config.n):
         raise ConfigError(f"--kind {kind.value} has no matrix at N = {config.n}")
-    tolerance = config.tolerances.get(config.check)
     rows_q, rows_p = config.grid
     q_lo, q_hi = Q_MODULUS
     p_lo, p_hi = P_MODULUS
@@ -637,7 +623,7 @@ def run_scan(config: RunConfig) -> int:
                     break
             points = tuple(draw_log(rng) for _ in check.drawn)
             try:
-                report = check.run(params, kind, points, tolerance=tolerance, rng=rng)
+                report = check.run(params, kind, points, tolerances=config.tolerances, rng=rng)
             except EllipticRMatrixError as exc:
                 report = error_report(config.check, exc)
             report.detail["cell"] = [iq, ip]
@@ -679,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qdet = sub.add_parser("qdet", help="quantum determinant over z-points")
     common(qdet)
     qdet.add_argument("--z", default="random")
-    qdet.add_argument("--points", type=int, default=5)
+    qdet.add_argument("--points", type=int, help="random z-points (default 5; one with --z)")
 
     limits = sub.add_parser("limits", help="p -> 0 residual table")
     common(limits)
@@ -713,7 +699,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "kind"):
         config.kind = args.kind
     if hasattr(args, "points"):
-        if args.points < 1:
+        if args.points is not None and args.points < 1:
             raise ConfigError(f"--points must be positive, got {args.points}")
         config.points = args.points
     if hasattr(args, "check"):

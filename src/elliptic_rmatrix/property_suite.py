@@ -13,9 +13,10 @@ residual, ``(build, params, kind, *points, detail) -> float``, filling
   |p| in [0.05, 0.5]) with uniform phases;
 * one runner, :meth:`Check.run`, evaluates every residual: it times the
   check, redraws all its drawn points from the z annulus on a PoleError
-  (when an ``rng`` is supplied) and builds the report, which lists the
-  points actually used, never the discarded ones;
-* no matrix is inverted numerically: the dressing matrices are diagonal or
+  (when an ``rng`` is supplied) and builds the report, or one per row of
+  a residual that returns several, listing the points actually used,
+  never the discarded ones;
+* no check of this module inverts a matrix numerically: the dressing matrices are diagonal or
   a permutation, and an R-matrix is inverted by its unitarity relation;
 * every R-matrix a check builds comes from a :class:`PointContext` through
   ``build``, which ``run_suite`` makes once per suite point and passes to
@@ -592,17 +593,17 @@ def _inversions(sigma: Sequence[int]) -> int:
     )
 
 
-def check_nsigma(n_max: int = 5, *, tolerance: float | None = None) -> PropertyReport:
+def check_nsigma(
+    build: _Builder, params: ModelParams, kind: RKind, *, detail: dict, n_max: int = 5,
+) -> float:
     """The permutation exponent of the twisted determinant vanishes exactly.
 
     n_sigma = l(sigma) + (2/N) sum_i i (sigma(i) - i)
               + sum_{i<j} (alpha_{sigma(i) sigma(j)} - alpha_{ij}),
     for every sigma in S_N, N <= n_max, summed as the integer 2N n_sigma
     (2N alpha_ij is an integer), so the residual max |n_sigma| is exact.
-    It takes no (q, p) and no spectral point, so unlike the residual
-    functions it makes its own report.
+    It reads neither the parameters nor a spectral point.
     """
-    started = time.perf_counter()
     worst = 0.0
     checked = 0
     for n in range(2, n_max + 1):
@@ -621,15 +622,8 @@ def check_nsigma(n_max: int = 5, *, tolerance: float | None = None) -> PropertyR
             )
             worst = max(worst, abs(total) / (2 * n))  # int / int rounds once
             checked += 1
-    return PropertyReport.from_residual(
-        "nsigma",
-        f"exact:S2..S{n_max}",
-        [],
-        worst,
-        tolerance_for("nsigma", n_max, {} if tolerance is None else {"nsigma": tolerance}),
-        (time.perf_counter() - started) * 1000.0,
-        {"permutations_checked": checked},
-    )
+    detail["permutations_checked"] = checked
+    return worst
 
 
 def check_transpose_symmetry(
@@ -673,20 +667,20 @@ class Check:
     module or "module.function" in a sibling module; ``run`` looks it up by
     that name at every call, so rebinding the name reaches every caller.
     ``name`` is the report's row name, with "{kind}" standing for the kind
-    it runs at.  Entries without either are rows that ``qdet_engine``
-    produces; ``nsigma`` has a name but makes its own report.  ``points``
-    picks the spectral points: ``run_suite``'s four shared draws per point
-    (Z1, Z2, Z3, W), which other callers draw fresh, or a point fixed by the
+    it runs at and "{row}" for a row suffix.  Entries without either hold
+    the tolerance of one row of a multi-row check.  ``points`` picks the
+    spectral points: ``run_suite``'s four shared draws per point (Z1, Z2,
+    Z3, W), which other callers draw fresh, or a point fixed by the
     parameters (AT_ONE, AT_Q), which ``run`` supplies and never redraws.  A
     check with no drawn point depends on the parameters alone.  ``scope``
     is "point" (once per suite point), "once" (once per suite) or None (not
     in ``run_suite``).  ``tolerance`` is the default, tightened to
-    ``n2_tolerance`` at N = 2 where one is given.  ``kinds`` are the
-    R-matrix kinds it accepts, in ``run_suite`` order; none means ``scan``
-    cannot sweep it.
+    ``n2_tolerance`` at N = 2 where one is given; a multi-row check has
+    none.  ``kinds`` are the R-matrix kinds it accepts, in ``run_suite``
+    order; none means ``scan`` cannot sweep it.
     """
 
-    tolerance: float
+    tolerance: float | None = None
     n2_tolerance: float | None = None
     name: str | None = None
     residual: str | None = None
@@ -705,20 +699,24 @@ class Check:
         kind: RKind,
         points: Sequence[complex] = (),
         *,
-        tolerance: float | None = None,
+        tolerances: dict[str, float] | None = None,
         rng: np.random.Generator | None = None,
         context: PointContext | None = None,
         **options,
-    ) -> PropertyReport:
+    ) -> PropertyReport | list[PropertyReport]:
         """The report of this check at (``params``, ``kind``) and its drawn ``points``.
 
         The one place that times a residual, builds through ``context`` (or
         a fresh :class:`PointContext`), redraws every drawn point on a
         PoleError when an ``rng`` is given (:func:`_resample`), names the
         row, and reads the tolerance through :func:`tolerance_for`, with
-        ``tolerance`` overriding it.  ``options`` go to the residual
-        (p-to-zero's ``p_sequence``).  Only a PoleError redraws.  What a
-        residual computes from the parameters alone (the dressing matrices,
+        the ``tolerances`` overrides.  ``options`` go to the residual
+        (p-to-zero's ``p_sequence``).  A residual that returns a mapping of
+        row suffix to residual is one timed call with one redraw loop: it
+        gives a list of reports, one per entry in its order, sharing the
+        call's time, points and detail, each named with "{row}" and reading
+        the tolerance of key "<name's head>.<row>".  Only a PoleError redraws.  What a residual
+        computes from the parameters alone (the dressing matrices,
         p-to-zero's check of ``p_sequence``) cannot raise one, so an error
         there leaves on the first attempt, before any draw.
         """
@@ -727,7 +725,6 @@ class Check:
         owner = sys.modules[f"{__package__}.{module}" if module else __name__]
         residual = getattr(owner, function)
         build = (PointContext() if context is None else context).build
-        key = self.name.partition("[")[0]
         if not points:
             points = tuple({AT_ONE: 0j, AT_Q: params.log_q}[i] for i in self.points)
         detail: dict = {}
@@ -736,15 +733,23 @@ class Check:
             tuple(points),
             rng if self.drawn else None,
         )
-        return PropertyReport.from_residual(
-            self.name.format(kind=kind.value),
-            params.digest(),
-            [cmath.exp(p) for p in points],
-            value,
-            tolerance_for(key, params.n, {} if tolerance is None else {key: tolerance}),
-            (time.perf_counter() - started) * 1000.0,
-            detail,
-        )
+        runtime_ms = (time.perf_counter() - started) * 1000.0
+        key = self.name.partition("[")[0]
+        sample = [cmath.exp(p) for p in points]
+        rows = value.items() if isinstance(value, dict) else [(None, value)]
+        reports = [
+            PropertyReport.from_residual(
+                self.name.format(kind=kind.value, row=row),
+                params.digest(),
+                sample,
+                row_residual,
+                tolerance_for(key if row is None else f"{key}.{row}", params.n, tolerances or {}),
+                runtime_ms,
+                detail,
+            )
+            for row, row_residual in rows
+        ]
+        return reports if isinstance(value, dict) else reports[0]
 
 
 _ELLIPTIC = (RKind.ELLIPTIC,)
@@ -759,7 +764,8 @@ _ALL_KINDS = (
 )
 
 # Keys are the tolerance names of ``--tol``; report names are the key, with
-# "[kind]" for the multi-kind checks and "qdet[x]" for key "qdet.x".
+# "[kind]" for the multi-kind checks and "qdet[x]" for key "qdet.x"; "qdet"
+# also names the group of every "qdet.x".
 CHECKS: dict[str, Check] = {
     "ybe": Check(
         1e-8, name="ybe[{kind}]", residual="check_ybe",
@@ -821,12 +827,14 @@ CHECKS: dict[str, Check] = {
         1e-5, name="p-to-zero", residual="check_p_to_zero",
         scope="once", points=(Z1,), kinds=_ELLIPTIC,
     ),
-    "nsigma": Check(0.0, name="nsigma", scope="once"),
-    # rows of the qdet block: the witness runs here, the rest in qdet_engine
+    "nsigma": Check(0.0, name="nsigma", residual="check_nsigma", scope="once"),
+    # the qdet block: the witness, the nine rows of one point, and the spread
+    # of m over a run's points; "qdet.x" holds row x's tolerance
     "centrality-witness": Check(
         1e-8, 1e-9, name="centrality-witness", residual="qdet_engine.centrality_witness",
         points=(Z1, W),
     ),
+    "qdet": Check(name="qdet[{row}]", residual="qdet_engine.verify_qdet", points=(Z1,)),
     "qdet.product_internal_consistency": Check(1e-7, 1e-8),
     "qdet.product_vs_identity": Check(1e-7, 1e-8),
     "qdet.closed_form_vs_identity": Check(1e-8),
@@ -836,7 +844,7 @@ CHECKS: dict[str, Check] = {
     "qdet.sum_formula_vs_closed_form": Check(1e-7, 1e-8),
     "qdet.nonelliptic_sum_vs_identity": Check(1e-9),
     "qdet.inverse_product": Check(1e-8),
-    "qdet.z_spread": Check(1e-8),
+    "qdet.z_spread": Check(1e-8, name="qdet[{row}]", residual="qdet_engine.z_spread"),
 }
 
 
@@ -879,7 +887,6 @@ def run_suite(
     check that raises is recorded as a failed report instead of aborting the
     suite.
     """
-    overrides = tolerances or {}
     rng = np.random.default_rng(seed)
     reports: list[PropertyReport] = []
     per_point = [(name, c) for name, c in CHECKS.items() if c.scope == "point"]
@@ -892,11 +899,8 @@ def run_suite(
             reports.append(first[name])
             return
         try:
-            if name == "nsigma":  # exact, at no (q, p): its own report
-                report = check_nsigma(tolerance=overrides.get(name))
-            else:
-                report = CHECKS[name].run(pt_params, kind, points, tolerance=overrides.get(name),
-                                          rng=rng, context=context)
+            report = CHECKS[name].run(pt_params, kind, points, tolerances=tolerances, rng=rng,
+                                      context=context)
         except EllipticRMatrixError as exc:
             if not safe:
                 raise

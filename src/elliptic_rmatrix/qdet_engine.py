@@ -22,9 +22,9 @@ steps, evaluated in a fixed order so results are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import lru_cache
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,10 +32,9 @@ from .errors import KindError, SizeError
 from .special_functions import theta
 from .tensor_algebra import TensorOperator, _frobenius, antisymmetrizer, embed
 from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r
-from .property_suite import _Builder, _resample
+from .property_suite import _Builder
 
 __all__ = [
-    "QdetResult",
     "qdet_product",
     "qdet_closed_form",
     "qdet_sum_formula",
@@ -43,30 +42,13 @@ __all__ = [
     "centrality_witness",
     "closed_form_q_spread",
     "verify_qdet",
+    "z_spread",
 ]
 
 MAX_PRODUCT_SLOTS = 4
 MAX_SUM_TERMS_N = 6
 
 _T = TypeVar("_T")
-
-
-@dataclass(frozen=True)
-class QdetResult:
-    """Quantum determinant at one spectral point, via all three routes.
-
-    ``m_matrix`` is the auxiliary-slot operator extracted from the product
-    route; ``m_k_values`` the closed-form diagonal; ``sum_formula_matrix``
-    the permutation-sum operator; ``deviations`` the named pairwise
-    residuals (all should sit at roundoff for generic parameters).
-    """
-
-    m_matrix: TensorOperator
-    m_k_values: tuple[complex, ...]
-    sum_formula_matrix: TensorOperator
-    deviations: dict = field(default_factory=dict)
-    z_point: complex | None = None
-    params_digest: str = ""
 
 
 def _signed_sum(n: int, start: _T, step: Callable[[_T, int, int, int], _T]) -> _T:
@@ -288,34 +270,28 @@ def closed_form_q_spread(
 
 
 def verify_qdet(
-    params: ModelParams,
-    log_z: complex,
-    *,
-    rng: np.random.Generator | None = None,
-) -> QdetResult:
-    """All three routes at one point, with every pairwise deviation.
+    build: _Builder, params: ModelParams, kind: RKind, log_z: complex, *, detail: dict,
+) -> dict[str, float]:
+    """All three routes at one point: the residual function of ``CHECKS["qdet"]``.
 
-    On a PoleError the whole computation resamples at a fresh z (never a
-    single factor), so all routes always see the same point.
+    Returns every pairwise deviation by row suffix and puts the closed
+    form's m_k in ``detail``.  Like every qdet route it builds through this
+    module's ``build_r``, not ``build``.  ``Check.run`` resamples the whole
+    point on a PoleError (never a single factor), so all routes always see
+    the same point.
     """
     n = params.n
-
-    def compute(lz: complex) -> tuple:
-        hats = _hat_factors(params, lz)  # built once, read by three routes
-        return (
-            *_product_with_residual(params, lz, hats=hats),
-            qdet_closed_form(params, lz),
-            qdet_sum_formula(params, RKind.ELLIPTIC_HAT, lz, hats=hats),
-            qdet_sum_formula(params, RKind.NON_ELLIPTIC, lz),
-            inverse_product_residual(params, lz, hats=hats),
-        )
-
-    routes, (log_z,) = _resample(compute, (log_z,), rng)
-    m_op, internal, m_values, sum_op, nonell_op, inverse_res = routes
+    hats = _hat_factors(params, log_z)  # built once, read by three routes
+    m_op, internal = _product_with_residual(params, log_z, hats=hats)
+    m_values = qdet_closed_form(params, log_z)
+    sum_op = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, log_z, hats=hats)
+    nonell_op = qdet_sum_formula(params, RKind.NON_ELLIPTIC, log_z)
+    inverse_res = inverse_product_residual(params, log_z, hats=hats)
+    detail["m_k_values"] = list(m_values)
     eye = np.eye(n)
     diag_closed = np.diag(np.asarray(m_values, dtype=np.complex128))
     scale = float(np.sqrt(n))
-    deviations = {
+    return {
         "product_internal_consistency": internal,
         "product_vs_identity": _frobenius(m_op.entries - eye) / scale,
         "closed_form_vs_identity": max(abs(v - 1.0) for v in m_values),
@@ -326,11 +302,15 @@ def verify_qdet(
         "nonelliptic_sum_vs_identity": _frobenius(nonell_op.entries - eye) / scale,
         "inverse_product": inverse_res,
     }
-    return QdetResult(
-        m_matrix=m_op,
-        m_k_values=tuple(m_values),
-        sum_formula_matrix=sum_op,
-        deviations=deviations,
-        z_point=log_z,
-        params_digest=params.digest(),
-    )
+
+
+def z_spread(
+    build: _Builder, params: ModelParams, kind: RKind, *, detail: dict,
+    m_k_values: Sequence[Sequence[complex]],
+) -> dict[str, float]:
+    """The determinant does not depend on z: the largest distance between the
+    means of m_k at a run's points, ``m_k_values`` one sequence per point.
+    The residual function of ``CHECKS["qdet.z_spread"]``."""
+    means = [sum(values) / len(values) for values in m_k_values]
+    detail["points"] = len(means)
+    return {"z_spread": max(abs(m - means[0]) for m in means)}

@@ -15,12 +15,10 @@ from elliptic_rmatrix import (
     ModelParams,
     RKind,
     build_r,
-    check_nsigma,
     closed_form_q_spread,
     principal_log,
     run_suite,
     theta_shift_residual,
-    verify_qdet,
 )
 from elliptic_rmatrix.cli import main
 from elliptic_rmatrix.property_suite import draw_log, draw_params
@@ -131,7 +129,7 @@ def test_criterion_5_gradations():
         twist = CHECKS["twist-relation"].run(params, RKind.ELLIPTIC, (draw_log(rng),))
         worst = max(worst, gauge.residual, twist.residual)
         ok = ok and gauge.residual < 1e-10 and twist.residual < 1e-10
-    nsigma = check_nsigma(5)
+    nsigma = CHECKS["nsigma"].run(params, RKind.ELLIPTIC, n_max=5)
     ok = ok and nsigma.residual == 0.0
     assert emit(
         5,
@@ -167,10 +165,11 @@ def test_criterion_7_quantum_determinant():
         rng = np.random.default_rng(700 + n)
         params = draw_params(rng, n)
         z = draw_log(rng)
-        result = verify_qdet(params, z, rng=rng)
-        dev = result.deviations
+        reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (z,), rng=rng)
+        dev = {r.name[len("qdet["):-1]: r.residual for r in reports}
         identity_tol = 1e-8 if n == 2 else 1e-7
-        q_spread = closed_form_q_spread(params, result.z_point, draw_log(rng, (0.3, 0.8)))
+        z_used = lc(reports[0].sample_points[0])
+        q_spread = closed_form_q_spread(params, z_used, draw_log(rng, (0.3, 0.8)))
         three_way = max(
             dev["product_vs_closed_form"],
             dev["product_vs_sum_formula"],

@@ -129,7 +129,7 @@ class TestExitCodes:
         assert not witness[0]["passed"]
 
     def test_qdet_group_tolerance_yields_to_its_key(self, capsys):
-        assert main(["qdet", "--n", "2", "--seed", "3", "--points", "1", "--format", "json",
+        assert main(["qdet", "--n", "2", "--seed", "3", "--points", "2", "--format", "json",
                      "--tol", "qdet=1e-30", "--tol", "qdet.z_spread=1.0"]) == 1
         rows = json.loads(capsys.readouterr().out)["reports"]
         tolerances = {r["check"]: r["tolerance"] for r in rows}
@@ -151,6 +151,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "eightvertex has no matrix at N = 3" in captured.err
         assert captured.out == ""
+
+    def test_qdet_refuses_points_with_z(self, capsys):
+        # a --z literal is one point: --points 3 ran one point and exited 0
+        assert main(["qdet", "--n", "2", "--z", "1.1+0.2i", "--points", "3", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--z" in captured.err and "--points 3" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--points", "1"], ["--z", "1.1+0.2i"],
+                                      ["--z", "1.1+0.2i", "--points", "1"]])
+    def test_one_point_qdet_has_no_z_spread(self, capsys, argv):
+        # a spread over one point is 0 and cannot fail, so the row is left out
+        assert main(["qdet", "--n", "2", "--seed", "1", "--format", "json", *argv]) == 0
+        rows = json.loads(capsys.readouterr().out)["reports"]
+        assert len(rows) == 9 and all(r["check"] != "qdet[z_spread]" for r in rows)
 
     @pytest.mark.parametrize("argv, valid", [
         (["limits", "--n", "2"], "p-to-zero"),
@@ -293,9 +308,9 @@ class TestJsonReports:
         for call in (first, second):
             assert call[0]["runtime_ms"] > 0.0
             assert {r["runtime_ms"] for r in call} == {call[0]["runtime_ms"]}
+        # the spread row times its own reduction of the points' m_k, not their routes
         assert spread["check"] == "qdet[z_spread]"
-        total = first[0]["runtime_ms"] + second[0]["runtime_ms"]
-        assert spread["runtime_ms"] == pytest.approx(total)
+        assert 0.0 < spread["runtime_ms"] < first[0]["runtime_ms"] + second[0]["runtime_ms"]
 
     def test_embedded_config_reproduces_residuals(self, tmp_path):
         # a report file names its own seed/params: re-running must agree

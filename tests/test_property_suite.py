@@ -20,7 +20,6 @@ from elliptic_rmatrix import (
     TensorOperator,
     build_r,
     charge_sectors,
-    check_nsigma,
     embed,
     effective_pass,
     principal_log,
@@ -148,9 +147,15 @@ class TestPToZero:
         assert report.detail["monotone"] is True
 
 
+def nsigma(n_max: int):
+    """The nsigma row through the table; the parameters it runs at are not read."""
+    return CHECKS["nsigma"].run(draw_params(np.random.default_rng(7), 2), RKind.ELLIPTIC,
+                                n_max=n_max)
+
+
 class TestNsigma:
     def test_exact_zero_through_s5(self):
-        report = check_nsigma(5)
+        report = nsigma(5)
         assert report.residual == 0.0
         assert report.tolerance == 0.0
         assert report.passed
@@ -180,9 +185,9 @@ class TestNsigmaIntegerForm:
         from elliptic_rmatrix import alpha_exponent
 
         for n_max in range(2, 7):
-            report = check_nsigma(n_max)
+            report = nsigma(n_max)
             assert report.residual == fraction_nsigma(n_max, alpha_exponent) == 0.0
-        assert check_nsigma(5).detail["permutations_checked"] == 152
+        assert nsigma(5).detail["permutations_checked"] == 152
 
     def test_perturbed_exponent_matches_fraction_loop(self, monkeypatch):
         from fractions import Fraction
@@ -195,7 +200,7 @@ class TestNsigmaIntegerForm:
 
         monkeypatch.setattr(ps, "_twice_n_alpha", perturbed)
         for n_max in range(3, 7):
-            report = check_nsigma(n_max)
+            report = nsigma(n_max)
             expected = fraction_nsigma(n_max, lambda n, i, j: Fraction(perturbed(n, i, j), 2 * n))
             assert report.residual == expected > 0.0
             assert not report.passed
@@ -393,8 +398,6 @@ class TestSampledHelper:
 
     @staticmethod
     def _run(key, rng):
-        if key == "nsigma":  # exact, at no (q, p): its own report
-            return (), ps.check_nsigma()
         check = ps.CHECKS[key]
         params = draw_params(np.random.default_rng(7), 2)
         points = tuple(draw_log(np.random.default_rng(8)) for _ in check.drawn)
@@ -526,18 +529,22 @@ class TestCheckTable:
         argv += [f"--tol={key}={value!r}" for key, value in overrides.items()]
         assert main(argv) == 1
         rows = json.loads(capsys.readouterr().out)["reports"]
-        assert {_table_key(row["check"]) for row in rows} == set(ps.CHECKS)
+        # "qdet" names the group of the qdet rows, each of which reads its own key first
+        assert {_table_key(row["check"]) for row in rows} == set(ps.CHECKS) - {"qdet"}
         for row in rows:
             assert row["tolerance"] == overrides[_table_key(row["check"])], row["check"]
 
     def test_entries_are_consistent(self):
+        groups = {key.partition(".")[0] for key in ps.CHECKS if "." in key}
         for key, check in ps.CHECKS.items():
             assert all(ps.Z1 <= i <= ps.AT_Q for i in check.points), key
-            # rows without a name are the qdet block's; the suite runs residuals, and nsigma
-            assert (check.name is None) == (check.residual is None and check.scope is None), key
-            assert check.scope is None or check.residual is not None or key == "nsigma", key
+            # entries without a name hold the tolerance of one row of a multi-row check
+            assert (check.name is None) == (check.residual is None), key
+            assert check.scope is None or check.residual is not None, key
+            # only a group's multi-row check has no tolerance of its own
+            assert (check.tolerance is None) == (key in groups), key
             if check.name is not None:
-                assert check.name.partition("[")[0] == key, key
+                assert check.name.partition("[")[0] == key.partition(".")[0], key
 
 
 def _scaled_hat_builds(monkeypatch, n):

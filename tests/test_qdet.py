@@ -29,7 +29,7 @@ from elliptic_rmatrix import (
     qdet_engine,
     qdet_product,
     qdet_sum_formula,
-    verify_qdet,
+    tolerance_for,
 )
 from elliptic_rmatrix.property_suite import draw_log, draw_params
 
@@ -50,11 +50,30 @@ def identity_tol(n: int) -> float:
     return 1e-8 if n == 2 else 1e-7
 
 
+ROWS = [
+    "product_internal_consistency",
+    "product_vs_identity",
+    "closed_form_vs_identity",
+    "closed_form_spread",
+    "product_vs_closed_form",
+    "product_vs_sum_formula",
+    "sum_formula_vs_closed_form",
+    "nonelliptic_sum_vs_identity",
+    "inverse_product",
+]
+
+
+def deviations(params, log_z, rng=None) -> dict[str, float]:
+    """The qdet block's residuals at one point, by row suffix."""
+    reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (log_z,), rng=rng)
+    return {r.name[len("qdet["):-1]: r.residual for r in reports}
+
+
 class TestThreeRoutes:
     def test_product_route_gives_identity(self, params, rng):
-        result = verify_qdet(params, draw_log(rng), rng=rng)
-        assert result.deviations["product_vs_identity"] < identity_tol(params.n)
-        assert result.deviations["product_internal_consistency"] < identity_tol(params.n)
+        dev = deviations(params, draw_log(rng), rng)
+        assert dev["product_vs_identity"] < identity_tol(params.n)
+        assert dev["product_internal_consistency"] < identity_tol(params.n)
 
     def test_closed_form_values_are_one_and_equal(self, params, rng):
         values = qdet_closed_form(params, draw_log(rng))
@@ -65,9 +84,8 @@ class TestThreeRoutes:
         assert spread < 1e-9
 
     def test_all_pairwise_deviations(self, params, rng):
-        result = verify_qdet(params, draw_log(rng), rng=rng)
         tol = identity_tol(params.n)
-        for key, value in result.deviations.items():
+        for key, value in deviations(params, draw_log(rng), rng).items():
             budget = 1e-9 if key == "nonelliptic_sum_vs_identity" else tol
             assert value < budget, (key, value)
 
@@ -303,36 +321,60 @@ class TestGuards:
             qdet_closed_form(params, -params.log_q + 1e-14)
 
     def test_pole_resample_needs_rng(self):
-        from elliptic_rmatrix import PoleError
-
         params = draw_params(np.random.default_rng(11), 2)
         pole = -params.log_q
+        qdet = CHECKS["qdet"]
         with pytest.raises(PoleError):
-            verify_qdet(params, pole)
-        result = verify_qdet(params, pole, rng=np.random.default_rng(1))
-        assert result.deviations["product_vs_identity"] < 1e-8
-        assert cmath.exp(result.z_point) != pytest.approx(cmath.exp(pole))
+            qdet.run(params, RKind.ELLIPTIC_HAT, (pole,))
+        reports = qdet.run(params, RKind.ELLIPTIC_HAT, (pole,), rng=np.random.default_rng(1))
+        assert reports[1].name == "qdet[product_vs_identity]" and reports[1].residual < 1e-8
+        assert reports[0].sample_points[0] != pytest.approx(cmath.exp(pole))
 
 
-class TestResultStructure:
-    def test_shapes_and_digest(self, params, rng):
-        result = verify_qdet(params, draw_log(rng), rng=rng)
-        n = params.n
-        assert result.m_matrix.entries.shape == (n, n)
-        assert result.sum_formula_matrix.entries.shape == (n, n)
-        assert len(result.m_k_values) == n
-        assert result.params_digest == params.digest()
-        assert set(result.deviations) == {
-            "product_internal_consistency",
-            "product_vs_identity",
-            "closed_form_vs_identity",
-            "closed_form_spread",
-            "product_vs_closed_form",
-            "product_vs_sum_formula",
-            "sum_formula_vs_closed_form",
-            "nonelliptic_sum_vs_identity",
-            "inverse_product",
-        }
+class TestBlockRows:
+    def test_row_names_digest_and_m_k_values(self, params, rng):
+        log_z = draw_log(rng)
+        reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (log_z,))
+        assert [r.name for r in reports] == [f"qdet[{row}]" for row in ROWS]
+        for report in reports:
+            assert report.params_digest == params.digest()
+            assert report.sample_points == (cmath.exp(log_z),)
+            assert report.detail["m_k_values"] == list(qdet_closed_form(params, log_z))
+        assert [r.tolerance for r in reports] == [
+            tolerance_for(f"qdet.{row}", params.n, {}) for row in ROWS]
+
+    def test_runner_reaches_the_closed_form_by_its_module_name(self, monkeypatch, capsys):
+        # rebinding qdet_engine.qdet_closed_form reaches the block in both commands
+        real = qdet_engine.qdet_closed_form
+        monkeypatch.setattr(qdet_engine, "qdet_closed_form",
+                            lambda *args: tuple(m * (1 + 1e-6) for m in real(*args)))
+        from elliptic_rmatrix.cli import main
+
+        for argv in (["qdet", "--n", "2", "--points", "2"], ["verify", "--n", "2", "--points", "1"]):
+            assert main([*argv, "--seed", "1", "--format", "json"]) == 1
+            rows = json.loads(capsys.readouterr().out)["reports"]
+            closed = [r for r in rows if r["check"] == "qdet[closed_form_vs_identity]"]
+            assert len(closed) == 2 and not any(r["passed"] for r in closed)
+
+    def test_each_point_resamples_once(self, monkeypatch, params, rng):
+        # a pole at the first z redraws that one point, which all nine rows then carry
+        real, calls = qdet_engine.verify_qdet, []
+        monkeypatch.setattr(qdet_engine, "verify_qdet",
+                            lambda *args, **kwargs: calls.append(args[3]) or real(*args, **kwargs))
+        real_build, builds = qdet_engine.build_r, []
+
+        def build_r(*args, **kwargs):
+            builds.append(args)
+            if len(builds) == 1:
+                raise PoleError("synthetic pole")
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(qdet_engine, "build_r", build_r)
+        log_z, redraw = draw_log(rng), np.random.default_rng(0)
+        reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (log_z,), rng=redraw)
+        assert calls == [log_z, draw_log(np.random.default_rng(0))]
+        assert len(reports) == 9
+        assert {r.sample_points for r in reports} == {(cmath.exp(calls[1]),)}
 
 
 class TestSharedHatFactors:
@@ -359,7 +401,7 @@ class TestSharedHatFactors:
         monkeypatch.setattr(qdet_engine, "antisymmetrizer",
                             lambda n, k: built.append((n, k)) or real(n, k))
         for _ in range(2):
-            verify_qdet(params, draw_log(rng))
+            CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (draw_log(rng),))
         inverse_product_residual(params, draw_log(rng))
         qdet_product(params, draw_log(rng))
         assert built == [(params.n, params.n)]

@@ -54,8 +54,9 @@ class Outcome:
 def command_list() -> list[list[str]]:
     """scan at N = 3 and 6 for each check and kind (eight-vertex at N = 2), matrix
     for every kind, limits at N = 2 and 3, verify at N = 2..4, qdet at N = 2..4,
-    verify at N = 3 as csv and text and qdet at N = 3 as csv, the known
-    failing draws and the benchmark-shaped commands."""
+    verify at N = 3 as csv and text and qdet at N = 3 as csv, qdet at one drawn
+    and at one literal point, the known failing draws and the benchmark-shaped
+    commands."""
     sys.path.insert(0, str(ROOT / "src"))
     from elliptic_rmatrix.property_suite import CHECKS
     from elliptic_rmatrix.rmatrix_builders import RKind
@@ -78,6 +79,8 @@ def command_list() -> list[list[str]]:
     # the formats json's writer does not serve
     commands += [["verify", "--n", "3", "--seed", SEED, "--format", fmt] for fmt in ("csv", "text")]
     commands.append(["qdet", "--n", "3", "--points", "2", "--seed", SEED, "--format", "csv"])
+    commands.append(["qdet", "--n", "3", "--points", "1", "--seed", SEED, "--format", "json"])
+    commands.append(["qdet", "--n", "2", "--z", "1.1+0.2i", "--seed", SEED, "--format", "json"])
     return commands + KNOWN_FAILING + BENCH_SHAPED
 
 
