@@ -19,9 +19,9 @@ from .errors import (
     TruncationError,
 )
 from .special_functions import (
-    DEFAULT_POLICY,
+    ABS_FLOOR,
+    MAX_TERMS,
     GammaBases,
-    TruncationPolicy,
     elliptic_gamma_ratio,
     negated_log,
     pochhammer_inf,

@@ -38,7 +38,7 @@ from .errors import (
     SizeError,
     TruncationError,
 )
-from .special_functions import principal_log
+from .special_functions import ABS_FLOOR, MAX_TERMS, principal_log
 from .tensor_algebra import matrix_dump_rows
 from .rmatrix_builders import ModelParams, RKind, build_r
 from .property_suite import (
@@ -308,7 +308,7 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     times powers of p; the running product must stay finite at the largest
     |ln|x|| = 2 |ln|z|| + 2 |ln|q|| for the base nearest 1, p or Q.  A drawn
     z lies in the sampling annulus, so |ln|z|| <= ln 2 stands for it.  A
-    base whose products need more than ``max_terms`` factors is left to the
+    base whose products need more than ``MAX_TERMS`` factors is left to the
     builders' TruncationError.
 
     The elliptic gamma's p-shift multiplies one theta_Q per step into one
@@ -328,9 +328,9 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     z_range = (tuple(map(math.log, Z_MODULUS)) if config.z is None
                else (math.log(abs(config.z)),) * 2)
     log_z = max(map(abs, z_range))
-    log_base, policy = max(log_p, 2 * n * log_q), params.policy
-    if policy.max_terms * log_base >= math.log(policy.abs_floor):
-        return  # the base's products outrun max_terms: TruncationError's to report
+    log_base = max(log_p, 2 * n * log_q)
+    if MAX_TERMS * log_base >= math.log(ABS_FLOOR):
+        return  # the base's products outrun MAX_TERMS: TruncationError's to report
     peak = _product_log_peak(2 * log_z - 2 * log_q, log_base)
     what = "theta products"
     if peak <= _LOG_FLOAT_MAX:
@@ -528,14 +528,13 @@ def run_matrix(config: RunConfig) -> int:
     if bad:
         raise DomainError(f"the {kind.value} matrix has {bad} entries beyond float64 at "
                           f"z = {_format_complex(cmath.exp(log_z))} for these (q, p)")
-    policy = params.policy
     header = [
         f"# kind: {kind.value}",
         f"# n: {params.n}",
         f"# q: {_format_complex(params.q)}",
         f"# p: {_format_complex(params.p)}",
         f"# z: {_format_complex(cmath.exp(log_z))}",
-        f"# policy: abs_floor={policy.abs_floor:g}, max_terms={policy.max_terms}",
+        f"# policy: abs_floor={ABS_FLOOR:g}, max_terms={MAX_TERMS}",
         f"# version: {__version__}",
         f"# seed: {config.seed}",
         "# columns: i, j, re, im",

@@ -27,7 +27,8 @@ class DomainError(EllipticRMatrixError):
 
 
 class TruncationError(EllipticRMatrixError):
-    """An infinite product did not reach the truncation floor within max_terms."""
+    """An infinite product or series did not reach the truncation floor
+    ``special_functions.ABS_FLOOR`` within ``special_functions.MAX_TERMS`` terms."""
 
 
 class DimensionError(EllipticRMatrixError):

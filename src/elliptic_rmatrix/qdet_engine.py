@@ -181,14 +181,14 @@ def qdet_closed_form(params: ModelParams, log_z: complex) -> tuple[complex, ...]
     n = params.n
     if n > MAX_SUM_TERMS_N:
         raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
-    lp, policy, constants = params.log_p, params.policy, params._constants
+    lp, constants = params.log_p, params._constants
     q = params.q
     z2 = 2.0 * log_z
 
     poch_ratio = -constants.poch_ratio
     theta_q2 = constants.theta_q2
-    theta_den = _theta_den(constants.log_q2 + z2, lp, constants.guard_p, policy, "closed form")
-    prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp, policy) / theta_den
+    theta_den = _theta_den(constants.log_q2 + z2, lp, constants.guard_p, "closed form")
+    prefactor_z = poch_ratio ** (3 * n) * theta_q2**n * theta(z2, lp) / theta_den
 
     tables = [_SThetas(params, w, _closed_form_offsets(n, ell))
               for ell, w in enumerate(_q_shifted(params, log_z), start=1)]

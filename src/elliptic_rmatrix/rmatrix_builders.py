@@ -45,7 +45,7 @@ import cmath
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -54,9 +54,7 @@ import numpy as np
 
 from .errors import DomainError, KindError, PoleError
 from .special_functions import (
-    DEFAULT_POLICY,
     GammaBases,
-    TruncationPolicy,
     _poch,
     elliptic_gamma_ratio,
     pochhammer_inf,
@@ -113,7 +111,7 @@ class RKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters (N, q, p) plus numerical policy.
+    """Model parameters (N, q, p).
 
     q and p are carried as plain complex logarithms, coerced to ``complex``.
     Construction enforces finite logs and the hard domain conditions
@@ -126,7 +124,6 @@ class ModelParams:
     n: int
     log_q: complex
     log_p: complex
-    policy: TruncationPolicy = field(default=DEFAULT_POLICY)
     genericity_margin: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -204,7 +201,7 @@ class _Constants:
 
     def __init__(self, params: ModelParams):
         n, lq, lp = params.n, params.log_q, params.log_p
-        self.n, self.log_q, self.log_p, self.policy = n, lq, lp, params.policy
+        self.n, self.log_q, self.log_p = n, lq, lp
         self.log_q2, self.log_pn, self.log_big_q = 2.0 * lq, float(n) * lp, float(2 * n) * lq
         self.log_sqrt_q = 0.5 * lq
         # the fractional exponents, each the float nearest its exact rational
@@ -216,17 +213,17 @@ class _Constants:
     @cached_property
     def poch_p(self) -> complex:
         """(p; p)_inf."""
-        return pochhammer_inf(self.log_p, self.log_p, self.policy)
+        return pochhammer_inf(self.log_p, self.log_p)
 
     @cached_property
     def poch_pn(self) -> complex:
         """(p^N; p^N)_inf."""
-        return pochhammer_inf(self.log_pn, self.log_pn, self.policy)
+        return pochhammer_inf(self.log_pn, self.log_pn)
 
     @cached_property
     def poch_big_q(self) -> complex:
         """(Q; Q)_inf, Q = q^{2N}."""
-        return pochhammer_inf(self.log_big_q, self.log_big_q, self.policy)
+        return pochhammer_inf(self.log_big_q, self.log_big_q)
 
     @cached_property
     def poch_ratio(self) -> complex:
@@ -240,12 +237,12 @@ class _Constants:
     @cached_property
     def theta_q2(self) -> complex:
         """Theta_p(q^2)."""
-        return theta(self.log_q2, self.log_p, self.policy)
+        return theta(self.log_q2, self.log_p)
 
     @cached_property
     def poch_p2(self) -> complex:
         """(p^2; p^2)_inf, the eight-vertex base."""
-        return pochhammer_inf(2.0 * self.log_p, 2.0 * self.log_p, self.policy)
+        return pochhammer_inf(2.0 * self.log_p, 2.0 * self.log_p)
 
     @cached_property
     def guard_p(self) -> float:
@@ -272,7 +269,7 @@ class _Constants:
     def gamma(self) -> GammaBases:
         """The (p, Q) half of the elliptic gamma series.  A base check that fails
         raises at first use and, since nothing is kept, at every later one."""
-        return GammaBases(self.log_p, self.log_big_q, self.policy)
+        return GammaBases(self.log_p, self.log_big_q)
 
     @cached_property
     def gather(self) -> "_Gather":
@@ -294,16 +291,10 @@ def _guard_den(val: complex, guard: float, message: str, log_arg: complex) -> co
     return val
 
 
-def _theta_den(
-    log_arg: complex,
-    log_base: complex,
-    guard: float,
-    policy: TruncationPolicy,
-    what: str,
-) -> complex:
+def _theta_den(log_arg: complex, log_base: complex, guard: float, what: str) -> complex:
     """Theta value at plain logs destined for a denominator; PoleError when it is
     below ``guard``, the base's :func:`_guard_scale`."""
-    return _guard_den(theta(log_arg, log_base, policy), guard,
+    return _guard_den(theta(log_arg, log_base), guard,
                       f"denominator theta vanished in {what}", log_arg)
 
 
@@ -317,7 +308,7 @@ class _QTable:
         shifts = (constants.n + np.arange(offsets.start, offsets.stop)) * constants.log_p
         q_shifts = shifts + constants.log_q2
         self.z_free = np.concatenate([q_shifts, shifts])
-        self.den_q = theta_array(q_shifts, constants.log_pn, constants.policy)
+        self.den_q = theta_array(q_shifts, constants.log_pn)
         self.den_q.flags.writeable = False
         bad = np.flatnonzero(np.abs(self.den_q) < constants.guard_pn)
         self.pole = cmath.exp(q_shifts[bad[0]]) if bad.size else None
@@ -343,7 +334,7 @@ class _SThetas:
         z2 = 2.0 * z
         self.start, self.den_q = offsets.start, table.den_q
         logs = table.z_free + z2
-        self.num, self.den_z = theta_array(logs, constants.log_pn, params.policy).reshape(2, -1)
+        self.num, self.den_z = theta_array(logs, constants.log_pn).reshape(2, -1)
         if z_zero_cancelled:
             self.den_z[-offsets.start] = 1.0
         if table.pole is not None:
@@ -433,7 +424,7 @@ def kappa_inv(params: ModelParams, z2: complex) -> complex:
 def _eta_den(params: ModelParams, z: complex) -> complex:
     """eta's guarded denominator Theta_p(q^2 z^2) at the plain log ``z``."""
     c = params._constants
-    return _theta_den(c.log_q2 + 2.0 * z, c.log_p, c.guard_p, params.policy, "eta")
+    return _theta_den(c.log_q2 + 2.0 * z, c.log_p, c.guard_p, "eta")
 
 
 def _eta_common(
@@ -452,7 +443,7 @@ def eta(params: ModelParams, z: complex) -> complex:
     scalar_kappa = kappa_inv(params, z2)
     z_power = cmath.exp(params._constants.eta_power * z)
     scale = _eta_common(params, z_power, scalar_kappa, _eta_den(params, z))
-    return scale * theta(lp + z2, lp, params.policy)
+    return scale * theta(lp + z2, lp)
 
 
 def tau(params: ModelParams, x: complex) -> complex:
@@ -461,11 +452,11 @@ def tau(params: ModelParams, x: complex) -> complex:
     q^N-periodic in x; relates the two elliptic normalizations through
     R_hat(z) = tau_N(q^{1/2} z^{-1}) R(z).  ``x`` is the log of x.
     """
-    lq, policy, c = params.log_q, params.policy, params._constants
+    lq, c = params.log_q, params._constants
     big_q = c.log_big_q
     x2 = 2.0 * x
-    num = theta(lq + x2, big_q, policy)
-    den = _theta_den(lq - x2, big_q, c.guard_big_q, policy, "tau")
+    num = theta(lq + x2, big_q)
+    den = _theta_den(lq - x2, big_q, c.guard_big_q, "tau")
     return cmath.exp(c.tau_power * x) * num / den
 
 
@@ -477,10 +468,10 @@ def u_scalar(params: ModelParams, z: complex) -> complex:
 
     and satisfies U(z) = tau_N(q^{1/2} z) tau_N(q^{1/2} z^{-1}).  ``z`` is the log of z.
     """
-    policy, c = params.policy, params._constants
+    c = params._constants
     big_q, guard, q2, z2 = c.log_big_q, c.guard_big_q, c.log_q2, 2.0 * z
-    num = theta(q2 + z2, big_q, policy) * theta(q2 - z2, big_q, policy)
-    den = _theta_den(z2, big_q, guard, policy, "U") * _theta_den(-z2, big_q, guard, policy, "U")
+    num = theta(q2 + z2, big_q) * theta(q2 - z2, big_q)
+    den = _theta_den(z2, big_q, guard, "U") * _theta_den(-z2, big_q, guard, "U")
     return cmath.exp(c.tau_power * params.log_q) * num / den
 
 
@@ -496,14 +487,14 @@ def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
 
     z = q is exactly where the hat matrix's kernel is probed.
     """
-    policy, c = params.policy, params._constants
+    c = params._constants
     lp, big_q, q2 = c.log_p, c.log_big_q, c.log_q2
     z2 = 2.0 * z
     pref = cmath.exp(c.hat_power * (c.log_sqrt_q - z))
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
     zeros, poles = elliptic_gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), c.gamma)
     num = c.poch_big_q * zeros
-    den = theta(z2, big_q, policy) * poles
+    den = theta(z2, big_q) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("hat prefactor denominator vanished", argument=cmath.exp(z))
     return pref * num / den
@@ -515,13 +506,12 @@ def rho(params: ModelParams, x: complex) -> complex:
     rho_N(x) = q^{1/N - 1} (q^2 x; q^{2N}) (q^{2N-2} x; q^{2N}) /
                [(x; q^{2N}) (q^{2N} x; q^{2N})]
     """
-    policy, c = params.policy, params._constants
+    c = params._constants
     big_q = c.log_big_q
-    base, floor, terms = cmath.exp(big_q), policy.abs_floor, policy.max_terms
+    base = cmath.exp(big_q)
     shift = float(2 * params.n - 2) * params.log_q
-    num = (_poch(cmath.exp(c.log_q2 + x), base, floor, terms)
-           * _poch(cmath.exp(shift + x), base, floor, terms))
-    den = _poch(cmath.exp(x), base, floor, terms) * _poch(cmath.exp(big_q + x), base, floor, terms)
+    num = _poch(cmath.exp(c.log_q2 + x), base) * _poch(cmath.exp(shift + x), base)
+    den = _poch(cmath.exp(x), base) * _poch(cmath.exp(big_q + x), base)
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("rho denominator vanished", argument=cmath.exp(x))
     return c.rho_prefactor * num / den
@@ -637,22 +627,17 @@ class _ZTables:
     """
 
     def __init__(self, params: ModelParams, z: complex):
-        n, lp, policy, c = params.n, params.log_p, params.policy, params._constants
-        floor, terms = policy.abs_floor, policy.max_terms
+        n, lp, c = params.n, params.log_p, params._constants
         z2 = 2.0 * z
 
         def theta_without_zero(lb: complex, base_poch: complex) -> complex:
             # Theta_b(b z^2) / (1 - z^{-2}), finite at z^2 = 1; lb = log b, base_poch = (b; b)
             base = cmath.exp(lb)
-            return (
-                _poch(cmath.exp(lb + z2), base, floor, terms)
-                * _poch(cmath.exp(lb - z2), base, floor, terms)
-                * base_poch
-            )
+            return _poch(cmath.exp(lb + z2), base) * _poch(cmath.exp(lb - z2), base) * base_poch
 
         self.z_power = cmath.exp(c.eta_power * z)
         self.eta_den = _eta_den(params, z)
-        theta_p_z = theta(lp + z2, lp, policy)
+        theta_p_z = theta(lp + z2, lp)
         diag_ratio = theta_without_zero(lp, c.poch_p) / _guard_den(
             theta_without_zero(c.log_pn, c.poch_pn), c.guard_pn,
             "elliptic diagonal theta ratio vanished", z2,
@@ -682,14 +667,14 @@ def _build_elliptic(params: ModelParams, tables: _ZTables, scalar_kappa: complex
 
 
 def _build_eight_vertex(params: ModelParams, z: complex) -> np.ndarray:
-    lq, lp, policy, c = params.log_q, params.log_p, params.policy, params._constants
+    lq, lp, c = params.log_q, params.log_p, params._constants
     lp2, z2, q2 = 2.0 * lp, 2.0 * z, c.log_q2
 
     def th(arg: complex) -> complex:
-        return theta(arg, lp2, policy)
+        return theta(arg, lp2)
 
-    den_a = _theta_den(lp + q2 + z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
-    den_b = _theta_den(q2 + z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
+    den_a = _theta_den(lp + q2 + z2, lp2, c.guard_p2, "eight-vertex a/d")
+    den_b = _theta_den(q2 + z2, lp2, c.guard_p2, "eight-vertex b/c")
     a_val = cmath.exp(-z) * th(lp + z2) * th(lp + q2) / den_a
     b_val = cmath.exp(lq - z) * th(z2) * th(lp + q2) / den_b
     c_val = th(lp + z2) * th(q2) / den_b

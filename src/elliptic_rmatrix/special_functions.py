@@ -8,9 +8,7 @@ principal-branch roots of the represented number, so quantities like
 ``z**(2/N)`` stay single-valued along a whole computation: a product of
 numbers is a sum of logs, a power a float multiple.  :func:`principal_log`
 is the one way in from a number, and :func:`negated_log` fixes the branch
-of -1.  Zero is deliberately not representable; the one place it is needed
-(the first argument of a Pochhammer symbol) takes ``None`` as an explicit
-flag.
+of -1.  Zero is deliberately not representable.
 
 Conventions::
 
@@ -19,17 +17,21 @@ Conventions::
     Gamma(x; p, Q) = (p Q / x; p, Q) / (x; p, Q)
 
 with |b|, |p|, |Q| < 1 strictly, and (x; p, Q) = prod_{i, j >= 0} (1 - x p^i Q^j).
-Pochhammer products are truncated where the factor deviation |z b^n|
-drops below ``abs_floor``; the dropped factors each differ from 1 by less
-than the floor.  The elliptic gamma function is summed as a log series
-(:func:`elliptic_gamma_ratio`), so no double product is ever formed.
+One truncation rule serves every product and series, read from two module
+constants.  Pochhammer products are truncated where the factor deviation
+|z b^n| drops below ``ABS_FLOOR``; the dropped factors each differ from 1 by
+less than the floor.  A product that would keep ``MAX_TERMS`` factors or
+more, and a series or p-shift longer than ``MAX_TERMS``, raise
+TruncationError rather than return a bad value (this triggers for
+|base| -> 1).  The elliptic gamma
+function is summed as a log series (:func:`elliptic_gamma_ratio`), so no
+double product is ever formed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -42,8 +44,8 @@ from .errors import DomainError, TruncationError
 __all__ = [
     "principal_log",
     "negated_log",
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
+    "ABS_FLOOR",
+    "MAX_TERMS",
     "GammaBases",
     "pochhammer_inf",
     "theta",
@@ -70,64 +72,39 @@ def negated_log(u: complex) -> complex:
     return u + 1j * cmath.pi
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Truncation control for infinite products.
-
-    ``abs_floor`` is the factor-deviation floor: lattice points whose
-    deviation magnitude falls below it are dropped.  ``max_terms`` caps the
-    loop length per base; exceeding it raises TruncationError rather than
-    silently returning a bad value (this triggers for |base| -> 1).
-    """
-
-    abs_floor: float = 1e-17
-    max_terms: int = 4096
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_floor < 1.0):
-            raise DomainError(f"abs_floor must be in (0, 1), got {self.abs_floor}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be positive, got {self.max_terms}")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# The truncation rule of every product and series (see the module docstring).
+ABS_FLOOR = 1e-17
+MAX_TERMS = 4096
 
 
 @lru_cache(maxsize=262144)
-def _poch(z: complex, base: complex, floor: float, max_terms: int) -> complex:
-    """prod over {n >= 0 : |z base^n| >= floor} of (1 - z base^n)."""
+def _poch(z: complex, base: complex) -> complex:
+    """prod over {n >= 0 : |z base^n| >= ABS_FLOOR} of (1 - z base^n)."""
     result = 1.0 + 0j
     t = z
-    for _ in range(max_terms):
-        if abs(t) < floor:
+    for _ in range(MAX_TERMS):
+        if abs(t) < ABS_FLOOR:
             return result
         result *= 1.0 - t
         t *= base
     raise TruncationError(
-        f"Pochhammer product not below floor {floor:g} after {max_terms} terms "
+        f"Pochhammer product not below floor {ABS_FLOOR:g} after {MAX_TERMS} terms "
         f"(|base| = {abs(base):.6f})"
     )
 
 
-def pochhammer_inf(
-    log_z: complex | None,
-    log_b: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
+def pochhammer_inf(log_z: complex, log_b: complex) -> complex:
     """Infinite Pochhammer symbol (z; b)_inf at the logs ``log_z`` and ``log_b``.
 
-    ``log_z is None`` is the explicit z = 0 flag (every factor is 1).  The
-    base must satisfy |b| < 1 strictly.  Products over two bases are
+    The base must satisfy |b| < 1 strictly.  Products over two bases are
     elliptic gamma functions (:func:`elliptic_gamma_ratio`).
     """
     if log_b.real >= 0.0:
         raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(log_b.real):.6f}")
-    if log_z is None:
-        return 1.0 + 0j
-    return _poch(cmath.exp(log_z), cmath.exp(log_b), policy.abs_floor, policy.max_terms)
+    return _poch(cmath.exp(log_z), cmath.exp(log_b))
 
 
-# Series rate accepted without a p-shift (56 terms at abs_floor 1e-17): a
+# Series rate accepted without a p-shift (56 terms at ABS_FLOOR): a
 # shift costs theta_Q evaluations, and can bring the rate no lower than |Q|^{1/2}.
 _GAMMA_RATE = 0.5
 
@@ -145,19 +122,19 @@ class GammaBases:
     value is the same however many calls share the object.
     """
 
-    def __init__(self, lp: complex, lbq: complex, policy: TruncationPolicy = DEFAULT_POLICY):
+    def __init__(self, lp: complex, lbq: complex):
         self.big_q = cmath.exp(lbq)
         for log_b in (lp, lbq):
             # the products that Gamma stands for run over p^i Q^j, as far as pochhammer_inf would
             if log_b.real >= 0.0:
                 raise DomainError(
                     f"elliptic gamma base must satisfy |b| < 1, got |b| = {math.exp(log_b.real):.6f}")
-            if policy.max_terms * log_b.real >= math.log(policy.abs_floor):
+            if MAX_TERMS * log_b.real >= math.log(ABS_FLOOR):
                 raise TruncationError(
                     f"elliptic gamma base |b| = {math.exp(log_b.real):.6f}: its products stay above "
-                    f"floor {policy.abs_floor:g} after {policy.max_terms} terms"
+                    f"floor {ABS_FLOOR:g} after {MAX_TERMS} terms"
                 )
-        self.lp, self.lbq, self.policy = lp, lbq, policy
+        self.lp, self.lbq = lp, lbq
         self.log_pq = lp + lbq
         self.log_limit = max(lbq.real / 2, math.log(_GAMMA_RATE))
         self.k = self.den = np.empty(0)
@@ -173,17 +150,15 @@ class GammaBases:
 
 def _p_shift(u: complex, bases: GammaBases) -> tuple[complex, complex, complex]:
     """(u', zeros, poles) with Gamma(e^u) = Gamma(e^u') zeros / poles."""
-    lp, log_pq, policy = bases.lp, bases.log_pq, bases.policy
+    lp, log_pq = bases.lp, bases.log_pq
     m = round((log_pq.real / 2 - u.real) / lp.real)
-    if abs(m) > policy.max_terms:
-        raise TruncationError(
-            f"elliptic gamma shift of {abs(m)} p-steps exceeds {policy.max_terms}")
+    if abs(m) > MAX_TERMS:
+        raise TruncationError(f"elliptic gamma shift of {abs(m)} p-steps exceeds {MAX_TERMS}")
     big_q = bases.big_q
     thetas = 1.0 + 0j
     for j in range(min(m, 0), max(m, 0)):  # theta_Q at x p^j, between x and x p^m
         w = cmath.exp(u + j * lp)
-        thetas *= (_poch(w, big_q, policy.abs_floor, policy.max_terms)
-                   * _poch(big_q / w, big_q, policy.abs_floor, policy.max_terms))
+        thetas *= _poch(w, big_q) * _poch(big_q / w, big_q)
     if m > 0:
         return u + m * lp, 1.0 + 0j, thetas
     return u + m * lp, thetas, 1.0 + 0j
@@ -210,11 +185,11 @@ def elliptic_gamma_ratio(
     they are poles, so a caller divides only by the latter.
     Where x_i = y_i the series terms and the theta factors of the pair
     cancel exactly, so such a quotient is exactly 1.  The term count follows
-    from the largest rate r and ``abs_floor``: the first dropped term is at
-    most abs_floor (1 - r).  TruncationError when that count, the shift or
-    a base's own products (|b|^max_terms >= abs_floor) exceed ``max_terms``.
+    from the largest rate r and ``ABS_FLOOR``: the first dropped term is at
+    most ABS_FLOOR (1 - r).  TruncationError when that count, the shift or
+    a base's own products (|b|^MAX_TERMS >= ABS_FLOOR) exceed ``MAX_TERMS``.
     """
-    log_pq, log_limit, policy = bases.log_pq, bases.log_limit, bases.policy
+    log_pq, log_limit = bases.log_pq, bases.log_limit
     xs: list[complex] = []
     ys: list[complex] = []
     zeros = poles = 1.0 + 0j
@@ -239,12 +214,10 @@ def elliptic_gamma_ratio(
     minus = ys + [log_pq - x for x in xs]
     log_rate = max(max(u.real, log_pq.real - u.real) for u in plus)
     rate = math.exp(log_rate)
-    terms = math.ceil(math.log(policy.abs_floor * (1.0 - rate)) / log_rate)
-    if terms > policy.max_terms:
+    terms = math.ceil(math.log(ABS_FLOOR * (1.0 - rate)) / log_rate)
+    if terms > MAX_TERMS:
         raise TruncationError(
-            f"elliptic gamma series needs {terms} terms at rate {rate:.6f}, "
-            f"more than {policy.max_terms}"
-        )
+            f"elliptic gamma series needs {terms} terms at rate {rate:.6f}, more than {MAX_TERMS}")
     k, den = bases.denominators(terms)
     powers = np.exp(k[:, None] * np.array(plus + minus))  # np.outer's own product
     n = len(plus)
@@ -253,30 +226,24 @@ def elliptic_gamma_ratio(
     return cmath.exp(complex(series.sum())) * zeros, poles
 
 
-def theta(u: complex, lb: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def theta(u: complex, lb: complex) -> complex:
     """Jacobi theta function Theta_b(x) = (x; b)(b x^{-1}; b)(b; b) at the logs
     u = log x and lb = log b."""
     if lb.real >= 0.0:
         raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(lb.real):.6f}")
-    base, floor, terms = cmath.exp(lb), policy.abs_floor, policy.max_terms
-    return (_poch(cmath.exp(u), base, floor, terms)
-            * _poch(cmath.exp(lb - u), base, floor, terms)
-            * _poch(base, base, floor, terms))
+    base = cmath.exp(lb)
+    return _poch(cmath.exp(u), base) * _poch(cmath.exp(lb - u), base) * _poch(base, base)
 
 
-def theta_array(
-    log_args: np.ndarray,
-    lb: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def theta_array(log_args: np.ndarray, lb: complex) -> np.ndarray:
     """Theta_b(x) = (x; b)(b/x; b)(b; b) at every x = exp(u), u in ``log_args``,
     and b = exp(``lb``).
 
     The array form of :func:`theta` for one common base: each product keeps
-    the factors (1 - x b^n) with |x b^n| >= abs_floor, as ``pochhammer_inf``
+    the factors (1 - x b^n) with |x b^n| >= ABS_FLOOR, as ``pochhammer_inf``
     does, and all of them multiply in one masked (terms, products) array.
     The term counts follow from |x| and |b| before anything is allocated;
-    TruncationError when one reaches ``max_terms``, the scalar path's rule.
+    TruncationError when one reaches ``MAX_TERMS``, the scalar path's rule.
     """
     if lb.real >= 0.0:
         raise DomainError(f"Pochhammer base must satisfy |b| < 1, got |b| = {math.exp(lb.real):.6f}")
@@ -287,14 +254,14 @@ def theta_array(
     starts[:k] = u
     np.subtract(lb, u, out=starts[k:-1])
     starts[-1] = lb
-    log_floor = math.log(policy.abs_floor)
+    log_floor = math.log(ABS_FLOOR)
     # factors n = 0 .. counts - 1 have |x b^n| >= floor
     counts = np.maximum(np.floor((starts.real - log_floor) / -lb.real) + 1.0, 0.0)
     terms = int(counts.max())
-    if terms >= policy.max_terms:
+    if terms >= MAX_TERMS:
         raise TruncationError(
-            f"Pochhammer product not below floor {policy.abs_floor:g} after {policy.max_terms} "
-            f"terms (|base| = {math.exp(lb.real):.6f})"
+            f"Pochhammer product not below floor {ABS_FLOOR:g} after {MAX_TERMS} terms "
+            f"(|base| = {math.exp(lb.real):.6f})"
         )
     # x b^n by the scalar path's recurrence t <- t b, one row per n, then 1 - x b^n
     factors = np.empty((terms, starts.size), dtype=np.complex128)
@@ -307,12 +274,7 @@ def theta_array(
     return (products[:k] * products[k:-1] * products[-1]).reshape(np.shape(log_args))
 
 
-def theta_shift_residual(
-    log_z: complex,
-    log_a: complex,
-    n: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def theta_shift_residual(log_z: complex, log_a: complex, n: int) -> float:
     """Largest relative violation of the theta shift/inversion identities.
 
     Checks, for Theta with base a at the point z:
@@ -326,22 +288,22 @@ def theta_shift_residual(
     scaling by |Theta_a(z)| alone would amplify float noise).  A self-test
     of the implementation, not an independent oracle.
     """
-    t_z = theta(log_z, log_a, policy)
+    t_z = theta(log_z, log_a)
 
-    lhs1 = theta(log_a + log_z, log_a, policy)
-    rhs1 = theta(-log_z, log_a, policy)
+    lhs1 = theta(log_a + log_z, log_a)
+    rhs1 = theta(-log_z, log_a)
     r1 = abs(lhs1 - rhs1) / max(abs(t_z), abs(lhs1), abs(rhs1), 1e-300)
 
     # (-1)^n z^{-n} a^{-n(n-1)/2}, assembled on the log scale
-    lhs2 = theta(float(n) * log_a + log_z, log_a, policy)
+    lhs2 = theta(float(n) * log_a + log_z, log_a)
     rhs2 = (-1.0) ** n * cmath.exp(
         float(-n) * log_z + float(Fraction(-n * (n - 1), 2)) * log_a
     ) * t_z
     r2 = abs(lhs2 - rhs2) / max(abs(t_z), abs(lhs2), abs(rhs2), 1e-300)
 
     log_a2 = 2.0 * log_a
-    lhs3 = theta(log_a + log_z, log_a2, policy)
-    rhs3 = theta(log_a - log_z, log_a2, policy)
+    lhs3 = theta(log_a + log_z, log_a2)
+    rhs3 = theta(log_a - log_z, log_a2)
     r3 = abs(lhs3 - rhs3) / max(abs(lhs3), abs(rhs3), 1e-300)
 
     return max(r1, r2, r3)

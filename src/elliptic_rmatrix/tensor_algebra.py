@@ -107,7 +107,6 @@ class SpectralReport:
     eigenvalues: np.ndarray
     rank: int
     kernel_basis: np.ndarray  # columns form an orthonormal kernel basis
-    sv_threshold: float
 
 
 def identity_operator(local_dim: int, arity: int) -> TensorOperator:
@@ -237,10 +236,14 @@ def partial_transpose(op: TensorOperator, slot: int) -> TensorOperator:
     return TensorOperator(op.local_dim, k, tensor.reshape(op.dim, op.dim))
 
 
-def spectral(op: TensorOperator, sv_threshold: float = 1e-8) -> SpectralReport:
+# Singular values at or below this fraction of the largest count as zero.
+_RANK_RTOL = 1e-8
+
+
+def spectral(op: TensorOperator) -> SpectralReport:
     """Eigenvalues, numerical rank and orthonormal kernel basis.
 
-    Rank counts singular values above sv_threshold * max_sv (relative);
+    Rank counts singular values above _RANK_RTOL * max_sv (relative);
     the kernel basis collects the right singular vectors of the rest.
     """
     try:
@@ -248,14 +251,13 @@ def spectral(op: TensorOperator, sv_threshold: float = 1e-8) -> SpectralReport:
         _, sv, vh = np.linalg.svd(op.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"spectral decomposition failed: {exc}") from exc
-    cutoff = sv_threshold * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+    cutoff = _RANK_RTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
     rank = int(np.count_nonzero(sv > cutoff))
     kernel = vh[rank:].conj().T
     return SpectralReport(
         eigenvalues=eigenvalues,
         rank=rank,
         kernel_basis=np.ascontiguousarray(kernel),
-        sv_threshold=sv_threshold,
     )
 
 

@@ -89,6 +89,18 @@ class TestExitCodes:
         assert captured.err.splitlines()[-1] == "numerical error: hat prefactor denominator vanished"
         assert captured.out == ""
 
+    @pytest.mark.xfail(strict=True, reason="a pinned --z is redrawn where it meets a pole")
+    @pytest.mark.parametrize("argv", [
+        ["qdet", "--n", "2", "--q", "0.5", "--p", "0.2", "--z", "2", "--seed", "1"],
+        ["limits", "--n", "2", "--q", "0.5", "--z", "2", "--seed", "1"],
+    ])
+    def test_pinned_z_at_a_pole_exits_three(self, capsys, argv):
+        # z = 1/q is a theta zero; both commands exit 0 with rows at a redrawn z
+        # while their config still says z = 2
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
+
     @pytest.mark.parametrize("command", ["matrix", "verify", "qdet", "scan", "limits"])
     def test_negative_seed_is_config_error(self, capsys, command):
         assert main([command, "--n", "2", "--seed", "-1"]) == 2
@@ -217,6 +229,11 @@ class TestMatrixDump:
         assert len(zero_rows) == 8
         assert any("kind: eightvertex" in h for h in header)
         assert any("columns: i, j, re, im" in h for h in header)
+
+    def test_header_names_the_truncation_rule(self, capsys):
+        assert main(["matrix", "--n", "2", "--seed", "1"]) == 0
+        header = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("#")]
+        assert header[5] == "# policy: abs_floor=1e-17, max_terms=4096"
 
     def test_elliptic_n3_zero_pattern(self, capsys):
         assert main(["matrix", "--n", "3", "--kind", "elliptic", "--seed", "2"]) == 0

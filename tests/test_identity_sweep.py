@@ -1,6 +1,8 @@
-"""tools/identity_sweep.py: same outputs report identical, a perturbed tree is caught."""
+"""tools/identity_sweep.py: same outputs report identical, a perturbed tree is caught,
+and a changed row set is named as such."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,7 +47,7 @@ def in_git_work_tree() -> bool:
     return probe.returncode == 0 and probe.stdout.strip() == "true"
 
 
-pytestmark = pytest.mark.skipif(not in_git_work_tree(), reason="needs the repository's git history")
+needs_git = pytest.mark.skipif(not in_git_work_tree(), reason="needs the repository's git history")
 
 
 @pytest.fixture
@@ -57,6 +59,7 @@ def sweep_tool(monkeypatch):
     return module
 
 
+@needs_git
 def test_head_against_itself_is_identical(sweep_tool, capsys):
     assert sweep_tool.main(["--against", "HEAD"], commands=SHORT) == 0
     out = capsys.readouterr().out.splitlines()
@@ -64,6 +67,7 @@ def test_head_against_itself_is_identical(sweep_tool, capsys):
     assert out[-1] == "2 of 2 commands identical; no flip or exit-code change"
 
 
+@needs_git
 def test_perturbed_tree_is_reported(sweep_tool, capsys, monkeypatch, tmp_path):
     (tmp_path / "sitecustomize.py").write_text(PERTURBATION)
     real_env = sweep_tool.ellr_env
@@ -82,3 +86,42 @@ def test_perturbed_tree_is_reported(sweep_tool, capsys, monkeypatch, tmp_path):
     assert "exit code 0 -> 1" in out
     assert out.count("FLIP") == 2  # both grid cells now fail ybe
     assert out.rstrip().endswith("0 of 2 commands identical; a flip or exit-code change")
+
+
+def run_of(sweep_tool, rows, rc=0):
+    """A synthetic json run of one command with these report rows."""
+    return sweep_tool.Outcome(rc, json.dumps({"reports": rows}), "")
+
+
+def row(check, residual, passed=True):
+    return {"check": check, "residual": residual, "passed": passed, "detail": {}}
+
+
+def test_a_dropped_row_is_listed_and_not_called_a_flip(sweep_tool):
+    old = [row("qdet[sum_vs_product]", 1e-14), row("qdet[z_spread]", 2e-13),
+           row("qdet[inverse_product]", 3e-9)]
+    lines, kinds = sweep_tool.compare(run_of(sweep_tool, old), run_of(sweep_tool, old[::2]))
+    assert kinds == {sweep_tool.ROW_SET}
+    assert lines == ["row count 3 -> 2", "removed #1 qdet[z_spread]: passed, residual 2.000000e-13"]
+
+
+def test_a_flip_beside_a_changed_row_set_is_both(sweep_tool):
+    old = [row("ybe", 1e-14), row("unitarity", 2e-14)]
+    new = [row("ybe", 2e-7, passed=False), row("unitarity", 2e-14), row("crossing", 5e-2, passed=False)]
+    lines, kinds = sweep_tool.compare(run_of(sweep_tool, old), run_of(sweep_tool, new))
+    assert kinds == {sweep_tool.FLIP, sweep_tool.ROW_SET}
+    assert lines == ["#0 ybe: residual 1.000000e-14 -> 2.000000e-07 (change 2.00e-07) FLIP",
+                     "row count 2 -> 3", "added #2 crossing: failed, residual 5.000000e-02"]
+
+
+def test_sweep_summary_names_a_row_set_change(sweep_tool, capsys, monkeypatch):
+    rows = [row("ybe", 1e-14), row("unitarity", 2e-14)]
+
+    def run(src, argv):
+        return run_of(sweep_tool, rows if src == sweep_tool.ROOT / "src" else rows[:1])
+
+    monkeypatch.setattr(sweep_tool, "run_ellr", run)
+    assert not sweep_tool.sweep(Path("other"), [["verify"], ["qdet"]])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "differs    verify" and out[1] == "    row count 1 -> 2"
+    assert out[-1] == "0 of 2 commands identical; row set changed"

@@ -487,30 +487,30 @@ def fraction_build_elliptic(params, log_z, scalar_kappa):
         _eta_common, _eta_den, _guard_den, _guard_scale, _theta_den, pochhammer_inf, theta,
     )
 
-    n, lp, policy = params.n, LogComplex(params.log_p), params.policy
+    n, lp = params.n, LogComplex(params.log_p)
     log_z = LogComplex(log_z)
     z2 = log_z**2
 
     def theta_without_zero(base):
         return (
-            pochhammer_inf((base * z2).value, base.value, policy)
-            * pochhammer_inf((base * z2.inv()).value, base.value, policy)
-            * pochhammer_inf(base.value, base.value, policy)
+            pochhammer_inf((base * z2).value, base.value)
+            * pochhammer_inf((base * z2.inv()).value, base.value)
+            * pochhammer_inf(base.value, base.value)
         )
 
     z_power = (log_z ** Fraction(2, n)).to_complex()
     common = _eta_common(params, z_power, scalar_kappa, _eta_den(params, log_z.value))
-    theta_p_z = theta((lp * z2).value, lp.value, policy)
+    theta_p_z = theta((lp * z2).value, lp.value)
     base, q2 = lp**n, LogComplex(params.log_q) ** 2
-    guard = _guard_scale(pochhammer_inf(base.value, base.value, policy))
+    guard = _guard_scale(pochhammer_inf(base.value, base.value))
     diag_ratio = theta_without_zero(lp) / _guard_den(
         theta_without_zero(base), guard, "diagonal", z2.value)
     # the S thetas one scalar theta per offset, as the entry loop read them
-    num = {o: theta(((lp ** (n + o)) * q2 * z2).value, base.value, policy)
+    num = {o: theta(((lp ** (n + o)) * q2 * z2).value, base.value)
            for o in range(1 - n, n)}
-    den_q = {o: _theta_den(((lp ** (n + o)) * q2).value, base.value, guard, policy, "den_q")
+    den_q = {o: _theta_den(((lp ** (n + o)) * q2).value, base.value, guard, "den_q")
              for o in range(1 - n, n)}
-    den_z = {o: _theta_den(((lp ** (n + o)) * z2).value, base.value, guard, policy, "den_z")
+    den_z = {o: _theta_den(((lp ** (n + o)) * z2).value, base.value, guard, "den_z")
              for o in range(1 - n, n) if o}
     mat = np.zeros((n * n, n * n), dtype=np.complex128)
     for a in range(1, n + 1):
@@ -655,20 +655,20 @@ class TestFloatLogEntriesBitIdentical:
 # products, kept as references for the elliptic gamma forms
 
 
-def double_poch(log_z, log_a, log_b, policy):
+def double_poch(log_z, log_a, log_b):
     """(z; a, b)_inf = prod_i (z a^i; b)_inf, the lattice loop pochhammer_inf ran for two bases."""
-    from elliptic_rmatrix.special_functions import _poch
+    from elliptic_rmatrix.special_functions import ABS_FLOOR, _poch
 
     a, b = log_a.to_complex(), log_b.to_complex()
     result, t = 1.0 + 0j, log_z.to_complex()
-    while abs(t) >= policy.abs_floor:
-        result *= _poch(t, b, policy.abs_floor, policy.max_terms)
+    while abs(t) >= ABS_FLOOR:
+        result *= _poch(t, b)
         t *= a
     return result
 
 
 def double_base_kappa_inv(params, log_z2):
-    n, lq, lp, policy = params.n, LogComplex(params.log_q), LogComplex(params.log_p), params.policy
+    n, lq, lp = params.n, LogComplex(params.log_q), LogComplex(params.log_p)
     log_z2 = LogComplex(log_z2)
     big_q = lq ** (2 * n)
     q2 = lq**2
@@ -677,10 +677,10 @@ def double_base_kappa_inv(params, log_z2):
     def quad(log_x2):
         inv = log_x2.inv()
         return (
-            double_poch(big_q * inv, lp, big_q, policy)
-            * double_poch(q2 * log_x2, lp, big_q, policy)
-            * double_poch(lp * inv, lp, big_q, policy)
-            * double_poch(mixed * log_x2, lp, big_q, policy)
+            double_poch(big_q * inv, lp, big_q)
+            * double_poch(q2 * log_x2, lp, big_q)
+            * double_poch(lp * inv, lp, big_q)
+            * double_poch(mixed * log_x2, lp, big_q)
         )
 
     return quad(log_z2) / quad(log_z2.inv())
@@ -689,7 +689,7 @@ def double_base_kappa_inv(params, log_z2):
 def double_base_hat_scalar_kappa(params, log_z):
     from elliptic_rmatrix import pochhammer_inf, theta
 
-    n, lq, lp, policy = params.n, LogComplex(params.log_q), LogComplex(params.log_p), params.policy
+    n, lq, lp = params.n, LogComplex(params.log_q), LogComplex(params.log_p)
     log_z = LogComplex(log_z)
     big_q = lq ** (2 * n)
     z2 = log_z**2
@@ -698,19 +698,19 @@ def double_base_hat_scalar_kappa(params, log_z):
     mixed = lp * (lq ** (2 * n - 2))
     pref = (((lq**0.5) / log_z) ** Fraction(2 - 2 * n, n)).to_complex()
     num = (
-        pochhammer_inf(((lq ** (2 * n - 2)) * z2).value, big_q.value, policy)
-        * pochhammer_inf(big_q.value, big_q.value, policy)
-        * double_poch(big_q * z2inv, lp, big_q, policy)
-        * double_poch(q2 * z2, lp, big_q, policy)
-        * double_poch(lp * z2inv, lp, big_q, policy)
-        * double_poch(mixed * z2, lp, big_q, policy)
+        pochhammer_inf(((lq ** (2 * n - 2)) * z2).value, big_q.value)
+        * pochhammer_inf(big_q.value, big_q.value)
+        * double_poch(big_q * z2inv, lp, big_q)
+        * double_poch(q2 * z2, lp, big_q)
+        * double_poch(lp * z2inv, lp, big_q)
+        * double_poch(mixed * z2, lp, big_q)
     )
     den = (
-        theta(z2.value, big_q.value, policy)
-        * double_poch(lp * q2 * z2inv, lp, big_q, policy)
-        * double_poch(big_q * z2, lp, big_q, policy)
-        * double_poch(lp * z2, lp, big_q, policy)
-        * double_poch(mixed * z2inv, lp, big_q, policy)
+        theta(z2.value, big_q.value)
+        * double_poch(lp * q2 * z2inv, lp, big_q)
+        * double_poch(big_q * z2, lp, big_q)
+        * double_poch(lp * z2, lp, big_q)
+        * double_poch(mixed * z2inv, lp, big_q)
     )
     return pref * num / den
 
@@ -824,7 +824,7 @@ class TestParamsConstants:
         assert kappa_inv(copy, 2 * z) == kappa_inv(one, 2 * z)
 
     def test_gamma_base_error_raises_at_every_use(self):
-        # |p|^max_terms above the floor: TruncationError from the bases, kept nowhere
+        # |p|^MAX_TERMS above the floor: TruncationError from the bases, kept nowhere
         params = ModelParams(3, lc(0.41 + 0.13j), lc(0.995))
         for _ in range(2):
             with pytest.raises(TruncationError, match="elliptic gamma base"):
@@ -878,17 +878,17 @@ def lc_kappa_inv(params, log_z2):
     q2, z2inv = lq**2, log_z2.inv()
     zeros, poles = elliptic_gamma_ratio(
         [x.value for x in (lp * log_z2, q2 * z2inv)], [y.value for y in (lp * z2inv, q2 * log_z2)],
-        GammaBases(lp.value, (lq ** (2 * params.n)).value, params.policy),
+        GammaBases(lp.value, (lq ** (2 * params.n)).value),
     )
     if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
         raise PoleError("kappa denominator vanished", argument=log_z2.to_complex())
     return zeros / poles
 
 
-def lc_theta_den(log_arg, log_base, guard, policy, what):
+def lc_theta_den(log_arg, log_base, guard, what):
     from elliptic_rmatrix import theta
 
-    val = theta(log_arg.value, log_base.value, policy)
+    val = theta(log_arg.value, log_base.value)
     if abs(val) < guard:
         raise PoleError(f"denominator theta vanished in {what}", argument=log_arg.to_complex())
     return val
@@ -901,8 +901,7 @@ def lc_eta_common(params, log_z, scalar_kappa):
         * scalar_kappa
         * c.poch_ratio_cubed
         * c.theta_q2
-        / lc_theta_den(LogComplex(c.log_q2) * log_z**2, LogComplex(params.log_p), c.guard_p,
-                       params.policy, "eta")
+        / lc_theta_den(LogComplex(c.log_q2) * log_z**2, LogComplex(params.log_p), c.guard_p, "eta")
     )
 
 
@@ -911,29 +910,29 @@ def lc_eta(params, log_z):
 
     lp, z2 = LogComplex(params.log_p), log_z**2
     scale = lc_eta_common(params, log_z, lc_kappa_inv(params, z2))
-    return scale * theta((lp * z2).value, lp.value, params.policy)
+    return scale * theta((lp * z2).value, lp.value)
 
 
 def lc_tau(params, log_x):
     from elliptic_rmatrix import theta
 
-    lq, policy, c = LogComplex(params.log_q), params.policy, params._constants
+    lq, c = LogComplex(params.log_q), params._constants
     big_q = LogComplex(c.log_big_q)
     x2 = log_x**2
-    num = theta((lq * x2).value, big_q.value, policy)
-    den = lc_theta_den(lq * x2.inv(), big_q, c.guard_big_q, policy, "tau")
+    num = theta((lq * x2).value, big_q.value)
+    den = lc_theta_den(lq * x2.inv(), big_q, c.guard_big_q, "tau")
     return (log_x**c.tau_power).to_complex() * num / den
 
 
 def lc_u_scalar(params, log_z):
     from elliptic_rmatrix import theta
 
-    policy, c = params.policy, params._constants
+    c = params._constants
     big_q, guard, q2, z2 = LogComplex(c.log_big_q), c.guard_big_q, LogComplex(c.log_q2), log_z**2
-    num = (theta((q2 * z2).value, big_q.value, policy)
-           * theta((q2 * z2.inv()).value, big_q.value, policy))
-    den = (lc_theta_den(z2, big_q, guard, policy, "U")
-           * lc_theta_den(z2.inv(), big_q, guard, policy, "U"))
+    num = (theta((q2 * z2).value, big_q.value)
+           * theta((q2 * z2.inv()).value, big_q.value))
+    den = (lc_theta_den(z2, big_q, guard, "U")
+           * lc_theta_den(z2.inv(), big_q, guard, "U"))
     return (LogComplex(params.log_q) ** c.tau_power).to_complex() * num / den
 
 
@@ -941,16 +940,16 @@ def lc_hat_scalar_kappa(params, log_z):
     from elliptic_rmatrix import GammaBases, elliptic_gamma_ratio, theta
     from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
 
-    lp, policy, c = LogComplex(params.log_p), params.policy, params._constants
+    lp, c = LogComplex(params.log_p), params._constants
     big_q, q2 = LogComplex(c.log_big_q), LogComplex(c.log_q2)
     z2 = log_z**2
     z2inv = z2.inv()
     pref = ((LogComplex(c.log_sqrt_q) / log_z) ** c.hat_power).to_complex()
     zeros, poles = elliptic_gamma_ratio(
         [x.value for x in (lp * z2, lp * q2 * z2inv)], [y.value for y in (lp * z2inv, q2 * z2)],
-        GammaBases(lp.value, big_q.value, policy))
+        GammaBases(lp.value, big_q.value))
     num = c.poch_big_q * zeros
-    den = theta(z2.value, big_q.value, policy) * poles
+    den = theta(z2.value, big_q.value) * poles
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
     return pref * num / den
@@ -960,14 +959,13 @@ def lc_rho(params, log_x):
     from elliptic_rmatrix import pochhammer_inf
     from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
 
-    policy, c = params.policy, params._constants
+    c = params._constants
     big_q = LogComplex(c.log_big_q)
     base = big_q.value
-    num = pochhammer_inf((LogComplex(c.log_q2) * log_x).value, base, policy) * pochhammer_inf(
-        ((LogComplex(params.log_q) ** (2 * params.n - 2)) * log_x).value, base, policy
+    num = pochhammer_inf((LogComplex(c.log_q2) * log_x).value, base) * pochhammer_inf(
+        ((LogComplex(params.log_q) ** (2 * params.n - 2)) * log_x).value, base
     )
-    den = pochhammer_inf(log_x.value, base, policy) * pochhammer_inf((big_q * log_x).value, base,
-                                                                     policy)
+    den = pochhammer_inf(log_x.value, base) * pochhammer_inf((big_q * log_x).value, base)
     if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
         raise PoleError("rho denominator vanished", argument=log_x.to_complex())
     return c.rho_prefactor * num / den
@@ -980,7 +978,7 @@ def lc_s_thetas(params, log_z, offsets):
     constants = params._constants
     table = constants.q_table(offsets)
     logs = table.z_free + (log_z**2).value
-    num, den_z = theta_array(logs, constants.log_pn, params.policy).reshape(2, -1)
+    num, den_z = theta_array(logs, constants.log_pn).reshape(2, -1)
     den_z[-offsets.start] = 1.0
     if table.pole is not None:
         raise PoleError("denominator theta vanished in S (q-dependent theta)", argument=table.pole)
@@ -994,18 +992,18 @@ def lc_s_thetas(params, log_z, offsets):
 def lc_build_elliptic(params, log_z, scalar_kappa):
     from elliptic_rmatrix import pochhammer_inf, theta
 
-    n, lp, policy, c = params.n, LogComplex(params.log_p), params.policy, params._constants
+    n, lp, c = params.n, LogComplex(params.log_p), params._constants
     z2 = log_z**2
 
     def theta_without_zero(base, base_poch):
         return (
-            pochhammer_inf((base * z2).value, base.value, policy)
-            * pochhammer_inf((base * z2.inv()).value, base.value, policy)
+            pochhammer_inf((base * z2).value, base.value)
+            * pochhammer_inf((base * z2.inv()).value, base.value)
             * base_poch
         )
 
     common = lc_eta_common(params, log_z, scalar_kappa)
-    theta_p_z = theta((lp * z2).value, lp.value, policy)
+    theta_p_z = theta((lp * z2).value, lp.value)
     den = theta_without_zero(LogComplex(c.log_pn), c.poch_pn)
     if abs(den) < c.guard_pn:
         raise PoleError("elliptic diagonal theta ratio vanished", argument=z2.to_complex())
@@ -1026,15 +1024,14 @@ def lc_build_elliptic(params, log_z, scalar_kappa):
 def lc_build_eight_vertex(params, log_z):
     from elliptic_rmatrix import theta
 
-    lq, lp, policy, c = LogComplex(params.log_q), LogComplex(params.log_p), params.policy, \
-        params._constants
+    lq, lp, c = LogComplex(params.log_q), LogComplex(params.log_p), params._constants
     lp2, z2, q2 = lp**2, log_z**2, LogComplex(c.log_q2)
 
     def th(arg):
-        return theta(arg.value, lp2.value, policy)
+        return theta(arg.value, lp2.value)
 
-    den_a = lc_theta_den(lp * q2 * z2, lp2, c.guard_p2, policy, "eight-vertex a/d")
-    den_b = lc_theta_den(q2 * z2, lp2, c.guard_p2, policy, "eight-vertex b/c")
+    den_a = lc_theta_den(lp * q2 * z2, lp2, c.guard_p2, "eight-vertex a/d")
+    den_b = lc_theta_den(q2 * z2, lp2, c.guard_p2, "eight-vertex b/c")
     a_val = log_z.inv().to_complex() * th(lp * z2) * th(lp * q2) / den_a
     b_val = (lq / log_z).to_complex() * th(z2) * th(lp * q2) / den_b
     c_val = th(lp * z2) * th(q2) / den_b

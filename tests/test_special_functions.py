@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elliptic_rmatrix import (
-    DEFAULT_POLICY,
+    ABS_FLOOR,
+    MAX_TERMS,
     DomainError,
     GammaBases,
     TruncationError,
-    TruncationPolicy,
     elliptic_gamma_ratio,
     negated_log,
     pochhammer_inf,
@@ -31,10 +31,19 @@ THETA_2_BASE_009 = -0.6906413144877037
 lc = principal_log
 
 
-def elliptic_gamma(x, p, big_q, policy=DEFAULT_POLICY) -> complex:
+def elliptic_gamma(x, p, big_q) -> complex:
     """Gamma(x; p, Q) alone: the quotient with an empty denominator."""
-    zeros, poles = elliptic_gamma_ratio((x,), (), GammaBases(p, big_q, policy))
+    zeros, poles = elliptic_gamma_ratio((x,), (), GammaBases(p, big_q))
     return zeros / poles
+
+
+def base_keeping(factors: int) -> complex:
+    """log b, |b| near 0.9905, at which (x; b) with |x| = 1/|b| keeps ``factors``
+    factors: |x b^n| = |b|^(n-1) >= 1e-17 for n = 0 .. factors - 1 and no further.
+    -ln|b| is the middle of the interval where floor(-ln 1e-17 / -ln|b|) = factors - 2."""
+    f = factors - 2
+    r = -math.log(1e-17) * (1 / f + 1 / (f + 1)) / 2
+    return complex(-r, 0.7)
 
 
 class TestLogHelpers:
@@ -90,17 +99,21 @@ class TestPochhammer:
         got = elliptic_gamma(lc(x), lc(p), lc(big_q))
         assert got == pytest.approx(double(p * big_q / x) / double(x), rel=1e-13)
 
-    def test_zero_argument_flag(self):
-        assert pochhammer_inf(None, lc(0.5)) == 1.0 + 0j
-
     def test_base_outside_disc_rejected(self):
         with pytest.raises(DomainError):
             pochhammer_inf(lc(0.5), lc(1.05))
 
     def test_truncation_budget_enforced(self):
-        tight = TruncationPolicy(abs_floor=1e-17, max_terms=5)
-        with pytest.raises(TruncationError):
-            pochhammer_inf(lc(0.5), lc(0.9), tight)
+        # 4095 kept factors run, 4096 raise: the budget is MAX_TERMS = 4096
+        lb = base_keeping(4095)
+        x = complex(-lb.real, 0.5)
+        expected = 1.0 + 0j
+        for k in range(4095):
+            expected *= 1.0 - cmath.exp(x + k * lb)
+        assert pochhammer_inf(x, lb) == pytest.approx(expected, rel=1e-12)
+        lb = base_keeping(4096)
+        with pytest.raises(TruncationError, match="after 4096 terms"):
+            pochhammer_inf(complex(-lb.real, 0.5), lb)
 
 
 class TestTheta:
@@ -189,18 +202,19 @@ class TestThetaArray:
         assert theta_array(np.array([0j, 0.4 + 0.1j]), lc(0.3))[0] == 0
 
     def test_truncation_at_the_scalar_max_terms(self):
-        # (x; b) at x = 1/b, |b| = 0.9, keeps 373 factors: max_terms 373 raises, 374 runs
-        base, args = lc(0.9), np.array([0.1 + 0.2j, -math.log(0.9) + 0j])
-        for max_terms in range(368, 378):
-            policy = TruncationPolicy(max_terms=max_terms)
-            if max_terms <= 373:
-                for path in (lambda: theta(complex(args[1]), base, policy),
-                             lambda: theta_array(args, base, policy)):
-                    with pytest.raises(TruncationError, match=f"after {max_terms} terms"):
+        # (x; b) at |x| = 1/|b| keeps 4095 factors, and both paths run and agree;
+        # at 4096 both raise.  The other argument and every b/x keep fewer.
+        for factors in (4095, 4096):
+            base = base_keeping(factors)
+            args = np.array([complex(base.real / 2, 0.2), complex(-base.real, 0.5)])
+            if factors == 4096:
+                for path in (lambda: theta(complex(args[1]), base),
+                             lambda: theta_array(args, base)):
+                    with pytest.raises(TruncationError, match="after 4096 terms"):
                         path()
             else:
-                expected = [theta(complex(u), base, policy) for u in args]
-                assert np.allclose(theta_array(args, base, policy), expected, rtol=1e-13)
+                expected = [theta(complex(u), base) for u in args]
+                assert np.allclose(theta_array(args, base), expected, rtol=1e-13, atol=0)
 
     def test_rejects_a_base_outside_the_disc(self):
         with pytest.raises(DomainError):
@@ -292,9 +306,26 @@ class TestEllipticGamma:
         assert abs(elliptic_gamma(p + big_q, p, big_q)) < 1e-14  # (pQ/x; p, Q) at x = pQ
 
     def test_truncation_budget_enforced(self):
-        tight = TruncationPolicy(abs_floor=1e-17, max_terms=5)
-        with pytest.raises(TruncationError):
-            elliptic_gamma(lc(0.3 + 0.1j), lc(0.2), lc(0.1), tight)
+        # the products Gamma stands for run over p^i Q^j as far as pochhammer_inf
+        # would: |p|^4096 just below 1e-17 runs, just above it raises
+        for step, raises in ((-0.01, False), (0.01, True)):
+            lp = complex((math.log(1e-17) + step) / 4096, 0.4)
+            if raises:
+                with pytest.raises(TruncationError, match="after 4096 terms"):
+                    elliptic_gamma(lc(0.3 + 0.1j), lp, lc(0.1))
+            else:
+                assert cmath.isfinite(elliptic_gamma(lc(0.3 + 0.1j), lp, lc(0.1)))
+
+    def test_series_longer_than_the_budget_raises(self):
+        # x = 0.99 e^{0.3i} needs no p-shift at Q = 0.99, and its rate 0.99 needs 4354 terms
+        bases = GammaBases(lc(0.5), lc(0.99))
+        with pytest.raises(TruncationError, match="series needs 4354 terms .* more than 4096"):
+            elliptic_gamma_ratio((lc(0.99) + 0.3j,), (), bases)
+
+    def test_shift_longer_than_the_budget_raises(self):
+        bases = GammaBases(lc(0.5), lc(0.99))
+        with pytest.raises(TruncationError, match="shift of 4329 p-steps exceeds 4096"):
+            elliptic_gamma_ratio((3000 + 0j,), (), bases)
 
     def test_base_outside_disc_rejected(self):
         with pytest.raises(DomainError):
@@ -306,7 +337,7 @@ class TestEllipticGamma:
 # rewrites only moved work out of the call, so every value must be bitwise equal
 
 
-def reference_gamma_ratio(numer, denom, lp, lbq, policy=DEFAULT_POLICY):
+def reference_gamma_ratio(numer, denom, lp, lbq):
     """The elliptic gamma quotient as computed before its (p, Q) constants were
     shared: every constant, the shift closure and the denominators per call."""
     from itertools import zip_longest
@@ -317,7 +348,7 @@ def reference_gamma_ratio(numer, denom, lp, lbq, policy=DEFAULT_POLICY):
     for log_b in (lp, lbq):
         if log_b.real >= 0.0:
             raise DomainError("base")
-        if policy.max_terms * log_b.real >= math.log(policy.abs_floor):
+        if MAX_TERMS * log_b.real >= math.log(ABS_FLOOR):
             raise TruncationError("base")
     log_pq = lp + lbq
     log_limit = max(lbq.real / 2, math.log(0.5))
@@ -326,13 +357,12 @@ def reference_gamma_ratio(numer, denom, lp, lbq, policy=DEFAULT_POLICY):
         if max(u.real, log_pq.real - u.real) <= log_limit:
             return u, 1.0 + 0j, 1.0 + 0j
         m = round((log_pq.real / 2 - u.real) / lp.real)
-        if abs(m) > policy.max_terms:
+        if abs(m) > MAX_TERMS:
             raise TruncationError("shift")
         thetas = 1.0 + 0j
         for j in range(min(m, 0), max(m, 0)):
             w = cmath.exp(u + j * lp)
-            thetas *= (_poch(w, big_q, policy.abs_floor, policy.max_terms)
-                       * _poch(big_q / w, big_q, policy.abs_floor, policy.max_terms))
+            thetas *= _poch(w, big_q) * _poch(big_q / w, big_q)
         if m > 0:
             return u + m * lp, 1.0 + 0j, thetas
         return u + m * lp, thetas, 1.0 + 0j
@@ -354,8 +384,8 @@ def reference_gamma_ratio(numer, denom, lp, lbq, policy=DEFAULT_POLICY):
     minus = ys + [log_pq - x for x in xs]
     log_rate = max(max(u.real, log_pq.real - u.real) for u in plus)
     rate = math.exp(log_rate)
-    terms = math.ceil(math.log(policy.abs_floor * (1.0 - rate)) / log_rate)
-    if terms > policy.max_terms:
+    terms = math.ceil(math.log(ABS_FLOOR * (1.0 - rate)) / log_rate)
+    if terms > MAX_TERMS:
         raise TruncationError("terms")
     k = np.arange(1, terms + 1)
     powers = np.exp(np.outer(k, np.array(plus + minus + [lp, lbq])))
@@ -365,11 +395,11 @@ def reference_gamma_ratio(numer, denom, lp, lbq, policy=DEFAULT_POLICY):
     return cmath.exp(complex(series.sum())) * zeros, poles
 
 
-def reference_theta_array(log_args, lb, policy=DEFAULT_POLICY):
+def reference_theta_array(log_args, lb):
     """theta_array as computed before it filled its arrays in place."""
     u = np.asarray(log_args, dtype=np.complex128).ravel()
     starts = np.concatenate([u, lb - u, [lb]])
-    log_floor = math.log(policy.abs_floor)
+    log_floor = math.log(ABS_FLOOR)
     counts = np.maximum(np.floor((starts.real - log_floor) / -lb.real) + 1.0, 0.0)
     terms = int(counts.max())
     powers = np.full((terms, starts.size), cmath.exp(lb))
@@ -398,7 +428,7 @@ class TestKernelsBitwiseAsBefore:
     def test_gamma_ratio_on_the_panel(self):
         shifted = unshifted = 0
         for n, lp, lbq, q2, z2 in kernel_panel():
-            bases = GammaBases(lp, lbq, DEFAULT_POLICY)  # shared by both quotients, as in a build
+            bases = GammaBases(lp, lbq)  # shared by both quotients, as in a build
             limit = max(lbq.real / 2, math.log(0.5))
             for numer, denom in (((lp + z2, q2 - z2), (lp - z2, q2 + z2)),
                                  ((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2))):
@@ -415,16 +445,16 @@ class TestKernelsBitwiseAsBefore:
         # the rows grow with the largest term count so far; a short call after a
         # long one reads a prefix of them and must equal a call on fresh bases
         lp, lbq = complex(math.log(0.6), 0.4), 6 * complex(math.log(0.7), -1.1)
-        bases = GammaBases(lp, lbq, DEFAULT_POLICY)
+        bases = GammaBases(lp, lbq)
         for u in (0.1 + 0.2j, -0.5 + 1j, 2.5 - 0.3j, -0.05 + 0j, 0.3 + 2j):  # rates up and down
-            fresh = elliptic_gamma_ratio((u,), (lp - u,), GammaBases(lp, lbq, DEFAULT_POLICY))
+            fresh = elliptic_gamma_ratio((u,), (lp - u,), GammaBases(lp, lbq))
             assert elliptic_gamma_ratio((u,), (lp - u,), bases) == fresh
 
     def test_base_errors_keep_their_order(self):
         with pytest.raises(DomainError):  # |p| > 1 checked before |Q| near 1
-            GammaBases(0.1 + 0j, -1e-5 + 0j, DEFAULT_POLICY)
+            GammaBases(0.1 + 0j, -1e-5 + 0j)
         with pytest.raises(TruncationError):
-            GammaBases(-1e-5 + 0j, 0.1 + 0j, DEFAULT_POLICY)
+            GammaBases(-1e-5 + 0j, 0.1 + 0j)
 
     def test_theta_array_on_the_panel(self):
         rng = np.random.default_rng(3141)

@@ -6,9 +6,10 @@ checks REV out with ``git worktree`` into a temporary directory, runs one
 fixed command list (:func:`command_list`) in both trees with one BLAS
 thread, and prints, per command, ``identical`` or what differs: the exit
 code, each report row whose residual or verdict changed (with the largest
-residual change), and for ``matrix`` dumps the largest entry change.  The
-worktree is removed afterwards.  Exit status 1 when a command's exit code
-changed or a row's pass/fail verdict flipped, else 0.
+residual change), each row only one side has (with its verdict and residual),
+and for ``matrix`` dumps the largest entry change.  The worktree is removed
+afterwards.  Exit status 1 when a command's exit code changed, a row's
+pass/fail verdict flipped or the set of rows changed, else 0.
 """
 
 from __future__ import annotations
@@ -19,11 +20,16 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = "1"
+
+# what a differing command can show beyond moved values; each makes the exit status 1
+FLIP = "a flip or exit-code change"
+ROW_SET = "row set changed"
 
 # Draws that fail at every revision so far (ROADMAP, known failing draws); the
 # scan ones are in the scan list already.
@@ -104,20 +110,36 @@ def _rows(stdout: str) -> list[dict] | None:
         return None
 
 
-def _label(index: int, row: dict) -> str:
+def _name(row: dict) -> str:
     cell = row.get("detail", {}).get("cell")
-    return f"#{index} {row['check']}" + (f" cell {cell}" if cell is not None else "")
+    return row["check"] + (f" cell {cell}" if cell is not None else "")
 
 
-def _row_lines(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
-    """The rows that differ, largest residual change first, and whether a verdict flipped."""
-    if len(old) != len(new):
-        return [f"row count {len(old)} -> {len(new)}"], True
+def _label(index: int, row: dict) -> str:
+    return f"#{index} {_name(row)}"
+
+
+def _keyed(rows: list[dict]) -> dict[tuple[str, int], tuple[int, dict]]:
+    """Each row with its index, keyed by its name and its rank among the rows of that name."""
+    seen: Counter[str] = Counter()
+    keyed = {}
+    for index, row in enumerate(rows):
+        name = _name(row)
+        keyed[name, seen[name]] = index, row
+        seen[name] += 1
+    return keyed
+
+
+def _row_lines(old: list[dict], new: list[dict]) -> tuple[list[str], set[str]]:
+    """The rows that differ, largest residual change first, then the rows only one
+    side has; and which of FLIP and ROW_SET they show.  Rows pair up by name."""
+    old_rows, new_rows = _keyed(old), _keyed(new)
     changed = []
     flipped = False
-    for index, (a, b) in enumerate(zip(old, new)):
-        if a == b:
+    for key, (index, a) in old_rows.items():
+        if key not in new_rows or a == new_rows[key][1]:
             continue
+        b = new_rows[key][1]
         flip = a["passed"] != b["passed"]
         flipped |= flip
         change = abs(b["residual"] - a["residual"])
@@ -126,7 +148,16 @@ def _row_lines(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
         line += " FLIP" if flip else ""
         changed.append((change, line))
     changed.sort(key=lambda item: -item[0])
-    return [line for _, line in changed], flipped
+    lines = [line for _, line in changed]
+    only = [f"{word} {_label(index, row)}: {'passed' if row['passed'] else 'failed'}, "
+            f"residual {row['residual']:.6e}"
+            for word, rows, other in (("removed", old_rows, new_rows), ("added", new_rows, old_rows))
+            for key, (index, row) in rows.items() if key not in other]
+    kinds = {FLIP} if flipped else set()
+    if only:
+        kinds.add(ROW_SET)
+        lines += [f"row count {len(old)} -> {len(new)}", *only]
+    return lines, kinds
 
 
 def _entries(stdout: str) -> list[complex]:
@@ -138,23 +169,23 @@ def _entries(stdout: str) -> list[complex]:
     return entries
 
 
-def compare(old: Outcome, new: Outcome) -> tuple[list[str], bool]:
-    """What differs between two runs of one command, and whether it is a flip
-    (exit code or verdict); no lines when they are identical."""
+def compare(old: Outcome, new: Outcome) -> tuple[list[str], set[str]]:
+    """What differs between two runs of one command, and which of FLIP (exit code
+    or verdict) and ROW_SET it shows; no lines when they are identical."""
     if old == new:
-        return [], False
+        return [], set()
     lines = []
-    flipped = old.rc != new.rc
-    if flipped:
+    kinds = {FLIP} if old.rc != new.rc else set()
+    if kinds:
         lines.append(f"exit code {old.rc} -> {new.rc}")
     if old.stderr != new.stderr:
         lines.append(f"stderr {old.stderr.strip()[-200:]!r} -> {new.stderr.strip()[-200:]!r}")
     if old.stdout != new.stdout:
         old_rows, new_rows = _rows(old.stdout), _rows(new.stdout)
         if old_rows is not None and new_rows is not None:
-            row_lines, row_flip = _row_lines(old_rows, new_rows)
+            row_lines, row_kinds = _row_lines(old_rows, new_rows)
             lines.extend(row_lines or ["rows equal, formatting differs"])
-            flipped |= row_flip
+            kinds |= row_kinds
         else:
             try:
                 a, b = _entries(old.stdout), _entries(new.stdout)
@@ -168,23 +199,24 @@ def compare(old: Outcome, new: Outcome) -> tuple[list[str], bool]:
                              f"{worst:.2e} ({worst / scale:.2e} of max |entry|)")
             else:
                 lines.append("output differs")
-    return lines, flipped
+    return lines, kinds
 
 
 def sweep(other_src: Path, commands: list[list[str]]) -> bool:
-    """Print one verdict per command; True when nothing flipped."""
-    clean = True
+    """Print one verdict per command; True when nothing flipped and no row set changed."""
+    found: set[str] = set()
     identical = 0
     for argv in commands:
-        lines, flipped = compare(run_ellr(other_src, argv), run_ellr(ROOT / "src", argv))
-        clean &= not flipped
+        lines, kinds = compare(run_ellr(other_src, argv), run_ellr(ROOT / "src", argv))
+        found |= kinds
         identical += not lines
         print(("identical  " if not lines else "differs    ") + " ".join(argv), flush=True)
         for line in lines:
             print(f"    {line}")
+    summary = "; ".join(kind for kind in (FLIP, ROW_SET) if kind in found)
     print(f"{identical} of {len(commands)} commands identical; "
-          f"{'no' if clean else 'a'} flip or exit-code change")
-    return clean
+          f"{summary or 'no flip or exit-code change'}")
+    return not found
 
 
 def main(argv: list[str] | None = None, commands: list[list[str]] | None = None) -> int:
