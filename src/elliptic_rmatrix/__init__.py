@@ -28,7 +28,6 @@ from .special_functions import (
     principal_log,
     theta,
     theta_array,
-    theta_shift_residual,
 )
 from .tensor_algebra import (
     SpectralReport,
@@ -36,7 +35,6 @@ from .tensor_algebra import (
     antisymmetrizer,
     charge_sectors,
     embed,
-    identity_operator,
     matrix_dump_rows,
     partial_transpose,
     permutation_op,
@@ -46,7 +44,6 @@ from .tensor_algebra import (
 from .rmatrix_builders import (
     ModelParams,
     RKind,
-    alpha_exponent,
     build_f,
     build_g,
     build_g_half,
@@ -56,8 +53,6 @@ from .rmatrix_builders import (
     eta,
     kappa_inv,
     rho,
-    s_coeff,
-    s_theta_ratio,
     tau,
     u_scalar,
 )
@@ -88,7 +83,6 @@ from .property_suite import (
 )
 from .qdet_engine import (
     centrality_witness,
-    closed_form_q_spread,
     inverse_product_residual,
     qdet_closed_form,
     qdet_product,

@@ -416,9 +416,7 @@ def _config_payload(config: RunConfig) -> dict:
 
 
 def _emit_text(payload: str, config: RunConfig) -> None:
-    if config.output_path:
-        if os.path.exists(config.output_path):
-            raise ConfigError(f"refusing to overwrite existing output {config.output_path!r}")
+    if config.output_path:  # created empty by _config_from_args, so this run's own file
         with open(config.output_path, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
@@ -503,7 +501,6 @@ def run_verify(config: RunConfig) -> int:
         n_points=config.points,
         tolerances=config.tolerances,
         params=params,
-        safe=True,
     )
     reports += _qdet_rows(params, config, rng, 2)
     points = (draw_log(rng), draw_log(rng))
@@ -718,6 +715,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--grid dimensions must be positive")
     if config.n < 2:
         raise ConfigError("N must be at least 2")
+    if config.output_path:
+        # created here, before any computation, and only if absent ("x"), so
+        # write-once holds for the whole run; _run removes it if the command raises
+        try:
+            open(config.output_path, "x").close()
+        except FileExistsError:
+            raise ConfigError(
+                f"refusing to overwrite existing output {config.output_path!r}") from None
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output {config.output_path!r}: {exc.strerror}") from None
     return config
 
 
@@ -730,12 +738,21 @@ _RUNNERS = {
 }
 
 
+def _run(config: RunConfig) -> int:
+    """The command's exit status; a raising command leaves no output file behind."""
+    try:
+        return _RUNNERS[config.command](config)
+    except BaseException:
+        if config.output_path:
+            os.remove(config.output_path)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _RUNNERS[config.command](config)
+        return _run(_config_from_args(args))
     except (ConfigError, DomainError, KindError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ steps, evaluated in a fixed order so results are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
@@ -40,7 +39,6 @@ __all__ = [
     "qdet_sum_formula",
     "inverse_product_residual",
     "centrality_witness",
-    "closed_form_q_spread",
     "verify_qdet",
     "z_spread",
 ]
@@ -256,17 +254,6 @@ def centrality_witness(
             block = view[i, :, j, :]
             worst = max(worst, _frobenius(m @ block - block @ m))
     return worst / max(scale, 1e-300)
-
-
-def closed_form_q_spread(
-    params: ModelParams, log_z: complex, other_log_q: complex
-) -> float:
-    """|m(z; q) - m(z; q')| at fixed (p, z): the determinant ignores q."""
-    here = qdet_closed_form(params, log_z)
-    there = qdet_closed_form(replace(params, log_q=other_log_q), log_z)
-    mean_here = sum(here) / len(here)
-    mean_there = sum(there) / len(there)
-    return abs(mean_here - mean_there)
 
 
 def verify_qdet(

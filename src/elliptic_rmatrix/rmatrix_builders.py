@@ -24,10 +24,10 @@ multiple.  The thetas, Pochhammer products and elliptic gamma quotients are
 the public functions of :mod:`special_functions`, and every scalar has one
 definition, which the builders call.
 
-The entry coefficient S_{a,c}^{b}(z), which the elliptic builder, s_coeff
-and the closed-form determinant share, depends on the indices of its thetas
-only through c - a, b - a and c - b, so each is computed once per index
-offset per z (``_SThetas``).
+The entry coefficient S_{a,c}^{b}(z), which the elliptic builder and the
+closed-form determinant share, depends on the indices of its thetas only
+through c - a, b - a and c - b, so each is computed once per index offset
+per z (``_SThetas``).
 
 Every value that depends on (N, q, p) alone - the Pochhammer scales of the
 pole guards, eta's constant factors, the q-dependent theta table of S, the
@@ -43,10 +43,8 @@ from __future__ import annotations
 
 import cmath
 import enum
-import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -66,8 +64,6 @@ from .tensor_algebra import TensorOperator
 __all__ = [
     "RKind",
     "ModelParams",
-    "s_coeff",
-    "s_theta_ratio",
     "kappa_inv",
     "eta",
     "tau",
@@ -75,7 +71,6 @@ __all__ = [
     "rho",
     "build_r",
     "build_v",
-    "alpha_exponent",
     "build_f",
     "build_g",
     "build_h",
@@ -164,19 +159,6 @@ class ModelParams:
                      for a, b in (e[np.argwhere(grid)]).tolist()]
         return warnings
 
-    def digest(self) -> str:
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        """The 16-hex-digit digest of (N, q, p), hashed on first use; like
-        ``_constants``, equality, hashing and ``dataclasses.replace`` ignore it."""
-        raw = (
-            f"N={self.n};q={self.q.real!r},{self.q.imag!r};"
-            f"p={self.p.real!r},{self.p.imag!r}"
-        )
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
     @cached_property
     def _constants(self) -> "_Constants":
         """The z-independent values the builders read; not a field, so equality,
@@ -204,10 +186,11 @@ class _Constants:
         self.n, self.log_q, self.log_p = n, lq, lp
         self.log_q2, self.log_pn, self.log_big_q = 2.0 * lq, float(n) * lp, float(2 * n) * lq
         self.log_sqrt_q = 0.5 * lq
-        # the fractional exponents, each the float nearest its exact rational
-        self.eta_power = float(Fraction(2, n))
-        self.tau_power = float(Fraction(2, n) - 2)
-        self.hat_power = float(Fraction(2 - 2 * n, n))
+        # the fractional exponents 2/N and (2 - 2N)/N (tau's, U's and the hat
+        # prefactor's), each one int/int quotient and so the float nearest its
+        # exact rational; 2 / n - 2 would round twice
+        self.eta_power = 2 / n
+        self.tau_power = (2 - 2 * n) / n
         self._q_tables: dict[range, _QTable] = {}
 
     @cached_property
@@ -263,7 +246,7 @@ class _Constants:
     @cached_property
     def rho_prefactor(self) -> complex:
         """q^{1/N - 1}."""
-        return cmath.exp(float(Fraction(1, self.n) - 1) * self.log_q)
+        return cmath.exp((1 - self.n) / self.n * self.log_q)
 
     @cached_property
     def gamma(self) -> GammaBases:
@@ -315,10 +298,12 @@ class _QTable:
 
 
 class _SThetas:
-    """The thetas of :func:`s_theta_ratio` at one z = exp(``z``) over the index offsets
-    d in ``offsets``: arrays num[d] = Theta(p^{N+d} q^2 z^2), den_z[d] =
-    Theta(p^{N+d} z^2) and den_q[d] = Theta(p^{N+d} q^2), base p^N, read at
-    position d - offsets.start.  den_q comes from the parameters' constants;
+    """The thetas of S_{a,c}^{b}(z)'s quotient Theta(p^{N+c-a} q^2 z^2) /
+    [Theta(p^{N+c-b} z^2) Theta(p^{N+b-a} q^2)], base p^N, at one z = exp(``z``)
+    over the index offsets d in ``offsets``: arrays num[d] = Theta(p^{N+d} q^2 z^2),
+    den_z[d] = Theta(p^{N+d} z^2) and den_q[d] = Theta(p^{N+d} q^2), read at
+    position d - offsets.start.  The offsets enter the p-powers directly, with
+    no reduction mod N.  den_q comes from the parameters' constants;
     num and den_z from one :func:`theta_array` call.  The denominators raise
     PoleError at their first vanishing offset, den_q before den_z, on every
     z.  ``z_zero_cancelled`` leaves den_z(0), which vanishes at z^2 = 1,
@@ -372,35 +357,6 @@ def _s_prefactor(powers: tuple, z: complex):
     """The power prefactor at exp(``z``), as one exp of float logs, from :func:`_s_powers`."""
     z_exp, q_log, p_log = powers
     return np.exp(z_exp * z + q_log + p_log)
-
-
-def s_theta_ratio(params: ModelParams, a: int, b: int, c: int, log_z: complex) -> complex:
-    """Theta-ratio core of the entry coefficient, for arbitrary integer indices.
-
-    Theta_{p^N}(p^{N+c-a} q^2 z^2) /
-        [Theta_{p^N}(p^{N+c-b} z^2) Theta_{p^N}(p^{N+b-a} q^2)]
-
-    The integer offsets enter the p-powers directly, with no modular
-    reduction; this is the form the quantum-determinant sum needs.
-    """
-    offsets = (c - a, c - b, b - a)
-    return _SThetas(params, log_z, range(min(offsets), max(offsets) + 1)).ratio(a, b, c)
-
-
-def s_coeff(params: ModelParams, a: int, b: int, c: int, log_z: complex) -> complex:
-    """Entry coefficient S_{a,c}^{b}(z) of the elliptic R-matrix.
-
-    S_{a,c}^{b}(z) = z^{2(b-a)/N} q^{2(c-b)/N} p^{(b-a)(c-b)/N} *
-        s_theta_ratio(a, b, c, z)
-
-    a, b label rows/columns in 1..N; c may be any integer (the value is
-    N-periodic in c and invariant under a common shift of a, b, c).
-    """
-    n = params.n
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise DomainError(f"indices a, b must lie in 1..{n}, got a={a}, b={b}")
-    powers = _s_powers(_s_exponents(n, a, b, c), params.log_q, params.log_p)
-    return complex(_s_prefactor(powers, log_z)) * s_theta_ratio(params, a, b, c, log_z)
 
 
 def kappa_inv(params: ModelParams, z2: complex) -> complex:
@@ -490,7 +446,7 @@ def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
     c = params._constants
     lp, big_q, q2 = c.log_p, c.log_big_q, c.log_q2
     z2 = 2.0 * z
-    pref = cmath.exp(c.hat_power * (c.log_sqrt_q - z))
+    pref = cmath.exp(c.tau_power * (c.log_sqrt_q - z))
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
     zeros, poles = elliptic_gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), c.gamma)
     num = c.poch_big_q * zeros
@@ -561,11 +517,6 @@ def _twice_n_alpha(n: int, i: int, j: int) -> int:
     return n + 2 * (i - j) if i < j else 0
 
 
-def alpha_exponent(n: int, i: int, j: int) -> Fraction:
-    """Twist exponent alpha_{ij}: 1/2 + (i-j)/N above the diagonal, antisymmetric."""
-    return Fraction(_twice_n_alpha(n, i, j), 2 * n)
-
-
 def build_f(params: ModelParams) -> TensorOperator:
     """Diagonal twist F with q^{alpha_{ij}} on e_ii x e_jj; F = identity at N = 2."""
     n, lq = params.n, params.log_q
@@ -574,7 +525,7 @@ def build_f(params: ModelParams) -> TensorOperator:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                diag[(i - 1) * n + (j - 1)] = cmath.exp(float(alpha_exponent(n, i, j)) * lq)
+                diag[(i - 1) * n + (j - 1)] = cmath.exp(_twice_n_alpha(n, i, j) / (2 * n) * lq)
     return TensorOperator(n, 2, np.diag(diag))
 
 

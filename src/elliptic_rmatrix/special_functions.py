@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Sequence
@@ -51,7 +50,6 @@ __all__ = [
     "theta",
     "theta_array",
     "elliptic_gamma_ratio",
-    "theta_shift_residual",
 ]
 
 _TWO_PI = 2.0 * cmath.pi
@@ -273,37 +271,3 @@ def theta_array(log_args: np.ndarray, lb: complex) -> np.ndarray:
     products = factors.prod(axis=0)
     return (products[:k] * products[k:-1] * products[-1]).reshape(np.shape(log_args))
 
-
-def theta_shift_residual(log_z: complex, log_a: complex, n: int) -> float:
-    """Largest relative violation of the theta shift/inversion identities.
-
-    Checks, for Theta with base a at the point z:
-
-    * Theta_a(a z) = Theta_a(z^{-1}),
-    * Theta_a(a^n z) = (-1)^n z^{-n} a^{-n(n-1)/2} Theta_a(z),
-    * Theta_{a^2}(a z) = Theta_{a^2}(a z^{-1})  (even-base reflection).
-
-    Each residual is scaled by the largest magnitude taking part in its
-    identity (the shift prefactor can dwarf |Theta_a(z)| for small |a|, so
-    scaling by |Theta_a(z)| alone would amplify float noise).  A self-test
-    of the implementation, not an independent oracle.
-    """
-    t_z = theta(log_z, log_a)
-
-    lhs1 = theta(log_a + log_z, log_a)
-    rhs1 = theta(-log_z, log_a)
-    r1 = abs(lhs1 - rhs1) / max(abs(t_z), abs(lhs1), abs(rhs1), 1e-300)
-
-    # (-1)^n z^{-n} a^{-n(n-1)/2}, assembled on the log scale
-    lhs2 = theta(float(n) * log_a + log_z, log_a)
-    rhs2 = (-1.0) ** n * cmath.exp(
-        float(-n) * log_z + float(Fraction(-n * (n - 1), 2)) * log_a
-    ) * t_z
-    r2 = abs(lhs2 - rhs2) / max(abs(t_z), abs(lhs2), abs(rhs2), 1e-300)
-
-    log_a2 = 2.0 * log_a
-    lhs3 = theta(log_a + log_z, log_a2)
-    rhs3 = theta(log_a - log_z, log_a2)
-    r3 = abs(lhs3 - rhs3) / max(abs(lhs3), abs(rhs3), 1e-300)
-
-    return max(r1, r2, r3)

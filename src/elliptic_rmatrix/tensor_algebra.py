@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -22,7 +22,6 @@ from .errors import ConvergenceError, DimensionError, SizeError
 __all__ = [
     "TensorOperator",
     "SpectralReport",
-    "identity_operator",
     "embed",
     "charge_sectors",
     "permutation_op",
@@ -69,36 +68,6 @@ class TensorOperator:
         shape = (self.local_dim,) * (2 * self.arity)
         return self.entries.reshape(shape)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        return TensorOperator(self.local_dim, self.arity, self.entries @ other.entries)
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        return TensorOperator(self.local_dim, self.arity, self.entries + other.entries)
-
-    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        return TensorOperator(self.local_dim, self.arity, self.entries - other.entries)
-
-    def __mul__(self, scalar: complex) -> "TensorOperator":
-        return TensorOperator(self.local_dim, self.arity, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: "TensorOperator") -> None:
-        if (self.local_dim, self.arity) != (other.local_dim, other.arity):
-            raise DimensionError(
-                f"operators live on different spaces: (N={self.local_dim}, k={self.arity}) "
-                f"vs (N={other.local_dim}, k={other.arity})"
-            )
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -107,10 +76,6 @@ class SpectralReport:
     eigenvalues: np.ndarray
     rank: int
     kernel_basis: np.ndarray  # columns form an orthonormal kernel basis
-
-
-def identity_operator(local_dim: int, arity: int) -> TensorOperator:
-    return TensorOperator(local_dim, arity, np.eye(local_dim**arity, dtype=np.complex128))
 
 
 def _validate_slots(slots: Sequence[int], arity_in: int, arity_out: int) -> None:

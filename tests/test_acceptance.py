@@ -15,13 +15,12 @@ from elliptic_rmatrix import (
     ModelParams,
     RKind,
     build_r,
-    closed_form_q_spread,
     principal_log,
     run_suite,
-    theta_shift_residual,
 )
 from elliptic_rmatrix.cli import main
 from elliptic_rmatrix.property_suite import draw_log, draw_params
+from identities import closed_form_q_spread, theta_shift_residual
 
 lc = principal_log
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptic_rmatrix import ConfigError, cli
+from elliptic_rmatrix import ConfigError, PoleError, cli
 from elliptic_rmatrix.cli import main, parse_complex_literal
 
 REPORT_FIELDS = {
@@ -214,6 +214,60 @@ class TestExitCodes:
         assert main(["matrix", "--n", "2", "--seed", "5", "--out", str(target)]) == 0
         assert main(["matrix", "--n", "2", "--seed", "5", "--out", str(target)]) == 2
         assert "refusing to overwrite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["qdet", "--n", "4", "--points", "3", "--format", "json"],
+        ["verify", "--n", "2", "--points", "1"],
+        ["scan", "--n", "3", "--grid", "2x2"],
+        ["limits", "--n", "2"],
+        ["matrix", "--n", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_existing_out_is_refused_before_any_build(self, tmp_path, capsys, monkeypatch, argv):
+        from elliptic_rmatrix import property_suite, qdet_engine
+
+        builds = []
+
+        def no_build(*args, **kwargs):
+            builds.append(args)
+            raise AssertionError("an R-matrix was built")
+
+        for module in (cli, property_suite, qdet_engine):
+            monkeypatch.setattr(module, "build_r", no_build)
+        target = tmp_path / "r.json"
+        target.write_text("kept\n")
+        assert main([*argv, "--seed", "1", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: refusing to overwrite existing output {str(target)!r}\n"
+        assert captured.out == "" and builds == []
+        assert target.read_text() == "kept\n"
+
+    def test_out_in_a_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.txt"
+        assert main(["matrix", "--n", "2", "--seed", "5", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot create output {str(target)!r}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
+
+    def test_out_is_held_from_the_start_and_dropped_when_the_run_fails(
+            self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "dump.txt"
+        held = []
+
+        def pole(*args, **kwargs):
+            held.append(target.exists())
+            raise PoleError("synthetic pole")
+
+        monkeypatch.setattr(cli, "build_r", pole)
+        assert main(["matrix", "--n", "2", "--seed", "5", "--out", str(target)]) == 3
+        assert held == [True] and not target.exists()
+        # a configuration error found by the command itself removes it too
+        assert main(["matrix", "--n", "2", "--format", "json", "--out", str(target)]) == 2
+        assert not target.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: synthetic pole",
+            "error: matrix writes a text dump only; it takes no --format json",
+        ]
 
 
 class TestMatrixDump:

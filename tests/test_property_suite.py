@@ -182,11 +182,14 @@ def fraction_nsigma(n_max, alpha):
 
 class TestNsigmaIntegerForm:
     def test_matches_fraction_loop_through_s6(self):
-        from elliptic_rmatrix import alpha_exponent
+        from fractions import Fraction
+
+        def alpha(n, i, j):  # the exact twist exponent alpha_{ij}
+            return Fraction(rmatrix_builders._twice_n_alpha(n, i, j), 2 * n)
 
         for n_max in range(2, 7):
             report = nsigma(n_max)
-            assert report.residual == fraction_nsigma(n_max, alpha_exponent) == 0.0
+            assert report.residual == fraction_nsigma(n_max, alpha) == 0.0
         assert nsigma(5).detail["permutations_checked"] == 152
 
     def test_perturbed_exponent_matches_fraction_loop(self, monkeypatch):
@@ -225,7 +228,6 @@ class TestCanary:
     def test_quiet_canary_is_not_effective(self):
         report = PropertyReport(
             name="transpose-symmetry",
-            params_digest="x",
             sample_points=(),
             residual=1e-6,
             tolerance=1e-8,
@@ -433,7 +435,6 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             PropertyReport(
                 name="x",
-                params_digest="",
                 sample_points=(),
                 residual=1.0,
                 tolerance=1e-8,
@@ -445,7 +446,6 @@ class TestReportInvariants:
         with pytest.raises(ValueError):
             PropertyReport(
                 name="x",
-                params_digest="",
                 sample_points=(),
                 residual=-1.0,
                 tolerance=1e-8,
@@ -465,35 +465,34 @@ class TestRunSuite:
             assert "p-to-zero" in names
             assert "nsigma" in names
 
-    def test_shared_params_reuse_digest(self):
+    def test_shared_params_reach_every_check(self, monkeypatch):
         params = draw_params(np.random.default_rng(31), 2)
-        reports = run_suite(2, seed=32, n_points=2, params=params)
-        digests = {r.params_digest for r in reports if r.params_digest and ":" not in r.params_digest}
-        assert digests == {params.digest()}
+        seen = []
+        real = ps.Check.run
+
+        def run(self, run_params, *args, **kwargs):
+            seen.append(run_params)
+            return real(self, run_params, *args, **kwargs)
+
+        monkeypatch.setattr(ps.Check, "run", run)
+        run_suite(2, seed=32, n_points=2, params=params)
+        assert seen and all(p is params for p in seen)
 
     def test_deterministic_for_fixed_seed(self):
         a = run_suite(2, seed=9, n_points=1)
         b = run_suite(2, seed=9, n_points=1)
         assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
 
-    def test_safe_mode_converts_errors(self, monkeypatch):
+    def test_a_raising_check_is_an_error_row(self, monkeypatch):
         def boom(*args, **kwargs):
             raise PoleError("synthetic failure")
 
         monkeypatch.setattr(ps, "check_crossing", boom)  # the table calls it by this name
-        reports = ps.run_suite(2, seed=4, n_points=1, safe=True)
+        reports = ps.run_suite(2, seed=4, n_points=1)
         errors = [r for r in reports if r.name == "crossing:error"]
         assert errors and not errors[0].passed
         assert math.isinf(errors[0].residual)
         assert "PoleError" in errors[0].detail["error"]
-
-    def test_unsafe_mode_raises(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise PoleError("synthetic failure")
-
-        monkeypatch.setattr(ps, "check_crossing", boom)
-        with pytest.raises(PoleError):
-            ps.run_suite(2, seed=4, n_points=1, safe=False)
 
     def test_tolerance_override_forces_failure(self):
         reports = run_suite(2, seed=6, n_points=1, tolerances={"ybe": 1e-30})
@@ -597,7 +596,7 @@ class TestClosedFormInverses:
     )
     def test_mutation_fails_a_row(self, monkeypatch, n, mutate):
         def failed():
-            reports = run_suite(n, 7, n_points=4, safe=True)
+            reports = run_suite(n, 7, n_points=4)
             return [r.name for r in reports if not r.detail.get("canary") and not r.passed]
 
         assert failed() == []
@@ -621,6 +620,23 @@ class TestClosedFormInverses:
         rows = json.loads(capsys.readouterr().out)["reports"]
         assert len(rows) == 9
         assert max(row["residual"] for row in rows) <= 1e-13
+
+
+# The scan draws that fail at every revision so far (ROADMAP, known failing draws):
+# unitarity at cell [1, 2] of the seed-1 3x3 grid, where max(|R12| |R21|) is about
+# 3e7 and the identity cancels; residuals 4.13e-8, 3.49e-8, 9.81e-7 and 9.67e-7.
+KNOWN_FAILING_SCANS = [(3, "elliptic"), (3, "elliptic-hat"), (6, "elliptic"), (6, "elliptic-hat")]
+
+
+@pytest.mark.parametrize("n, kind", KNOWN_FAILING_SCANS)
+def test_known_failing_scan_fails_exactly_its_row(capsys, n, kind):
+    argv = ["scan", "--n", str(n), "--check", "unitarity", "--kind", kind,
+            "--grid", "3x3", "--seed", "1", "--format", "json"]
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    assert len(rows) == 9
+    failed = [(row["check"], row["detail"]["cell"]) for row in rows if not row["passed"]]
+    assert failed == [(f"unitarity[{kind}]", [1, 2])]
 
 
 # the verify-n3 workload's first invocation at bench seed 1 (bench/run.py's ellr_argv)

@@ -20,7 +20,6 @@ from elliptic_rmatrix import (
     TensorOperator,
     antisymmetrizer,
     build_r,
-    closed_form_q_spread,
     embed,
     inverse_product_residual,
     permutation_sign,
@@ -32,6 +31,7 @@ from elliptic_rmatrix import (
     tolerance_for,
 )
 from elliptic_rmatrix.property_suite import draw_log, draw_params
+from identities import closed_form_q_spread
 
 lc = principal_log
 
@@ -332,12 +332,11 @@ class TestGuards:
 
 
 class TestBlockRows:
-    def test_row_names_digest_and_m_k_values(self, params, rng):
+    def test_row_names_points_and_m_k_values(self, params, rng):
         log_z = draw_log(rng)
         reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (log_z,))
         assert [r.name for r in reports] == [f"qdet[{row}]" for row in ROWS]
         for report in reports:
-            assert report.params_digest == params.digest()
             assert report.sample_points == (cmath.exp(log_z),)
             assert report.detail["m_k_values"] == list(qdet_closed_form(params, log_z))
         assert [r.tolerance for r in reports] == [

@@ -20,8 +20,8 @@ from elliptic_rmatrix import (
     principal_log,
     theta,
     theta_array,
-    theta_shift_residual,
 )
+from identities import theta_shift_residual
 
 # fixed-point oracles, frozen from a direct partial-product evaluation
 POCH_HALF_BASE_03 = 0.3980822043018776

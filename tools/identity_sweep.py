@@ -59,10 +59,10 @@ class Outcome:
 
 def command_list() -> list[list[str]]:
     """scan at N = 3 and 6 for each check and kind (eight-vertex at N = 2), matrix
-    for every kind, limits at N = 2 and 3, verify at N = 2..4, qdet at N = 2..4,
-    verify at N = 3 as csv and text and qdet at N = 3 as csv, qdet at one drawn
-    and at one literal point, the known failing draws and the benchmark-shaped
-    commands."""
+    for every kind, limits at N = 2 and 3 as json and as its own text table,
+    verify at N = 2..4, qdet at N = 2..4, verify at N = 3 as csv and text and
+    qdet at N = 3 as csv, qdet at one drawn and at one literal point, the known
+    failing draws and the benchmark-shaped commands."""
     sys.path.insert(0, str(ROOT / "src"))
     from elliptic_rmatrix.property_suite import CHECKS
     from elliptic_rmatrix.rmatrix_builders import RKind
@@ -78,6 +78,7 @@ def command_list() -> list[list[str]]:
             commands.append(["matrix", "--n", str(n), "--kind", kind.value, "--seed", SEED])
     for n in (2, 3):
         commands.append(["limits", "--n", str(n), "--seed", SEED, "--format", "json"])
+        commands.append(["limits", "--n", str(n), "--seed", SEED, "--format", "text"])
     for n in (2, 3, 4):
         commands.append(["verify", "--n", str(n), "--seed", SEED, "--format", "json"])
         commands.append(["qdet", "--n", str(n), "--points", "2", "--seed", SEED,
