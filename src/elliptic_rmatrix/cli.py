@@ -306,15 +306,17 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     of q and p down to their inverses, so both must be normal floats.  Their
     thetas multiply out factors (1 - x b^k) at arguments x = z^{+-2} q^{+-2}
     times powers of p; the running product must stay finite at the largest
-    |ln|x|| = 2 |ln|z|| + 2 |ln|q|| for the base nearest 1, p or Q.  A drawn
-    z lies in the sampling annulus, so |ln|z|| <= ln 2 stands for it.  A
-    base whose products need more than ``MAX_TERMS`` factors is left to the
-    builders' TruncationError.
+    |ln|x|| = 2 |ln|w|| + 2 |ln|q|| for the base nearest 1, p or Q, where w
+    is every point a build takes: w = z, and for ``qdet`` and ``verify``'s
+    qdet rows also w = z q^{-j}, j < N, and the inverse route's 1/w, so
+    |ln|w|| reaches |ln|z|| + (N - 1) |ln|q||.  A drawn z lies in the
+    sampling annulus, so |ln|z|| <= ln 2 stands for it.  A base whose
+    products need more than ``MAX_TERMS`` factors is left to the builders'
+    TruncationError.
 
     The elliptic gamma's p-shift multiplies one theta_Q per step into one
     running product, so the gamma quotients' products must stay finite too,
-    at both ends of the ln|w| the builds span: w = z, and for ``qdet`` and
-    ``verify``'s qdet rows also w = z q^{-j}, j < N.
+    at both ends of the ln|w| the builds span.
     """
     n, log_q, log_p = params.n, params.log_q.real, params.log_p.real
     if config.q is not None and 2 * n * log_q < _LOG_FLOAT_MIN:
@@ -331,10 +333,10 @@ def _check_float_range(config: RunConfig, params: ModelParams) -> None:
     log_base = max(log_p, 2 * n * log_q)
     if MAX_TERMS * log_base >= math.log(ABS_FLOOR):
         return  # the base's products outrun MAX_TERMS: TruncationError's to report
-    peak = _product_log_peak(2 * log_z - 2 * log_q, log_base)
+    spread = -(n - 1) * log_q if config.command in ("qdet", "verify") else 0.0
+    peak = _product_log_peak(2 * (log_z + spread) - 2 * log_q, log_base)
     what = "theta products"
     if peak <= _LOG_FLOAT_MAX:
-        spread = -(n - 1) * log_q if config.command in ("qdet", "verify") else 0.0
         lowest, highest = z_range[0], z_range[1] + spread
         peak = max(_gamma_quotient_log_peak(w, n, log_q, log_p) for w in (lowest, highest))
         what = "elliptic gamma's p-shift products"
@@ -482,7 +484,7 @@ def _qdet_rows(
     m_k_values = []
     for _ in range(n_points):
         rows = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (_resolve_point(config.z, rng),),
-                                  tolerances=config.tolerances, rng=rng)
+                                  tolerances=config.tolerances)
         m_k_values.append(rows[0].detail["m_k_values"])
         reports += rows
     if n_points > 1:
@@ -505,7 +507,7 @@ def run_verify(config: RunConfig) -> int:
     reports += _qdet_rows(params, config, rng, 2)
     points = (draw_log(rng), draw_log(rng))
     reports.append(CHECKS["centrality-witness"].run(params, RKind.ELLIPTIC_HAT, points,
-                                                    tolerances=config.tolerances, rng=rng))
+                                                    tolerances=config.tolerances))
     payload = _params_payload(params)
     _emit_reports([_report_row(r, payload, config) for r in reports], config)
     return 0 if all(effective_pass(r) for r in reports) else 1
@@ -564,7 +566,6 @@ def run_limits(config: RunConfig) -> int:
         RKind.ELLIPTIC,
         (log_z,),
         tolerances=config.tolerances,
-        rng=rng,
         p_sequence=config.p_seq,
     )
     rows = [_report_row(report, payload, config)]
@@ -619,7 +620,7 @@ def run_scan(config: RunConfig) -> int:
                     break
             points = tuple(draw_log(rng) for _ in check.drawn)
             try:
-                report = check.run(params, kind, points, tolerances=config.tolerances, rng=rng)
+                report = check.run(params, kind, points, tolerances=config.tolerances)
             except EllipticRMatrixError as exc:
                 report = error_report(config.check, exc)
             report.detail["cell"] = [iq, ip]

@@ -44,7 +44,10 @@ class KindError(EllipticRMatrixError):
 
 
 class PoleError(EllipticRMatrixError):
-    """A denominator theta/Pochhammer value vanished at the requested point.
+    """A denominator vanished at the requested point: a theta value of base b
+    below ``special_functions.POLE_GUARD`` |(b; b)|, the one rule of every
+    theta denominator and of the elliptic gamma quotients' poles, or a
+    denominator of the trigonometric kinds.  Nothing redraws the point.
 
     Carries the offending argument so command-line reports can show where
     the lattice zero was hit.

@@ -12,10 +12,9 @@ residual, ``(build, params, kind, *points, detail) -> float``, filling
 * sampling happens on fixed annuli (|z| in [0.5, 2], |q| in [0.3, 0.8],
   |p| in [0.05, 0.5]) with uniform phases;
 * one runner, :meth:`Check.run`, evaluates every residual: it times the
-  check, redraws all its drawn points from the z annulus on a PoleError
-  (when an ``rng`` is supplied) and builds the report, or one per row of
-  a residual that returns several, listing the points actually used,
-  never the discarded ones;
+  check and builds the report, or one per row of a residual that returns
+  several, at the points it was given; nothing redraws a point, so a
+  PoleError leaves the runner, and ``run_suite`` records it as an error row;
 * no check of this module inverts a matrix numerically: the dressing matrices are diagonal or
   a permutation, and an R-matrix is inverted by its unitarity relation;
 * every R-matrix a check builds comes from a :class:`PointContext` through
@@ -38,11 +37,11 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EllipticRMatrixError, PoleError
+from .errors import DomainError, EllipticRMatrixError
 from .special_functions import negated_log, principal_log
 from .tensor_algebra import (
     TensorOperator,
@@ -106,9 +105,9 @@ __all__ = [
 class PropertyReport:
     """Outcome of one identity check.
 
-    ``sample_points`` records the spectral arguments actually evaluated
-    (post-resampling); ``detail`` carries check-specific extras such as the
-    per-kind residuals of crossing-unitarity or a residual-vs-p sequence.
+    ``sample_points`` records the spectral arguments evaluated; ``detail``
+    carries check-specific extras such as the per-kind residuals of
+    crossing-unitarity or a residual-vs-p sequence.
     """
 
     name: str
@@ -154,9 +153,6 @@ CANARY_MARGIN = 1e-3
 Z_MODULUS = (0.5, 2.0)
 Q_MODULUS = (0.3, 0.8)
 P_MODULUS = (0.05, 0.5)
-MAX_RESAMPLES = 8
-
-T = TypeVar("T")
 
 
 def draw_log(rng: np.random.Generator, modulus: tuple[float, float] = Z_MODULUS) -> complex:
@@ -181,24 +177,6 @@ def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def _rel_identity(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Residual for identities whose RHS is (a multiple of) the identity."""
     return _frobenius(lhs - rhs) / max(1.0, _frobenius(rhs))
-
-
-def _resample(
-    compute: Callable[..., T],
-    points: tuple[complex, ...],
-    rng: np.random.Generator | None,
-) -> tuple[T, tuple[complex, ...]]:
-    """``compute(*points)``; on a PoleError redraw every point from the z
-    annulus and retry, at most MAX_RESAMPLES times and only with an ``rng``."""
-    attempts = 0
-    while True:
-        try:
-            return compute(*points), points
-        except PoleError:
-            attempts += 1
-            if rng is None or attempts > MAX_RESAMPLES:
-                raise
-            points = tuple(draw_log(rng) for _ in points)
 
 
 class PointContext:
@@ -667,10 +645,10 @@ class Check:
     the tolerance of one row of a multi-row check.  ``points`` picks the
     spectral points: ``run_suite``'s four shared draws per point (Z1, Z2,
     Z3, W), which other callers draw fresh, or a point fixed by the
-    parameters (AT_ONE, AT_Q), which ``run`` supplies and never redraws.  A
-    check with no drawn point depends on the parameters alone.  ``scope``
-    is "point" (once per suite point), "once" (once per suite) or None (not
-    in ``run_suite``).  ``tolerance`` is the default, tightened to
+    parameters (AT_ONE, AT_Q), which ``run`` supplies.  A check with no
+    drawn point depends on the parameters alone.  ``scope`` is "point"
+    (once per suite point), "once" (once per suite) or None (not in
+    ``run_suite``).  ``tolerance`` is the default, tightened to
     ``n2_tolerance`` at N = 2 where one is given; a multi-row check has
     none.  ``kinds`` are the R-matrix kinds it accepts, in ``run_suite``
     order; none means ``scan`` cannot sweep it.
@@ -696,25 +674,21 @@ class Check:
         points: Sequence[complex] = (),
         *,
         tolerances: dict[str, float] | None = None,
-        rng: np.random.Generator | None = None,
         context: PointContext | None = None,
         **options,
     ) -> PropertyReport | list[PropertyReport]:
         """The report of this check at (``params``, ``kind``) and its drawn ``points``.
 
         The one place that times a residual, builds through ``context`` (or
-        a fresh :class:`PointContext`), redraws every drawn point on a
-        PoleError when an ``rng`` is given (:func:`_resample`), names the
-        row, and reads the tolerance through :func:`tolerance_for`, with
-        the ``tolerances`` overrides.  ``options`` go to the residual
-        (p-to-zero's ``p_sequence``).  A residual that returns a mapping of
-        row suffix to residual is one timed call with one redraw loop: it
-        gives a list of reports, one per entry in its order, sharing the
-        call's time, points and detail, each named with "{row}" and reading
-        the tolerance of key "<name's head>.<row>".  Only a PoleError redraws.  What a residual
-        computes from the parameters alone (the dressing matrices,
-        p-to-zero's check of ``p_sequence``) cannot raise one, so an error
-        there leaves on the first attempt, before any draw.
+        a fresh :class:`PointContext`), names the row, and reads the
+        tolerance through :func:`tolerance_for`, with the ``tolerances``
+        overrides.  ``options`` go to the residual (p-to-zero's
+        ``p_sequence``).  A residual that returns a mapping of row suffix to
+        residual is one timed call: it gives a list of reports, one per
+        entry in its order, sharing the call's time, points and detail, each
+        named with "{row}" and reading the tolerance of key
+        "<name's head>.<row>".  An error the residual raises, a PoleError
+        included, leaves the runner.
         """
         started = time.perf_counter()
         module, _, function = self.residual.rpartition(".")
@@ -724,11 +698,7 @@ class Check:
         if not points:
             points = tuple({AT_ONE: 0j, AT_Q: params.log_q}[i] for i in self.points)
         detail: dict = {}
-        value, points = _resample(
-            lambda *pts: residual(build, params, kind, *pts, detail=detail, **options),
-            tuple(points),
-            rng if self.drawn else None,
-        )
+        value = residual(build, params, kind, *points, detail=detail, **options)
         runtime_ms = (time.perf_counter() - started) * 1000.0
         key = self.name.partition("[")[0]
         sample = [cmath.exp(p) for p in points]
@@ -893,7 +863,7 @@ def run_suite(
             reports.append(first[name])
             return
         try:
-            report = CHECKS[name].run(pt_params, kind, points, tolerances=tolerances, rng=rng,
+            report = CHECKS[name].run(pt_params, kind, points, tolerances=tolerances,
                                       context=context)
         except EllipticRMatrixError as exc:
             report = error_report(name, exc)

@@ -6,8 +6,9 @@ Three independent routes to the same scalar:
   Rhat_{1,0}(z) Rhat_{2,0}(z/q) ... Rhat_{N,0}(z q^{1-N}) to the N columns
   |a> x e_j of A x I, where A = |a><a| is the rank-one antisymmetrizer on
   slots 1..N, and read off the auxiliary-slot factor (the inverse route
-  solves the same factors against those columns, each as an N^2 x N^2
-  matrix on its own two slots);
+  applies the factors' inverses to those columns, each inverted by
+  unitarity, Rhat(w)^{-1} = P Rhat(1/w) P / U(w), and applied as an
+  N^2 x N^2 matrix on its own two slots: no matrix is inverted numerically);
 * the permutation-sum route: the signed sum over S_N of products of
   evaluated Lax blocks E_{1,sigma(1)}(z) ... E_{N,sigma(N)}(z q^{1-N});
 * the closed form: a theta-quotient expression for each diagonal value m_k,
@@ -30,8 +31,8 @@ import numpy as np
 from .errors import KindError, SizeError
 from .special_functions import theta
 from .tensor_algebra import TensorOperator, _frobenius, antisymmetrizer, embed
-from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r
-from .property_suite import _Builder
+from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r, u_scalar
+from .property_suite import _Builder, _r21
 
 __all__ = [
     "qdet_product",
@@ -104,7 +105,7 @@ def _antisymmetric_columns(n: int) -> np.ndarray:
 
 
 def _hat_factors(params: ModelParams, log_z: complex) -> list[TensorOperator]:
-    """The hat matrices Rhat(z q^{1-j}), j = 1..N, that the product, inverse and
+    """The hat matrices Rhat(z q^{1-j}), j = 1..N, that the product and
     permutation-sum routes share at one point."""
     return [build_r(params, RKind.ELLIPTIC_HAT, w) for w in _q_shifted(params, log_z)]
 
@@ -130,29 +131,28 @@ def qdet_product(params: ModelParams, log_z: complex) -> TensorOperator:
     return _product_with_residual(params, log_z)[0]
 
 
-def inverse_product_residual(
-    params: ModelParams, log_z: complex, *, hats: list[TensorOperator] | None = None,
-) -> float:
+def inverse_product_residual(params: ModelParams, log_z: complex) -> float:
     """Residual of the inverted product relation.
 
     Since the forward product maps the antisymmetrizer to itself, applying
     the inverses in reverse order must fix it too:
-    Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} A = A.  The factors are solved against
+    Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} A = A.  The inverses are applied to
     the N columns V of A x I, and ||Y V - V|| / ||V|| = ||Y - A x I|| / ||A x I||.
-    Rhat_{j,0} acts on slots j and 0 alone, so each solve is one N^2 x N^2
-    system with every other slot's index among its right-hand sides, not a
-    dense system on all N + 1 slots.  ``hats`` passes the factors in, as
-    :func:`verify_qdet` does; without it they are built here.
+    Each is the closed form of unitarity, Rhat_{12}(w) Rhat_{21}(1/w) = U(w) I:
+    Rhat_{j,0}(w)^{-1} = P Rhat(1/w) P / U(w), built at the inverted points,
+    so no matrix is inverted numerically.  Rhat_{j,0} acts on slots j and 0
+    alone, so each inverse is one N^2 x N^2 matrix applied with every other
+    slot's index among its columns, not a dense operator on all N + 1 slots.
     """
     n = params.n
     arity = n + 1
     y = v = _antisymmetric_columns(n)
-    hats = _hat_factors(params, log_z) if hats is None else hats
-    # Solving against Rhat_{1,0}, then Rhat_{2,0}, ... gives Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} V.
-    for j, factor in enumerate(hats, start=1):
-        # slots j and 0 of every column to the front, the rest as right-hand sides
+    # Rhat_{1,0}^{-1} first, then Rhat_{2,0}^{-1}, ...: Rhat_{N,0}^{-1} ... Rhat_{1,0}^{-1} V
+    for j, w in enumerate(_q_shifted(params, log_z), start=1):
+        inverse = _r21(build_r, params, RKind.ELLIPTIC_HAT, -w) / u_scalar(params, w)
+        # slots j and 0 of every column to the front, the rest as columns
         t = np.moveaxis(y.reshape((n,) * arity + (-1,)), (j - 1, arity - 1), (0, 1))
-        t = np.linalg.solve(factor.entries, t.reshape(n * n, -1)).reshape(t.shape)
+        t = (inverse @ t.reshape(n * n, -1)).reshape(t.shape)
         y = np.moveaxis(t, (0, 1), (j - 1, arity - 1)).reshape(y.shape)
     return _frobenius(y - v) / max(_frobenius(v), 1e-300)
 
@@ -263,17 +263,15 @@ def verify_qdet(
 
     Returns every pairwise deviation by row suffix and puts the closed
     form's m_k in ``detail``.  Like every qdet route it builds through this
-    module's ``build_r``, not ``build``.  ``Check.run`` resamples the whole
-    point on a PoleError (never a single factor), so all routes always see
-    the same point.
+    module's ``build_r``, not ``build``.
     """
     n = params.n
-    hats = _hat_factors(params, log_z)  # built once, read by three routes
+    hats = _hat_factors(params, log_z)  # built once, read by two routes
     m_op, internal = _product_with_residual(params, log_z, hats=hats)
     m_values = qdet_closed_form(params, log_z)
     sum_op = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, log_z, hats=hats)
     nonell_op = qdet_sum_formula(params, RKind.NON_ELLIPTIC, log_z)
-    inverse_res = inverse_product_residual(params, log_z, hats=hats)
+    inverse_res = inverse_product_residual(params, log_z)
     detail["m_k_values"] = list(m_values)
     eye = np.eye(n)
     diag_closed = np.diag(np.asarray(m_values, dtype=np.complex128))

@@ -52,7 +52,9 @@ import numpy as np
 
 from .errors import DomainError, KindError, PoleError
 from .special_functions import (
+    POLE_GUARD,
     GammaBases,
+    _guard_den,
     _poch,
     elliptic_gamma_ratio,
     pochhammer_inf,
@@ -76,9 +78,6 @@ __all__ = [
     "build_h",
     "build_g_half",
 ]
-
-# Denominator values below POLE_GUARD times the natural theta scale raise PoleError.
-POLE_GUARD = 1e-12
 
 
 class RKind(enum.Enum):
@@ -266,14 +265,6 @@ class _Constants:
         return table
 
 
-def _guard_den(val: complex, guard: float, message: str, log_arg: complex) -> complex:
-    """``val``, a theta denominator of base b at the plain log ``log_arg``; PoleError
-    when |val| < ``guard`` = POLE_GUARD |(b; b)|, the rule for every theta denominator."""
-    if abs(val) < guard:
-        raise PoleError(message, argument=cmath.exp(log_arg))
-    return val
-
-
 def _theta_den(log_arg: complex, log_base: complex, guard: float, what: str) -> complex:
     """Theta value at plain logs destined for a denominator; PoleError when it is
     below ``guard``, the base's :func:`_guard_scale`."""
@@ -367,13 +358,11 @@ def kappa_inv(params: ModelParams, z2: complex) -> complex:
     with Gamma = Gamma(.; p, Q) the elliptic gamma function and Q = q^{2N}.
     Reflection, Gamma(x) Gamma(pQ/x) = 1, pairs it as
     [Gamma(p z^2) / Gamma(p z^{-2})] [Gamma(q^2 z^{-2}) / Gamma(q^2 z^2)],
-    which is exactly 1 at z^2 = 1.
+    which is exactly 1 at z^2 = 1.  Its poles are the quotient's, guarded there.
     """
     c = params._constants
     lp, q2 = c.log_p, c.log_q2
     zeros, poles = elliptic_gamma_ratio((lp + z2, q2 - z2), (lp - z2, q2 + z2), c.gamma)
-    if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
-        raise PoleError("kappa denominator vanished", argument=cmath.exp(z2))
     return zeros / poles
 
 
@@ -441,7 +430,8 @@ def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
         pref (Q; Q) Gamma(p z^2) Gamma(Q z^2) Gamma(p q^{2N-2} z^{-2}) Gamma(p q^2 z^{-2})
             / Theta_Q(z^2).
 
-    z = q is exactly where the hat matrix's kernel is probed.
+    z = q is exactly where the hat matrix's kernel is probed.  Theta_Q(z^2) is
+    guarded by :func:`_theta_den`, the gamma quotient's poles by the quotient.
     """
     c = params._constants
     lp, big_q, q2 = c.log_p, c.log_big_q, c.log_q2
@@ -450,9 +440,7 @@ def _hat_scalar_kappa(params: ModelParams, z: complex) -> complex:
     # Gamma(Q z^2) = 1/Gamma(p z^{-2}) and Gamma(p q^{2N-2} z^{-2}) = 1/Gamma(q^2 z^2)
     zeros, poles = elliptic_gamma_ratio((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2), c.gamma)
     num = c.poch_big_q * zeros
-    den = theta(z2, big_q) * poles
-    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
-        raise PoleError("hat prefactor denominator vanished", argument=cmath.exp(z))
+    den = _theta_den(z2, big_q, c.guard_big_q, "hat prefactor") * poles
     return pref * num / den
 
 

@@ -26,6 +26,11 @@ TruncationError rather than return a bad value (this triggers for
 |base| -> 1).  The elliptic gamma
 function is summed as a log series (:func:`elliptic_gamma_ratio`), so no
 double product is ever formed.
+
+One pole rule serves every theta denominator of the package: a theta value of
+base b that is a denominator raises PoleError when it lies below
+``POLE_GUARD`` |(b; b)| (:func:`_guard_den`), a measure of its distance to
+the theta's zero lattice, not of the size of the quotient it divides.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, PoleError, TruncationError
 
 __all__ = [
     "principal_log",
@@ -73,6 +78,17 @@ def negated_log(u: complex) -> complex:
 # The truncation rule of every product and series (see the module docstring).
 ABS_FLOOR = 1e-17
 MAX_TERMS = 4096
+
+# Denominator values below POLE_GUARD times the natural theta scale raise PoleError.
+POLE_GUARD = 1e-12
+
+
+def _guard_den(val: complex, guard: float, message: str, log_arg: complex) -> complex:
+    """``val``, a theta denominator of base b at the plain log ``log_arg``; PoleError
+    when |val| < ``guard`` = POLE_GUARD |(b; b)|, the rule for every theta denominator."""
+    if abs(val) < guard:
+        raise PoleError(message, argument=cmath.exp(log_arg))
+    return val
 
 
 @lru_cache(maxsize=262144)
@@ -146,18 +162,26 @@ class GammaBases:
         return self.k[:terms], self.den[:terms]
 
 
-def _p_shift(u: complex, bases: GammaBases) -> tuple[complex, complex, complex]:
-    """(u', zeros, poles) with Gamma(e^u) = Gamma(e^u') zeros / poles."""
+def _p_shift(u: complex, bases: GammaBases, sign: int) -> tuple[complex, complex, complex]:
+    """(u', zeros, poles) with Gamma(e^u)^sign = Gamma(e^u')^sign zeros / poles, ``sign``
+    +1 for a numerator argument and -1 for a denominator one.  Each theta_Q factor
+    that goes to ``poles`` raises PoleError below POLE_GUARD, the rule of
+    :func:`_guard_den` for theta_Q = Theta_Q / (Q; Q)."""
     lp, log_pq = bases.lp, bases.log_pq
     m = round((log_pq.real / 2 - u.real) / lp.real)
     if abs(m) > MAX_TERMS:
         raise TruncationError(f"elliptic gamma shift of {abs(m)} p-steps exceeds {MAX_TERMS}")
     big_q = bases.big_q
+    to_poles = m * sign > 0
     thetas = 1.0 + 0j
     for j in range(min(m, 0), max(m, 0)):  # theta_Q at x p^j, between x and x p^m
-        w = cmath.exp(u + j * lp)
-        thetas *= _poch(w, big_q) * _poch(big_q / w, big_q)
-    if m > 0:
+        log_w = u + j * lp
+        w = cmath.exp(log_w)
+        factor = _poch(w, big_q) * _poch(big_q / w, big_q)
+        if to_poles:
+            _guard_den(factor, POLE_GUARD, "denominator theta vanished in elliptic gamma", log_w)
+        thetas *= factor
+    if to_poles:
         return u + m * lp, 1.0 + 0j, thetas
     return u + m * lp, thetas, 1.0 + 0j
 
@@ -180,7 +204,9 @@ def elliptic_gamma_ratio(
     rate is at most |Q|^{1/2}, with Gamma(p x) = theta_Q(x) Gamma(x) and
     theta_Q(x) = (x; Q)(Q/x; Q).  The thetas that move brings go to
     ``zeros`` when they are zeros of the quotient and to ``poles`` when
-    they are poles, so a caller divides only by the latter.
+    they are poles, so a caller divides only by the latter.  They carry
+    every pole of the quotient, the series being finite, so PoleError when
+    one of them lies below ``POLE_GUARD``.
     Where x_i = y_i the series terms and the theta factors of the pair
     cancel exactly, so such a quotient is exactly 1.  The term count follows
     from the largest rate r and ``ABS_FLOOR``: the first dropped term is at
@@ -196,14 +222,13 @@ def elliptic_gamma_ratio(
         pair_zeros = pair_poles = 1.0 + 0j
         if log_x is not None:
             if max(log_x.real, log_pq.real - log_x.real) > log_limit:
-                log_x, pair_zeros, pair_poles = _p_shift(log_x, bases)
+                log_x, pair_zeros, pair_poles = _p_shift(log_x, bases, 1)
             xs.append(log_x)
         if log_y is not None:
-            y_zeros = y_poles = 1.0 + 0j
             if max(log_y.real, log_pq.real - log_y.real) > log_limit:
-                log_y, y_zeros, y_poles = _p_shift(log_y, bases)
+                log_y, y_zeros, y_poles = _p_shift(log_y, bases, -1)
+                pair_zeros, pair_poles = pair_zeros * y_zeros, pair_poles * y_poles
             ys.append(log_y)
-            pair_zeros, pair_poles = pair_zeros * y_poles, pair_poles * y_zeros
         zeros *= pair_zeros
         poles *= pair_poles
     # the powers of plus enter the series with +, those of minus with -; the two

@@ -164,7 +164,7 @@ def test_criterion_7_quantum_determinant():
         rng = np.random.default_rng(700 + n)
         params = draw_params(rng, n)
         z = draw_log(rng)
-        reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (z,), rng=rng)
+        reports = CHECKS["qdet"].run(params, RKind.ELLIPTIC_HAT, (z,))
         dev = {r.name[len("qdet["):-1]: r.residual for r in reports}
         identity_tol = 1e-8 if n == 2 else 1e-7
         z_used = lc(reports[0].sample_points[0])

@@ -86,17 +86,16 @@ class TestExitCodes:
         argv = ["matrix", "--n", "3", "--kind", "elliptic-hat", "--z", "1+0i", "--seed", "1"]
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1] == "numerical error: hat prefactor denominator vanished"
+        assert captured.err.splitlines()[-1] == (
+            "numerical error: denominator theta vanished in hat prefactor")
         assert captured.out == ""
 
-    @pytest.mark.xfail(strict=True, reason="a pinned --z is redrawn where it meets a pole")
     @pytest.mark.parametrize("argv", [
         ["qdet", "--n", "2", "--q", "0.5", "--p", "0.2", "--z", "2", "--seed", "1"],
         ["limits", "--n", "2", "--q", "0.5", "--z", "2", "--seed", "1"],
     ])
     def test_pinned_z_at_a_pole_exits_three(self, capsys, argv):
-        # z = 1/q is a theta zero; both commands exit 0 with rows at a redrawn z
-        # while their config still says z = 2
+        # z = 1/q is a theta zero, and a pinned --z is never redrawn
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error:")
@@ -545,11 +544,12 @@ class TestConfigurationRange:
                 hi = mid
         return lo
 
-    @pytest.mark.parametrize("argv", [
-        ["qdet", "--n", "2", "--points", "1", "--seed", "1"],
-        ["qdet", "--n", "3", "--points", "1", "--q=0.3+0.1i", "--p=0.9i", "--seed", "5"],
+    @pytest.mark.parametrize("argv, bound", [
+        (["qdet", "--n", "2", "--points", "1", "--seed", "1"], "elliptic gamma's p-shift"),
+        (["qdet", "--n", "3", "--points", "1", "--q=0.3+0.1i", "--p=0.9i", "--seed", "5"],
+         "theta"),
     ])
-    def test_z_just_inside_the_gamma_bound_gives_finite_rows(self, capsys, argv):
+    def test_z_just_inside_the_gamma_bound_gives_finite_rows(self, capsys, argv, bound):
         # the bound is the float64 limit on the estimated running products, so a z
         # just inside it, large or small, must build finite matrices
         log_z = self.largest_accepted_log_z(argv)
@@ -561,7 +561,7 @@ class TestConfigurationRange:
             assert rows and all(math.isfinite(row["residual"]) for row in rows), sign
         assert main(argv + ["--z", repr(math.exp(1.001 * log_z))]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--z: the elliptic gamma's p-shift products" in err
+        assert err.count("\n") == 1 and f"--z: the {bound} products" in err
 
     def test_scan_refuses_n40_before_any_allocation(self, capsys, monkeypatch):
         from elliptic_rmatrix import property_suite

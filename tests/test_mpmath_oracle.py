@@ -116,3 +116,28 @@ def test_kappa_inv_at_one_and_hat_scalar_at_q(n, q, p, z):
     assert rel(kappa_inv(params, 0j), Oracle(n, q, p, 1).kappa_inv()) == 0
     hat_at_q = _hat_scalar_kappa(params, params.log_q)
     assert rel(hat_at_q, Oracle(n, q, p, q).hat_scalar()) < 2e-14
+
+
+# tier-1's gamma-bound case and the q-shifted points its forward factors take,
+# j = 0, 1, 2: no lattice point is near, so the values must be finite and right.
+# The hat scalar reaches 6.3e41, 4.4e23 and 1.7e5 there and 1/kappa 3.7e41, and
+# the roundoff of exp(log series) grows with the log: measured 6.7e-14,
+# 2.2e-14 and 1.3e-14, and 5.8e-14, so these points get a bound of 1e-13.
+GAMMA_BOUND = (3, 0.3 + 0.1j, 0.9j, 0.0449 * cmath.exp(0.3j))
+LARGE_VALUE_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_hat_scalar_at_the_gamma_bound_case(j):
+    n, q, p, z = GAMMA_BOUND
+    params = ModelParams(n, principal_log(q), principal_log(p))
+    w = z * q**-j
+    got = _hat_scalar_kappa(params, principal_log(w))
+    assert rel(got, Oracle(n, q, p, w).hat_scalar()) < LARGE_VALUE_BOUND
+
+
+def test_kappa_inv_at_the_gamma_bound_case():
+    n, q, p, z = GAMMA_BOUND
+    params = ModelParams(n, principal_log(q), principal_log(p))
+    got = kappa_inv(params, 2 * principal_log(z))
+    assert rel(got, Oracle(n, q, p, z).kappa_inv()) < LARGE_VALUE_BOUND

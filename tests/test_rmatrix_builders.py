@@ -188,14 +188,14 @@ class TestScalars:
 
     def test_kappa_inv_pole_at_q_squared(self, params_n3):
         # the denominator's (q^2 z^{-2}; p, q^{2N}) vanishes at z^2 = q^2
-        with pytest.raises(PoleError, match="kappa denominator vanished"):
+        with pytest.raises(PoleError, match="denominator theta vanished in elliptic gamma"):
             kappa_inv(params_n3, 2 * params_n3.log_q)
 
     def test_hat_prefactor_pole_at_one(self, params_n3):
         from elliptic_rmatrix import rmatrix_builders
 
         # the denominator's Theta_{q^{2N}}(z^2) vanishes at z = 1
-        with pytest.raises(PoleError, match="hat prefactor denominator vanished"):
+        with pytest.raises(PoleError, match="denominator theta vanished in hat prefactor"):
             rmatrix_builders._hat_scalar_kappa(params_n3, 0j)
 
     def test_rho_pole_at_lattice_point(self, params_n3):
@@ -914,7 +914,6 @@ class TestParamsConstants:
 
 def lc_kappa_inv(params, log_z2):
     from elliptic_rmatrix import GammaBases, elliptic_gamma_ratio
-    from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
 
     lq, lp = LogComplex(params.log_q), LogComplex(params.log_p)
     q2, z2inv = lq**2, log_z2.inv()
@@ -922,8 +921,6 @@ def lc_kappa_inv(params, log_z2):
         [x.value for x in (lp * log_z2, q2 * z2inv)], [y.value for y in (lp * z2inv, q2 * log_z2)],
         GammaBases(lp.value, (lq ** (2 * params.n)).value),
     )
-    if abs(poles) < POLE_GUARD * max(abs(zeros), 1e-300):
-        raise PoleError("kappa denominator vanished", argument=log_z2.to_complex())
     return zeros / poles
 
 
@@ -979,8 +976,7 @@ def lc_u_scalar(params, log_z):
 
 
 def lc_hat_scalar_kappa(params, log_z):
-    from elliptic_rmatrix import GammaBases, elliptic_gamma_ratio, theta
-    from elliptic_rmatrix.rmatrix_builders import POLE_GUARD
+    from elliptic_rmatrix import GammaBases, elliptic_gamma_ratio
 
     lp, c = LogComplex(params.log_p), params._constants
     big_q, q2 = LogComplex(c.log_big_q), LogComplex(c.log_q2)
@@ -991,9 +987,7 @@ def lc_hat_scalar_kappa(params, log_z):
         [x.value for x in (lp * z2, lp * q2 * z2inv)], [y.value for y in (lp * z2inv, q2 * z2)],
         GammaBases(lp.value, big_q.value))
     num = c.poch_big_q * zeros
-    den = theta(z2.value, big_q.value) * poles
-    if abs(den) < POLE_GUARD * max(abs(num), 1e-300):
-        raise PoleError("hat prefactor denominator vanished", argument=log_z.to_complex())
+    den = lc_theta_den(z2, big_q, c.guard_big_q, "hat prefactor") * poles
     return pref * num / den
 
 

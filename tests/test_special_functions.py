@@ -13,6 +13,7 @@ from elliptic_rmatrix import (
     MAX_TERMS,
     DomainError,
     GammaBases,
+    PoleError,
     TruncationError,
     elliptic_gamma_ratio,
     negated_log,
@@ -300,10 +301,17 @@ class TestEllipticGamma:
         assert zeros == poles and zeros / poles == 1.0
 
     def test_pole_and_zero(self):
+        # Gamma(1) is a pole, (x; p, Q) vanishing at x = 1, and Gamma(pQ) a zero,
+        # (pQ/x; p, Q) vanishing at x = pQ: each raises where it is a pole of the
+        # quotient, and is an unguarded zero where it is a zero
         p, big_q = lc(0.3 + 0.1j), 4 * lc(0.5 - 0.2j)
-        zeros, poles = elliptic_gamma_ratio((0j,), (), GammaBases(p, big_q))
-        assert poles == 0 and zeros != 0  # (x; p, Q) vanishes at x = 1
-        assert abs(elliptic_gamma(p + big_q, p, big_q)) < 1e-14  # (pQ/x; p, Q) at x = pQ
+        bases = GammaBases(p, big_q)
+        for numer, denom in (((0j,), ()), ((), (p + big_q,))):
+            with pytest.raises(PoleError, match="denominator theta vanished in elliptic gamma"):
+                elliptic_gamma_ratio(numer, denom, bases)
+        zeros, poles = elliptic_gamma_ratio((), (0j,), bases)
+        assert zeros == 0 and poles == 1
+        assert abs(elliptic_gamma(p + big_q, p, big_q)) < 1e-14
 
     def test_truncation_budget_enforced(self):
         # the products Gamma stands for run over p^i Q^j as far as pochhammer_inf
