@@ -1,5 +1,6 @@
 """Identity battery: every check passes at generic points, canaries fail."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -397,6 +398,22 @@ class TestSampledHelper:
             return
         with pytest.raises(PoleError):
             self._run(key)
+
+    @pytest.mark.parametrize("key", _RUNNABLE)
+    def test_reports_at_the_points_it_is_given(self, key):
+        # nothing redraws a point: the rows carry the drawn points, or the fixed
+        # point (z = 1 or z = q) of an entry that draws none
+        check = ps.CHECKS[key]
+        params = draw_params(np.random.default_rng(7), 2)
+        rng = np.random.default_rng(8)
+        points = tuple(draw_log(rng) for _ in check.drawn)
+        kind = check.kinds[0] if check.kinds else RKind.ELLIPTIC
+        reports = check.run(params, kind, points)
+        fixed = {ps.AT_ONE: 1.0, ps.AT_Q: cmath.exp(params.log_q)}
+        want = (tuple(cmath.exp(p) for p in points) if points
+                else tuple(fixed[i] for i in check.points))
+        for report in reports if isinstance(reports, list) else [reports]:
+            assert report.sample_points == want, report.name
 
 
 class TestReportInvariants:
