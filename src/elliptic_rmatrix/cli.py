@@ -39,7 +39,7 @@ from .errors import (
     TruncationError,
 )
 from .special_functions import ABS_FLOOR, MAX_TERMS, principal_log
-from .tensor_algebra import matrix_dump_rows
+from .tensor_algebra import _check_entries, matrix_dump_rows
 from .rmatrix_builders import ModelParams, RKind, build_r
 from .property_suite import (
     CANARY_MARGIN,
@@ -54,13 +54,14 @@ from .property_suite import (
     error_report,
     run_suite,
 )
-from .qdet_engine import _check_product_cap
+from .qdet_engine import _product_entries
 
 __all__ = ["RunConfig", "main", "parse_complex_literal"]
 
-# scan's largest arrays have N^6 complex entries: ybe's embedded three-slot
-# factors and evaluated-ll's block products; 2^24 entries are 256 MiB
-MAX_SCAN_ENTRIES = 2**24
+# Complex entries of each command's largest array at N: the product route's dense factor;
+# ybe's three-slot factors and evaluated-ll's block products; one N^2 x N^2 matrix
+_LARGEST_ARRAY = {"verify": _product_entries, "qdet": _product_entries,
+                  "scan": lambda n: n**6, "matrix": lambda n: n**4, "limits": lambda n: n**4}
 
 
 @dataclass
@@ -494,16 +495,10 @@ def _qdet_rows(
 
 
 def run_verify(config: RunConfig) -> int:
-    _check_product_cap(config.n)
     rng = np.random.default_rng(config.seed)
     params = _resolve_params(config, rng)
-    reports = run_suite(
-        config.n,
-        config.seed,
-        n_points=config.points,
-        tolerances=config.tolerances,
-        params=params,
-    )
+    reports = run_suite(config.n, config.seed, n_points=config.points,
+                        tolerances=config.tolerances, params=params)
     reports += _qdet_rows(params, config, rng, 2)
     points = (draw_log(rng), draw_log(rng))
     reports.append(CHECKS["centrality-witness"].run(params, RKind.ELLIPTIC_HAT, points,
@@ -543,7 +538,6 @@ def run_matrix(config: RunConfig) -> int:
 
 
 def run_qdet(config: RunConfig) -> int:
-    _check_product_cap(config.n)
     if config.z is not None and config.points not in (None, 1):
         raise ConfigError(f"qdet --z evaluates that one point; it takes no --points {config.points}")
     rng = np.random.default_rng(config.seed)
@@ -591,9 +585,6 @@ def run_limits(config: RunConfig) -> int:
 def run_scan(config: RunConfig) -> int:
     if config.q is not None or config.p is not None:
         raise ConfigError("scan draws (q, p) in every grid cell; it takes no --q or --p")
-    if config.n**6 > MAX_SCAN_ENTRIES:
-        raise SizeError(f"scan at N = {config.n} forms arrays of N^6 = {config.n**6:,} complex "
-                        f"entries; the budget is {MAX_SCAN_ENTRIES:,} (N <= 16)")
     rng = np.random.default_rng(config.seed)
     kind = RKind.from_tag(config.kind)
     check = CHECKS[config.check]
@@ -716,6 +707,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--grid dimensions must be positive")
     if config.n < 2:
         raise ConfigError("N must be at least 2")
+    _check_entries(config.command, config.n, _LARGEST_ARRAY[config.command](config.n))
     if config.output_path:
         # created here, before any computation, and only if absent ("x"), so
         # write-once holds for the whole run; _run removes it if the command raises

@@ -36,7 +36,8 @@ class DimensionError(EllipticRMatrixError):
 
 
 class SizeError(EllipticRMatrixError):
-    """A requested object exceeds the supported size range."""
+    """An N whose largest array would hold more than the size budget,
+    ``tensor_algebra.MAX_ENTRIES`` = 2^24 complex entries, or another bad size."""
 
 
 class KindError(EllipticRMatrixError):

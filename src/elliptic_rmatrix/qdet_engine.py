@@ -28,9 +28,9 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import KindError, SizeError
+from .errors import KindError
 from .special_functions import theta
-from .tensor_algebra import TensorOperator, _frobenius, antisymmetrizer, embed
+from .tensor_algebra import TensorOperator, _check_entries, _frobenius, antisymmetrizer, embed
 from .rmatrix_builders import ModelParams, RKind, _SThetas, _theta_den, build_r, u_scalar
 from .property_suite import _Builder, _r21
 
@@ -43,9 +43,6 @@ __all__ = [
     "verify_qdet",
     "z_spread",
 ]
-
-MAX_PRODUCT_SLOTS = 4
-MAX_SUM_TERMS_N = 6
 
 _T = TypeVar("_T")
 
@@ -80,16 +77,12 @@ def _q_shifted(params: ModelParams, log_z: complex) -> list[complex]:
     return [log_z - float(j) * params.log_q for j in range(params.n)]
 
 
-def _check_product_cap(n: int) -> None:
-    """SizeError above MAX_PRODUCT_SLOTS, before anything is allocated."""
-    if n > MAX_PRODUCT_SLOTS:
-        raise SizeError(
-            f"product route needs a dense operator on {n ** (n + 1)} dimensions; "
-            f"N is capped at {MAX_PRODUCT_SLOTS}"
-        )
+def _product_entries(n: int) -> int:
+    """Complex entries of the product route's dense embedded factor on N^(N+1) dimensions."""
+    return n ** (2 * n + 2)
 
 
-@lru_cache(maxsize=MAX_PRODUCT_SLOTS)
+@lru_cache(maxsize=4)
 def _antisymmetric_columns(n: int) -> np.ndarray:
     """The D x N matrix V of columns |a> x e_j, D = N^(N+1), so A x I = V V^dagger.
 
@@ -97,7 +90,7 @@ def _antisymmetric_columns(n: int) -> np.ndarray:
     normalised column at e_1 x ... x e_N; the auxiliary slot comes last.
     Built once per N and read-only, so every point and route shares it.
     """
-    _check_product_cap(n)
+    _check_entries("product route", n, _product_entries(n))
     a = antisymmetrizer(n, n).entries[:, np.ravel_multi_index(tuple(range(n)), (n,) * n)]
     columns = np.kron((a / np.linalg.norm(a))[:, None], np.eye(n))
     columns.flags.writeable = False
@@ -177,8 +170,7 @@ def qdet_closed_form(params: ModelParams, log_z: complex) -> tuple[complex, ...]
     equal 1 for generic parameters.
     """
     n = params.n
-    if n > MAX_SUM_TERMS_N:
-        raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
+    _check_entries("closed form", n, n * n * 2 ** (n - 1))  # N sums of N 2^(N-1) scalar steps
     lp, constants = params.log_p, params._constants
     q = params.q
     z2 = 2.0 * log_z
@@ -213,8 +205,7 @@ def qdet_sum_formula(
     passes the hat matrices in, for the hat kind only.
     """
     n = params.n
-    if n > MAX_SUM_TERMS_N:
-        raise SizeError(f"signed sum over S_N capped at N = {MAX_SUM_TERMS_N}")
+    _check_entries("permutation sum", n, n * 2 ** (n - 1) * n * n)  # N 2^(N-1) N x N products
     if kind not in (RKind.ELLIPTIC_HAT, RKind.NON_ELLIPTIC):
         raise KindError(
             f"permutation-sum route is defined for the hat and non-elliptic kinds, got {kind.value}"

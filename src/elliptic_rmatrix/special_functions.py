@@ -212,6 +212,10 @@ def elliptic_gamma_ratio(
     from the largest rate r and ``ABS_FLOOR``: the first dropped term is at
     most ABS_FLOOR (1 - r).  TruncationError when that count, the shift or
     a base's own products (|b|^MAX_TERMS >= ABS_FLOOR) exceed ``MAX_TERMS``.
+    The value is exp of the series, so its relative error grows with the
+    size of the log: 6.7e-14 for a hat scalar of 6.3e41 and 5.8e-14 for a
+    kappa_inv of 3.7e41 against a 50-digit oracle, where generic points stay
+    within 4.4e-15; tests/test_mpmath_oracle.py bounds such points by 1e-13.
     """
     log_pq, log_limit = bases.log_pq, bases.log_limit
     xs: list[complex] = []

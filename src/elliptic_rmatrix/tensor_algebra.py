@@ -2,9 +2,9 @@
 
 Composite indices are row-major with slot 1 most significant: the basis
 vector e_{i_1} x ... x e_{i_k} (1-based labels) sits at flat position
-sum_j (i_j - 1) N^{k-j}.  Everything is dense complex128; the largest
-object the package ever builds is (C^N)^{(N+1)} for the quantum
-determinant, so no sparse machinery is warranted.
+sum_j (i_j - 1) N^{k-j}.  Everything is dense complex128, so every command
+checks the entries of its largest array, counted from N, against one budget,
+``MAX_ENTRIES`` = 2^24 (256 MiB), before it builds anything.
 """
 
 from __future__ import annotations
@@ -31,6 +31,16 @@ __all__ = [
     "spectral",
     "matrix_dump_rows",
 ]
+
+MAX_ENTRIES = 2**24  # the size budget of every command and route: 256 MiB of complex128
+
+
+def _check_entries(what: str, n: int, entries: int) -> None:
+    """SizeError when ``what`` at N forms more than MAX_ENTRIES complex entries,
+    a count its caller takes from N before it builds anything."""
+    if entries > MAX_ENTRIES:
+        raise SizeError(f"{what} at N = {n} needs {entries:,} complex entries; "
+                        f"the budget is {MAX_ENTRIES:,} (256 MiB)")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from elliptic_rmatrix import qdet_engine
+from elliptic_rmatrix import cli
+from elliptic_rmatrix.tensor_algebra import MAX_ENTRIES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,7 +51,9 @@ def test_traced_names_are_public_functions(bench_run):
 
 
 def test_bench_size_guard_matches_product_cap(bench_run):
-    assert bench_run.MAX_DENSE_QDET_N == qdet_engine.MAX_PRODUCT_SLOTS
+    # the largest N whose count `ellr qdet` checks against the size budget admits
+    admitted = [n for n in range(2, 10) if cli._LARGEST_ARRAY["qdet"](n) <= MAX_ENTRIES]
+    assert bench_run.MAX_DENSE_QDET_N == max(admitted)
 
 
 def one_point(argv: tuple[str, ...]) -> tuple[str, ...]:

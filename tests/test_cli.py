@@ -61,16 +61,35 @@ class TestExitCodes:
     def test_n_below_two(self, capsys):
         assert main(["verify", "--n", "1"]) == 2
 
-    def test_qdet_above_product_cap(self, capsys):
-        assert main(["qdet", "--n", "5", "--points", "1"]) == 2
-        assert "N is capped at 4" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, largest", [
+        (["verify", "--points", "1"], 4),
+        (["qdet", "--points", "1"], 4),
+        (["scan", "--check", "ybe", "--grid", "1x1"], 16),
+        (["matrix"], 64),
+        (["limits"], 64),
+    ], ids=lambda value: value[0] if isinstance(value, list) else str(value))
+    def test_one_above_the_largest_n_is_refused_before_any_build(
+            self, capsys, monkeypatch, tmp_path, argv, largest):
+        from elliptic_rmatrix import property_suite, qdet_engine, rmatrix_builders, tensor_algebra
 
-    def test_verify_above_product_cap_runs_no_checks(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args) or [])
-        assert main(["verify", "--n", "5", "--points", "1"]) == 2
-        assert calls == []
-        assert "N is capped at 4" in capsys.readouterr().err
+        def refuse(*args, **kwargs):
+            raise AssertionError("built")
+
+        for module in (cli, property_suite, qdet_engine, rmatrix_builders):
+            monkeypatch.setattr(module, "build_r", refuse)
+        for module in (property_suite, qdet_engine, tensor_algebra):
+            monkeypatch.setattr(module, "embed", refuse)
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        command, n = argv[0], largest + 1
+        target = tmp_path / "r.txt"
+        assert main([command, "--n", str(n), *argv[1:], "--seed", "1", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"N = {n} " in captured.err
+        assert f"budget is {tensor_algebra.MAX_ENTRIES:,}" in captured.err
+        assert not target.exists()
+        # the same check passes at the largest N, without running the command
+        tensor_algebra._check_entries(command, largest, cli._LARGEST_ARRAY[command](largest))
 
     def test_numerical_error_exits_three(self, capsys):
         # the terms of (p; p)_inf at |p| = 0.999 stay above the floor past 4096 terms
@@ -562,22 +581,6 @@ class TestConfigurationRange:
         assert main(argv + ["--z", repr(math.exp(1.001 * log_z))]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--z: the {bound} products" in err
-
-    def test_scan_refuses_n40_before_any_allocation(self, capsys, monkeypatch):
-        from elliptic_rmatrix import property_suite
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated")
-
-        monkeypatch.setattr(property_suite, "embed", refuse)
-        monkeypatch.setattr(property_suite, "build_r", refuse)
-        assert main(["scan", "--n", "40", "--check", "ybe", "--grid", "1x1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert "N = 40" in captured.err and "N^6" in captured.err
-
-    def test_scan_budget_admits_n16(self):
-        assert 16**6 <= cli.MAX_SCAN_ENTRIES < 17**6
 
 
 def _sweep_commands() -> list[list[str]]:

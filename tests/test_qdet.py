@@ -285,10 +285,34 @@ class TestGuards:
                 with pytest.raises(SizeError):
                     route(params, lc(1.2 + 0.1j))
 
-    def test_closed_form_size_limit(self):
-        params = ModelParams(7, lc(0.4), lc(0.2))
-        with pytest.raises(SizeError):
-            qdet_closed_form(params, lc(1.2 + 0.1j))
+    def test_closed_form_size_limit(self, monkeypatch):
+        from elliptic_rmatrix import rmatrix_builders
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(qdet_engine, "build_r", refuse)
+        monkeypatch.setattr(rmatrix_builders, "theta_array", refuse)
+        # N^2 2^(N-1) and N^3 2^(N-1) entries first exceed the budget at N = 17 and 14
+        with pytest.raises(SizeError, match="N = 17"):
+            qdet_closed_form(ModelParams(17, lc(0.4), lc(0.2)), lc(1.2 + 0.1j))
+        for kind in (RKind.ELLIPTIC_HAT, RKind.NON_ELLIPTIC):
+            with pytest.raises(SizeError, match="N = 14"):
+                qdet_sum_formula(ModelParams(14, lc(0.4), lc(0.2)), kind, lc(1.2 + 0.1j))
+
+    def test_sums_past_n6_equal_the_identity(self):
+        params = draw_params(np.random.default_rng(7), 7)
+        log_z = draw_log(np.random.default_rng(8))
+        n, eye, scale = 7, np.eye(7), np.sqrt(7)
+        m_values = qdet_closed_form(params, log_z)
+        hat_sum = qdet_sum_formula(params, RKind.ELLIPTIC_HAT, log_z).entries
+        nonelliptic_sum = qdet_sum_formula(params, RKind.NON_ELLIPTIC, log_z).entries
+        assert max(abs(v - 1.0) for v in m_values) < tolerance_for(
+            "qdet.closed_form_vs_identity", n, {})
+        assert np.linalg.norm(hat_sum - eye) / scale < tolerance_for(
+            "qdet.sum_formula_vs_closed_form", n, {})
+        assert np.linalg.norm(nonelliptic_sum - eye) / scale < tolerance_for(
+            "qdet.nonelliptic_sum_vs_identity", n, {})
 
     def test_sum_formula_kind_restriction(self, params):
         with pytest.raises(KindError):

@@ -62,8 +62,9 @@ def command_list() -> list[list[str]]:
     """scan at N = 3 and 6 for each check and kind (eight-vertex at N = 2), matrix
     for every kind, limits at N = 2 and 3 as json and as its own text table,
     verify at N = 2..4, qdet at N = 2..4, verify at N = 3 as csv and text and
-    qdet at N = 3 as csv, qdet at one drawn and at one literal point, the known
-    failing draws and the benchmark-shaped commands."""
+    qdet at N = 3 as csv, qdet at one drawn and at one literal point, the size
+    refusals one above the largest N of verify, qdet and scan, the known failing
+    draws and the benchmark-shaped commands."""
     sys.path.insert(0, str(ROOT / "src"))
     from elliptic_rmatrix.property_suite import CHECKS
     from elliptic_rmatrix.rmatrix_builders import RKind
@@ -89,6 +90,10 @@ def command_list() -> list[list[str]]:
     commands.append(["qdet", "--n", "3", "--points", "2", "--seed", SEED, "--format", "csv"])
     commands.append(["qdet", "--n", "3", "--points", "1", "--seed", SEED, "--format", "json"])
     commands.append(["qdet", "--n", "2", "--z", "1.1+0.2i", "--seed", SEED, "--format", "json"])
+    # exit 2 before any build; text, so the json writer's replay of this list skips them
+    commands += [[*argv, "--seed", SEED, "--format", "text"] for argv in (
+        ["verify", "--n", "5"], ["qdet", "--n", "5", "--points", "1"],
+        ["scan", "--n", "17", "--grid", "1x1"])]
     return commands + KNOWN_FAILING + BENCH_SHAPED
 
 
