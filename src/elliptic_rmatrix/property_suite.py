@@ -552,11 +552,13 @@ def check_evaluated_ll(
     scale = _frobenius(top.entries) * _frobenius(bot.entries) / (n * n)
     # prod[i, j, k, l] = E_ij(z) E_kl(z/q), every block product at once
     prod = np.einsum("iajb,kblc->ijklac", top.tensor_view(), bot.tensor_view())
-    # both combinations at every index, as index swaps of prod
-    four = (prod - prod.transpose(0, 3, 2, 1, 4, 5) - prod.transpose(2, 3, 0, 1, 4, 5)
-            + prod.transpose(2, 1, 0, 3, 4, 5))
-    row = np.einsum("ijilac->ijlac", prod)  # E_ij(z) E_il(z/q)
+    # both combinations at every index, as index swaps of prod, summed in one array
+    four = prod - prod.transpose(0, 3, 2, 1, 4, 5)
+    four -= prod.transpose(2, 3, 0, 1, 4, 5)
+    four += prod.transpose(2, 1, 0, 3, 4, 5)
+    row = np.einsum("ijilac->ijlac", prod)  # E_ij(z) E_il(z/q), a view of prod
     two = row - row.transpose(0, 2, 1, 3, 4)
+    del prod, row  # so that four and one norm temporary are the largest arrays left
     worst = max(float(np.linalg.norm(c, axis=(-2, -1)).max()) for c in (four, two))
     return worst / max(scale, 1e-300)
 

@@ -4,6 +4,7 @@ and a changed row set is named as such."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,33 +60,46 @@ def sweep_tool(monkeypatch):
     return module
 
 
-@needs_git
-def test_head_against_itself_is_identical(sweep_tool, capsys):
-    assert sweep_tool.main(["--against", "HEAD"], commands=SHORT) == 0
+@pytest.fixture
+def copy_of_this_tree(tmp_path):
+    """A directory holding a copy of this tree's src/, as a git archive extract would."""
+    shutil.copytree(ROOT / "src", tmp_path / "copy" / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return str(tmp_path / "copy")
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_this_tree_against_a_copy_is_identical(sweep_tool, capsys, monkeypatch, copy_of_this_tree, relative):
+    monkeypatch.chdir(Path(copy_of_this_tree).parent)  # where a relative DIR starts
+    assert sweep_tool.main(["--against", "copy" if relative else copy_of_this_tree], commands=SHORT) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out[:-1]] == ["identical", "identical"]
     assert out[-1] == "2 of 2 commands identical; no flip or exit-code change"
 
 
-@needs_git
-def test_perturbed_tree_is_reported(sweep_tool, capsys, monkeypatch, tmp_path):
+def test_perturbed_tree_is_reported(sweep_tool, capsys, monkeypatch, tmp_path, copy_of_this_tree):
     (tmp_path / "sitecustomize.py").write_text(PERTURBATION)
     real_env = sweep_tool.ellr_env
 
     def env(src):
         out = real_env(src)
-        if src == ROOT / "src":  # this tree; the worktree of HEAD runs unperturbed
+        if src == ROOT / "src":  # this tree; the copy runs unperturbed
             out["PYTHONPATH"] = os.pathsep.join([str(tmp_path), out["PYTHONPATH"]])
         return out
 
     monkeypatch.setattr(sweep_tool, "ellr_env", env)
-    assert sweep_tool.main(["--against", "HEAD"], commands=SHORT) == 1
+    assert sweep_tool.main(["--against", copy_of_this_tree], commands=SHORT) == 1
     out = capsys.readouterr().out
     assert "differs    matrix --n 2 --kind principal" in out
     assert "1 of 16 entries moved" in out
     assert "exit code 0 -> 1" in out
     assert out.count("FLIP") == 2  # both grid cells now fail ybe
     assert out.rstrip().endswith("0 of 2 commands identical; a flip or exit-code change")
+
+
+@needs_git
+def test_a_git_revision_is_checked_out(sweep_tool, capsys):
+    assert sweep_tool.main(["--against", "HEAD"], commands=SHORT[:1]) == 0
+    assert capsys.readouterr().out.endswith("1 of 1 commands identical; no flip or exit-code change\n")
 
 
 def run_of(sweep_tool, rows, rc=0):

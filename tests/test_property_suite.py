@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,20 @@ class TestEvaluatedLlEinsum:
         report = CHECKS["evaluated-ll"].run(params, RKind.ELLIPTIC, (lz,))
         assert not report.passed, report.residual
 
+    def test_peak_memory_at_n8_is_two_and_a_half_n6_arrays(self):
+        # the size budget counts one N^6 array; four is formed in place and prod
+        # released before the norms, which allocate one more
+        n = 8
+        rng = np.random.default_rng(8)
+        params, lz = draw_params(rng, n), draw_log(rng)
+        tracemalloc.start()
+        try:
+            CHECKS["evaluated-ll"].run(params, RKind.ELLIPTIC, (lz,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * n**6
+
 
 def _pole_on_first_build(monkeypatch) -> list:
     """Make ``property_suite.build_r`` raise PoleError on its first call only."""
@@ -614,11 +629,14 @@ class TestClosedFormInverses:
 KNOWN_FAILING_SCANS = [(3, "elliptic"), (3, "elliptic-hat"), (6, "elliptic"), (6, "elliptic-hat")]
 
 
+def known_failing_scan_argv(n: int, kind: str) -> list[str]:
+    return ["scan", "--n", str(n), "--check", "unitarity", "--kind", kind,
+            "--grid", "3x3", "--seed", "1", "--format", "json"]
+
+
 @pytest.mark.parametrize("n, kind", KNOWN_FAILING_SCANS)
 def test_known_failing_scan_fails_exactly_its_row(capsys, n, kind):
-    argv = ["scan", "--n", str(n), "--check", "unitarity", "--kind", kind,
-            "--grid", "3x3", "--seed", "1", "--format", "json"]
-    assert main(argv) == 1
+    assert main(known_failing_scan_argv(n, kind)) == 1
     rows = json.loads(capsys.readouterr().out)["reports"]
     assert len(rows) == 9
     failed = [(row["check"], row["detail"]["cell"]) for row in rows if not row["passed"]]

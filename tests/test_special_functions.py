@@ -9,8 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elliptic_rmatrix import (
-    ABS_FLOOR,
-    MAX_TERMS,
     DomainError,
     GammaBases,
     PoleError,
@@ -166,31 +164,25 @@ class TestTheta:
         assert theta_shift_residual(z, p, 2) < 1e-12
 
 
-def theta_array_panel():
-    """(log args, log base) per (N, |p|): points in the annuli |b|^{k+1} < |x| < |b|^k,
-    k = -2..2, and points 1e-9 from the lattice zeros b^k, base b = p^N."""
-    rng = np.random.default_rng(18)
-    for n in range(2, 7):
-        for mod_p in (0.05, 0.2, 0.5, 0.7, 0.9):
-            lb = complex(n * math.log(mod_p), n * rng.uniform(-math.pi, math.pi))
-            args = [k * lb + complex(math.log(rng.uniform(abs(cmath.exp(lb)), 1.0)),
-                                     rng.uniform(-math.pi, math.pi))
-                    for k in range(-2, 3) for _ in range(4)]
-            args += [k * lb + 1e-9 * cmath.exp(1j * phase) for k in range(-2, 3) for phase in (0.3, 2.0)]
-            yield np.array(args), lb
-
-
 class TestThetaArray:
     def test_matches_scalar_theta_entrywise(self):
-        # both multiply the same factors, with numpy's complex products against
-        # Python's: 3.4e-15 apart at most on this panel, at |p| = 0.9 where the
-        # products run to hundreds of factors; at generic points of this panel
-        # both lie within 3.9e-15 of a 40-digit mpmath value
-        worst = 0.0
-        for args, base in theta_array_panel():
-            got = theta_array(args, base)
-            ref = np.array([theta(complex(u), base) for u in args])
-            worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
+        # per (N, |p|), base b = p^N: points in the annuli |b|^{k+1} < |x| < |b|^k, k = -2..2,
+        # and points 1e-9 from the lattice zeros b^k.  Both multiply the same factors, with
+        # numpy's complex products against Python's: 3.4e-15 apart at most on this panel, at
+        # |p| = 0.9 where the products run to hundreds of factors; at generic points of this
+        # panel both lie within 3.9e-15 of a 40-digit mpmath value
+        rng, worst = np.random.default_rng(18), 0.0
+        for n in range(2, 7):
+            for mod_p in (0.05, 0.2, 0.5, 0.7, 0.9):
+                base = complex(n * math.log(mod_p), n * rng.uniform(-math.pi, math.pi))
+                args = [k * base + complex(math.log(rng.uniform(abs(cmath.exp(base)), 1.0)),
+                                           rng.uniform(-math.pi, math.pi))
+                        for k in range(-2, 3) for _ in range(4)]
+                args = np.array(args + [k * base + 1e-9 * cmath.exp(1j * phase)
+                                        for k in range(-2, 3) for phase in (0.3, 2.0)])
+                got = theta_array(args, base)
+                ref = np.array([theta(complex(u), base) for u in args])
+                worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
         assert worst <= 5e-15
 
     def test_keeps_the_argument_shape(self):
@@ -220,6 +212,13 @@ class TestThetaArray:
     def test_rejects_a_base_outside_the_disc(self):
         with pytest.raises(DomainError):
             theta_array(np.array([0.1j]), lc(1.2))
+
+    def test_with_no_factor_left(self):
+        # every |x b^n| below the floor: no row at all, and every product is 1
+        lb = complex(math.log(1e-40), 0.5)
+        args = np.array([0.5 * lb + 0.1j, 0.45 * lb])
+        got = theta_array(args, lb)
+        assert got.shape == (2,) and np.all(got == 1.0)
 
 
 def theta_q(x: complex, base: complex) -> complex:
@@ -339,116 +338,6 @@ class TestEllipticGamma:
         with pytest.raises(DomainError):
             elliptic_gamma(lc(0.3), lc(1.05), lc(0.1))
 
-
-# ---------------------------------------------------------------------------
-# the kernels against copies of their earlier, per-call set-up forms: the
-# rewrites only moved work out of the call, so every value must be bitwise equal
-
-
-def reference_gamma_ratio(numer, denom, lp, lbq):
-    """The elliptic gamma quotient as computed before its (p, Q) constants were
-    shared: every constant, the shift closure and the denominators per call."""
-    from itertools import zip_longest
-
-    from elliptic_rmatrix.special_functions import _poch
-
-    big_q = cmath.exp(lbq)
-    for log_b in (lp, lbq):
-        if log_b.real >= 0.0:
-            raise DomainError("base")
-        if MAX_TERMS * log_b.real >= math.log(ABS_FLOOR):
-            raise TruncationError("base")
-    log_pq = lp + lbq
-    log_limit = max(lbq.real / 2, math.log(0.5))
-
-    def shift(u):
-        if max(u.real, log_pq.real - u.real) <= log_limit:
-            return u, 1.0 + 0j, 1.0 + 0j
-        m = round((log_pq.real / 2 - u.real) / lp.real)
-        if abs(m) > MAX_TERMS:
-            raise TruncationError("shift")
-        thetas = 1.0 + 0j
-        for j in range(min(m, 0), max(m, 0)):
-            w = cmath.exp(u + j * lp)
-            thetas *= _poch(w, big_q) * _poch(big_q / w, big_q)
-        if m > 0:
-            return u + m * lp, 1.0 + 0j, thetas
-        return u + m * lp, thetas, 1.0 + 0j
-
-    xs, ys = [], []
-    zeros = poles = 1.0 + 0j
-    for log_x, log_y in zip_longest(numer, denom):
-        pair_zeros = pair_poles = 1.0 + 0j
-        if log_x is not None:
-            x, pair_zeros, pair_poles = shift(log_x)
-            xs.append(x)
-        if log_y is not None:
-            y, y_zeros, y_poles = shift(log_y)
-            ys.append(y)
-            pair_zeros, pair_poles = pair_zeros * y_poles, pair_poles * y_zeros
-        zeros *= pair_zeros
-        poles *= pair_poles
-    plus = xs + [log_pq - y for y in ys]
-    minus = ys + [log_pq - x for x in xs]
-    log_rate = max(max(u.real, log_pq.real - u.real) for u in plus)
-    rate = math.exp(log_rate)
-    terms = math.ceil(math.log(ABS_FLOOR * (1.0 - rate)) / log_rate)
-    if terms > MAX_TERMS:
-        raise TruncationError("terms")
-    k = np.arange(1, terms + 1)
-    powers = np.exp(np.outer(k, np.array(plus + minus + [lp, lbq])))
-    n = len(plus)
-    series = powers[:, :n].sum(axis=1) - powers[:, n:-2].sum(axis=1)
-    series /= k * (1.0 - powers[:, -2]) * (1.0 - powers[:, -1])
-    return cmath.exp(complex(series.sum())) * zeros, poles
-
-
-def reference_theta_array(log_args, lb):
-    """theta_array as computed before it filled its arrays in place."""
-    u = np.asarray(log_args, dtype=np.complex128).ravel()
-    starts = np.concatenate([u, lb - u, [lb]])
-    log_floor = math.log(ABS_FLOOR)
-    counts = np.maximum(np.floor((starts.real - log_floor) / -lb.real) + 1.0, 0.0)
-    terms = int(counts.max())
-    powers = np.full((terms, starts.size), cmath.exp(lb))
-    powers[:1] = np.exp(starts)
-    factors = 1.0 - np.cumprod(powers, axis=0)
-    factors[np.arange(terms)[:, None] >= counts] = 1.0
-    products = factors.prod(axis=0)
-    k = u.size
-    return (products[:k] * products[k:-1] * products[-1]).reshape(np.shape(log_args))
-
-
-def kernel_panel():
-    """(N, log p, log Q, log z^2) over N = 2..6 and |p| from 0.05 to 0.9, with
-    |z| from 1/4 to 4, so some gamma arguments need a p-shift and some do not."""
-    rng = np.random.default_rng(2718)
-    for n in range(2, 7):
-        for mod_p in (0.05, 0.2, 0.5, 0.7, 0.9):
-            for _ in range(6):
-                lp = complex(math.log(mod_p), rng.uniform(-math.pi, math.pi))
-                lq = complex(math.log(rng.uniform(0.3, 0.8)), rng.uniform(-math.pi, math.pi))
-                z2 = complex(2 * rng.uniform(-math.log(4), math.log(4)), rng.uniform(-math.pi, math.pi))
-                yield n, lp, 2 * n * lq, 2 * lq, z2
-
-
-class TestKernelsBitwiseAsBefore:
-    def test_gamma_ratio_on_the_panel(self):
-        shifted = unshifted = 0
-        for n, lp, lbq, q2, z2 in kernel_panel():
-            bases = GammaBases(lp, lbq)  # shared by both quotients, as in a build
-            limit = max(lbq.real / 2, math.log(0.5))
-            for numer, denom in (((lp + z2, q2 - z2), (lp - z2, q2 + z2)),
-                                 ((lp + z2, lp + q2 - z2), (lp - z2, q2 + z2))):
-                for u in numer + denom:
-                    if max(u.real, (lp + lbq).real - u.real) > limit:
-                        shifted += 1
-                    else:
-                        unshifted += 1
-                got = elliptic_gamma_ratio(numer, denom, bases)
-                assert got == reference_gamma_ratio(numer, denom, lp, lbq), (n, lp, z2)
-        assert shifted > 100 and unshifted > 100
-
     def test_shared_denominators_do_not_depend_on_call_order(self):
         # the rows grow with the largest term count so far; a short call after a
         # long one reads a prefix of them and must equal a call on fresh bases
@@ -463,21 +352,3 @@ class TestKernelsBitwiseAsBefore:
             GammaBases(0.1 + 0j, -1e-5 + 0j)
         with pytest.raises(TruncationError):
             GammaBases(-1e-5 + 0j, 0.1 + 0j)
-
-    def test_theta_array_on_the_panel(self):
-        rng = np.random.default_rng(3141)
-        for n, lp, _, q2, z2 in kernel_panel():
-            lb = n * lp
-            for size in (1, 2, 7, 10, 22, 30):
-                args = np.array([rng.uniform(-3, 3) * lb.real / n + 1j * rng.uniform(-4, 4)
-                                 for _ in range(size)]) + (q2 + z2 if size % 2 else 0)
-                got = theta_array(args, lb)
-                assert got.tobytes() == reference_theta_array(args, lb).tobytes(), (n, lp, size)
-
-    def test_theta_array_with_no_factor_left(self):
-        # every |x b^n| below the floor: no row at all, and every product is 1
-        lb = complex(math.log(1e-40), 0.5)
-        args = np.array([0.5 * lb + 0.1j, 0.45 * lb])
-        got = theta_array(args, lb)
-        assert got.tobytes() == reference_theta_array(args, lb).tobytes()
-        assert np.all(got == 1.0)

@@ -1,15 +1,18 @@
 """Compare every `ellr` output of this tree with those of another revision.
 
     python tools/identity_sweep.py --against REV
+    python tools/identity_sweep.py --against DIR
 
-checks REV out with ``git worktree`` into a temporary directory, runs one
-fixed command list (:func:`command_list`) in both trees with one BLAS
-thread, and prints, per command, ``identical`` or what differs: the exit
-code, each report row whose residual or verdict changed (with the largest
-residual change), each row only one side has (with its verdict and residual),
-and for ``matrix`` dumps the largest entry change.  The worktree is removed
-afterwards.  Exit status 1 when a command's exit code changed, a row's
-pass/fail verdict flipped or the set of rows changed, else 0.
+takes the other tree from DIR when DIR holds ``src/elliptic_rmatrix`` (such
+as a ``git archive`` extract of a revision), and otherwise checks the git
+revision REV out with ``git worktree`` into a temporary directory, removed
+afterwards.  It runs one fixed command list (:func:`command_list`) in both
+trees with one BLAS thread, and prints, per command, ``identical`` or what
+differs: the exit code, each report row whose residual or verdict changed
+(with the largest residual change), each row only one side has (with its
+verdict and residual), and for ``matrix`` dumps the largest entry change.
+Exit status 1 when a command's exit code changed, a row's pass/fail verdict
+flipped or the set of rows changed, else 0.
 """
 
 from __future__ import annotations
@@ -228,9 +231,13 @@ def sweep(other_src: Path, commands: list[list[str]]) -> bool:
 
 def main(argv: list[str] | None = None, commands: list[list[str]] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--against", required=True,
+                        help="git revision, or directory holding src/elliptic_rmatrix, to compare with")
     args = parser.parse_args(argv)
     commands = command_list() if commands is None else commands
+    other = Path(args.against).resolve()  # the child runs with cwd set to its src's parent
+    if (other / "src" / "elliptic_rmatrix").is_dir():
+        return 0 if sweep(other / "src", commands) else 1
     with tempfile.TemporaryDirectory(prefix="identity-sweep-") as tmp:
         tree = Path(tmp) / "tree"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
